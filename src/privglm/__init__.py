@@ -27,7 +27,6 @@ from .estimators import (
     heavy_estimate,
     l4_shrink,
     l4_shrink_rows,
-    project_ball,
     sensitivity_bound_heavy,
     sensitivity_bound_subgaussian,
 )
@@ -58,9 +57,13 @@ from .mechanism import (
     MechanismParams,
     brier_payment,
     budget_bound,
+    partition,
+    payments,
     preset_schedule,
     posterior_mean,
+    project_ball,
     rationality_check,
+    release_noise,
     run_mechanism,
 )
 from .population import (
@@ -89,7 +92,6 @@ from .privacy import (
     RatioReport,
     compose_account,
     empirical_privacy_ratio,
-    privatize,
     sample_norm_exponential,
 )
 

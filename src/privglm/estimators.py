@@ -201,17 +201,6 @@ def estimate(data: Dataset, bundle: LinkBundle, settings: EstimatorSettings) -> 
     return glm_estimate(data, bundle, settings)
 
 
-def project_ball(theta: np.ndarray, tau_theta: float) -> np.ndarray:
-    """Euclidean projection onto the centered ball of radius tau_theta."""
-    if not tau_theta > 0:
-        raise ConfigError("tau_theta must be positive")
-    theta = np.asarray(theta, dtype=float)
-    nrm = float(np.linalg.norm(theta))
-    if nrm <= tau_theta:
-        return theta.copy()
-    return theta * (tau_theta / nrm)
-
-
 @dataclass(frozen=True)
 class SensitivityBound:
     """One-replacement l2 sensitivity bound plus the constants that produced it."""

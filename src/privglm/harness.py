@@ -21,22 +21,23 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateWeightsError, SingularGramError
 from .estimators import (
-    HEAVY,
     Dataset,
     EstimatorSettings,
     empirical_sensitivity,
     estimate,
-    glm_estimate,
-    l4_shrink,
-    project_ball,
 )
 from .links import ModelKind, PolytopeSpec, make_link_bundle
 from .mechanism import (
     MechanismParams,
-    brier_payment,
+    opposite_release,
+    partition,
+    payment_covariates,
+    payments,
     preset_schedule,
     posterior_mean,
+    project_ball,
     rationality_check,
+    release_noise,
     resolve_privacy,
     run_mechanism,
 )
@@ -62,7 +63,6 @@ from .privacy import (
     RatioReport,
     compose_account,
     empirical_privacy_ratio,
-    sample_norm_exponential,
     sample_norm_exponential_batch,
 )
 
@@ -85,6 +85,29 @@ CSV_COLUMNS = (
     "gamma_total",
     "seed",
 )
+
+
+_CONFIG_KEYS = (
+    "population", "regime", "schedule", "sweep", "repeats", "metrics", "out_dir", "format",
+    "master_seed", "deviation", "sensitivity_trials", "posterior_samples", "audit_log",
+    "report_mode",
+)
+_POPULATION_KEYS = (
+    "d", "n", "model", "noise_std", "covariates", "tau_theta", "theta_star", "cost_lambda",
+    "cost_correlated",
+)
+_COVARIATE_KEYS = {
+    "subgaussian_isotropic": ("kind", "sigma"),
+    "subgaussian_cov": ("kind", "cov"),
+    "student_t": ("kind", "dof", "scale"),
+}
+_DEVIATION_KEYS = ("rule", "trials")
+
+
+def _check_keys(obj: dict, known, where: str) -> None:
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown {where} key(s) {unknown}")
 
 
 def cell_rng(master_seed: int, n: int, repeat: int, arm: int, *extra) -> np.random.Generator:
@@ -160,10 +183,12 @@ class ExperimentConfig:
             except (OSError, json.JSONDecodeError) as exc:
                 raise ConfigError(f"cannot read config: {exc}")
         try:
+            _check_keys(obj, _CONFIG_KEYS, "config")
             pop = _population_from_json(obj["population"])
             sched = obj.get("schedule")
             schedule = ScheduleSpec(**sched) if sched is not None else None
             dev = obj.get("deviation", {})
+            _check_keys(dev, _DEVIATION_KEYS, "deviation")
             rule = dev.get("rule", {"kind": "constant", "value": 0.0})
             return cls(
                 population=pop,
@@ -189,9 +214,12 @@ class ExperimentConfig:
 
 
 def _population_from_json(obj: dict) -> PopulationSpec:
+    _check_keys(obj, _POPULATION_KEYS, "population")
     model = ModelKind.from_json(obj)
     cov = obj.get("covariates", {"kind": "subgaussian_isotropic"})
     kind = cov.get("kind", "subgaussian_isotropic")
+    if kind in _COVARIATE_KEYS:
+        _check_keys(cov, _COVARIATE_KEYS[kind], f"{kind} covariates")
     if kind == "subgaussian_isotropic":
         covariates = SubGaussianIsotropic(float(cov.get("sigma", 1.0)))
     elif kind == "subgaussian_cov":
@@ -558,7 +586,6 @@ def estimate_deviation_gain(
     )
     resolved = resolve_privacy(params, nn, spec_n.d, bundle)
     eps_tot, gamma_tot = compose_account(resolved)
-    heavy = settings.regime == HEAVY
 
     # the tagged agent's type; keyed without n so paired studies share it
     type_pop = generate_population(
@@ -567,33 +594,28 @@ def estimate_deviation_gain(
     x0 = type_pop.X[0]
     y0 = float(type_pop.y_true[0])
     cost0 = float(type_pop.costs[0])
-    x_pay = l4_shrink(x0, settings.tau1) if heavy else x0
+    x_pay = payment_covariates(type_pop.X[:1], settings)
 
-    def prediction(report: float, sub: int) -> float:
-        mean = posterior_mean(
-            settings.tau_theta, x0, report, model, params.posterior_samples,
-            np.random.default_rng([ms, seed_tag, ARM_DEVIATION, 1, sub]),
-        )
-        inner = float(np.sum(x_pay * mean))
-        return inner if heavy else float(bundle.A_prime(inner))
-
-    q_truth = prediction(y0, 0)
     if deviant_rule is None:
-        reports = [y0]
-        q_dev = [q_truth]
+        reports, subs = [y0], [0]  # the control repeats the truthful prediction
     elif isinstance(deviant_rule, WorstOfGrid):
         reports = [
             float(v) for v in coerce_response(np.asarray(deviant_rule.grid, float), model)
         ]
-        q_dev = [prediction(r, 2 + j) for j, r in enumerate(reports)]
+        subs = [2 + j for j in range(len(reports))]
     else:
         raw = _rule_values(
             deviant_rule,
             np.asarray([y0]),
             np.random.default_rng([ms, seed_tag, ARM_DEVIATION, 2]),
         )
-        reports = [float(coerce_response(raw, model)[0])]
-        q_dev = [prediction(reports[0], 2)]
+        reports, subs = [float(coerce_response(raw, model)[0])], [2]
+    # row 0 of the means predicts from the truthful report, row 1 + j from reports[j]
+    means = posterior_mean(
+        np.repeat(type_pop.X[:1], 1 + len(reports), axis=0), [y0, *reports], model,
+        settings.tau_theta, params.posterior_samples, [ms, seed_tag, ARM_DEVIATION, 1],
+        [0, *subs],
+    )
 
     gains = np.empty((trials, len(reports)))
     for t in range(trials):
@@ -603,23 +625,14 @@ def estimate_deviation_gain(
         reported = apply_strategy(
             pop, Threshold(tau, config.fallback_rule), np.random.default_rng(key + [1])
         )
+        # the mechanism's release with only the half that pays agent 0 solved
         rng_mech = np.random.default_rng(key + [2])
-        perm = rng_mech.permutation(nn)
-        assign = np.zeros(nn, dtype=np.int8)
-        assign[perm[nn // 2 :]] = 1
-        opp_mask = assign != assign[0]
-        theta_opp = estimate(reported.take(opp_mask), bundle, settings)
-        # mirror the mechanism's draw order (full, group 0, group 1)
-        sample_norm_exponential(spec_n.d, resolved.delta_n, resolved.epsilon, rng_mech)
-        s_g0 = sample_norm_exponential(spec_n.d, resolved.delta_half, resolved.epsilon, rng_mech)
-        s_g1 = sample_norm_exponential(spec_n.d, resolved.delta_half, resolved.epsilon, rng_mech)
-        noise = s_g1.v if assign[0] == 0 else s_g0.v
-        theta_bar_opp = project_ball(theta_opp + noise, settings.tau_theta)
-        inner = float(x_pay @ theta_bar_opp)
-        p = inner if heavy else float(bundle.A_prime(inner))
-        pay_truth = brier_payment(params.a1, params.a2, p, q_truth)
-        for j, qd in enumerate(q_dev):
-            gains[t, j] = brier_payment(params.a1, params.a2, p, qd) - pay_truth
+        assign = partition(nn, rng_mech)
+        theta_opp = estimate(reported.take(assign != assign[0]), bundle, settings)
+        noise = release_noise(spec_n.d, resolved, rng_mech)[opposite_release(assign[0])]
+        theta_bar_opp = project_ball(theta_opp + noise.v, settings.tau_theta)
+        pay, _, _ = payments(x_pay, theta_bar_opp, means, bundle, params)
+        gains[t] = pay[1:] - pay[0]
 
     mean_gains = gains.mean(axis=0)
     best = int(np.argmax(mean_gains))
@@ -732,19 +745,18 @@ def report_from_dict(obj: dict) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 def private_release_closure(bundle, settings, epsilon: float, delta: float, corruption: float = 1.0):
-    """Vectorized d=1 release: estimator plus norm-exponential noise, ball-projected.
+    """One estimator released `trials` times with the mechanism's own steps:
+    estimate, norm-exponential noise at sensitivity `delta`, ball projection.
 
     `corruption` divides the noise scale; anything above 1 deliberately breaks
     the privacy claim and serves as a negative control.
     """
 
     def build(dataset, rng: np.random.Generator, trials: int) -> np.ndarray:
-        theta = glm_estimate(dataset, bundle, settings)
-        if theta.shape[0] != 1:
-            raise ConfigError("closure supports d = 1 only")
-        v = sample_norm_exponential_batch(1, delta / corruption, epsilon, rng, trials)
-        out = np.clip(theta[0] + v[:, 0], -settings.tau_theta, settings.tau_theta)
-        return out[:, None]
+        theta = estimate(dataset, bundle, settings)
+        v = sample_norm_exponential_batch(dataset.d, delta / corruption, epsilon, rng, trials)
+        v += theta  # in place: at 4e5 trials each extra trials x d buffer shows in peak RSS
+        return project_ball(v, settings.tau_theta)
 
     return build
 

@@ -7,13 +7,21 @@ response: one from the opposite group's private estimator and one from the
 posterior mean given the agent's own report. Payments of agents in one group
 never touch that group's own estimator, which is what makes the released
 output jointly private per agent.
+
+Each step has one implementation in this module: `partition`,
+`resolve_privacy`, `release_noise` (the three noises, drawn in the order
+full, half 0, half 1), `project_ball`, `posterior_mean`,
+`payment_covariates` and `payments`. `run_mechanism` composes all of them.
+The harness composes the same pieces twice more: the deviation study
+releases only the half that pays its tagged agent, and the privacy check
+releases one estimator many times.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,16 +50,13 @@ from .links import (
     preset_polytope,
 )
 from .population import tau_alpha_beta_bound
-from .privacy import (
-    WHICH_FULL,
-    WHICH_HALF0,
-    WHICH_HALF1,
-    PrivacyParams,
-    compose_account,
-    privatize,
-)
+from .privacy import NoiseSample, PrivacyParams, compose_account, sample_norm_exponential
 
 _ESS_FLOOR = 50.0
+MIN_POSTERIOR_SAMPLES = 1000
+
+# the three releases, in the order their noise is drawn; half g is release 1 + g
+RELEASES = ("full", "half0", "half1")
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +112,9 @@ class MechanismParams:
 
     The sensitivities inside `privacy` may be unresolved (None); the run then
     fills them from the regime's bound formula at the dataset's actual n,
-    using the sensitivity constant c0.
+    using the sensitivity constant c0. `posterior_samples` is the number of
+    prior draws behind each importance-sampled (logistic or Poisson)
+    posterior mean; it is checked here, once, against the floor of 1000.
     """
 
     privacy: PrivacyParams
@@ -117,12 +124,10 @@ class MechanismParams:
     alpha: float
     beta: float
     cost_fn: CostFunction = field(default_factory=CostFunction)
-    schedule_delta: Optional[float] = None
     posterior_samples: int = 10_000
     seed: int = 0
     c0: float = 1.0
     tau_threshold: Optional[float] = None
-    payments_nonnegative: bool = False
     c0_calibrated: bool = False  # data-dependent c0 voids the privacy accounting
 
     def __post_init__(self):
@@ -130,8 +135,8 @@ class MechanismParams:
             raise ConfigError("alpha and beta must lie in (0, 1)")
         if self.a1 < 0 or self.a2 < 0:
             raise ConfigError("payment parameters must be nonnegative")
-        if self.posterior_samples < 1:
-            raise ConfigError("posterior_samples must be >= 1")
+        if self.posterior_samples < MIN_POSTERIOR_SAMPLES:
+            raise ConfigError(f"posterior_samples must be >= {MIN_POSTERIOR_SAMPLES}")
 
 
 @dataclass
@@ -144,24 +149,80 @@ class MechanismOutcome:
     budget: float
     account: Tuple[float, float]
     privacy: PrivacyParams
-    noise_audit: Tuple[Tuple[str, Optional[int], float], ...]
+    noise_audit: Tuple[Tuple[str, int, float], ...]
     p: np.ndarray
     q: np.ndarray
     posterior_seed: int
-    payments_nonnegative: bool
 
 
 # ---------------------------------------------------------------------------
-# Posterior means
+# Release: partition, sensitivities, noise, projection
 # ---------------------------------------------------------------------------
 
-def _project_rows(M: np.ndarray, tau_theta: float) -> np.ndarray:
-    norms = np.sqrt(rows_inner(M, M))
-    scale = np.ones_like(norms)
+def partition(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Random equal split: group 1 is the last n - n // 2 entries of a permutation."""
+    perm = rng.permutation(n)
+    assign = np.zeros(n, dtype=np.int8)
+    assign[perm[n // 2 :]] = 1
+    return assign
+
+
+def opposite_release(group: int) -> int:
+    """Index in RELEASES of the half release that pays the agents of `group`."""
+    return 2 - group
+
+
+def resolve_privacy(
+    params: MechanismParams, n: int, d: int, bundle: LinkBundle
+) -> PrivacyParams:
+    """Fill unresolved sensitivities from the regime's bound formula at size n."""
+    pp = params.privacy
+    settings = params.settings
+    if settings.regime == HEAVY:
+        def bound(m: int) -> float:
+            return sensitivity_bound_heavy(m, d, params.c0).delta_n
+    else:
+        kappa1 = compute_link_constants(
+            bundle, settings.polytope, settings.tau1, settings.tau2, settings.tau_theta
+        ).kappa1
+
+        def bound(m: int) -> float:
+            return sensitivity_bound_subgaussian(m, d, kappa1, params.c0).delta_n
+    return replace(
+        pp,
+        delta_n=pp.delta_n if pp.delta_n is not None else bound(n),
+        delta_half=pp.delta_half if pp.delta_half is not None else bound(n // 2),
+    )
+
+
+def release_noise(
+    d: int, privacy: PrivacyParams, rng: np.random.Generator
+) -> Tuple[NoiseSample, NoiseSample, NoiseSample]:
+    """Noise of the three releases, drawn in the order of RELEASES."""
+    if privacy.delta_n is None or privacy.delta_half is None:
+        raise ConfigError("release sensitivities have not been resolved")
+    return tuple(
+        sample_norm_exponential(d, delta, privacy.epsilon, rng)
+        for delta in (privacy.delta_n, privacy.delta_half, privacy.delta_half)
+    )
+
+
+def project_ball(theta: np.ndarray, tau_theta: float) -> np.ndarray:
+    """Euclidean projection of each row of theta onto the ball of radius tau_theta.
+
+    theta may also be a single vector. Norms go through `rows_inner`, so a
+    row projects bit-identically alone and inside a batch.
+    """
+    out = np.atleast_2d(np.array(theta, dtype=float))
+    norms = np.sqrt(rows_inner(out, out))
     over = norms > tau_theta
-    scale[over] = tau_theta / norms[over]
-    return M * scale[:, None]
+    out[over] *= (tau_theta / norms[over])[:, None]
+    return out.reshape(np.shape(theta))
 
+
+# ---------------------------------------------------------------------------
+# Payment: posterior means and the Brier rule
+# ---------------------------------------------------------------------------
 
 def _linear_posterior_means(
     X: np.ndarray, y: np.ndarray, noise_std: float, tau_theta: float
@@ -172,7 +233,7 @@ def _linear_posterior_means(
     sig2 = noise_std ** 2
     denom = sig2 + s0sq * rows_inner(X, X)
     coef = np.divide(s0sq * y, denom, out=np.zeros_like(denom), where=denom > 0)
-    return _project_rows(coef[:, None] * X, tau_theta)
+    return project_ball(coef[:, None] * X, tau_theta)
 
 
 def _draw_truncated_prior(
@@ -214,141 +275,70 @@ def _is_posterior_mean(
             f"effective sample size {ess:.1f} below {_ESS_FLOOR:.0f}; "
             f"report {y_report!r} is extreme for the prior"
         )
-    mean = (w @ thetas) / sw
-    return _project_rows(mean[None, :], tau_theta)[0]
+    return (w @ thetas) / sw
 
 
 def posterior_mean(
-    tau_theta: float,
-    x: np.ndarray,
-    y_report: float,
-    model: ModelKind,
-    samples: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Posterior mean of theta given a single reported pair (x, y).
-
-    The prior is the same truncated Gaussian the generator uses. The linear
-    model has a conjugate closed form (computed with the untruncated prior,
-    then ball-projected); the discrete models use self-normalized importance
-    sampling over prior draws.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    if model.family == LINEAR:
-        X = x[None, :]
-        return _linear_posterior_means(
-            X, np.asarray([y_report], dtype=float), model.noise_std, tau_theta
-        )[0]
-    if samples < 1000:
-        raise ConfigError("sampling-mode posterior needs samples >= 1000")
-    return _is_posterior_mean(x, float(y_report), model, tau_theta, samples, rng)
-
-
-def _posterior_means_batch(
     X: np.ndarray,
     y: np.ndarray,
     model: ModelKind,
     tau_theta: float,
     samples: int,
-    posterior_seed: int,
+    seed_prefix: Sequence[int],
+    rows: Sequence[int],
 ) -> np.ndarray:
+    """Posterior mean of theta given each reported pair (X[k], y[k]).
+
+    The prior is the same truncated Gaussian the generator uses. The linear
+    model has a conjugate closed form (computed with the untruncated prior,
+    then ball-projected); the discrete models use self-normalized importance
+    sampling over `samples` prior draws. Row k draws from the stream seeded
+    by seed_prefix + [rows[k]], so one agent's mean can be recomputed from
+    that agent's row and index alone.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    y = np.asarray(y, dtype=float).ravel()
     if model.family == LINEAR:
         return _linear_posterior_means(X, y, model.noise_std, tau_theta)
-    out = np.empty_like(X)
-    for i in range(X.shape[0]):
-        rng = np.random.default_rng([posterior_seed, i])
-        out[i] = _is_posterior_mean(X[i], float(y[i]), model, tau_theta, samples, rng)
-    return out
+    means = np.empty_like(X)
+    for k, row in enumerate(rows):
+        rng = np.random.default_rng([*seed_prefix, int(row)])
+        means[k] = _is_posterior_mean(X[k], float(y[k]), model, tau_theta, samples, rng)
+    return project_ball(means, tau_theta)
+
+
+def payment_covariates(X: np.ndarray, settings: EstimatorSettings) -> np.ndarray:
+    """Covariates the payment predicts with: l4-shrunk in the heavy regime."""
+    return l4_shrink_rows(X, settings.tau1) if settings.regime == HEAVY else X
+
+
+def payments(
+    x_pay: np.ndarray,
+    theta_bar_opposite: np.ndarray,
+    means: np.ndarray,
+    bundle: LinkBundle,
+    params: MechanismParams,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Brier payments of agents with payment covariates `x_pay`.
+
+    p predicts each response from the opposite group's release, q from the
+    posterior mean given the agent's own report; the heavy regime uses the
+    inner products as they are, the GLMs map them through A'. A single row
+    of x_pay broadcasts against several rows of `means`. Returns
+    (payments, p, q).
+    """
+    inner_p = rows_inner(x_pay, theta_bar_opposite)
+    inner_q = rows_inner(x_pay, means)
+    if params.settings.regime == HEAVY:
+        p, q = inner_p, inner_q
+    else:
+        p, q = bundle.A_prime(inner_p), bundle.A_prime(inner_q)
+    return brier_payment(params.a1, params.a2, p, q), p, q
 
 
 # ---------------------------------------------------------------------------
 # The mechanism
 # ---------------------------------------------------------------------------
-
-def resolve_privacy(
-    params: MechanismParams, n: int, d: int, bundle: LinkBundle
-) -> PrivacyParams:
-    """Fill unresolved sensitivities from the regime's bound formula at size n."""
-    settings = params.settings
-    constants = compute_link_constants(
-        bundle, settings.polytope, settings.tau1, settings.tau2, settings.tau_theta
-    )
-    return _resolve_privacy(params, n, d, constants.kappa1)
-
-
-def _resolve_privacy(
-    params: MechanismParams, n: int, d: int, kappa1: float
-) -> PrivacyParams:
-    pp = params.privacy
-    if params.settings.regime == HEAVY:
-        dn = pp.delta_n if pp.delta_n is not None else sensitivity_bound_heavy(n, d, params.c0).delta_n
-        dh = (
-            pp.delta_half
-            if pp.delta_half is not None
-            else sensitivity_bound_heavy(n // 2, d, params.c0).delta_n
-        )
-    else:
-        dn = (
-            pp.delta_n
-            if pp.delta_n is not None
-            else sensitivity_bound_subgaussian(n, d, kappa1, params.c0).delta_n
-        )
-        dh = (
-            pp.delta_half
-            if pp.delta_half is not None
-            else sensitivity_bound_subgaussian(n // 2, d, kappa1, params.c0).delta_n
-        )
-    return PrivacyParams(pp.epsilon, dn, dh, pp.gamma_n, pp.gamma_half)
-
-
-def agent_payment(
-    x: np.ndarray,
-    y_report: float,
-    theta_bar_opposite: np.ndarray,
-    bundle: LinkBundle,
-    params: MechanismParams,
-    posterior_seed: int,
-    agent_index: int,
-) -> float:
-    """Recompute one agent's payment from its own report and the opposite
-    group's released estimator alone (the group-blinding contract)."""
-    x = np.asarray(x, dtype=float).ravel()
-    settings = params.settings
-    if settings.regime == HEAVY:
-        x_pay = l4_shrink_rows(x[None, :], settings.tau1)
-        p = float(rows_inner(x_pay, theta_bar_opposite)[0])
-        m = _posterior_means_batch(
-            x[None, :],
-            np.asarray([y_report], dtype=float),
-            bundle.model,
-            settings.tau_theta,
-            params.posterior_samples,
-            posterior_seed,
-        )
-        q = float(rows_inner(x_pay, m)[0])
-    else:
-        p = float(bundle.A_prime(float(rows_inner(x[None, :], theta_bar_opposite)[0])))
-        if bundle.model.family == LINEAR:
-            m = _posterior_means_batch(
-                x[None, :],
-                np.asarray([y_report], dtype=float),
-                bundle.model,
-                settings.tau_theta,
-                params.posterior_samples,
-                posterior_seed,
-            )
-        else:
-            rng = np.random.default_rng([posterior_seed, agent_index])
-            m = _is_posterior_mean(
-                x, float(y_report), bundle.model, settings.tau_theta,
-                params.posterior_samples, rng,
-            )[None, :]
-        q = float(bundle.A_prime(float(rows_inner(x[None, :], m)[0])))
-    pay = brier_payment(params.a1, params.a2, p, q)
-    if params.payments_nonnegative:
-        pay = max(0.0, pay)
-    return float(pay)
-
 
 def run_mechanism(
     reported: Dataset,
@@ -373,66 +363,47 @@ def run_mechanism(
         raise ConfigError("heavy regime requires the linear model")
     check_responses(reported, bundle.model)
 
-    perm = rng.permutation(n)
-    assign = np.zeros(n, dtype=np.int8)
-    assign[perm[n // 2 :]] = 1
+    assign = partition(n, rng)
     mask0 = assign == 0
-
-    theta_full = estimate(reported, bundle, settings)
-    theta_g0 = estimate(reported.take(mask0), bundle, settings)
-    theta_g1 = estimate(reported.take(~mask0), bundle, settings)
-
-    constants = compute_link_constants(
-        bundle, settings.polytope, settings.tau1, settings.tau2, settings.tau_theta
-    )
-    resolved = _resolve_privacy(params, n, d, constants.kappa1)
-
-    noisy_full, s_full = privatize(theta_full, resolved, WHICH_FULL, rng, seed=params.seed)
-    noisy_g0, s_g0 = privatize(theta_g0, resolved, WHICH_HALF0, rng, seed=params.seed)
-    noisy_g1, s_g1 = privatize(theta_g1, resolved, WHICH_HALF1, rng, seed=params.seed)
-
-    tau_theta = settings.tau_theta
-    bar_full = _project_rows(noisy_full[None, :], tau_theta)[0]
-    bar_g0 = _project_rows(noisy_g0[None, :], tau_theta)[0]
-    bar_g1 = _project_rows(noisy_g1[None, :], tau_theta)[0]
-
+    thetas = np.stack([
+        estimate(reported, bundle, settings),
+        estimate(reported.take(mask0), bundle, settings),
+        estimate(reported.take(~mask0), bundle, settings),
+    ])
+    resolved = resolve_privacy(params, n, d, bundle)
+    noise = release_noise(d, resolved, rng)
+    bars = project_ball(thetas + np.stack([s.v for s in noise]), settings.tau_theta)
     posterior_seed = int(rng.integers(2 ** 62))
 
-    X, y = reported.X, reported.y
-    x_pay = l4_shrink_rows(X, settings.tau1) if settings.regime == HEAVY else X
-    inner_p = np.empty(n)
-    inner_p[mask0] = rows_inner(x_pay[mask0], bar_g1)
-    inner_p[~mask0] = rows_inner(x_pay[~mask0], bar_g0)
-    means = _posterior_means_batch(
-        X, y, bundle.model, tau_theta, params.posterior_samples, posterior_seed
-    )
-    inner_q = rows_inner(x_pay, means)
-    if settings.regime == HEAVY:
-        p, q = inner_p, inner_q
-    else:
-        p, q = bundle.A_prime(inner_p), bundle.A_prime(inner_q)
-    payments = brier_payment(params.a1, params.a2, p, q)
-    if params.payments_nonnegative:
-        payments = np.maximum(0.0, payments)
+    # group by group: one opposite release per call, and only half-size row copies
+    pay, p, q = np.empty(n), np.empty(n), np.empty(n)
+    for group in (0, 1):
+        rows = np.flatnonzero(assign == group)
+        X = reported.X[rows]
+        means = posterior_mean(
+            X, reported.y[rows], bundle.model, settings.tau_theta,
+            params.posterior_samples, [posterior_seed], rows,
+        )
+        pay[rows], p[rows], q[rows] = payments(
+            payment_covariates(X, settings), bars[opposite_release(group)], means,
+            bundle, params,
+        )
 
     return MechanismOutcome(
-        theta_bar_full=bar_full,
-        theta_bar_g0=bar_g0,
-        theta_bar_g1=bar_g1,
-        payments=payments,
+        theta_bar_full=bars[0],
+        theta_bar_g0=bars[1],
+        theta_bar_g1=bars[2],
+        payments=pay,
         group_assignment=assign,
-        budget=math.fsum(payments),
+        budget=math.fsum(pay),
         account=compose_account(resolved),
         privacy=resolved,
-        noise_audit=(
-            (WHICH_FULL, s_full.seed, s_full.magnitude),
-            (WHICH_HALF0, s_g0.seed, s_g0.magnitude),
-            (WHICH_HALF1, s_g1.seed, s_g1.magnitude),
+        noise_audit=tuple(
+            (which, params.seed, s.magnitude) for which, s in zip(RELEASES, noise)
         ),
-        p=np.asarray(p, dtype=float),
-        q=np.asarray(q, dtype=float),
+        p=p,
+        q=q,
         posterior_seed=posterior_seed,
-        payments_nonnegative=params.payments_nonnegative,
     )
 
 
@@ -462,7 +433,6 @@ def outcome_to_json(outcome: MechanismOutcome) -> dict:
             for which, seed, magnitude in outcome.noise_audit
         ],
         "posterior_seed": outcome.posterior_seed,
-        "payments_nonnegative": outcome.payments_nonnegative,
     }
 
 
@@ -558,7 +528,6 @@ def preset_schedule(
     gamma_exponent: float = 1.0,
     posterior_samples: int = 10_000,
     seed: int = 0,
-    payments_nonnegative: bool = False,
     scale: Optional[dict] = None,
 ) -> MechanismParams:
     """Fill every mechanism knob from the per-model parameter schedules.
@@ -639,11 +608,9 @@ def preset_schedule(
         alpha=alpha,
         beta=beta,
         cost_fn=cost_fn,
-        schedule_delta=delta,
         posterior_samples=posterior_samples,
         seed=seed,
         c0=c0,
         tau_threshold=tau_thr,
-        payments_nonnegative=payments_nonnegative,
         c0_calibrated=c0_calibrated,
     )

@@ -23,11 +23,6 @@ import numpy as np
 
 from .errors import ConfigError, InsufficientMassError
 
-WHICH_FULL = "full"
-WHICH_HALF0 = "half0"
-WHICH_HALF1 = "half1"
-
-
 @dataclass(frozen=True)
 class PrivacyParams:
     """Per-release budget and sensitivities for the three released estimators.
@@ -67,11 +62,10 @@ def compose_account(params: PrivacyParams) -> Tuple[float, float]:
 
 @dataclass(frozen=True)
 class NoiseSample:
-    """One noise draw with its recomputable magnitude and an optional seed tag."""
+    """One noise draw with its recomputable magnitude."""
 
     v: np.ndarray
     magnitude: float
-    seed: Optional[int] = None
 
 
 def sample_norm_exponential_batch(
@@ -95,34 +89,11 @@ def sample_norm_exponential_batch(
 
 
 def sample_norm_exponential(
-    d: int, delta: float, epsilon: float, rng: np.random.Generator, seed: Optional[int] = None
+    d: int, delta: float, epsilon: float, rng: np.random.Generator
 ) -> NoiseSample:
     """Draw one noise vector with the norm-exponential density."""
     v = sample_norm_exponential_batch(d, delta, epsilon, rng, 1)[0]
-    return NoiseSample(v, float(np.linalg.norm(v)), seed)
-
-
-def privatize(
-    theta_hat: np.ndarray,
-    params: PrivacyParams,
-    which: str,
-    rng: np.random.Generator,
-    seed: Optional[int] = None,
-) -> Tuple[np.ndarray, NoiseSample]:
-    """Add norm-exponential noise at the scale matching the release."""
-    theta_hat = np.asarray(theta_hat, dtype=float)
-    if not np.all(np.isfinite(theta_hat)):
-        raise ConfigError("theta_hat must be finite")
-    if which == WHICH_FULL:
-        delta = params.delta_n
-    elif which in (WHICH_HALF0, WHICH_HALF1):
-        delta = params.delta_half
-    else:
-        raise ConfigError(f"unknown release tag {which!r}")
-    if delta is None:
-        raise ConfigError(f"sensitivity for release {which!r} has not been resolved")
-    sample = sample_norm_exponential(theta_hat.shape[0], delta, params.epsilon, rng, seed)
-    return theta_hat + sample.v, sample
+    return NoiseSample(v, float(np.linalg.norm(v)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,11 @@ from privglm.estimators import (
     heavy_estimate,
     l4_shrink,
     l4_shrink_rows,
-    project_ball,
     sensitivity_bound_heavy,
     sensitivity_bound_subgaussian,
 )
 from privglm.links import ModelKind, PolytopeSpec, make_link_bundle, preset_polytope
+from privglm.mechanism import project_ball
 
 LIN = make_link_bundle(ModelKind.linear(1.0))
 
@@ -160,6 +160,11 @@ def test_project_ball():
     theta = np.array([0.1, -0.2])
     assert np.array_equal(project_ball(theta, 1.0), theta)
     assert np.allclose(project_ball(np.array([3.0, 4.0]), 1.0), [0.6, 0.8], atol=1e-14)
+    # rows project independently, bit-identically to one row at a time
+    rows = np.random.default_rng(14).standard_normal((50, 3)) * 2
+    batch = project_ball(rows, 1.0)
+    assert np.array_equal(batch, np.vstack([project_ball(r, 1.0) for r in rows]))
+    assert np.all(np.linalg.norm(batch, axis=1) <= 1.0 + 1e-12)
 
 
 def test_project_ball_nonexpansive():

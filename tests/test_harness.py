@@ -5,8 +5,9 @@ import sys
 import numpy as np
 import pytest
 
+from privglm.cli import main as cli_main
 from privglm.errors import ConfigError
-from privglm.estimators import EstimatorSettings
+from privglm.estimators import Dataset, EstimatorSettings, estimate
 from privglm.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -16,14 +17,15 @@ from privglm.harness import (
     estimate_deviation_gain,
     fit_rate,
     parse_rule,
+    private_release_closure,
     report_from_dict,
     report_to_dict,
     run_experiment,
 )
-from privglm.links import ModelKind
-from privglm.mechanism import MechanismParams
+from privglm.links import ModelKind, make_link_bundle
+from privglm.mechanism import MechanismParams, preset_schedule
 from privglm.population import AdditiveNoise, Constant, PopulationSpec, SignFlip, WorstOfGrid
-from privglm.privacy import PrivacyParams
+from privglm.privacy import PrivacyParams, empirical_privacy_ratio
 
 
 def linear_config(**kw):
@@ -262,6 +264,45 @@ def test_canonical_privacy_check_smoke():
     assert not corrupted.passed()
 
 
+def _neighbour_pair(family, d, n=60):
+    """Datasets that differ in row 0's response, from one end of its range to the other."""
+    model, delta = {
+        "linear": (ModelKind.linear(1.0), 0.3),
+        "logistic": (ModelKind.logistic(), 0.3),
+        "poisson": (ModelKind.poisson(), 0.26),
+    }[family]
+    settings = preset_schedule(model, "subgaussian", n, delta, d=d).settings
+    rng = np.random.default_rng([d, n])
+    X = np.ones((n, 1)) if d == 1 else np.column_stack([np.ones(n), rng.choice([-1.0, 1.0], n)])
+    if family == "logistic":
+        y, lo, hi = rng.choice([-1.0, 1.0], n), -1.0, 1.0
+    elif family == "poisson":
+        y, lo, hi = rng.integers(0, 3, n).astype(float), 0.0, 4.0
+    else:
+        y, lo, hi = rng.standard_normal(n), -settings.tau2, settings.tau2
+    y_a, y_b = y.copy(), y.copy()
+    y_a[0], y_b[0] = hi, lo
+    return make_link_bundle(model), settings, Dataset(X, y_a), Dataset(X, y_b)
+
+
+@pytest.mark.parametrize("family", ["linear", "logistic", "poisson"])
+@pytest.mark.parametrize("d, bins", [(1, 30), (2, 8)])
+def test_ratio_check_on_shared_release(family, d, bins):
+    # the claimed sensitivity is twice the realized one-row estimator gap
+    bundle, settings, data_a, data_b = _neighbour_pair(family, d)
+    gap = float(np.linalg.norm(estimate(data_a, bundle, settings) - estimate(data_b, bundle, settings)))
+    epsilon = 0.5
+    verdicts = []
+    for corruption in (1.0, 10.0):
+        build = private_release_closure(bundle, settings, epsilon, 2.0 * gap, corruption)
+        report = empirical_privacy_ratio(
+            build, data_a, data_b, 100_000, bins, np.random.default_rng([7, d]),
+            epsilon_bound=2.0 * epsilon,
+        )
+        verdicts.append(report.passed())
+    assert verdicts == [True, False]
+
+
 def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "privglm.cli", *args], capture_output=True, text=True
@@ -300,6 +341,49 @@ def test_cli_simulate_and_exit_codes(tmp_path):
 
     proc = run_cli("simulate", "--config", str(tmp_path / "nope.json"))
     assert proc.returncode == 2
+
+
+def _write_config(tmp_path, payload):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+@pytest.mark.parametrize("typo, key", [
+    ({"repeat": 30}, "repeat"),
+    ({"metircs": ["accuracy"]}, "metircs"),
+    ({"population": {"d": 2, "model": "linear", "nosie_std": 2.0}}, "nosie_std"),
+    ({"population": {"d": 2, "model": "linear",
+                     "covariates": {"kind": "subgaussian_isotropic", "sigm": 2.0}}}, "sigm"),
+    ({"deviation": {"rule": "truthful", "trails": 5}}, "trails"),
+])
+def test_cli_rejects_unknown_config_keys(tmp_path, capsys, typo, key):
+    payload = {
+        "population": {"d": 2, "model": "linear", "noise_std": 1.0},
+        "schedule": {"delta": 0.3},
+        "sweep": [120],
+        "repeats": 1,
+        "master_seed": 3,
+    }
+    cfg = _write_config(tmp_path, payload | typo)
+    assert cli_main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.csv").exists()
+
+
+def test_cli_rejects_posterior_samples_below_floor(tmp_path, capsys):
+    payload = {
+        "population": {"d": 2, "model": "logistic"},
+        "schedule": {"delta": 0.3},
+        "sweep": [200],
+        "repeats": 1,
+        "master_seed": 3,
+        "posterior_samples": 500,
+    }
+    cfg = _write_config(tmp_path, payload)
+    assert cli_main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert cli_main(["deviate", "--config", cfg, "--trials", "3"]) == 2
+    assert "posterior_samples must be >= 1000" in capsys.readouterr().err
 
 
 def test_cli_deviate_and_privacy_check(tmp_path):

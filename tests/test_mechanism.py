@@ -1,8 +1,11 @@
 import math
 from dataclasses import replace
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from privglm.errors import ConfigError, DegenerateWeightsError, PartitionTooSmallError
 from privglm.estimators import Dataset, EstimatorSettings
@@ -10,9 +13,10 @@ from privglm.links import ModelKind, compute_link_constants, make_link_bundle
 from privglm.mechanism import (
     CostFunction,
     MechanismParams,
-    agent_payment,
     brier_payment,
     budget_bound,
+    payment_covariates,
+    payments,
     preset_schedule,
     posterior_mean,
     rationality_check,
@@ -56,14 +60,10 @@ def test_cost_functions():
 
 
 def test_linear_posterior_closed_form():
-    mean = posterior_mean(
-        1.0, np.array([1.0]), 2.0, ModelKind.linear(1.0), 1000, np.random.default_rng(0)
-    )
-    assert mean[0] == pytest.approx(1.0, abs=1e-12)
-    zero = posterior_mean(
-        2.0, np.zeros(3), 5.0, ModelKind.linear(1.0), 1000, np.random.default_rng(0)
-    )
-    assert np.array_equal(zero, np.zeros(3))
+    mean = posterior_mean([[1.0]], [2.0], ModelKind.linear(1.0), 1.0, 1000, [0], [0])
+    assert mean[0, 0] == pytest.approx(1.0, abs=1e-12)
+    zero = posterior_mean(np.zeros((1, 3)), [5.0], ModelKind.linear(1.0), 2.0, 1000, [0], [0])
+    assert np.array_equal(zero, np.zeros((1, 3)))
 
 
 def test_logistic_posterior_matches_quadrature():
@@ -74,25 +74,26 @@ def test_logistic_posterior_matches_quadrature():
     lik = np.exp(y * a - (np.abs(a) + np.log1p(np.exp(-2 * np.abs(a)))))
     w = prior * lik
     oracle = float(np.sum(grid * w) / np.sum(w))
-    est = posterior_mean(
-        tau_theta, x, y, ModelKind.logistic(), 40_000, np.random.default_rng(123)
-    )
-    assert est[0] == pytest.approx(oracle, rel=0.02)
+    est = posterior_mean(x[None, :], [y], ModelKind.logistic(), tau_theta, 40_000, [123], [0])
+    assert est[0, 0] == pytest.approx(oracle, rel=0.02)
 
 
 def test_posterior_degenerate_weights():
     with pytest.raises(DegenerateWeightsError):
-        posterior_mean(
-            1.0, np.array([1.0]), 500.0, ModelKind.poisson(), 2000,
-            np.random.default_rng(5),
-        )
+        posterior_mean([[1.0]], [500.0], ModelKind.poisson(), 1.0, 2000, [5], [0])
 
 
 def test_posterior_sampling_floor():
+    settings = EstimatorSettings(tau1=1.0, tau2=1.0, tau_theta=1.0)
+    base = dict(privacy=PrivacyParams(0.5), settings=settings, a1=1.0, a2=1.0,
+                alpha=0.5, beta=0.5)
+    MechanismParams(**base, posterior_samples=1000)
+    for samples in (10, 999):
+        with pytest.raises(ConfigError):
+            MechanismParams(**base, posterior_samples=samples)
     with pytest.raises(ConfigError):
-        posterior_mean(
-            1.0, np.array([1.0]), 1.0, ModelKind.logistic(), 10, np.random.default_rng(5)
-        )
+        preset_schedule(ModelKind.logistic(), "subgaussian", 1000, 0.3, d=2,
+                        posterior_samples=500)
 
 
 def _linear_setup(n=400, d=2, seed=0, delta=0.3):
@@ -153,17 +154,24 @@ def test_heavy_regime_requires_linear_model():
         run_mechanism(data, bundle, params, np.random.default_rng(0))
 
 
+def _recompute_payment(reported, i, out, bundle, params):
+    """Agent i's payment from its own row and index and the opposite release alone."""
+    opposite = out.theta_bar_g1 if out.group_assignment[i] == 0 else out.theta_bar_g0
+    X = reported.X[i : i + 1]
+    mean = posterior_mean(
+        X, reported.y[i : i + 1], bundle.model, params.settings.tau_theta,
+        params.posterior_samples, [out.posterior_seed], [i],
+    )
+    pay, _, _ = payments(payment_covariates(X, params.settings), opposite, mean, bundle, params)
+    return pay[0]
+
+
 def test_group_blinding_recompute_linear():
     model, bundle, params, pop, reported = _linear_setup(seed=6)
     out = run_mechanism(reported, bundle, params, np.random.default_rng(11))
     rng = np.random.default_rng(1)
     for i in rng.choice(400, size=30, replace=False):
-        opposite = out.theta_bar_g1 if out.group_assignment[i] == 0 else out.theta_bar_g0
-        recomputed = agent_payment(
-            reported.X[i], float(reported.y[i]), opposite, bundle, params,
-            out.posterior_seed, int(i),
-        )
-        assert recomputed == out.payments[i]
+        assert _recompute_payment(reported, int(i), out, bundle, params) == out.payments[i]
 
 
 def test_group_blinding_recompute_importance_sampled():
@@ -178,12 +186,47 @@ def test_group_blinding_recompute_importance_sampled():
     )
     out = run_mechanism(reported, bundle, params, np.random.default_rng(23))
     for i in (0, 7, 31, 59):
-        opposite = out.theta_bar_g1 if out.group_assignment[i] == 0 else out.theta_bar_g0
-        recomputed = agent_payment(
-            reported.X[i], float(reported.y[i]), opposite, bundle, params,
-            out.posterior_seed, i,
-        )
-        assert recomputed == out.payments[i]
+        assert _recompute_payment(reported, i, out, bundle, params) == out.payments[i]
+
+
+_BLINDING_MODELS = {
+    "linear": (ModelKind.linear(1.0), 0.3),
+    "logistic": (ModelKind.logistic(), 0.3),
+    "poisson": (ModelKind.poisson(), 0.26),
+}
+
+
+@hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    family=st.sampled_from(sorted(_BLINDING_MODELS)),
+    n=st.integers(40, 120),
+    agent=st.integers(0, 119),
+    report=st.integers(0, 3),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_group_blinding_property(family, n, agent, report, seed):
+    # changing agent i's report, with the mechanism's stream fixed, leaves the
+    # payment of every other agent in i's group bit-identical
+    model, delta = _BLINDING_MODELS[family]
+    bundle = make_link_bundle(model)
+    params = preset_schedule(model, "subgaussian", n, delta, d=2, posterior_samples=1000)
+    pop = generate_population(
+        PopulationSpec(n=n, d=2, model=model), np.random.default_rng([seed, 0])
+    )
+    i = agent % n
+    y = pop.y_true.copy()
+    if family == "logistic":
+        y[i] = -y[i]
+    elif family == "poisson":
+        y[i] = float(report)
+    else:
+        y[i] += report - 1.5
+    base = run_mechanism(Dataset(pop.X, pop.y_true), bundle, params, np.random.default_rng(seed))
+    moved = run_mechanism(Dataset(pop.X, y), bundle, params, np.random.default_rng(seed))
+    assert np.array_equal(base.group_assignment, moved.group_assignment)
+    peers = base.group_assignment == base.group_assignment[i]
+    peers[i] = False
+    assert np.array_equal(base.payments[peers], moved.payments[peers])
 
 
 def test_payment_form_spot_check():
@@ -260,14 +303,6 @@ def test_realized_budget_below_bound():
         params.settings.tau2, params.settings.tau_theta,
     )
     assert out.budget <= budget_bound(600, params.a1, params.a2, constants.m_a)
-
-
-def test_nonnegative_payment_mode():
-    model, bundle, params, pop, reported = _linear_setup(seed=15)
-    floored = replace(params, a1=0.0, payments_nonnegative=True)
-    out = run_mechanism(reported, bundle, floored, np.random.default_rng(71))
-    assert np.all(out.payments >= 0.0)
-    assert out.payments_nonnegative
 
 
 def test_schedule_values_linear():

@@ -3,11 +3,11 @@ import pytest
 from scipy import stats
 
 from privglm.errors import ConfigError, InsufficientMassError
+from privglm.mechanism import release_noise
 from privglm.privacy import (
     PrivacyParams,
     compose_account,
     empirical_privacy_ratio,
-    privatize,
     sample_norm_exponential,
     sample_norm_exponential_batch,
     wilson_interval,
@@ -64,31 +64,30 @@ def test_direction_isotropy():
     assert np.linalg.norm(unit.mean(axis=0)) < 0.02
 
 
-def test_privatize_determinism_and_scale():
-    theta = np.array([1.0, -2.0, 0.5])
+def test_release_noise_determinism_and_scale():
     params = PrivacyParams(0.5, delta_n=0.2, delta_half=0.4)
-    out1, s1 = privatize(theta, params, "full", np.random.default_rng(8))
-    out2, s2 = privatize(theta, params, "full", np.random.default_rng(8))
-    assert np.array_equal(out1, out2) and s1.magnitude == s2.magnitude
+    a = release_noise(3, params, np.random.default_rng(8))
+    b = release_noise(3, params, np.random.default_rng(8))
+    assert all(np.array_equal(s.v, t.v) and s.magnitude == t.magnitude for s, t in zip(a, b))
+    # the draws are the full release's, then each half's, in that order
+    rng = np.random.default_rng(8)
+    for sample, delta in zip(a, (0.2, 0.4, 0.4)):
+        assert np.array_equal(sample.v, sample_norm_exponential(3, delta, 0.5, rng).v)
 
     tiny = PrivacyParams(0.5, delta_n=1e-12, delta_half=1e-12)
-    out, _ = privatize(theta, tiny, "full", np.random.default_rng(9))
-    assert np.allclose(out, theta, atol=1e-9)
+    assert all(s.magnitude < 1e-9 for s in release_noise(3, tiny, np.random.default_rng(9)))
 
     with pytest.raises(ConfigError):
-        privatize(theta, params, "nope", np.random.default_rng(0))
-    with pytest.raises(ConfigError):
-        privatize(theta, PrivacyParams(0.5), "full", np.random.default_rng(0))
+        release_noise(3, PrivacyParams(0.5), np.random.default_rng(0))
 
 
 def test_halving_epsilon_doubles_norm():
-    theta = np.zeros(4)
     mags = {}
     for eps in (0.5, 0.25):
         params = PrivacyParams(eps, delta_n=0.3, delta_half=0.3)
         rng = np.random.default_rng(10)
         mags[eps] = np.mean(
-            [privatize(theta, params, "full", rng)[1].magnitude for _ in range(4000)]
+            [s.magnitude for _ in range(1400) for s in release_noise(4, params, rng)]
         )
     assert mags[0.25] / mags[0.5] == pytest.approx(2.0, rel=0.05)
 
