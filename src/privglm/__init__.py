@@ -23,10 +23,9 @@ from .estimators import (
     SensitivityBound,
     calibrate_c0,
     empirical_sensitivity,
-    glm_estimate,
-    heavy_estimate,
-    l4_shrink,
+    estimate,
     l4_shrink_rows,
+    sensitivity_bound,
     sensitivity_bound_heavy,
     sensitivity_bound_subgaussian,
 )

@@ -17,12 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import ConfigError
-from .estimators import (
-    Dataset,
-    empirical_sensitivity,
-    sensitivity_bound_heavy,
-    sensitivity_bound_subgaussian,
-)
+from .estimators import Dataset, calibrate_c0, empirical_sensitivity, sensitivity_bound
 from .harness import (
     ExperimentConfig,
     canonical_privacy_check,
@@ -102,19 +97,8 @@ def _cmd_sensitivity(args) -> int:
         (config.master_seed, n),
         replacement_sampler(spec, pop.theta_star),
     )
-    if params.settings.regime == "heavy":
-        formula = sensitivity_bound_heavy(n, spec.d, params.c0).delta_n
-        shape = sensitivity_bound_heavy(n, spec.d, 1.0).delta_n
-    else:
-        constants = compute_link_constants(
-            bundle,
-            params.settings.polytope,
-            params.settings.tau1,
-            params.settings.tau2,
-            params.settings.tau_theta,
-        )
-        formula = sensitivity_bound_subgaussian(n, spec.d, constants.kappa1, params.c0).delta_n
-        shape = sensitivity_bound_subgaussian(n, spec.d, constants.kappa1, 1.0).delta_n
+    formula = sensitivity_bound(n, spec.d, bundle, params.settings, params.c0).delta_n
+    shape = sensitivity_bound(n, spec.d, bundle, params.settings).delta_n
     print(
         json.dumps(
             {
@@ -123,7 +107,7 @@ def _cmd_sensitivity(args) -> int:
                 "empirical_max": emp,
                 "formula_delta": formula,
                 "c0": params.c0,
-                "c0_calibrated_suggestion": 1.5 * emp / shape,
+                "c0_calibrated_suggestion": calibrate_c0(emp, shape),
                 "note": "calibrated c0 is data-dependent and voids the privacy accounting",
             },
             indent=2,

@@ -1,12 +1,16 @@
-"""Closed-form estimators, covariate/response preprocessing and sensitivity bounds.
+"""Closed-form estimator, its covariate and response maps, and sensitivity bounds.
 
-Both regimes reduce to one least-squares solve:
+One estimator serves both regimes. It composes three pieces:
 
-    sub-Gaussian  theta_hat = (X^T X)^-1 X^T (A')^-1(project(clip(y)))
-    heavy-tailed  theta_hat = (Xs^T Xs)^-1 Xs^T clip(y),  Xs rows l4-shrunk
+    design             the covariates: the reported rows (sub-Gaussian) or
+                       the rows l4-shrunk at tau1 (heavy-tailed)
+    working_response   z = (A')^-1(project(clip(y)))
+    solve_least_squares  theta_hat = (X^T X)^-1 X^T z
 
-The solve goes through a rank-revealing SVD with a condition-number cap so a
-degenerate design raises instead of silently amplifying noise.
+The heavy regime is the linear model (A' the identity, no polytope) on the
+shrunk design. The solve goes through a rank-revealing SVD with a
+condition-number cap so a degenerate design raises instead of silently
+amplifying noise.
 """
 
 from __future__ import annotations
@@ -20,7 +24,15 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import ConfigError, SingularGramError
-from .links import LinkBundle, ModelKind, PolytopeSpec, clip_response, project_polytope
+from .links import (
+    LINEAR,
+    LinkBundle,
+    ModelKind,
+    PolytopeSpec,
+    clip_response,
+    compute_link_constants,
+    project_polytope,
+)
 
 SUBGAUSSIAN = "subgaussian"
 HEAVY = "heavy"
@@ -104,7 +116,8 @@ class EstimatorSettings:
 
     tau1 caps the covariate l4 norm (heavy regime only), tau2 caps |y|,
     tau_theta is the radius of the parameter ball, and cond_cap bounds the
-    design condition number accepted by the solver.
+    design condition number accepted by the solver. The heavy regime takes
+    the unbounded polytope: its responses are only clipped.
     """
 
     tau1: float
@@ -119,9 +132,33 @@ class EstimatorSettings:
             raise ConfigError(f"unknown regime {self.regime!r}")
         if not (self.tau1 > 0 and self.tau2 > 0 and self.tau_theta > 0):
             raise ConfigError("tau1, tau2, tau_theta must be positive")
+        if self.regime == HEAVY and self.polytope != PolytopeSpec():
+            raise ConfigError("heavy regime takes the unbounded polytope")
 
 
-def _solve_least_squares(X: np.ndarray, z: np.ndarray, cond_cap: float) -> np.ndarray:
+def check_regime(model: ModelKind, regime: str) -> None:
+    """The heavy regime is defined for the linear model only."""
+    if regime == HEAVY and model.family != LINEAR:
+        raise ConfigError("heavy regime is defined for the linear model only")
+
+
+def design(X: np.ndarray, model: ModelKind, settings: EstimatorSettings) -> np.ndarray:
+    """Covariates the estimator solves on and the payment predicts with.
+
+    The reported rows themselves in the sub-Gaussian regime; in the heavy
+    regime, the rows l4-shrunk at tau1.
+    """
+    check_regime(model, settings.regime)
+    return l4_shrink_rows(X, settings.tau1) if settings.regime == HEAVY else X
+
+
+def working_response(y: np.ndarray, bundle: LinkBundle, settings: EstimatorSettings) -> np.ndarray:
+    """(A')^-1(project(clip(y))): the response the least-squares solve fits."""
+    y_clip = clip_response(y, settings.tau2)
+    return bundle.A_prime_inv(project_polytope(y_clip, settings.polytope))
+
+
+def solve_least_squares(X: np.ndarray, z: np.ndarray, cond_cap: float) -> np.ndarray:
     """Least-squares solution through SVD; raise if the design is ill-conditioned."""
     u, s, vt = np.linalg.svd(X, full_matrices=False)
     if s[-1] <= 0.0 or not np.isfinite(s[0]):
@@ -134,12 +171,17 @@ def _solve_least_squares(X: np.ndarray, z: np.ndarray, cond_cap: float) -> np.nd
     return vt.T @ ((u.T @ z) / s)
 
 
-def glm_estimate(data: Dataset, bundle: LinkBundle, settings: EstimatorSettings) -> np.ndarray:
-    """Closed-form GLM estimate: (X^T X)^-1 X^T (A')^-1(project(clip(y)))."""
-    y_clip = clip_response(data.y, settings.tau2)
-    y_proj = project_polytope(y_clip, settings.polytope)
-    z = bundle.A_prime_inv(y_proj)
-    return _solve_least_squares(data.X, z, settings.cond_cap)
+def estimate(data: Dataset, bundle: LinkBundle, settings: EstimatorSettings) -> np.ndarray:
+    """Closed-form estimate on raw reports, used by every caller outside the mechanism.
+
+    solve_least_squares(design(X), working_response(y)); `run_mechanism`
+    composes the same three pieces itself so it maps the rows only once.
+    """
+    return solve_least_squares(
+        design(data.X, bundle.model, settings),
+        working_response(data.y, bundle, settings),
+        settings.cond_cap,
+    )
 
 
 def rows_inner(A: np.ndarray, B) -> np.ndarray:
@@ -163,7 +205,11 @@ def rows_inner(A: np.ndarray, B) -> np.ndarray:
 
 
 def l4_shrink_rows(X: np.ndarray, tau1: float) -> np.ndarray:
-    """Row-wise l4 shrinkage: cap each row's l4 norm at tau1, keep directions."""
+    """Row-wise l4 shrinkage: cap each row's l4 norm at tau1, keep directions.
+
+    A zero row stays zero. Each row reduces on its own, so a row shrinks
+    bit-identically alone and inside a batch.
+    """
     if not tau1 > 0:
         raise ConfigError("tau1 must be positive")
     X = np.ascontiguousarray(X, dtype=float)
@@ -173,32 +219,6 @@ def l4_shrink_rows(X: np.ndarray, tau1: float) -> np.ndarray:
     over = norms > tau1
     scale[over] = tau1 / norms[over]
     return X * scale[:, None]
-
-
-def l4_shrink(x: np.ndarray, tau1: float) -> np.ndarray:
-    """Rescale x so its l4 norm is at most tau1, keeping the direction.
-
-    The zero vector is a fixed point (the formula is 0/0 there; continuity
-    forces 0). Delegates to the row-wise path so single vectors and matrix
-    rows shrink bit-identically.
-    """
-    return l4_shrink_rows(np.asarray(x, dtype=float)[None, :], tau1)[0]
-
-
-def heavy_estimate(data: Dataset, settings: EstimatorSettings) -> np.ndarray:
-    """Heavy-tailed linear estimate on the shrunk design and clipped responses."""
-    Xs = l4_shrink_rows(data.X, settings.tau1)
-    y_clip = clip_response(data.y, settings.tau2)
-    return _solve_least_squares(Xs, np.asarray(y_clip, dtype=float), settings.cond_cap)
-
-
-def estimate(data: Dataset, bundle: LinkBundle, settings: EstimatorSettings) -> np.ndarray:
-    """Regime dispatch used by the mechanism and the sensitivity oracle."""
-    if settings.regime == HEAVY:
-        if bundle.model.family != "linear":
-            raise ConfigError("heavy regime is defined for the linear model only")
-        return heavy_estimate(data, settings)
-    return glm_estimate(data, bundle, settings)
 
 
 @dataclass(frozen=True)
@@ -234,6 +254,18 @@ def sensitivity_bound_heavy(n: int, d: int, c0: float = 1.0) -> SensitivityBound
         raise ConfigError("sensitivity bound requires n >= 2")
     delta = c0 * d ** 0.75 * (math.log(n) / n) ** 0.125
     return SensitivityBound(delta, HEAVY, c0, n, d)
+
+
+def sensitivity_bound(
+    n: int, d: int, bundle: LinkBundle, settings: EstimatorSettings, c0: float = 1.0
+) -> SensitivityBound:
+    """The regime's one-replacement sensitivity bound at size n."""
+    if settings.regime == HEAVY:
+        return sensitivity_bound_heavy(n, d, c0)
+    kappa1 = compute_link_constants(
+        bundle, settings.polytope, settings.tau1, settings.tau2, settings.tau_theta
+    ).kappa1
+    return sensitivity_bound_subgaussian(n, d, kappa1, c0)
 
 
 def calibrate_c0(empirical_max: float, shape_delta: float, margin: float = 1.5) -> float:

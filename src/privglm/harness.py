@@ -23,6 +23,7 @@ from .errors import ConfigError, DegenerateWeightsError, SingularGramError
 from .estimators import (
     Dataset,
     EstimatorSettings,
+    design,
     empirical_sensitivity,
     estimate,
 )
@@ -31,7 +32,6 @@ from .mechanism import (
     MechanismParams,
     opposite_release,
     partition,
-    payment_covariates,
     payments,
     preset_schedule,
     posterior_mean,
@@ -156,6 +156,12 @@ class ExperimentConfig:
             pass  # an empty sweep produces a header-only report
         elif any(b <= a for a, b in zip(self.sweep, self.sweep[1:])):
             raise ConfigError("sweep must be strictly increasing")
+        elif self.sweep[0] < 2 * self.population.d:
+            raise ConfigError(
+                f"sweep point n = {self.sweep[0]} is below 2d = {2 * self.population.d} "
+                f"(d = {self.population.d}): a group of the partition would have fewer "
+                f"rows than d"
+            )
         unknown = set(self.metrics) - set(METRICS)
         if unknown:
             raise ConfigError(f"unknown metrics {sorted(unknown)}")
@@ -165,15 +171,6 @@ class ExperimentConfig:
             raise ConfigError(f"unknown report format {self.fmt!r}")
         if self.report_mode not in ("debug", "release"):
             raise ConfigError("report_mode must be debug or release")
-        if self.out_dir is not None:
-            path = Path(self.out_dir)
-            path.mkdir(parents=True, exist_ok=True)
-            probe = path / ".write_probe"
-            try:
-                probe.write_text("")
-                probe.unlink()
-            except OSError as exc:  # pragma: no cover - depends on filesystem
-                raise ConfigError(f"output directory {path} is not writable: {exc}")
 
     @classmethod
     def from_json(cls, obj) -> "ExperimentConfig":
@@ -456,8 +453,8 @@ def _run_cell(config: ExperimentConfig, n: int, repeat: int):
     truthful = float(np.mean(pop.costs <= tau))
     eps_tot, gamma_tot = outcome.account
     audit = [
-        {"which": which, "seed": seed, "magnitude": mag}
-        for which, seed, mag in outcome.noise_audit
+        {"which": which, "seed": seed_tag, "magnitude": mag}
+        for which, mag in outcome.noise_audit
     ]
     return (
         CellResult(
@@ -594,7 +591,7 @@ def estimate_deviation_gain(
     x0 = type_pop.X[0]
     y0 = float(type_pop.y_true[0])
     cost0 = float(type_pop.costs[0])
-    x_pay = payment_covariates(type_pop.X[:1], settings)
+    x_pay = design(type_pop.X[:1], model, settings)
 
     if deviant_rule is None:
         reports, subs = [y0], [0]  # the control repeats the truthful prediction
@@ -682,21 +679,24 @@ def _csv_value(v) -> str:
 
 
 def emit_report(report: ExperimentReport, out_dir, fmt: str = "csv"):
-    """Write the report; CSV mode also writes a plot-ready long-format table."""
+    """Write the report into out_dir, creating it; CSV mode also writes a
+    plot-ready long-format table. An output path that cannot be written is a
+    config error."""
+    if fmt not in ("csv", "json"):
+        raise ConfigError(f"unknown report format {fmt!r}")
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out}: {exc}")
-    paths = []
-    if fmt == "csv":
+        if fmt == "json":
+            main = out / "report.json"
+            main.write_text(json.dumps(report_to_dict(report), indent=2))
+            return [main]
         main = out / "report.csv"
         with main.open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
             for row in report.rows:
                 writer.writerow([_csv_value(getattr(row, col)) for col in CSV_COLUMNS])
-        paths.append(main)
         long = out / "report_long.csv"
         with long.open("w", newline="") as fh:
             writer = csv.writer(fh)
@@ -706,14 +706,9 @@ def emit_report(report: ExperimentReport, out_dir, fmt: str = "csv"):
                     val = getattr(row, col)
                     if val is not None:
                         writer.writerow((row.n, row.repeat, col, repr(float(val))))
-        paths.append(long)
-    elif fmt == "json":
-        main = out / "report.json"
-        main.write_text(json.dumps(report_to_dict(report), indent=2))
-        paths.append(main)
-    else:
-        raise ConfigError(f"unknown report format {fmt!r}")
-    return paths
+        return [main, long]
+    except OSError as exc:
+        raise ConfigError(f"cannot write the report to {out}: {exc}")
 
 
 def report_to_dict(report: ExperimentReport) -> dict:

@@ -8,13 +8,19 @@ posterior mean given the agent's own report. Payments of agents in one group
 never touch that group's own estimator, which is what makes the released
 output jointly private per agent.
 
+Both regimes run the same mechanism. The estimators module maps the reports
+once: `design` gives the covariates (l4-shrunk rows in the heavy regime) and
+`working_response` the response the solve fits. `run_mechanism` solves on
+row subsets of that one design for the full set and each half, and pays each
+group with its rows of the same design. The posterior means take the raw
+covariates.
+
 Each step has one implementation in this module: `partition`,
 `resolve_privacy`, `release_noise` (the three noises, drawn in the order
-full, half 0, half 1), `project_ball`, `posterior_mean`,
-`payment_covariates` and `payments`. `run_mechanism` composes all of them.
-The harness composes the same pieces twice more: the deviation study
-releases only the half that pays its tagged agent, and the privacy check
-releases one estimator many times.
+full, half 0, half 1), `project_ball`, `posterior_mean` and `payments`.
+`run_mechanism` composes all of them. The harness composes the same pieces
+twice more: the deviation study releases only the half that pays its tagged
+agent, and the privacy check releases one estimator many times.
 """
 
 from __future__ import annotations
@@ -30,12 +36,13 @@ from .estimators import (
     HEAVY,
     Dataset,
     EstimatorSettings,
+    check_regime,
     check_responses,
-    estimate,
-    l4_shrink_rows,
+    design,
     rows_inner,
-    sensitivity_bound_heavy,
-    sensitivity_bound_subgaussian,
+    sensitivity_bound,
+    solve_least_squares,
+    working_response,
 )
 from .links import (
     LINEAR,
@@ -149,7 +156,7 @@ class MechanismOutcome:
     budget: float
     account: Tuple[float, float]
     privacy: PrivacyParams
-    noise_audit: Tuple[Tuple[str, int, float], ...]
+    noise_audit: Tuple[Tuple[str, float], ...]  # (release, noise magnitude)
     p: np.ndarray
     q: np.ndarray
     posterior_seed: int
@@ -177,17 +184,10 @@ def resolve_privacy(
 ) -> PrivacyParams:
     """Fill unresolved sensitivities from the regime's bound formula at size n."""
     pp = params.privacy
-    settings = params.settings
-    if settings.regime == HEAVY:
-        def bound(m: int) -> float:
-            return sensitivity_bound_heavy(m, d, params.c0).delta_n
-    else:
-        kappa1 = compute_link_constants(
-            bundle, settings.polytope, settings.tau1, settings.tau2, settings.tau_theta
-        ).kappa1
 
-        def bound(m: int) -> float:
-            return sensitivity_bound_subgaussian(m, d, kappa1, params.c0).delta_n
+    def bound(m: int) -> float:
+        return sensitivity_bound(m, d, bundle, params.settings, params.c0).delta_n
+
     return replace(
         pp,
         delta_n=pp.delta_n if pp.delta_n is not None else bound(n),
@@ -307,11 +307,6 @@ def posterior_mean(
     return project_ball(means, tau_theta)
 
 
-def payment_covariates(X: np.ndarray, settings: EstimatorSettings) -> np.ndarray:
-    """Covariates the payment predicts with: l4-shrunk in the heavy regime."""
-    return l4_shrink_rows(X, settings.tau1) if settings.regime == HEAVY else X
-
-
 def payments(
     x_pay: np.ndarray,
     theta_bar_opposite: np.ndarray,
@@ -319,20 +314,15 @@ def payments(
     bundle: LinkBundle,
     params: MechanismParams,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Brier payments of agents with payment covariates `x_pay`.
+    """Brier payments of agents whose design rows are `x_pay`.
 
-    p predicts each response from the opposite group's release, q from the
-    posterior mean given the agent's own report; the heavy regime uses the
-    inner products as they are, the GLMs map them through A'. A single row
-    of x_pay broadcasts against several rows of `means`. Returns
-    (payments, p, q).
+    p = A'(x_pay . theta_bar_opposite) predicts each response from the
+    opposite group's release, q = A'(x_pay . mean) from the posterior mean
+    given the agent's own report. A single row of x_pay broadcasts against
+    several rows of `means`. Returns (payments, p, q).
     """
-    inner_p = rows_inner(x_pay, theta_bar_opposite)
-    inner_q = rows_inner(x_pay, means)
-    if params.settings.regime == HEAVY:
-        p, q = inner_p, inner_q
-    else:
-        p, q = bundle.A_prime(inner_p), bundle.A_prime(inner_q)
+    p = bundle.A_prime(rows_inner(x_pay, theta_bar_opposite))
+    q = bundle.A_prime(rows_inner(x_pay, means))
     return brier_payment(params.a1, params.a2, p, q), p, q
 
 
@@ -348,27 +338,26 @@ def run_mechanism(
 ) -> MechanismOutcome:
     """Execute one full mechanism run on the reported dataset.
 
-    Steps, in order: random equal partition; three estimator evaluations;
-    sensitivity resolution; three independent noise draws (full, group 0,
-    group 1); ball projections; per-agent Brier payments against the
-    opposite group's private estimator.
+    Steps, in order: the design and the working response of all n reports;
+    random equal partition; three least-squares solves on rows of them (all,
+    group 0, group 1); sensitivity resolution; three independent noise
+    draws (full, group 0, group 1); ball projections; per-agent Brier
+    payments against the opposite group's private estimator.
     """
     if rng is None:
         rng = np.random.default_rng(params.seed)
     settings = params.settings
     n, d = reported.n, reported.d
-    if n < 2 * d or n // 2 < d:
+    if n < 2 * d:
         raise PartitionTooSmallError(f"n = {n} leaves a group smaller than d = {d}")
-    if settings.regime == HEAVY and bundle.model.family != LINEAR:
-        raise ConfigError("heavy regime requires the linear model")
     check_responses(reported, bundle.model)
+    X = design(reported.X, bundle.model, settings)
+    z = working_response(reported.y, bundle, settings)
 
     assign = partition(n, rng)
-    mask0 = assign == 0
-    thetas = np.stack([
-        estimate(reported, bundle, settings),
-        estimate(reported.take(mask0), bundle, settings),
-        estimate(reported.take(~mask0), bundle, settings),
+    groups = [np.flatnonzero(assign == group) for group in (0, 1)]
+    thetas = np.stack([solve_least_squares(X, z, settings.cond_cap)] + [
+        solve_least_squares(X[rows], z[rows], settings.cond_cap) for rows in groups
     ])
     resolved = resolve_privacy(params, n, d, bundle)
     noise = release_noise(d, resolved, rng)
@@ -377,16 +366,13 @@ def run_mechanism(
 
     # group by group: one opposite release per call, and only half-size row copies
     pay, p, q = np.empty(n), np.empty(n), np.empty(n)
-    for group in (0, 1):
-        rows = np.flatnonzero(assign == group)
-        X = reported.X[rows]
+    for group, rows in enumerate(groups):
         means = posterior_mean(
-            X, reported.y[rows], bundle.model, settings.tau_theta,
+            reported.X[rows], reported.y[rows], bundle.model, settings.tau_theta,
             params.posterior_samples, [posterior_seed], rows,
         )
         pay[rows], p[rows], q[rows] = payments(
-            payment_covariates(X, settings), bars[opposite_release(group)], means,
-            bundle, params,
+            X[rows], bars[opposite_release(group)], means, bundle, params
         )
 
     return MechanismOutcome(
@@ -398,9 +384,7 @@ def run_mechanism(
         budget=math.fsum(pay),
         account=compose_account(resolved),
         privacy=resolved,
-        noise_audit=tuple(
-            (which, params.seed, s.magnitude) for which, s in zip(RELEASES, noise)
-        ),
+        noise_audit=tuple((which, s.magnitude) for which, s in zip(RELEASES, noise)),
         p=p,
         q=q,
         posterior_seed=posterior_seed,
@@ -429,8 +413,7 @@ def outcome_to_json(outcome: MechanismOutcome) -> dict:
             "gamma_half": outcome.privacy.gamma_half,
         },
         "noise_audit": [
-            {"which": which, "seed": seed, "magnitude": magnitude}
-            for which, seed, magnitude in outcome.noise_audit
+            {"which": which, "magnitude": magnitude} for which, magnitude in outcome.noise_audit
         ],
         "posterior_seed": outcome.posterior_seed,
     }
@@ -486,20 +469,15 @@ def budget_bound(n: int, a1: float, a2: float, m_a: float) -> float:
     return n * (a1 + a2 * (m_a + m_a * m_a))
 
 
-def rationality_floor_glm(
+def rationality_floor(
     a2: float, m_a: float, tau_threshold: float, cost_fn: CostFunction,
     epsilon: float, gamma_total: float,
 ) -> float:
-    """Smallest a1 making below-threshold participation individually rational."""
+    """Smallest a1 making below-threshold participation individually rational.
+
+    m_a bounds every prediction |p| and |q| the payment rule can make.
+    """
     return a2 * (m_a + 3.0 * m_a * m_a) + tau_threshold * cost_fn(2.0 * epsilon, gamma_total)
-
-
-def rationality_floor_heavy(
-    a2: float, d: int, tau1: float, tau_theta: float, tau_threshold: float,
-    cost_fn: CostFunction, epsilon: float, gamma_total: float,
-) -> float:
-    lin = d ** 0.25 * tau1 * tau_theta
-    return a2 * (lin + 3.0 * lin * lin) + tau_threshold * cost_fn(2.0 * epsilon, gamma_total)
 
 
 # ---------------------------------------------------------------------------
@@ -547,10 +525,9 @@ def preset_schedule(
             raise ConfigError(f"unknown scale overrides {sorted(unknown)}")
         mult.update({k: float(v) for k, v in scale.items()})
 
+    check_regime(model, regime)
     log_n = math.log(n)
     if regime == HEAVY:
-        if model.family != LINEAR:
-            raise ConfigError("heavy schedule applies to the linear model only")
         lo, hi = _HEAVY_DELTA
         if not (lo <= delta < hi):
             raise ConfigError(f"delta = {delta} outside the heavy schedule range [{lo}, {hi})")
@@ -561,6 +538,8 @@ def preset_schedule(
         alpha = mult["alpha"] * n ** (-1.0 + delta)
         a2 = mult["a2"] * n ** (-0.5 - 9.0 * delta)
         cost_fn = CostFunction("nonic")
+        # largest |x . theta| over l4-shrunk x and the ball: ||x||_2 <= d^(1/4) ||x||_4
+        m_a = d ** 0.25 * tau1 * tau_theta
     else:
         check_preset_delta(model.family, delta)
         polytope = preset_polytope(model, n, delta)
@@ -579,6 +558,9 @@ def preset_schedule(
             a2 = mult["a2"] * n ** (-6.0 * delta)
         alpha = mult["alpha"] * n ** (-3.0 * delta)
         cost_fn = CostFunction("quartic")
+        m_a = compute_link_constants(
+            make_link_bundle(model), polytope, tau1, tau2, tau_theta
+        ).m_a
 
     beta = n ** (-c)
     alpha = min(alpha, 1.0 - 1e-12)
@@ -591,14 +573,7 @@ def preset_schedule(
         tau1=tau1, tau2=tau2, tau_theta=tau_theta, polytope=polytope, regime=regime
     )
     tau_thr = tau_alpha_beta_bound(alpha, beta, cost_lambda)
-    if regime == HEAVY:
-        a1 = rationality_floor_heavy(
-            a2, d, tau1, tau_theta, tau_thr, cost_fn, epsilon, gamma_total
-        )
-    else:
-        bundle = make_link_bundle(model)
-        constants = compute_link_constants(bundle, polytope, tau1, tau2, tau_theta)
-        a1 = rationality_floor_glm(a2, constants.m_a, tau_thr, cost_fn, epsilon, gamma_total)
+    a1 = rationality_floor(a2, m_a, tau_thr, cost_fn, epsilon, gamma_total)
 
     return MechanismParams(
         privacy=PrivacyParams(epsilon, None, None, gamma_n, gamma_half),

@@ -17,7 +17,7 @@ from privglm.estimators import (
     Dataset,
     calibrate_c0,
     empirical_sensitivity,
-    glm_estimate,
+    estimate,
     sensitivity_bound_heavy,
     sensitivity_bound_subgaussian,
 )
@@ -143,7 +143,7 @@ def test_criterion_02_least_squares_oracle():
             tau1=1e6, tau2=float(np.max(np.abs(y))) + 1.0, tau_theta=1e6,
             polytope=PolytopeSpec(),
         )
-        est = glm_estimate(Dataset(X, y), bundle, settings)
+        est = estimate(Dataset(X, y), bundle, settings)
         oracle = np.linalg.solve(X.T @ X, X.T @ y)
         worst = max(worst, float(np.linalg.norm(est - oracle) / np.linalg.norm(oracle)))
     assert _verdict("2 least-squares oracle", worst <= 1e-10, f"worst rel err {worst:.2e}")

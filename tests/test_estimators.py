@@ -9,9 +9,7 @@ from privglm.estimators import (
     EstimatorSettings,
     check_responses,
     empirical_sensitivity,
-    glm_estimate,
-    heavy_estimate,
-    l4_shrink,
+    estimate,
     l4_shrink_rows,
     sensitivity_bound_heavy,
     sensitivity_bound_subgaussian,
@@ -39,7 +37,7 @@ def normal_equations(X, z):
 
 def test_identity_design():
     data = Dataset(np.eye(2), np.array([1.0, 2.0]))
-    est = glm_estimate(data, LIN, wide_settings(tau2=10.0))
+    est = estimate(data, LIN, wide_settings(tau2=10.0))
     assert np.allclose(est, [1.0, 2.0], atol=1e-14)
 
 
@@ -49,7 +47,7 @@ def test_matches_least_squares_oracle():
         d = 1 + trial % 5
         X = rng.standard_normal((200, d))
         y = rng.standard_normal(200) * 3
-        est = glm_estimate(Dataset(X, y), LIN, wide_settings())
+        est = estimate(Dataset(X, y), LIN, wide_settings())
         oracle = normal_equations(X, y)
         assert np.linalg.norm(est - oracle) <= 1e-10 * max(1.0, np.linalg.norm(oracle))
 
@@ -67,7 +65,7 @@ def test_poisson_all_zero_responses():
         polytope=preset_polytope(ModelKind.poisson(), n, 0.25),
         regime="subgaussian",
     )
-    est = glm_estimate(data, bundle, settings)
+    est = estimate(data, bundle, settings)
     # every response projects to n^-0.25 = 0.1, so the target is log(0.1)
     oracle = normal_equations(X, np.full(n, math.log(0.1)))
     assert np.allclose(est, oracle, atol=1e-12)
@@ -80,13 +78,13 @@ def test_poisson_polytope_touching_zero_breaks_domain():
         tau1=1.0, tau2=5.0, tau_theta=1.0, polytope=PolytopeSpec(0.0, math.inf)
     )
     with pytest.raises(LinkDomainError):
-        glm_estimate(data, bundle, settings)
+        estimate(data, bundle, settings)
 
 
 def test_singular_design_raises():
     X = np.ones((10, 2))  # duplicate columns
     with pytest.raises(SingularGramError):
-        glm_estimate(Dataset(X, np.ones(10)), LIN, wide_settings())
+        estimate(Dataset(X, np.ones(10)), LIN, wide_settings())
 
 
 def l4_oracle(x, tau1):
@@ -96,9 +94,13 @@ def l4_oracle(x, tau1):
     return np.asarray(x, dtype=float) * (tau1 / nrm)
 
 
+def shrink_one(x, tau1):
+    return l4_shrink_rows(np.asarray(x, dtype=float)[None, :], tau1)[0]
+
+
 def test_l4_shrink_all_ones():
     x = np.ones(4)
-    out = l4_shrink(x, 1.0)
+    out = shrink_one(x, 1.0)
     # l4 norm of (1,1,1,1) is 4^(1/4); each coordinate becomes 1 / 4^(1/4)
     expected = l4_oracle(x, 1.0)
     assert np.allclose(out, expected, atol=1e-14)
@@ -110,23 +112,26 @@ def test_l4_shrink_contract():
     for _ in range(200):
         x = rng.standard_cauchy(rng.integers(1, 7))
         tau1 = float(rng.uniform(0.1, 3.0))
-        out = l4_shrink(x, tau1)
+        out = shrink_one(x, tau1)
         assert np.linalg.norm(out, ord=4) <= tau1 + 1e-12 or np.allclose(out, x)
         assert np.allclose(out, l4_oracle(x, tau1), atol=1e-12)
         nx, no = np.linalg.norm(x), np.linalg.norm(out)
         if nx > 0 and no > 0:
             assert float(x @ out) / (nx * no) >= 1 - 1e-12
-    assert np.array_equal(l4_shrink(np.zeros(3), 1.0), np.zeros(3))
+    assert np.array_equal(shrink_one(np.zeros(3), 1.0), np.zeros(3))
     small = np.array([0.1, -0.2])
-    assert np.array_equal(l4_shrink(small, 5.0), small)
+    assert np.array_equal(shrink_one(small, 5.0), small)
 
 
 def test_l4_shrink_rows_matches_single():
+    # a row shrinks bit-identically alone, inside the batch and inside any row subset
     rng = np.random.default_rng(12)
     X = rng.standard_normal((40, 3)) * 5
     rows = l4_shrink_rows(X, 1.3)
     for i in range(40):
-        assert np.array_equal(rows[i], l4_shrink(X[i], 1.3))
+        assert np.array_equal(rows[i], shrink_one(X[i], 1.3))
+    subset = rng.permutation(40)[:17]
+    assert np.array_equal(l4_shrink_rows(X[subset], 1.3), rows[subset])
 
 
 def test_heavy_estimate_matches_oracle_when_inactive():
@@ -134,14 +139,14 @@ def test_heavy_estimate_matches_oracle_when_inactive():
     X = rng.standard_normal((120, 3)) * 0.2
     y = rng.standard_normal(120)
     settings = wide_settings(tau2=1e6, regime="heavy")
-    est = heavy_estimate(Dataset(X, y), settings)
+    est = estimate(Dataset(X, y), LIN, settings)
     assert np.allclose(est, normal_equations(X, y), atol=1e-10)
 
 
 def test_heavy_estimate_identity_design():
     data = Dataset(np.eye(2), np.array([1.0, 2.0]))
     settings = EstimatorSettings(tau1=5.0, tau2=10.0, tau_theta=10.0, regime="heavy")
-    assert np.allclose(heavy_estimate(data, settings), [1.0, 2.0], atol=1e-14)
+    assert np.allclose(estimate(data, LIN, settings), [1.0, 2.0], atol=1e-14)
 
 
 def test_heavy_estimate_shrinks_outlier():
@@ -150,10 +155,23 @@ def test_heavy_estimate_shrinks_outlier():
     X[0] = [500.0, -900.0]
     y = rng.standard_normal(60)
     settings = EstimatorSettings(tau1=2.0, tau2=5.0, tau_theta=10.0, regime="heavy")
-    est = heavy_estimate(Dataset(X, y), settings)
+    est = estimate(Dataset(X, y), LIN, settings)
     Xs = np.vstack([l4_oracle(row, 2.0) for row in X])
     oracle = normal_equations(Xs, np.clip(y, -5.0, 5.0))
     assert np.allclose(est, oracle, atol=1e-10)
+
+
+def test_heavy_estimate_is_linear_estimate_on_shrunk_design():
+    # the heavy regime is the sub-Gaussian linear estimator on l4-shrunk rows, bit for bit
+    rng = np.random.default_rng(16)
+    X = rng.standard_t(5.0, (300, 4))
+    y = X @ np.array([0.3, -0.2, 0.1, 0.4]) + rng.standard_t(5.0, 300)
+    heavy = EstimatorSettings(tau1=1.7, tau2=2.5, tau_theta=1.0, regime="heavy")
+    sub = EstimatorSettings(tau1=1.7, tau2=2.5, tau_theta=1.0)
+    shrunk = estimate(Dataset(l4_shrink_rows(X, 1.7), y), LIN, sub)
+    assert np.array_equal(estimate(Dataset(X, y), LIN, heavy), shrunk)
+    with pytest.raises(ConfigError):
+        estimate(Dataset(X, np.sign(y)), make_link_bundle(ModelKind.logistic()), heavy)
 
 
 def test_project_ball():
@@ -249,11 +267,11 @@ def test_permutation_invariance():
     perm = rng.permutation(80)
     s_sub = wide_settings(tau2=4.0)
     s_heavy = EstimatorSettings(tau1=1.5, tau2=2.0, tau_theta=5.0, regime="heavy")
-    a = glm_estimate(Dataset(X, y), LIN, s_sub)
-    b = glm_estimate(Dataset(X[perm], y[perm]), LIN, s_sub)
+    a = estimate(Dataset(X, y), LIN, s_sub)
+    b = estimate(Dataset(X[perm], y[perm]), LIN, s_sub)
     assert np.allclose(a, b, atol=1e-12)
-    a = heavy_estimate(Dataset(X, y), s_heavy)
-    b = heavy_estimate(Dataset(X[perm], y[perm]), s_heavy)
+    a = estimate(Dataset(X, y), LIN, s_heavy)
+    b = estimate(Dataset(X[perm], y[perm]), LIN, s_heavy)
     assert np.allclose(a, b, atol=1e-12)
 
 
@@ -264,18 +282,18 @@ def test_clipping_monotone_convergence():
     rng = np.random.default_rng(22)
     x = rng.uniform(0.5, 1.5, 200)[:, None]
     y = np.abs(rng.standard_normal(200)) * 2
-    unclipped = glm_estimate(Dataset(x, y), LIN, wide_settings())
+    unclipped = estimate(Dataset(x, y), LIN, wide_settings())
     errs = []
     for tau2 in np.linspace(0.3, float(np.max(np.abs(y))), 12):
-        est = glm_estimate(Dataset(x, y), LIN, wide_settings(tau2=tau2))
+        est = estimate(Dataset(x, y), LIN, wide_settings(tau2=tau2))
         errs.append(float(np.linalg.norm(est - unclipped)))
     assert all(a >= b - 1e-9 for a, b in zip(errs, errs[1:]))
     assert errs[-1] < 1e-12
     # a general signed instance still converges once tau2 clears max |y|
     X = rng.standard_normal((150, 2))
     y2 = rng.standard_normal(150) * 2
-    full = glm_estimate(Dataset(X, y2), LIN, wide_settings())
-    capped = glm_estimate(
+    full = estimate(Dataset(X, y2), LIN, wide_settings())
+    capped = estimate(
         Dataset(X, y2), LIN, wide_settings(tau2=float(np.max(np.abs(y2))))
     )
     assert np.allclose(capped, full, atol=1e-12)
@@ -286,12 +304,12 @@ def test_scale_consistency():
     X = rng.standard_normal((100, 3))
     y = rng.standard_normal(100)
     c = 3.7
-    base = glm_estimate(Dataset(X, y), LIN, wide_settings())
-    scaled = glm_estimate(Dataset(X, c * y), LIN, wide_settings())
+    base = estimate(Dataset(X, y), LIN, wide_settings())
+    scaled = estimate(Dataset(X, c * y), LIN, wide_settings())
     assert np.linalg.norm(scaled - c * base) < 1e-10 * np.linalg.norm(c * base)
     h = EstimatorSettings(tau1=1e6, tau2=1e9, tau_theta=1e6, regime="heavy")
-    hb = heavy_estimate(Dataset(X, y), h)
-    hs = heavy_estimate(Dataset(X, c * y), h)
+    hb = estimate(Dataset(X, y), LIN, h)
+    hs = estimate(Dataset(X, c * y), LIN, h)
     assert np.linalg.norm(hs - c * hb) < 1e-10 * np.linalg.norm(c * hb)
 
 
@@ -332,3 +350,9 @@ def test_settings_validation():
         EstimatorSettings(tau1=1.0, tau2=1.0, tau_theta=1.0, regime="weird")
     with pytest.raises(ConfigError):
         EstimatorSettings(tau1=-1.0, tau2=1.0, tau_theta=1.0)
+    # the heavy regime only clips its responses; a bounded polytope is rejected
+    EstimatorSettings(tau1=1.0, tau2=1.0, tau_theta=1.0, regime="heavy")
+    with pytest.raises(ConfigError):
+        EstimatorSettings(
+            tau1=1.0, tau2=1.0, tau_theta=1.0, polytope=PolytopeSpec(-0.5, 0.5), regime="heavy"
+        )

@@ -246,11 +246,15 @@ def test_sensitivity_metric_in_rows():
 
 def test_audit_log_written_in_debug_mode(tmp_path):
     log = tmp_path / "audit.jsonl"
-    config = linear_config(audit_log=str(log), report_mode="debug")
-    run_experiment(config)
+    config = linear_config(audit_log=str(log), report_mode="debug", sweep=[150, 300])
+    report = run_experiment(config)
     lines = [json.loads(line) for line in log.read_text().splitlines()]
-    assert len(lines) == 3
-    assert {entry["which"] for entry in lines} == {"full", "half0", "half1"}
+    assert len(lines) == 6
+    # each cell's three lines carry that cell's seed, so they join to its row
+    for row, cell in zip(report.rows, (lines[:3], lines[3:])):
+        assert [entry["which"] for entry in cell] == ["full", "half0", "half1"]
+        assert {entry["seed"] for entry in cell} == {row.seed}
+    assert report.rows[0].seed != report.rows[1].seed
     # release mode never writes noise audits
     log2 = tmp_path / "audit2.jsonl"
     run_experiment(linear_config(audit_log=str(log2), report_mode="release"))
@@ -341,6 +345,44 @@ def test_cli_simulate_and_exit_codes(tmp_path):
 
     proc = run_cli("simulate", "--config", str(tmp_path / "nope.json"))
     assert proc.returncode == 2
+
+
+def test_cli_rejects_sweep_point_below_2d(tmp_path, capsys):
+    payload = {
+        "population": {"d": 3, "model": "linear", "noise_std": 1.0},
+        "schedule": {"delta": 0.3},
+        "sweep": [4, 200],
+        "repeats": 1,
+        "master_seed": 3,
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    assert cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "n = 4" in err and "d = 3" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_output_directory_created_only_on_write(tmp_path, capsys):
+    payload = {
+        "population": {"d": 2, "model": "linear", "noise_std": 1.0},
+        "schedule": {"delta": 0.3},
+        "sweep": [120],
+        "repeats": 1,
+        "master_seed": 3,
+        "out_dir": str(tmp_path / "from_json"),
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    # an --out override leaves the JSON's directory uncreated
+    assert cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "report.csv").exists()
+    assert not (tmp_path / "from_json").exists()
+    # an out_dir whose parent is a regular file is a config error
+    (tmp_path / "plain").write_text("")
+    cfg.write_text(json.dumps(payload | {"out_dir": str(tmp_path / "plain" / "out")}))
+    assert cli_main(["simulate", "--config", str(cfg)]) == 2
+    assert "cannot write the report" in capsys.readouterr().err
 
 
 def _write_config(tmp_path, payload):
