@@ -9,7 +9,6 @@ end-to-end mechanisms (`mechanism`), and the experiment harness plus CLI
 
 from .errors import (
     ConfigError,
-    DegenerateWeightsError,
     InsufficientMassError,
     InvalidPolytopeError,
     LinkDomainError,

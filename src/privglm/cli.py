@@ -28,7 +28,7 @@ from .harness import (
     run_experiment,
 )
 from .links import ModelKind, compute_link_constants, make_link_bundle
-from .mechanism import preset_schedule
+from .mechanism import prediction_bound, preset_schedule
 from .population import generate_population, replacement_sampler
 
 
@@ -167,7 +167,7 @@ def _cmd_schedule(args) -> int:
             "kappa0": constants.kappa0,
             "kappa1": constants.kappa1,
             "kappa2": constants.kappa2,
-            "m_a": constants.m_a,
+            "m_a": prediction_bound(model, params.settings, args.d),
             "eps_mbar": constants.eps_mbar,
         },
     }

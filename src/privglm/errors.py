@@ -21,11 +21,6 @@ class SingularGramError(ArithmeticError):
     small or the covariates are degenerate."""
 
 
-class DegenerateWeightsError(ArithmeticError):
-    """Importance-sampling weights collapsed (effective sample size below the floor),
-    typically caused by an extreme reported response."""
-
-
 class InsufficientMassError(RuntimeError):
     """Too many histogram bins hold fewer samples than the estimability floor, so the
     ratio test cannot be evaluated."""

@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateWeightsError, SingularGramError
+from .errors import ConfigError, SingularGramError
 from .estimators import (
     Dataset,
     EstimatorSettings,
@@ -438,7 +438,7 @@ def _run_cell(config: ExperimentConfig, n: int, repeat: int):
                 (ms, n, repeat, ARM_SENSITIVITY),
                 replacement_sampler(spec_n, pop.theta_star),
             )
-    except (SingularGramError, DegenerateWeightsError) as exc:
+    except SingularGramError as exc:
         return (
             CellResult(
                 n, repeat, model.family, config.regime,
@@ -490,10 +490,13 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentRepo
     rows = [results[i][0] for i in order]
 
     if config.audit_log and config.report_mode == "debug":
-        with Path(config.audit_log).open("a") as fh:
-            for i in order:
-                for line in results[i][1]:
-                    fh.write(json.dumps(line) + "\n")
+        try:
+            with Path(config.audit_log).open("a") as fh:
+                for i in order:
+                    for line in results[i][1]:
+                        fh.write(json.dumps(line) + "\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write the audit log to {config.audit_log}: {exc}")
 
     fits = {}
     for metric in ("mse", "budget"):
@@ -594,24 +597,22 @@ def estimate_deviation_gain(
     x_pay = design(type_pop.X[:1], model, settings)
 
     if deviant_rule is None:
-        reports, subs = [y0], [0]  # the control repeats the truthful prediction
+        reports = [y0]  # the control repeats the truthful prediction
     elif isinstance(deviant_rule, WorstOfGrid):
         reports = [
             float(v) for v in coerce_response(np.asarray(deviant_rule.grid, float), model)
         ]
-        subs = [2 + j for j in range(len(reports))]
     else:
         raw = _rule_values(
             deviant_rule,
             np.asarray([y0]),
             np.random.default_rng([ms, seed_tag, ARM_DEVIATION, 2]),
         )
-        reports, subs = [float(coerce_response(raw, model)[0])], [2]
+        reports = [float(coerce_response(raw, model)[0])]
     # row 0 of the means predicts from the truthful report, row 1 + j from reports[j]
     means = posterior_mean(
         np.repeat(type_pop.X[:1], 1 + len(reports), axis=0), [y0, *reports], model,
-        settings.tau_theta, params.posterior_samples, [ms, seed_tag, ARM_DEVIATION, 1],
-        [0, *subs],
+        settings.tau_theta, params.posterior_samples,
     )
 
     gains = np.empty((trials, len(reports)))

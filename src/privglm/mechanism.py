@@ -13,7 +13,9 @@ once: `design` gives the covariates (l4-shrunk rows in the heavy regime) and
 `working_response` the response the solve fits. `run_mechanism` solves on
 row subsets of that one design for the full set and each half, and pays each
 group with its rows of the same design. The posterior means take the raw
-covariates.
+covariates: a closed form for the linear model, a deterministic 1-D
+quadrature for the logistic and Poisson models, so a payment uses no random
+draw beyond the release.
 
 Each step has one implementation in this module: `partition`,
 `resolve_privacy`, `release_noise` (the three noises, drawn in the order
@@ -27,11 +29,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateWeightsError, PartitionTooSmallError
+from .errors import ConfigError, PartitionTooSmallError
 from .estimators import (
     HEAVY,
     Dataset,
@@ -47,7 +49,6 @@ from .estimators import (
 from .links import (
     LINEAR,
     LOGISTIC,
-    POISSON,
     LinkBundle,
     ModelKind,
     PolytopeSpec,
@@ -59,8 +60,9 @@ from .links import (
 from .population import tau_alpha_beta_bound
 from .privacy import NoiseSample, PrivacyParams, compose_account, sample_norm_exponential
 
-_ESS_FLOOR = 50.0
 MIN_POSTERIOR_SAMPLES = 1000
+# terms of one row block of the (agents x nodes) posterior table
+_BLOCK_ELEMENTS = 2 ** 15
 
 # the three releases, in the order their noise is drawn; half g is release 1 + g
 RELEASES = ("full", "half0", "half1")
@@ -120,8 +122,8 @@ class MechanismParams:
     The sensitivities inside `privacy` may be unresolved (None); the run then
     fills them from the regime's bound formula at the dataset's actual n,
     using the sensitivity constant c0. `posterior_samples` is the number of
-    prior draws behind each importance-sampled (logistic or Poisson)
-    posterior mean; it is checked here, once, against the floor of 1000.
+    quadrature nodes behind each logistic or Poisson posterior mean; it is
+    checked here, once, against the floor of 1000.
     """
 
     privacy: PrivacyParams
@@ -159,7 +161,6 @@ class MechanismOutcome:
     noise_audit: Tuple[Tuple[str, float], ...]  # (release, noise magnitude)
     p: np.ndarray
     q: np.ndarray
-    posterior_seed: int
 
 
 # ---------------------------------------------------------------------------
@@ -224,87 +225,79 @@ def project_ball(theta: np.ndarray, tau_theta: float) -> np.ndarray:
 # Payment: posterior means and the Brier rule
 # ---------------------------------------------------------------------------
 
-def _linear_posterior_means(
-    X: np.ndarray, y: np.ndarray, noise_std: float, tau_theta: float
-) -> np.ndarray:
-    # conjugate mean for one observation under the N(0, (tau_theta^2/d) I) prior
-    d = X.shape[1]
-    s0sq = tau_theta ** 2 / d
-    sig2 = noise_std ** 2
-    denom = sig2 + s0sq * rows_inner(X, X)
-    coef = np.divide(s0sq * y, denom, out=np.zeros_like(denom), where=denom > 0)
-    return project_ball(coef[:, None] * X, tau_theta)
+def _log_gammainc(a: float, z: np.ndarray) -> np.ndarray:
+    """log P(a, z) of the regularised lower incomplete gamma, for a > 0, z > 0.
 
-
-def _draw_truncated_prior(
-    d: int, tau_theta: float, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    scale = tau_theta / math.sqrt(d)
-    out = np.empty((count, d))
-    have = 0
-    while have < count:
-        batch = rng.standard_normal((max(16, int(1.4 * (count - have))), d)) * scale
-        keep = batch[np.sum(batch * batch, axis=1) <= tau_theta ** 2]
-        take = min(count - have, keep.shape[0])
-        out[have : have + take] = keep[:take]
-        have += take
-    return out
-
-
-def _is_posterior_mean(
-    x: np.ndarray,
-    y_report: float,
-    model: ModelKind,
-    tau_theta: float,
-    samples: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    thetas = _draw_truncated_prior(x.shape[0], tau_theta, samples, rng)
-    a = thetas @ x
-    if model.family == LOGISTIC:
-        loglik = y_report * a - (np.abs(a) + np.log1p(np.exp(-2.0 * np.abs(a))))
-    elif model.family == POISSON:
-        loglik = y_report * a - np.exp(a)
-    else:
-        raise ConfigError("importance sampling is for the logistic and poisson models")
-    w = np.exp(loglik - np.max(loglik))
-    sw = float(np.sum(w))
-    ess = sw * sw / float(np.sum(w * w))
-    if ess < _ESS_FLOOR:
-        raise DegenerateWeightsError(
-            f"effective sample size {ess:.1f} below {_ESS_FLOOR:.0f}; "
-            f"report {y_report!r} is extreme for the prior"
-        )
-    return (w @ thetas) / sw
+    Power series P(a, z) = z^a e^-z / Gamma(a + 1) * sum_k z^k / ((a+1)...(a+k)).
+    Its terms shrink once k > z - a, so it converges quickly for the arguments
+    z <= d/2 the prior weights need.
+    """
+    term = np.ones_like(z)
+    total = np.ones_like(z)
+    k = 0
+    while np.any(term > 1e-17 * total):
+        k += 1
+        term = term * z / (a + k)
+        total = total + term
+    return a * np.log(z) - z - math.lgamma(a + 1.0) + np.log(total)
 
 
 def posterior_mean(
-    X: np.ndarray,
-    y: np.ndarray,
-    model: ModelKind,
-    tau_theta: float,
-    samples: int,
-    seed_prefix: Sequence[int],
-    rows: Sequence[int],
+    X: np.ndarray, y: np.ndarray, model: ModelKind, tau_theta: float, nodes: int
 ) -> np.ndarray:
     """Posterior mean of theta given each reported pair (X[k], y[k]).
 
-    The prior is the same truncated Gaussian the generator uses. The linear
-    model has a conjugate closed form (computed with the untruncated prior,
-    then ball-projected); the discrete models use self-normalized importance
-    sampling over `samples` prior draws. Row k draws from the stream seeded
-    by seed_prefix + [rows[k]], so one agent's mean can be recomputed from
-    that agent's row and index alone.
+    The prior is the generator's, N(0, (tau_theta^2/d) I) truncated to the
+    ball. The linear model keeps its conjugate closed form, computed with the
+    untruncated prior and then ball-projected: a quadrature would cost
+    n x nodes likelihood terms, 10^9 at n = 10^6.
+
+    The logistic and Poisson likelihoods depend on theta only through
+    x . theta, and the prior's part orthogonal to x is symmetric, so the
+    mean is x tau_theta E[t | y] / ||x|| with t = x . theta / (tau_theta ||x||),
+    and 0 when x = 0. Whatever x is, t has prior density e^(-d t^2/2)
+    F(d (1 - t^2)) on [-1, 1], with F the chi-square CDF with d - 1 degrees
+    of freedom (F = 1 when d = 1). E[t | y] is the midpoint rule in phi,
+    t = sin(phi), over `nodes` nodes, taken in row blocks of at most
+    _BLOCK_ELEMENTS terms. Every step is row-wise, so one row gives the same
+    bits alone and inside a batch.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
+    d = X.shape[1]
+    norm2 = rows_inner(X, X)
     if model.family == LINEAR:
-        return _linear_posterior_means(X, y, model.noise_std, tau_theta)
-    means = np.empty_like(X)
-    for k, row in enumerate(rows):
-        rng = np.random.default_rng([*seed_prefix, int(row)])
-        means[k] = _is_posterior_mean(X[k], float(y[k]), model, tau_theta, samples, rng)
-    return project_ball(means, tau_theta)
+        s0sq = tau_theta ** 2 / d
+        denom = model.noise_std ** 2 + s0sq * norm2
+        coef = np.divide(s0sq * y, denom, out=np.zeros_like(denom), where=denom > 0)
+        return project_ball(coef[:, None] * X, tau_theta)
+
+    phi = (np.arange(nodes) + 0.5) * (math.pi / nodes) - 0.5 * math.pi
+    t, c = np.sin(phi), np.cos(phi)
+    log_prior = np.log(c) - 0.5 * d * t * t  # log cos(phi) is the Jacobian
+    if d > 1:
+        log_prior += _log_gammainc(0.5 * (d - 1), 0.5 * d * c * c)
+    norms = np.sqrt(norm2)
+    mean_t = np.empty(X.shape[0])
+    step = max(1, _BLOCK_ELEMENTS // nodes)
+    # in place, so one block holds two buffers of its size at a time
+    for lo in range(0, X.shape[0], step):
+        a = (tau_theta * norms[lo : lo + step])[:, None] * t
+        log_post = y[lo : lo + step, None] * a
+        if model.family == LOGISTIC:
+            # minus log(e^a + e^-a) = -(|a| + log1p(e^(-2|a|))), without overflow
+            np.abs(a, out=a)
+            log_post -= a
+            a *= -2.0
+            log_post -= np.log1p(np.exp(a, out=a), out=a)
+        else:  # Poisson
+            log_post -= np.exp(a, out=a)
+        log_post += log_prior
+        log_post -= np.max(log_post, axis=1, keepdims=True)
+        w = np.exp(log_post, out=log_post)
+        mean_t[lo : lo + step] = np.sum(np.multiply(w, t, out=a), axis=1) / np.sum(w, axis=1)
+    scale = np.divide(tau_theta * mean_t, norms, out=np.zeros_like(norms), where=norms > 0)
+    return scale[:, None] * X
 
 
 def payments(
@@ -362,14 +355,13 @@ def run_mechanism(
     resolved = resolve_privacy(params, n, d, bundle)
     noise = release_noise(d, resolved, rng)
     bars = project_ball(thetas + np.stack([s.v for s in noise]), settings.tau_theta)
-    posterior_seed = int(rng.integers(2 ** 62))
 
     # group by group: one opposite release per call, and only half-size row copies
     pay, p, q = np.empty(n), np.empty(n), np.empty(n)
     for group, rows in enumerate(groups):
         means = posterior_mean(
             reported.X[rows], reported.y[rows], bundle.model, settings.tau_theta,
-            params.posterior_samples, [posterior_seed], rows,
+            params.posterior_samples,
         )
         pay[rows], p[rows], q[rows] = payments(
             X[rows], bars[opposite_release(group)], means, bundle, params
@@ -387,7 +379,6 @@ def run_mechanism(
         noise_audit=tuple((which, s.magnitude) for which, s in zip(RELEASES, noise)),
         p=p,
         q=q,
-        posterior_seed=posterior_seed,
     )
 
 
@@ -415,7 +406,6 @@ def outcome_to_json(outcome: MechanismOutcome) -> dict:
         "noise_audit": [
             {"which": which, "magnitude": magnitude} for which, magnitude in outcome.noise_audit
         ],
-        "posterior_seed": outcome.posterior_seed,
     }
 
 
@@ -467,6 +457,21 @@ def budget_bound(n: int, a1: float, a2: float, m_a: float) -> float:
     if n < 0 or a1 < 0 or a2 < 0 or m_a < 0:
         raise ConfigError("budget bound inputs must be nonnegative")
     return n * (a1 + a2 * (m_a + m_a * m_a))
+
+
+def prediction_bound(model: ModelKind, settings: EstimatorSettings, d: int) -> float:
+    """The regime's m_A: a bound on every prediction |p| and |q| of the payment rule.
+
+    In the heavy regime the design is l4-shrunk and A' is the identity, so
+    |x . theta| <= ||x||_2 tau_theta <= d^(1/4) ||x||_4 tau_theta
+    <= d^(1/4) tau1 tau_theta. Otherwise it is the link constant m_A.
+    """
+    if settings.regime == HEAVY:
+        return d ** 0.25 * settings.tau1 * settings.tau_theta
+    return compute_link_constants(
+        make_link_bundle(model), settings.polytope, settings.tau1, settings.tau2,
+        settings.tau_theta,
+    ).m_a
 
 
 def rationality_floor(
@@ -538,8 +543,6 @@ def preset_schedule(
         alpha = mult["alpha"] * n ** (-1.0 + delta)
         a2 = mult["a2"] * n ** (-0.5 - 9.0 * delta)
         cost_fn = CostFunction("nonic")
-        # largest |x . theta| over l4-shrunk x and the ball: ||x||_2 <= d^(1/4) ||x||_4
-        m_a = d ** 0.25 * tau1 * tau_theta
     else:
         check_preset_delta(model.family, delta)
         polytope = preset_polytope(model, n, delta)
@@ -558,9 +561,6 @@ def preset_schedule(
             a2 = mult["a2"] * n ** (-6.0 * delta)
         alpha = mult["alpha"] * n ** (-3.0 * delta)
         cost_fn = CostFunction("quartic")
-        m_a = compute_link_constants(
-            make_link_bundle(model), polytope, tau1, tau2, tau_theta
-        ).m_a
 
     beta = n ** (-c)
     alpha = min(alpha, 1.0 - 1e-12)
@@ -573,6 +573,7 @@ def preset_schedule(
         tau1=tau1, tau2=tau2, tau_theta=tau_theta, polytope=polytope, regime=regime
     )
     tau_thr = tau_alpha_beta_bound(alpha, beta, cost_lambda)
+    m_a = prediction_bound(model, settings, d)
     a1 = rationality_floor(a2, m_a, tau_thr, cost_fn, epsilon, gamma_total)
 
     return MechanismParams(

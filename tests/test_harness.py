@@ -23,7 +23,7 @@ from privglm.harness import (
     run_experiment,
 )
 from privglm.links import ModelKind, make_link_bundle
-from privglm.mechanism import MechanismParams, preset_schedule
+from privglm.mechanism import CostFunction, MechanismParams, preset_schedule, rationality_floor
 from privglm.population import AdditiveNoise, Constant, PopulationSpec, SignFlip, WorstOfGrid
 from privglm.privacy import PrivacyParams, empirical_privacy_ratio
 
@@ -321,6 +321,25 @@ def test_cli_schedule_verb():
     assert "kappa0" in out["constants"]
 
 
+@pytest.mark.parametrize("model, regime, delta, m_a", [
+    ("linear", "heavy", 0.12, 10 ** 0.25 * (10_000 / np.log(10_000)) ** 0.25),
+    ("logistic", "subgaussian", 0.3, None),
+], ids=["heavy", "subgaussian"])
+def test_cli_schedule_a1_is_floor_at_printed_m_a(capsys, model, regime, delta, m_a):
+    argv = ["schedule", "--model", model, "--regime", regime, "--n", "10000",
+            "--delta", str(delta), "--d", "10"]
+    assert cli_main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    printed = out["constants"]["m_a"]
+    if m_a is not None:
+        assert printed == pytest.approx(m_a, rel=1e-12)
+    floor = rationality_floor(
+        out["a2"], printed, out["tau_threshold"], CostFunction(out["cost_fn"]),
+        out["epsilon"], out["gamma_n"] + 2 * out["gamma_half"],
+    )
+    assert out["a1"] == pytest.approx(floor, rel=1e-12)
+
+
 def test_cli_schedule_rejects_bad_delta():
     proc = run_cli("schedule", "--model", "linear", "--n", "1000", "--delta", "0.4")
     assert proc.returncode == 2
@@ -383,6 +402,23 @@ def test_cli_output_directory_created_only_on_write(tmp_path, capsys):
     cfg.write_text(json.dumps(payload | {"out_dir": str(tmp_path / "plain" / "out")}))
     assert cli_main(["simulate", "--config", str(cfg)]) == 2
     assert "cannot write the report" in capsys.readouterr().err
+
+
+def test_cli_unwritable_audit_log_is_config_error(tmp_path, capsys):
+    (tmp_path / "plain").write_text("")
+    log = tmp_path / "plain" / "audit.jsonl"
+    payload = {
+        "population": {"d": 2, "model": "linear", "noise_std": 1.0},
+        "schedule": {"delta": 0.3},
+        "sweep": [120],
+        "repeats": 1,
+        "master_seed": 3,
+        "report_mode": "debug",
+        "audit_log": str(log),
+    }
+    cfg = _write_config(tmp_path, payload)
+    assert cli_main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert f"cannot write the audit log to {log}" in capsys.readouterr().err
 
 
 def _write_config(tmp_path, payload):
