@@ -1,16 +1,20 @@
 """Closed-form estimator, its covariate and response maps, and sensitivity bounds.
 
-One estimator serves both regimes. It composes three pieces:
+One estimator serves both regimes. It composes four pieces:
 
     design             the covariates: the reported rows (sub-Gaussian) or
                        the rows l4-shrunk at tau1 (heavy-tailed)
     working_response   z = (A')^-1(project(clip(y)))
-    solve_least_squares  theta_hat = (X^T X)^-1 X^T z
+    triangular_factor  R, the (d+1) x (d+1) triangular factor of [X | z]
+    solve_factor       theta_hat = R11^-1 r, the least-squares solution,
+                       with R11 = R[:d, :d] and r = R[:d, d]
 
 The heavy regime is the linear model (A' the identity, no polytope) on the
-shrunk design. The solve goes through a rank-revealing SVD with a
-condition-number cap so a degenerate design raises instead of silently
-amplifying noise.
+shrunk design. R is built one row block at a time, and `stack_factors`
+combines the factors of disjoint row sets (TSQR), so the full-data factor
+comes from the two half factors without another pass over the rows. R11 has
+the singular values of X: its SVD carries a condition-number cap, so a
+degenerate design raises instead of silently amplifying noise.
 """
 
 from __future__ import annotations
@@ -38,6 +42,10 @@ SUBGAUSSIAN = "subgaussian"
 HEAVY = "heavy"
 REGIMES = (SUBGAUSSIAN, HEAVY)
 
+# terms of one row block of the QR factorisation and of the row reductions;
+# a block of an operand (512 KiB) stays in a core's L2 cache
+_BLOCK_ELEMENTS = 2 ** 16
+
 
 @dataclass
 class Dataset:
@@ -64,16 +72,6 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.X.shape[1]
-
-    def replace_row(self, i: int, x_new: np.ndarray, y_new: float) -> "Dataset":
-        X = self.X.copy()
-        y = self.y.copy()
-        X[i] = np.asarray(x_new, dtype=float)
-        y[i] = float(y_new)
-        return Dataset(X, y)
-
-    def take(self, idx: np.ndarray) -> "Dataset":
-        return Dataset(self.X[idx], self.y[idx])
 
     def save_csv(self, path) -> None:
         path = Path(path)
@@ -158,9 +156,46 @@ def working_response(y: np.ndarray, bundle: LinkBundle, settings: EstimatorSetti
     return bundle.A_prime_inv(project_polytope(y_clip, settings.polytope))
 
 
-def solve_least_squares(X: np.ndarray, z: np.ndarray, cond_cap: float) -> np.ndarray:
-    """Least-squares solution through SVD; raise if the design is ill-conditioned."""
-    u, s, vt = np.linalg.svd(X, full_matrices=False)
+def stack_factors(*factors: np.ndarray) -> np.ndarray:
+    """Triangular factor of the union of the row sets behind `factors` (TSQR).
+
+    [Q1 R1; Q2 R2] = diag(Q1, Q2) [R1; R2], so the R of the stacked factors
+    is an R of the stacked rows.
+    """
+    return np.linalg.qr(np.vstack(factors), mode="r")
+
+
+def triangular_factor(
+    X: np.ndarray, z: np.ndarray, rows: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Upper-triangular R of the QR factorisation of [X | z], or of its `rows`.
+
+    Each row block of at most _BLOCK_ELEMENTS terms is gathered straight
+    from X and z, in the column-major order LAPACK takes, and factored on
+    its own; `stack_factors` combines the block factors. R has d + 1
+    columns and min(m, d + 1) rows for m rows.
+    """
+    d = X.shape[1]
+    m = X.shape[0] if rows is None else len(rows)
+    step = max(d + 1, _BLOCK_ELEMENTS // (d + 1))
+    factors = []
+    for lo in range(0, m, step):
+        take = slice(lo, lo + step) if rows is None else rows[lo : lo + step]
+        block = np.empty((d + 1, min(step, m - lo)))
+        block[:d] = X[take].T
+        block[d] = z[take]
+        factors.append(np.linalg.qr(block.T, mode="r"))
+    return factors[0] if len(factors) == 1 else stack_factors(*factors)
+
+
+def solve_factor(R: np.ndarray, cond_cap: float) -> np.ndarray:
+    """Least-squares solution from the factor R of [X | z]; raise if X is ill-conditioned.
+
+    X = Q R11 with R11 = R[:d, :d], so R11 has the singular values of X and
+    the solution is R11^-1 R[:d, d], taken through the SVD of R11.
+    """
+    d = R.shape[1] - 1
+    u, s, vt = np.linalg.svd(R[:d, :d], full_matrices=False)
     if s[-1] <= 0.0 or not np.isfinite(s[0]):
         raise SingularGramError("design matrix is rank deficient")
     cond = s[0] / s[-1]
@@ -168,18 +203,20 @@ def solve_least_squares(X: np.ndarray, z: np.ndarray, cond_cap: float) -> np.nda
         raise SingularGramError(
             f"design condition number {cond:.3e} exceeds cap {cond_cap:.3e}"
         )
-    return vt.T @ ((u.T @ z) / s)
+    return vt.T @ ((u.T @ R[:d, d]) / s)
 
 
 def estimate(data: Dataset, bundle: LinkBundle, settings: EstimatorSettings) -> np.ndarray:
-    """Closed-form estimate on raw reports, used by every caller outside the mechanism.
+    """Closed-form estimate on raw reports.
 
-    solve_least_squares(design(X), working_response(y)); `run_mechanism`
-    composes the same three pieces itself so it maps the rows only once.
+    solve_factor(triangular_factor(design(X), working_response(y))); the
+    mechanism and the audit oracles compose the same pieces themselves, so
+    they map the rows once and factor row subsets of them.
     """
-    return solve_least_squares(
-        design(data.X, bundle.model, settings),
-        working_response(data.y, bundle, settings),
+    return solve_factor(
+        triangular_factor(
+            design(data.X, bundle.model, settings), working_response(data.y, bundle, settings)
+        ),
         settings.cond_cap,
     )
 
@@ -189,19 +226,31 @@ def rows_inner(A: np.ndarray, B) -> np.ndarray:
 
     The sequential order makes a single row and the same row inside a batch
     reduce bit-identically, which the payment-recompute contract relies on.
-    B may be a matrix of matching shape or a single d-vector.
+    B may be a matrix of matching shape, a single row that broadcasts
+    against the rows of A (or A a single row against the rows of B), or a
+    d-vector. Inputs taller than one row block reduce block by block, each
+    block in the same column order, so the bits do not change.
     """
     A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if B.ndim == 1:
-        acc = A[:, 0] * B[0]
-        for j in range(1, A.shape[1]):
-            acc = acc + A[:, j] * B[j]
-    else:
+    B = np.atleast_2d(np.asarray(B, dtype=float))
+    n, d = max(A.shape[0], B.shape[0]), A.shape[1]
+    step = max(1, _BLOCK_ELEMENTS // d)
+    if n <= step:
         acc = A[:, 0] * B[:, 0]
-        for j in range(1, A.shape[1]):
+        for j in range(1, d):
             acc = acc + A[:, j] * B[:, j]
-    return acc
+        return acc
+    out = np.empty(n)
+    term = np.empty(step)
+    for lo in range(0, n, step):
+        a = A[lo : lo + step] if A.shape[0] > 1 else A
+        b = B[lo : lo + step] if B.shape[0] > 1 else B
+        acc = out[lo : lo + step]
+        t = term[: acc.shape[0]]
+        np.multiply(a[:, 0], b[:, 0], out=acc)
+        for j in range(1, d):
+            acc += np.multiply(a[:, j], b[:, j], out=t)
+    return out
 
 
 def l4_shrink_rows(X: np.ndarray, tau1: float) -> np.ndarray:
@@ -213,7 +262,8 @@ def l4_shrink_rows(X: np.ndarray, tau1: float) -> np.ndarray:
     if not tau1 > 0:
         raise ConfigError("tau1 must be positive")
     X = np.ascontiguousarray(X, dtype=float)
-    X4 = X ** 4
+    X4 = X * X  # two squarings: X ** 4 calls libm pow for every element
+    X4 *= X4
     norms = rows_inner(X4, np.ones(X.shape[1])) ** 0.25
     scale = np.ones_like(norms)
     over = norms > tau1
@@ -295,17 +345,30 @@ def empirical_sensitivity(
     Each trial replaces one uniformly chosen row with a fresh draw from
     `draw_replacement` and re-runs the estimator; trial t derives its
     randomness from (seed..., t), so results do not depend on execution
-    order. `seed` may be an int or a tuple of ints.
+    order. `seed` may be an int or a tuple of ints. `design` and
+    `working_response` work row by row, so mapping the base rows once and
+    each replacement on its own gives the rows of the replaced dataset.
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     entropy = [int(v) for v in (seed if isinstance(seed, (tuple, list)) else (seed,))]
-    base = estimate(data, bundle, settings)
+    # the rows are mapped once, into arrays of our own: a trial overwrites
+    # one row with its mapped replacement, solves, and puts the row back
+    X = np.array(design(data.X, bundle.model, settings))
+    z = working_response(data.y, bundle, settings)
+    base = solve_factor(triangular_factor(X, z), settings.cond_cap)
     worst = 0.0
     for t in range(trials):
         rng = np.random.default_rng(entropy + [t])
         i = int(rng.integers(data.n))
         x_new, y_new = draw_replacement(rng)
-        shifted = estimate(data.replace_row(i, x_new, y_new), bundle, settings)
+        x_new, y_new = np.asarray(x_new, dtype=float), float(y_new)
+        if not (np.all(np.isfinite(x_new)) and math.isfinite(y_new)):
+            raise ConfigError("replacement row contains non-finite entries")
+        x_i, z_i = X[i].copy(), z[i]
+        X[i] = design(x_new[None, :], bundle.model, settings)[0]
+        z[i] = working_response(np.array([y_new]), bundle, settings)[0]
+        shifted = solve_factor(triangular_factor(X, z), settings.cond_cap)
+        X[i], z[i] = x_i, z_i
         worst = max(worst, float(np.linalg.norm(base - shifted)))
     return worst

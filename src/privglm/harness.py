@@ -26,6 +26,9 @@ from .estimators import (
     design,
     empirical_sensitivity,
     estimate,
+    solve_factor,
+    triangular_factor,
+    working_response,
 )
 from .links import ModelKind, PolytopeSpec, make_link_bundle
 from .mechanism import (
@@ -626,7 +629,14 @@ def estimate_deviation_gain(
         # the mechanism's release with only the half that pays agent 0 solved
         rng_mech = np.random.default_rng(key + [2])
         assign = partition(nn, rng_mech)
-        theta_opp = estimate(reported.take(assign != assign[0]), bundle, settings)
+        theta_opp = solve_factor(
+            triangular_factor(
+                design(reported.X, model, settings),
+                working_response(reported.y, bundle, settings),
+                np.flatnonzero(assign != assign[0]),
+            ),
+            settings.cond_cap,
+        )
         noise = release_noise(spec_n.d, resolved, rng_mech)[opposite_release(assign[0])]
         theta_bar_opp = project_ball(theta_opp + noise.v, settings.tau_theta)
         pay, _, _ = payments(x_pay, theta_bar_opp, means, bundle, params)

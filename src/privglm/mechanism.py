@@ -10,12 +10,12 @@ output jointly private per agent.
 
 Both regimes run the same mechanism. The estimators module maps the reports
 once: `design` gives the covariates (l4-shrunk rows in the heavy regime) and
-`working_response` the response the solve fits. `run_mechanism` solves on
-row subsets of that one design for the full set and each half, and pays each
-group with its rows of the same design. The posterior means take the raw
-covariates: a closed form for the linear model, a deterministic 1-D
-quadrature for the logistic and Poisson models, so a payment uses no random
-draw beyond the release.
+`working_response` the response the solve fits. `run_mechanism` factors
+each half's rows of that one design once, gets the full-data factor by
+stacking the two (TSQR), solves all three, and pays each group with its rows
+of the same design. The posterior means take the raw covariates: a closed
+form for the linear model, a deterministic 1-D quadrature for the logistic
+and Poisson models, so a payment uses no random draw beyond the release.
 
 Each step has one implementation in this module: `partition`,
 `resolve_privacy`, `release_noise` (the three noises, drawn in the order
@@ -43,7 +43,9 @@ from .estimators import (
     design,
     rows_inner,
     sensitivity_bound,
-    solve_least_squares,
+    solve_factor,
+    stack_factors,
+    triangular_factor,
     working_response,
 )
 from .links import (
@@ -269,8 +271,12 @@ def posterior_mean(
     if model.family == LINEAR:
         s0sq = tau_theta ** 2 / d
         denom = model.noise_std ** 2 + s0sq * norm2
-        coef = np.divide(s0sq * y, denom, out=np.zeros_like(denom), where=denom > 0)
-        return project_ball(coef[:, None] * X, tau_theta)
+        scale = np.divide(s0sq * y, denom, out=np.zeros_like(denom), where=denom > 0)
+        # the ball projection of the row scale * x, applied to the scale
+        norms = np.abs(scale) * np.sqrt(norm2)
+        over = norms > tau_theta
+        scale[over] *= tau_theta / norms[over]
+        return scale[:, None] * X
 
     phi = (np.arange(nodes) + 0.5) * (math.pi / nodes) - 0.5 * math.pi
     t, c = np.sin(phi), np.cos(phi)
@@ -332,10 +338,11 @@ def run_mechanism(
     """Execute one full mechanism run on the reported dataset.
 
     Steps, in order: the design and the working response of all n reports;
-    random equal partition; three least-squares solves on rows of them (all,
-    group 0, group 1); sensitivity resolution; three independent noise
-    draws (full, group 0, group 1); ball projections; per-agent Brier
-    payments against the opposite group's private estimator.
+    random equal partition; the triangular factor of each group's rows of
+    them, one pass over the data; three least-squares solves (all rows, from
+    the two stacked factors; group 0; group 1); sensitivity resolution; three
+    independent noise draws (full, group 0, group 1); ball projections;
+    per-agent Brier payments against the opposite group's private estimator.
     """
     if rng is None:
         rng = np.random.default_rng(params.seed)
@@ -349,8 +356,9 @@ def run_mechanism(
 
     assign = partition(n, rng)
     groups = [np.flatnonzero(assign == group) for group in (0, 1)]
-    thetas = np.stack([solve_least_squares(X, z, settings.cond_cap)] + [
-        solve_least_squares(X[rows], z[rows], settings.cond_cap) for rows in groups
+    halves = [triangular_factor(X, z, rows) for rows in groups]
+    thetas = np.stack([
+        solve_factor(R, settings.cond_cap) for R in (stack_factors(*halves), *halves)
     ])
     resolved = resolve_privacy(params, n, d, bundle)
     noise = release_noise(d, resolved, rng)

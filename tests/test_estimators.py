@@ -5,14 +5,19 @@ import pytest
 
 from privglm.errors import ConfigError, LinkDomainError, SingularGramError
 from privglm.estimators import (
+    _BLOCK_ELEMENTS,
     Dataset,
     EstimatorSettings,
     check_responses,
     empirical_sensitivity,
     estimate,
     l4_shrink_rows,
+    rows_inner,
     sensitivity_bound_heavy,
     sensitivity_bound_subgaussian,
+    solve_factor,
+    stack_factors,
+    triangular_factor,
 )
 from privglm.links import ModelKind, PolytopeSpec, make_link_bundle, preset_polytope
 from privglm.mechanism import project_ball
@@ -85,6 +90,97 @@ def test_singular_design_raises():
     X = np.ones((10, 2))  # duplicate columns
     with pytest.raises(SingularGramError):
         estimate(Dataset(X, np.ones(10)), LIN, wide_settings())
+
+
+def _block_rows(d):
+    """Rows in one block of the QR factorisation of [X | z]."""
+    return _BLOCK_ELEMENTS // (d + 1)
+
+
+def _factor_sizes():
+    for d in (1, 3, 10):
+        b = _block_rows(d)
+        for m in (d, d + 1, b - 1, b, b + 1, 3 * b + 5):
+            yield d, m
+
+
+@pytest.mark.parametrize("d,m", list(_factor_sizes()))
+def test_factor_solve_matches_lstsq(d, m):
+    rng = np.random.default_rng([d, m])
+    X = rng.standard_normal((m, d))
+    z = X @ rng.standard_normal(d) + rng.standard_normal(m)
+    oracle = np.linalg.lstsq(X, z, rcond=None)[0]
+    est = solve_factor(triangular_factor(X, z), 1e12)
+    assert np.linalg.norm(est - oracle) <= 1e-10 * np.linalg.norm(oracle)
+    # the same rows as a subset of a taller design, gathered in shuffled order
+    Xt = np.vstack([X, rng.standard_normal((m, d))])
+    zt = np.concatenate([z, rng.standard_normal(m)])
+    rows = rng.permutation(2 * m)
+    rows = rows[rows < m]
+    est = solve_factor(triangular_factor(Xt, zt, rows), 1e12)
+    assert np.linalg.norm(est - oracle) <= 1e-10 * np.linalg.norm(oracle)
+
+
+def test_stacked_half_factors_match_all_rows():
+    d = 3
+    m = 2 * _block_rows(d) + 11
+    rng = np.random.default_rng(31)
+    X = rng.standard_normal((m, d)) * [1.0, 5.0, 0.2]
+    z = rng.standard_normal(m)
+    half = rng.permutation(m) < m // 2
+    R0, R1 = (triangular_factor(X, z, np.flatnonzero(half == g)) for g in (0, 1))
+    oracle = np.linalg.lstsq(X, z, rcond=None)[0]
+    for R in (stack_factors(R0, R1), triangular_factor(X, z)):
+        assert R.shape == (d + 1, d + 1)
+        est = solve_factor(R, 1e12)
+        assert np.linalg.norm(est - oracle) <= 1e-10 * np.linalg.norm(oracle)
+
+
+@pytest.mark.parametrize("m", [7, 2 * _block_rows(4) + 3])
+def test_factor_keeps_singular_values(m):
+    # cond(R11) = cond(X): the condition cap sees the design itself
+    d = 4
+    rng = np.random.default_rng(m)
+    X = rng.standard_normal((m, d)) * [1e3, 1.0, 1e-2, 1e-4]
+    R = triangular_factor(X, rng.standard_normal(m))
+    s = np.linalg.svd(R[:d, :d], compute_uv=False)
+    oracle = np.linalg.svd(X, compute_uv=False)
+    assert np.allclose(s, oracle, rtol=1e-12, atol=0)
+
+
+def test_rows_inner_bit_equal_to_sequential_loop():
+    d = 3
+    n = 2 * (_BLOCK_ELEMENTS // d) + 5  # three row blocks, the last one short
+    rng = np.random.default_rng(32)
+    A = rng.standard_normal((n, d))
+    B = rng.standard_normal((n, d))
+    v = rng.standard_normal(d)
+
+    def loop(a_rows, b_rows):
+        out = np.empty(len(a_rows))
+        for i, (a, b) in enumerate(zip(a_rows, b_rows)):
+            acc = a[0] * b[0]
+            for j in range(1, d):
+                acc = acc + a[j] * b[j]
+            out[i] = acc
+        return out
+
+    assert np.array_equal(rows_inner(A, B), loop(A, B))
+    assert np.array_equal(rows_inner(A, v), loop(A, [v] * n))
+    # a single row broadcast against many, as the payments use it
+    assert np.array_equal(rows_inner(A[:1], B), loop([A[0]] * n, B))
+    assert np.array_equal(rows_inner(A[:1], B[:1]), loop(A[:1], B[:1]))
+    assert np.array_equal(rows_inner(A[:7], v), loop(A[:7], [v] * 7))
+
+
+def test_l4_shrink_rows_matches_power_sum():
+    rng = np.random.default_rng(33)
+    X = rng.standard_t(3.0, (_BLOCK_ELEMENTS // 5 + 9, 5))
+    X[3] = 0.0
+    norms = np.sum(X ** 4, axis=1) ** 0.25
+    scale = np.where(norms > 1.3, 1.3 / np.where(norms > 0, norms, 1.0), 1.0)
+    oracle = X * scale[:, None]
+    assert np.allclose(l4_shrink_rows(X, 1.3), oracle, rtol=1e-14, atol=0)
 
 
 def l4_oracle(x, tau1):

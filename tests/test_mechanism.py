@@ -8,7 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from privglm.errors import ConfigError, PartitionTooSmallError
-from privglm.estimators import Dataset, EstimatorSettings, design, l4_shrink_rows
+from privglm import estimators, mechanism
+from privglm.estimators import Dataset, EstimatorSettings, design, l4_shrink_rows, rows_inner
 from privglm.links import ModelKind, compute_link_constants, make_link_bundle
 from privglm.mechanism import (
     CostFunction,
@@ -93,6 +94,21 @@ def test_linear_posterior_closed_form():
     for model in (ModelKind.linear(1.0), ModelKind.logistic(), ModelKind.poisson()):
         zero = posterior_mean(np.zeros((1, 3)), [1.0], model, 2.0, 1000)
         assert np.array_equal(zero, np.zeros((1, 3)))
+
+
+def test_linear_posterior_projects_the_closed_form():
+    rng = np.random.default_rng(17)
+    X = rng.standard_normal((300, 3))
+    y = rng.standard_normal(300) * 4.0
+    tau_theta = 1.0
+    s0sq = tau_theta ** 2 / 3
+    coef = s0sq * y / (1.0 + s0sq * rows_inner(X, X))
+    unprojected = coef[:, None] * X
+    inside = np.linalg.norm(unprojected, axis=1) <= tau_theta
+    assert 0 < np.sum(inside) < 300
+    mean = posterior_mean(X, y, ModelKind.linear(1.0), tau_theta, 1000)
+    assert np.array_equal(mean[inside], unprojected[inside])
+    assert np.allclose(mean, project_ball(unprojected, tau_theta), rtol=0, atol=1e-15)
 
 
 def test_logistic_posterior_matches_quadrature():
@@ -217,6 +233,41 @@ def test_run_mechanism_deterministic():
     assert np.array_equal(a.payments, b.payments)
     assert a.budget == b.budget
     assert np.array_equal(a.group_assignment, b.group_assignment)
+
+
+def test_run_mechanism_reads_each_row_once(monkeypatch):
+    # the three releases come from one blocked pass: every row enters one QR
+    # block, the full release stacks the half factors, and no SVD sees n rows
+    d = 2
+    n = 3 * (estimators._BLOCK_ELEMENTS // (d + 1)) + 7
+    model, bundle, params, pop, reported = _linear_setup(n=n, d=d)
+    qr, svd, stack = np.linalg.qr, np.linalg.svd, estimators.stack_factors
+    qr_rows, svd_shapes, stacking = [], [], []
+
+    def traced_qr(a, *args, **kwargs):
+        if not stacking:
+            qr_rows.append(np.shape(a)[0])
+        return qr(a, *args, **kwargs)
+
+    def traced_svd(a, *args, **kwargs):
+        svd_shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    def traced_stack(*factors):
+        stacking.append(len(factors))
+        try:
+            return stack(*factors)
+        finally:
+            stacking.pop()
+
+    monkeypatch.setattr(np.linalg, "qr", traced_qr)
+    monkeypatch.setattr(np.linalg, "svd", traced_svd)
+    monkeypatch.setattr(estimators, "stack_factors", traced_stack)
+    monkeypatch.setattr(mechanism, "stack_factors", traced_stack)
+    run_mechanism(reported, bundle, params, np.random.default_rng(3))
+    assert sum(qr_rows) == n
+    assert len(qr_rows) == 4  # two blocks per half
+    assert svd_shapes == [(d, d)] * 3
 
 
 def test_partition_too_small():
