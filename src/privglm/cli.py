@@ -3,7 +3,8 @@
 Verbs: simulate (sweep from a JSON config), deviate (deviation-gain study),
 sensitivity (empirical vs formula sensitivity), privacy-check (ratio
 falsification test) and schedule (print a parameter schedule). Exit codes:
-0 success, 2 config error, 3 numerical failure in all cells.
+0 success, 2 config error, 3 numerical failure (in every cell of a sweep, or
+in the one solve or study of another verb).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, SingularGramError
 from .estimators import Dataset, calibrate_c0, empirical_sensitivity, sensitivity_bound
 from .harness import (
     ExperimentConfig,
@@ -228,6 +229,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except SingularGramError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -192,18 +192,21 @@ def solve_factor(R: np.ndarray, cond_cap: float) -> np.ndarray:
     """Least-squares solution from the factor R of [X | z]; raise if X is ill-conditioned.
 
     X = Q R11 with R11 = R[:d, :d], so R11 has the singular values of X and
-    the solution is R11^-1 R[:d, d], taken through the SVD of R11.
+    the solution is R11^-1 R[:d, d], taken through the SVD of R11. R may
+    also be a stack (..., rows, d + 1) of factors: each gets its own SVD,
+    and one rank-deficient or over-cap factor raises for the whole stack.
     """
-    d = R.shape[1] - 1
-    u, s, vt = np.linalg.svd(R[:d, :d], full_matrices=False)
-    if s[-1] <= 0.0 or not np.isfinite(s[0]):
+    d = R.shape[-1] - 1
+    u, s, vt = np.linalg.svd(R[..., :d, :d], full_matrices=False)
+    if not (s[..., -1].min() > 0.0 and np.isfinite(s[..., 0]).all()):
         raise SingularGramError("design matrix is rank deficient")
-    cond = s[0] / s[-1]
+    cond = (s[..., 0] / s[..., -1]).max()
     if cond > cond_cap:
         raise SingularGramError(
             f"design condition number {cond:.3e} exceeds cap {cond_cap:.3e}"
         )
-    return vt.T @ ((u.T @ R[:d, d]) / s)
+    ut_z = (np.swapaxes(u, -1, -2) @ R[..., :d, d, None]) / s[..., None]
+    return (np.swapaxes(vt, -1, -2) @ ut_z)[..., 0]
 
 
 def estimate(data: Dataset, bundle: LinkBundle, settings: EstimatorSettings) -> np.ndarray:

@@ -21,26 +21,23 @@ import numpy as np
 
 from .errors import ConfigError, SingularGramError
 from .estimators import (
+    _BLOCK_ELEMENTS,
     Dataset,
     EstimatorSettings,
     design,
     empirical_sensitivity,
     estimate,
+    rows_inner,
     solve_factor,
-    triangular_factor,
     working_response,
 )
-from .links import ModelKind, PolytopeSpec, make_link_bundle
+from .links import LINEAR, LOGISTIC, ModelKind, PolytopeSpec, make_link_bundle
 from .mechanism import (
     MechanismParams,
-    opposite_release,
-    partition,
-    payments,
     preset_schedule,
     posterior_mean,
     project_ball,
     rationality_check,
-    release_noise,
     resolve_privacy,
     run_mechanism,
 )
@@ -55,9 +52,14 @@ from .population import (
     SubGaussianIsotropic,
     Threshold,
     WorstOfGrid,
+    _draw_costs,
+    _draw_covariates,
+    _draw_responses,
     _rule_values,
+    _threshold_reports,
     apply_strategy,
     coerce_response,
+    draw_theta_star,
     generate_population,
     replacement_sampler,
     tau_alpha_beta_bound,
@@ -543,6 +545,7 @@ class DeviationGainEstimate:
     std_error: float
     deviant_rule: str
     trials: int
+    eta_sup: float  # sup of the mean paired gain over the whole report space, plus the saving
 
 
 def estimate_deviation_gain(
@@ -560,8 +563,27 @@ def estimate_deviation_gain(
     type) and redraws everyone else per trial under the threshold strategy.
     The tagged agent's payment depends only on the opposite group's private
     estimator, which their report cannot touch, so both reporting arms share
-    every random stream and differ in nothing but the prediction of the
-    agent's own report.
+    every random stream and differ in nothing but the prediction q_r of the
+    agent's own report r.
+
+    The agents are exchangeable, so given agent 0's group the opposite group
+    is m i.i.d. agents, m = n - n // 2 when agent 0 is in group 0 (probability
+    (n // 2) / n) and n // 2 otherwise. A trial therefore draws its theta*
+    (unless the spec fixes it) and only those m agents with their costs and
+    threshold-strategy reports, factors their mapped rows, and adds one noise
+    vector at the half sensitivity: the one half release that pays agent 0.
+    With `cost_correlated`, the cost split is at the median response of the
+    drawn opposite group rather than of all n agents. Trials are taken in
+    blocks of at most _BLOCK_ELEMENTS factored terms, block k keyed
+    (master_seed, n, seed_tag, ARM_DEVIATION, k): one stacked QR and one
+    stacked `solve_factor` per block, so every trial keeps its own rank and
+    condition check.
+
+    The Brier payment is linear in p, so a trial needs only the scalar
+    p_t = A'(x_pay . theta_bar_opp,t). The paired gain of report r over the
+    truth is a2 (q_r - q_0)(2 p_t - q_r - q_0); its mean over the trials is
+    the same expression at the mean of p and its standard error is
+    a2 * 2 |q_r - q_0| * sd(p) / sqrt(trials).
 
     `WorstOfGrid` estimates the sup-gain the equilibrium statement bounds: it
     reports the most profitable grid value (mean paired gain maximized over
@@ -570,6 +592,8 @@ def estimate_deviation_gain(
     deviation. A genuine misreport also saves the agent's privacy cost, at
     most cost * F(total account) per the cost model; the truthful control
     (rule None) shares account and report, so its gain is identically zero.
+    `eta_sup` is the supremum of the mean paired gain over the model's whole
+    report space plus that saving (see `_sup_gain`); it is 0 for the control.
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
@@ -594,7 +618,6 @@ def estimate_deviation_gain(
     type_pop = generate_population(
         replace(spec_n, n=1), np.random.default_rng([ms, seed_tag, ARM_DEVIATION])
     )
-    x0 = type_pop.X[0]
     y0 = float(type_pop.y_true[0])
     cost0 = float(type_pop.costs[0])
     x_pay = design(type_pop.X[:1], model, settings)
@@ -612,43 +635,128 @@ def estimate_deviation_gain(
             np.random.default_rng([ms, seed_tag, ARM_DEVIATION, 2]),
         )
         reports = [float(coerce_response(raw, model)[0])]
-    # row 0 of the means predicts from the truthful report, row 1 + j from reports[j]
-    means = posterior_mean(
-        np.repeat(type_pop.X[:1], 1 + len(reports), axis=0), [y0, *reports], model,
-        settings.tau_theta, params.posterior_samples,
-    )
 
-    gains = np.empty((trials, len(reports)))
-    for t in range(trials):
-        key = [ms, nn, seed_tag, ARM_DEVIATION, t]
-        pop = generate_population(spec_n, np.random.default_rng(key + [0]))
-        pop.X[0], pop.y_true[0], pop.costs[0] = x0, y0, cost0
-        reported = apply_strategy(
-            pop, Threshold(tau, config.fallback_rule), np.random.default_rng(key + [1])
+    def predict(r) -> np.ndarray:
+        """q = A'(x_pay . posterior mean) for each report in r."""
+        r = np.atleast_1d(np.asarray(r, dtype=float))
+        means = posterior_mean(
+            np.repeat(type_pop.X[:1], r.shape[0], axis=0), r, model,
+            settings.tau_theta, params.posterior_samples,
         )
-        # the mechanism's release with only the half that pays agent 0 solved
-        rng_mech = np.random.default_rng(key + [2])
-        assign = partition(nn, rng_mech)
-        theta_opp = solve_factor(
-            triangular_factor(
-                design(reported.X, model, settings),
-                working_response(reported.y, bundle, settings),
-                np.flatnonzero(assign != assign[0]),
-            ),
-            settings.cond_cap,
-        )
-        noise = release_noise(spec_n.d, resolved, rng_mech)[opposite_release(assign[0])]
-        theta_bar_opp = project_ball(theta_opp + noise.v, settings.tau_theta)
-        pay, _, _ = payments(x_pay, theta_bar_opp, means, bundle, params)
-        gains[t] = pay[1:] - pay[0]
+        return bundle.A_prime(rows_inner(x_pay, means))
 
-    mean_gains = gains.mean(axis=0)
+    # q[0] predicts from the truthful report, q[1 + j] from reports[j]
+    q = predict([y0, *reports])
+
+    d = spec_n.d
+    strategy = Threshold(tau, config.fallback_rule)
+    per_block = max(1, _BLOCK_ELEMENTS // ((nn - nn // 2) * (d + 1)))
+    p = np.empty(trials)
+    for block, lo in enumerate(range(0, trials, per_block)):
+        b = min(per_block, trials - lo)
+        rng = np.random.default_rng([ms, nn, seed_tag, ARM_DEVIATION, block])
+        sizes = np.where(rng.random(b) < (nn // 2) / nn, nn - nn // 2, nn // 2)
+        if spec_n.theta_star is None:
+            theta_star = np.stack([draw_theta_star(d, spec_n.tau_theta, rng) for _ in range(b)])
+        else:
+            theta_star = np.broadcast_to(spec_n.theta_star, (b, d))
+        theta_opp = np.empty((b, d))
+        for m in np.unique(sizes):
+            trial = np.flatnonzero(sizes == m)
+            theta_opp[trial] = _solve_opposite_groups(
+                spec_n, theta_star[trial], int(m), strategy, bundle, settings, rng
+            )
+        noise = sample_norm_exponential_batch(d, resolved.delta_half, resolved.epsilon, rng, b)
+        theta_bar = project_ball(theta_opp + noise, settings.tau_theta)
+        p[lo : lo + b] = bundle.A_prime(rows_inner(x_pay, theta_bar))
+
+    mean_gains, std_errors = _gain_moments(p, q, params.a2)
     best = int(np.argmax(mean_gains))
     saving = 0.0 if deviant_rule is None else cost0 * params.cost_fn(eps_tot, gamma_tot)
-    totals = gains[:, best] + saving
-    eta = float(np.mean(totals))
-    se = float(np.std(totals, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return DeviationGainEstimate(eta, se, rule_name(deviant_rule), trials)
+    eta_sup = 0.0
+    if deviant_rule is not None:
+        eta_sup = saving + _sup_gain(model, predict, x_pay, type_pop.X[0], settings.tau_theta,
+                                     float(np.mean(p)), q, params.a2)
+    return DeviationGainEstimate(
+        float(mean_gains[best] + saving), float(std_errors[best]), rule_name(deviant_rule),
+        trials, eta_sup,
+    )
+
+
+def _solve_opposite_groups(spec, theta_star, m, strategy, bundle, settings, rng) -> np.ndarray:
+    """Unprojected estimators of len(theta_star) independent groups of m agents.
+
+    Group t draws m agents under theta_star[t] and reports under `strategy`;
+    its rows are mapped as the mechanism maps them and factored with the
+    other groups' in one stacked QR.
+    """
+    k, d = theta_star.shape
+    model = spec.model
+    X = _draw_covariates(spec, rng, k * m)
+    y = _draw_responses(model, np.matmul(X.reshape(k, m, d), theta_star[:, :, None]).ravel(), rng)
+    costs = _draw_costs(spec, y.reshape(k, m), rng).ravel()
+    reported = _threshold_reports(y, costs, strategy, model, rng)
+    stack = np.empty((k, m, d + 1))
+    stack[..., :d] = design(X, model, settings).reshape(k, m, d)
+    stack[..., d] = working_response(reported, bundle, settings).reshape(k, m)
+    return solve_factor(np.linalg.qr(stack, mode="r"), settings.cond_cap)
+
+
+def _gain_moments(p: np.ndarray, q: np.ndarray, a2: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error over the trials p of the paired gain of each q[1:] over q[0].
+
+    The gain a2 (q_r - q_0)(2 p - q_r - q_0) is linear in p, so its mean is
+    the same expression at mean(p) and its sd is a2 * 2 |q_r - q_0| sd(p).
+    """
+    dq = q[1:] - q[0]
+    mean = a2 * dq * (2.0 * np.mean(p) - q[1:] - q[0])
+    sd_p = float(np.std(p, ddof=1)) if p.shape[0] > 1 else 0.0
+    return mean, a2 * 2.0 * np.abs(dq) * sd_p / math.sqrt(p.shape[0])
+
+
+def _sup_gain(model, predict, x_pay, x0, tau_theta, p_bar, q, a2) -> float:
+    """Supremum over the model's report space of the mean paired gain a2 (q - q0)(2 p_bar - q - q0).
+
+    The gain is concave in q with its peak a2 (p_bar - q0)^2 at q = p_bar,
+    and q(r) is nondecreasing in r, so the supremum is at the prediction
+    nearest p_bar. Linear: q = x_pay . mean is continuous, and the mean, a
+    multiple of x0, reaches the ball's edge, so q spans +-tau_theta x_pay . x0 / ||x0||;
+    that edge is computed, not attained, so the studied predictions q[1:]
+    join the candidates and a report at the edge cannot round above it.
+    Poisson: the two integers whose q(r) bracket p_bar, found by doubling
+    and bisection. Logistic: the report space is {-1, +1}.
+    """
+    q0 = q[0]
+    if model.family == LINEAR:
+        norm = float(np.linalg.norm(x0))
+        reach = tau_theta * float(rows_inner(x_pay, x0)[0]) / norm if norm > 0 else 0.0
+        candidates = np.append(q[1:], min(max(p_bar, -reach), reach))
+    elif model.family == LOGISTIC:
+        candidates = predict([-1.0, 1.0])
+    else:
+        candidates = predict(_poisson_bracket(predict, p_bar))
+    return float(np.max(a2 * (candidates - q0) * (2.0 * p_bar - candidates - q0)))
+
+
+_POISSON_SEARCH_LIMIT = 2 ** 52  # the largest count the doubling search tries
+
+
+def _poisson_bracket(predict, p_bar: float) -> list:
+    """Integers lo < hi with q(lo) < p_bar <= q(hi), or the end of the search."""
+    if predict(0)[0] >= p_bar:
+        return [0]
+    lo, hi = 0, 1
+    while predict(hi)[0] < p_bar:
+        if hi >= _POISSON_SEARCH_LIMIT:
+            return [hi]
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if predict(mid)[0] < p_bar:
+            lo = mid
+        else:
+            hi = mid
+    return [lo, hi]
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,9 @@ Each step has one implementation in this module: `partition`,
 `resolve_privacy`, `release_noise` (the three noises, drawn in the order
 full, half 0, half 1), `project_ball`, `posterior_mean` and `payments`.
 `run_mechanism` composes all of them. The harness composes the same pieces
-twice more: the deviation study releases only the half that pays its tagged
-agent, and the privacy check releases one estimator many times.
+twice more: the deviation study releases, per trial, only the half that pays
+its tagged agent (one noise vector at the half sensitivity), and the privacy
+check releases one estimator many times.
 """
 
 from __future__ import annotations

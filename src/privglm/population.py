@@ -76,12 +76,31 @@ class PopulationSpec:
             raise ConfigError("cost_lambda must be positive")
         if isinstance(self.covariates, StudentTCovariates) and not self.covariates.dof > 4:
             raise ConfigError("Student-t covariates need dof > 4 for finite fourth moments")
+        if isinstance(self.covariates, SubGaussianCov):
+            _check_spd("subgaussian_cov.cov", self.covariates.cov, self.d)
+        if isinstance(self.covariates, StudentTCovariates) and self.covariates.scale is not None:
+            _check_spd("student_t.scale", self.covariates.scale, self.d)
         if self.theta_star is not None:
             self.theta_star = np.asarray(self.theta_star, dtype=float).ravel()
             if self.theta_star.shape[0] != self.d:
                 raise ConfigError("theta_star dimension mismatch")
             if np.linalg.norm(self.theta_star) > self.tau_theta + 1e-12:
                 raise ConfigError("theta_star must lie in the tau_theta ball")
+
+
+def _check_spd(name: str, matrix, d: int) -> None:
+    """A covariance or scale matrix must be d x d, symmetric and positive definite."""
+    M = np.asarray(matrix, dtype=float)
+    if M.shape != (d, d):
+        raise ConfigError(f"{name} must be a {d}x{d} matrix, got shape {M.shape}")
+    if not np.all(np.isfinite(M)):
+        raise ConfigError(f"{name} has non-finite entries")
+    if np.any(np.abs(M - M.T) > 1e-12 * np.max(np.abs(M))):
+        raise ConfigError(f"{name} is not symmetric")
+    try:
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        raise ConfigError(f"{name} is not positive definite") from None
 
 
 @dataclass
@@ -161,14 +180,19 @@ def generate_population(spec: PopulationSpec, rng: np.random.Generator) -> Popul
     X = _draw_covariates(spec, rng, spec.n)
     eta = X @ theta
     y = _draw_responses(spec.model, eta, rng)
-    costs = rng.exponential(1.0, size=spec.n)
+    return Population(X, y, _draw_costs(spec, y, rng), theta, spec)
+
+
+def _draw_costs(spec: PopulationSpec, y: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Cost coefficients of the agents with responses y; each row of y is one population."""
+    costs = rng.exponential(1.0, size=y.shape)
     if spec.cost_correlated:
         # agents whose response exceeds the median are twice as privacy-averse
-        scale = np.where(y > np.median(y), 2.0 / spec.cost_lambda, 1.0 / spec.cost_lambda)
+        median = np.median(y, axis=-1, keepdims=True)
+        scale = np.where(y > median, 2.0 / spec.cost_lambda, 1.0 / spec.cost_lambda)
     else:
         scale = 1.0 / spec.cost_lambda
-    costs = costs * scale
-    return Population(X, y, costs, theta, spec)
+    return costs * scale
 
 
 def replacement_sampler(spec: PopulationSpec, theta_star: np.ndarray):
@@ -329,6 +353,15 @@ def _rule_values(
     raise ConfigError(f"unknown misreport rule {rule!r}")
 
 
+def _threshold_reports(
+    y_true: np.ndarray, costs: np.ndarray, strategy: Threshold, model: ModelKind,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Reports under the threshold strategy: the truth iff cost <= tau, else the fallback."""
+    fallback = coerce_response(_rule_values(strategy.fallback, y_true, rng), model)
+    return np.where(costs <= strategy.tau, y_true, fallback)
+
+
 def apply_strategy(
     pop: Population, profile: StrategyProfile, rng: np.random.Generator
 ) -> Dataset:
@@ -339,8 +372,7 @@ def apply_strategy(
     elif isinstance(profile, Misreport):
         reported = coerce_response(_rule_values(profile.rule, pop.y_true, rng), model)
     elif isinstance(profile, Threshold):
-        fallback = coerce_response(_rule_values(profile.fallback, pop.y_true, rng), model)
-        reported = np.where(pop.costs <= profile.tau, pop.y_true, fallback)
+        reported = _threshold_reports(pop.y_true, pop.costs, profile, model, rng)
     else:
         raise ConfigError(f"unknown strategy profile {profile!r}")
     return Dataset(pop.X.copy(), reported)

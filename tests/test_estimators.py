@@ -148,6 +148,33 @@ def test_factor_keeps_singular_values(m):
     assert np.allclose(s, oracle, rtol=1e-12, atol=0)
 
 
+def test_stacked_solve_factor_matches_per_trial():
+    k, m, d = 7, 30, 3
+    rng = np.random.default_rng(61)
+    stack = rng.standard_normal((k, m, d + 1)) * [1e2, 1.0, 1e-2, 1.0]
+    R = np.linalg.qr(stack, mode="r")
+    stacked = solve_factor(R, 1e12)
+    assert stacked.shape == (k, d)
+    for t in range(k):
+        single = solve_factor(R[t], 1e12)
+        assert np.allclose(stacked[t], single, rtol=1e-13, atol=0)
+        lstsq = np.linalg.lstsq(stack[t, :, :d], stack[t, :, d], rcond=None)[0]
+        assert np.allclose(stacked[t], lstsq, rtol=1e-10, atol=0)
+
+    # one trial with a zero column or an all-zero design, or with two
+    # near-collinear columns, fails the stack
+    for zero in (1, slice(None, d)):
+        rank_deficient = stack.copy()
+        rank_deficient[3, :, zero] = 0.0
+        with pytest.raises(SingularGramError):
+            solve_factor(np.linalg.qr(rank_deficient, mode="r"), 1e12)
+    over_cap = stack.copy()
+    over_cap[5, :, 2] = over_cap[5, :, 1] + 1e-9 * rng.standard_normal(m)
+    solve_factor(np.linalg.qr(np.delete(over_cap, 5, axis=0), mode="r"), 1e6)
+    with pytest.raises(SingularGramError, match="exceeds cap"):
+        solve_factor(np.linalg.qr(over_cap, mode="r"), 1e6)
+
+
 def test_rows_inner_bit_equal_to_sequential_loop():
     d = 3
     n = 2 * (_BLOCK_ELEMENTS // d) + 5  # three row blocks, the last one short

@@ -5,8 +5,9 @@ import sys
 import numpy as np
 import pytest
 
+from privglm import estimators, harness
 from privglm.cli import main as cli_main
-from privglm.errors import ConfigError
+from privglm.errors import ConfigError, SingularGramError
 from privglm.estimators import Dataset, EstimatorSettings, estimate
 from privglm.harness import (
     CSV_COLUMNS,
@@ -23,8 +24,22 @@ from privglm.harness import (
     run_experiment,
 )
 from privglm.links import ModelKind, make_link_bundle
-from privglm.mechanism import CostFunction, MechanismParams, preset_schedule, rationality_floor
-from privglm.population import AdditiveNoise, Constant, PopulationSpec, SignFlip, WorstOfGrid
+from privglm.mechanism import (
+    CostFunction,
+    MechanismParams,
+    brier_payment,
+    preset_schedule,
+    rationality_floor,
+)
+from privglm.population import (
+    AdditiveNoise,
+    Constant,
+    PopulationSpec,
+    SignFlip,
+    StudentTCovariates,
+    SubGaussianCov,
+    WorstOfGrid,
+)
 from privglm.privacy import PrivacyParams, empirical_privacy_ratio
 
 
@@ -193,6 +208,7 @@ def test_truthful_deviation_gain_is_zero():
     est = estimate_deviation_gain(config, None, 12, n=200)
     assert est.eta_hat == 0.0
     assert est.std_error == 0.0
+    assert est.eta_sup == 0.0
     assert est.deviant_rule == "truthful"
 
 
@@ -236,6 +252,122 @@ def test_deviation_metric_in_rows():
     )
     report = run_experiment(config)
     assert report.rows[0].eta_hat is not None
+
+
+_STUDIES = {
+    "linear": (ModelKind.linear(1.0), 0.3, WorstOfGrid((-2.0, -1.0, 0.0, 1.0, 2.0))),
+    "logistic": (ModelKind.logistic(), 0.3, WorstOfGrid((-1.0, 1.0))),
+    "poisson": (ModelKind.poisson(), 0.26, WorstOfGrid((0.0, 1.0, 2.0, 3.0))),
+}
+
+
+def _study_config(family, **kw):
+    model, delta, _ = _STUDIES[family]
+    return linear_config(
+        population=PopulationSpec(n=2, d=2, model=model), schedule=ScheduleSpec(delta=delta),
+        posterior_samples=2000, **kw,
+    )
+
+
+@pytest.mark.parametrize("family", sorted(_STUDIES))
+def test_deviation_closed_form_matches_paired_gains(monkeypatch, family):
+    # the study's p_t, paid explicitly per trial and report by the Brier rule
+    seen = {}
+    closed_form = harness._gain_moments
+
+    def spy(p, q, a2):
+        seen.update(p=p.copy(), q=q.copy(), out=closed_form(p, q, a2))
+        return seen["out"]
+
+    monkeypatch.setattr(harness, "_gain_moments", spy)
+    config = _study_config(family)
+    params = harness.params_for(config, 300)
+    trials = 25
+    est = estimate_deviation_gain(config, _STUDIES[family][2], trials, n=300, seed_tag=4)
+    p, q = seen["p"], seen["q"]
+    assert p.shape == (trials,) and np.all(np.isfinite(p))
+    pay = brier_payment(params.a1, params.a2, p[:, None], q[None, :])
+    gains = pay[:, 1:] - pay[:, :1]
+    mean, se = seen["out"]
+    assert np.allclose(mean, gains.mean(axis=0), rtol=0, atol=1e-12)
+    assert np.allclose(se, gains.std(axis=0, ddof=1) / np.sqrt(trials), rtol=0, atol=1e-12)
+    best = int(np.argmax(mean))
+    assert est.std_error == se[best]
+    assert est.eta_hat - mean[best] >= 0.0  # the privacy-cost saving
+
+
+def test_deviation_study_factors_only_the_opposite_groups(monkeypatch):
+    # one stacked QR per block over m = n / 2 rows per trial, and no population redraw
+    factored = []
+    qr = np.linalg.qr
+
+    def counting_qr(a, *args, **kw):
+        factored.append(np.shape(a))
+        return qr(a, *args, **kw)
+
+    draws = []
+    generate = harness.generate_population
+
+    def counting_generate(spec, rng):
+        draws.append(spec.n)
+        return generate(spec, rng)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    monkeypatch.setattr(harness, "generate_population", counting_generate)
+    trials, n = 60, 2000  # 21 trials to a block of at most 2^16 terms
+    estimate_deviation_gain(linear_config(), Constant(0.0), trials, n=n)
+    assert all(len(shape) == 3 and shape[1:] == (n // 2, 3) for shape in factored)
+    assert sum(shape[0] * shape[1] for shape in factored) == trials * (n // 2)
+    assert 1 < len(factored) < trials
+    assert draws == [1]  # the tagged agent's type only
+
+    # odd n: each trial factors the group of n // 2 or n - n // 2 agents opposite agent 0
+    factored.clear()
+    estimate_deviation_gain(linear_config(), Constant(0.0), trials, n=n + 1)
+    sizes = {shape[1] for shape in factored}
+    assert sizes == {n // 2, n // 2 + 1}
+    rows = sum(shape[0] * shape[1] for shape in factored)
+    assert trials * (n // 2) < rows < trials * (n // 2 + 1)
+
+
+@pytest.mark.parametrize("family", sorted(_STUDIES))
+def test_eta_sup_bounds_eta_hat_and_matches_dense_grid(family):
+    config = _study_config(family)
+    rule = _STUDIES[family][2]
+    a2 = harness.params_for(config, 300).a2
+    # linear: reports 0.01 apart, and dq/dr < 1, so the grid misses the peak
+    # a2 (p - q)^2 by at most a2 0.005^2; the other report spaces are exhausted
+    dense, slack = {
+        "linear": (WorstOfGrid(tuple(np.linspace(-60.0, 60.0, 12_001))), a2 * 0.005 ** 2),
+        "logistic": (WorstOfGrid((-1.0, 1.0)), 0.0),
+        "poisson": (WorstOfGrid(tuple(float(r) for r in range(400))), 0.0),
+    }[family]
+    for seed_tag in range(3):
+        est = estimate_deviation_gain(config, rule, 20, n=300, seed_tag=seed_tag)
+        assert est.eta_sup >= est.eta_hat
+        # the same trials (the draws do not depend on the rule), maximised by brute force
+        brute = estimate_deviation_gain(config, dense, 20, n=300, seed_tag=seed_tag)
+        assert est.eta_sup - slack - 1e-15 <= brute.eta_hat <= est.eta_sup
+        truthful = estimate_deviation_gain(config, None, 20, n=300, seed_tag=seed_tag)
+        assert truthful.eta_sup == 0.0 and truthful.eta_hat == 0.0
+
+
+@pytest.mark.parametrize("regime, covariates, extra", [
+    ("subgaussian", SubGaussianCov(np.array([[0.6, 0.2], [0.2, 0.4]])), {"cost_correlated": True}),
+    ("heavy", StudentTCovariates(5.0), {"theta_star": np.array([0.3, -0.4])}),
+], ids=["subgaussian-cov-correlated-costs", "heavy-fixed-theta"])
+def test_deviation_study_on_every_population_kind(regime, covariates, extra):
+    config = linear_config(
+        population=PopulationSpec(n=2, d=2, model=ModelKind.linear(1.0), covariates=covariates,
+                                  **extra),
+        regime=regime,
+        schedule=ScheduleSpec(delta=0.12 if regime == "heavy" else 0.3),
+    )
+    rule = WorstOfGrid((-2.0, 0.0, 2.0))
+    for n in (301, 2000):  # one block and several; odd n mixes both group sizes
+        est = estimate_deviation_gain(config, rule, 30, n=n, seed_tag=2)
+        assert np.isfinite([est.eta_hat, est.std_error, est.eta_sup]).all()
+        assert est.eta_sup >= max(est.eta_hat, 0.0) and est.std_error > 0.0
 
 
 def test_sensitivity_metric_in_rows():
@@ -462,6 +594,52 @@ def test_cli_rejects_posterior_samples_below_floor(tmp_path, capsys):
     assert cli_main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert cli_main(["deviate", "--config", cfg, "--trials", "3"]) == 2
     assert "posterior_samples must be >= 1000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("covariates, message", [
+    ({"kind": "subgaussian_cov", "cov": [[1.0, 1.0], [1.0, 1.0]]}, "not positive definite"),
+    ({"kind": "subgaussian_cov", "cov": [[1.0, 0.5], [0.0, 1.0]]}, "not symmetric"),
+    ({"kind": "subgaussian_cov", "cov": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]},
+     "must be a 2x2 matrix"),
+    ({"kind": "student_t", "dof": 5.0, "scale": [[1.0, 2.0], [2.0, 1.0]]}, "not positive definite"),
+], ids=["singular", "non-symmetric", "wrong-shape", "student-t-indefinite"])
+def test_cli_rejects_invalid_covariance(tmp_path, capsys, covariates, message):
+    payload = {
+        "population": {"d": 2, "model": "linear", "covariates": covariates},
+        "schedule": {"delta": 0.3},
+        "sweep": [120],
+        "repeats": 1,
+        "master_seed": 3,
+    }
+    cfg = _write_config(tmp_path, payload)
+    out = str(tmp_path / "out")
+    for argv in (["simulate", "--config", cfg, "--out", out],
+                 ["deviate", "--config", cfg, "--trials", "3"],
+                 ["sensitivity", "--config", cfg, "--trials", "3"]):
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("verb, where", [
+    ("deviate", harness), ("sensitivity", estimators),
+])
+def test_cli_numerical_failure_exits_3(tmp_path, capsys, monkeypatch, verb, where):
+    def singular(R, cond_cap):
+        raise SingularGramError("design matrix is rank deficient")
+
+    monkeypatch.setattr(where, "solve_factor", singular)
+    payload = {
+        "population": {"d": 2, "model": "linear"},
+        "schedule": {"delta": 0.3},
+        "sweep": [120],
+        "repeats": 1,
+        "master_seed": 3,
+    }
+    assert cli_main([verb, "--config", _write_config(tmp_path, payload), "--trials", "3"]) == 3
+    err = capsys.readouterr().err
+    assert err == "numerical failure: design matrix is rank deficient\n"
 
 
 def test_cli_deviate_and_privacy_check(tmp_path):
