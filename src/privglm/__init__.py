@@ -2,7 +2,7 @@
 
 The package splits into link algebra (`links`), closed-form estimators and
 sensitivity bounds (`estimators`), noise and the privacy account (`privacy`),
-synthetic agent populations and reporting strategies (`population`), the
+synthetic agent populations and the threshold strategy (`population`), the
 end-to-end mechanisms (`mechanism`), and the experiment harness plus CLI
 (`harness`, `cli`).
 """
@@ -66,9 +66,7 @@ from .mechanism import (
 )
 from .population import (
     AdditiveNoise,
-    AgentRecord,
     Constant,
-    Misreport,
     Population,
     PopulationSpec,
     SignFlip,
@@ -76,11 +74,9 @@ from .population import (
     SubGaussianCov,
     SubGaussianIsotropic,
     Threshold,
-    Truthful,
     WorstOfGrid,
     apply_strategy,
     generate_population,
-    sample_costs,
     tau_alpha_beta_bound,
     tau_alpha_beta_monte_carlo,
 )

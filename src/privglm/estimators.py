@@ -19,10 +19,8 @@ degenerate design raises instead of silently amplifying noise.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -72,30 +70,6 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.X.shape[1]
-
-    def save_csv(self, path) -> None:
-        path = Path(path)
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"x{j + 1}" for j in range(self.d)] + ["y"])
-            for i in range(self.n):
-                writer.writerow([repr(float(v)) for v in self.X[i]] + [repr(float(self.y[i]))])
-
-    @classmethod
-    def load_csv(cls, path) -> "Dataset":
-        path = Path(path)
-        with path.open(newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if not header or header[-1] != "y" or any(
-                h != f"x{j + 1}" for j, h in enumerate(header[:-1])
-            ):
-                raise ConfigError(f"{path}: expected header x1..xd,y, got {header}")
-            rows = [[float(v) for v in row] for row in reader if row]
-        arr = np.asarray(rows, dtype=float)
-        if arr.size == 0:
-            raise ConfigError(f"{path}: no data rows")
-        return cls(arr[:, :-1], arr[:, -1])
 
 
 def check_responses(data: Dataset, model: ModelKind) -> None:
@@ -276,19 +250,9 @@ def l4_shrink_rows(X: np.ndarray, tau1: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SensitivityBound:
-    """One-replacement l2 sensitivity bound plus the constants that produced it."""
+    """One-replacement l2 sensitivity bound at one sample size."""
 
     delta_n: float
-    regime: str
-    c0: float
-    n: int
-    d: int
-    kappa1: Optional[float] = None
-
-    def recompute(self) -> float:
-        if self.regime == SUBGAUSSIAN:
-            return self.c0 * self.kappa1 * math.sqrt(self.d * math.log(self.n) / self.n)
-        return self.c0 * self.d ** 0.75 * (math.log(self.n) / self.n) ** 0.125
 
 
 def sensitivity_bound_subgaussian(
@@ -298,7 +262,7 @@ def sensitivity_bound_subgaussian(
     if n < 2:
         raise ConfigError("sensitivity bound requires n >= 2")
     delta = c0 * kappa1 * math.sqrt(d * math.log(n) / n)
-    return SensitivityBound(delta, SUBGAUSSIAN, c0, n, d, kappa1)
+    return SensitivityBound(delta)
 
 
 def sensitivity_bound_heavy(n: int, d: int, c0: float = 1.0) -> SensitivityBound:
@@ -306,7 +270,7 @@ def sensitivity_bound_heavy(n: int, d: int, c0: float = 1.0) -> SensitivityBound
     if n < 2:
         raise ConfigError("sensitivity bound requires n >= 2")
     delta = c0 * d ** 0.75 * (math.log(n) / n) ** 0.125
-    return SensitivityBound(delta, HEAVY, c0, n, d)
+    return SensitivityBound(delta)
 
 
 def sensitivity_bound(
@@ -321,15 +285,19 @@ def sensitivity_bound(
     return sensitivity_bound_subgaussian(n, d, kappa1, c0)
 
 
-def calibrate_c0(empirical_max: float, shape_delta: float, margin: float = 1.5) -> float:
-    """C0 that places the bound `margin` above an observed worst case.
+# factor by which a calibrated bound exceeds the observed worst case
+_C0_MARGIN = 1.5
+
+
+def calibrate_c0(empirical_max: float, shape_delta: float) -> float:
+    """C0 that places the bound _C0_MARGIN times above an observed worst case.
 
     Data-dependent scaling breaks the privacy accounting, so anything run
     with a calibrated C0 must be flagged non-private in reports.
     """
     if not shape_delta > 0:
         raise ConfigError("shape_delta must be positive")
-    return margin * empirical_max / shape_delta
+    return _C0_MARGIN * empirical_max / shape_delta
 
 
 ReplacementSampler = Callable[[np.random.Generator], Tuple[np.ndarray, float]]

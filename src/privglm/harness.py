@@ -98,7 +98,7 @@ _CONFIG_KEYS = (
     "report_mode",
 )
 _POPULATION_KEYS = (
-    "d", "n", "model", "noise_std", "covariates", "tau_theta", "theta_star", "cost_lambda",
+    "d", "model", "noise_std", "covariates", "tau_theta", "theta_star", "cost_lambda",
     "cost_correlated",
 )
 _COVARIATE_KEYS = {
@@ -236,7 +236,7 @@ def _population_from_json(obj: dict) -> PopulationSpec:
         raise ConfigError(f"unknown covariate kind {kind!r}")
     theta = obj.get("theta_star")
     return PopulationSpec(
-        n=max(2, int(obj.get("n", 2))),
+        n=2,  # a placeholder: every run replaces it with its sweep point
         d=int(obj["d"]),
         model=model,
         covariates=covariates,
@@ -283,9 +283,16 @@ def _rule_from_dict(obj: dict) -> MisreportRule:
 
 
 def rule_name(rule: Optional[MisreportRule]) -> str:
+    """The CLI text form of a rule, which `parse_rule` reads back."""
     if rule is None:
         return "truthful"
-    return repr(rule)
+    if isinstance(rule, Constant):
+        return f"constant:{float(rule.value)!r}"
+    if isinstance(rule, SignFlip):
+        return "signflip"
+    if isinstance(rule, AdditiveNoise):
+        return f"noise:{float(rule.scale)!r}"
+    return "grid:" + ",".join(repr(float(v)) for v in rule.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -839,19 +846,6 @@ def report_to_dict(report: ExperimentReport) -> dict:
         "fits": {k: asdict(v) for k, v in report.fits.items()},
         "rows": [asdict(r) for r in report.rows],
     }
-
-
-def report_from_dict(obj: dict) -> ExperimentReport:
-    rows = [CellResult(**r) for r in obj["rows"]]
-    fits = {k: RateFit(**v) for k, v in obj["fits"].items()}
-    return ExperimentReport(
-        rows=rows,
-        fits=fits,
-        master_seed=obj["master_seed"],
-        footer=obj["footer"],
-        config=obj.get("config"),
-        privacy_check=obj.get("privacy_check"),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,7 @@
 """Link-function algebra for the three supported exponential-family models.
 
-Each model is summarized by the quintuple (A, A', A'', (A')^-1, [(A')^-1]')
-where A is the convex log-partition function and A' maps linear predictors to
-response means:
+Each model is defined by its convex log-partition function A; A' maps
+linear predictors to response means:
 
     linear    A(a) = a^2 / 2           A'(a) = a        mean set (-inf, inf)
     logistic  A(a) = log(e^-a + e^a)   A'(a) = tanh(a)  mean set (-1, 1)
@@ -12,12 +11,14 @@ Because A' is only onto the interior of the response-mean set, the estimator
 first clips responses to [-tau2, tau2] and then projects them onto a closed
 subset of that interior (an interval here), so that (A')^-1 stays defined.
 
-The constants (kappa0, kappa1, kappa2, m_a, eps_mbar) are worst-case
-magnitudes of the five functions over the intervals the estimator actually
-touches. All five functions are monotone (or unimodal with a known peak) on
-those intervals for the three models, so every maximum is attained at an
-interval endpoint and is computed in closed form ("endpoint analysis") rather
-than by grid search.
+A `LinkBundle` holds three functions of a model: A' (the payment rule's
+predictions), (A')^-1 (the estimator's working response) and A'' (the
+curvature kappa2 bounds). The constants (kappa0, kappa1, kappa2, m_a,
+eps_mbar) are worst-case magnitudes over the intervals the estimator actually
+touches of [(A')^-1]', (A')^-1, A'', A' and the distance to the subset. Each
+of these is monotone (or unimodal with a known peak) on those intervals for
+the three models, so every maximum is attained at an interval endpoint and is
+computed in closed form ("endpoint analysis") rather than by grid search.
 """
 
 from __future__ import annotations
@@ -50,8 +51,7 @@ class ModelKind:
     """One of the three supported response models.
 
     ``noise_std`` is the Gaussian noise level and only meaningful for the
-    linear model; the scale parameter is noise_std**2 for linear and 1 for
-    the two discrete models. Zero noise is admitted as the degenerate
+    linear model. Zero noise is admitted as the degenerate
     deterministic-response case used by simulations.
     """
 
@@ -63,10 +63,6 @@ class ModelKind:
             raise ConfigError(f"unknown model family {self.family!r}; expected one of {FAMILIES}")
         if self.family == LINEAR and not self.noise_std >= 0:
             raise ConfigError("linear model requires noise_std >= 0")
-
-    @property
-    def phi(self) -> float:
-        return self.noise_std ** 2 if self.family == LINEAR else 1.0
 
     @classmethod
     def linear(cls, noise_std: float = 1.0) -> "ModelKind":
@@ -128,27 +124,14 @@ class PolytopeSpec:
 
         return {"lower": enc(self.lower), "upper": enc(self.upper)}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "PolytopeSpec":
-        def dec(v) -> float:
-            if v == "inf":
-                return math.inf
-            if v == "-inf":
-                return -math.inf
-            return float(v)
-
-        return cls(dec(obj["lower"]), dec(obj["upper"]))
-
 
 @dataclass(frozen=True)
 class LinkBundle:
-    """Callable quintuple for one model; every callable accepts scalars or arrays."""
+    """A', A'' and (A')^-1 of one model; every callable accepts scalars or arrays."""
 
-    A: Callable[[ArrayLike], ArrayLike]
     A_prime: Callable[[ArrayLike], ArrayLike]
     A_second: Callable[[ArrayLike], ArrayLike]
     A_prime_inv: Callable[[ArrayLike], ArrayLike]
-    A_prime_inv_deriv: Callable[[ArrayLike], ArrayLike]
     model: ModelKind
 
 
@@ -182,11 +165,6 @@ class LinkConstants:
 # Per-model link functions
 # ---------------------------------------------------------------------------
 
-def _linear_A(a):
-    out = 0.5 * np.square(np.asarray(a, dtype=float))
-    return _match(out, a)
-
-
 def _identity(a):
     out = np.asarray(a, dtype=float).copy()
     return _match(out, a)
@@ -194,13 +172,6 @@ def _identity(a):
 
 def _ones_like(a):
     out = np.ones_like(np.asarray(a, dtype=float))
-    return _match(out, a)
-
-
-def _logistic_A(a):
-    # log(e^-a + e^a) = |a| + log1p(e^(-2|a|)), stable for large |a|
-    aa = np.abs(np.asarray(a, dtype=float))
-    out = aa + np.log1p(np.exp(-2.0 * aa))
     return _match(out, a)
 
 
@@ -224,14 +195,6 @@ def _logistic_A_prime_inv(y):
     return _match(out, y)
 
 
-def _logistic_A_prime_inv_deriv(y):
-    arr = np.asarray(y, dtype=float)
-    if np.any(np.abs(arr) >= 1.0):
-        raise LinkDomainError("logistic mean inverse derivative requires |y| < 1")
-    out = 1.0 / (1.0 - np.square(arr))
-    return _match(out, y)
-
-
 def _exp(a):
     out = np.exp(np.asarray(a, dtype=float))
     return _match(out, a)
@@ -245,28 +208,13 @@ def _poisson_A_prime_inv(y):
     return _match(out, y)
 
 
-def _poisson_A_prime_inv_deriv(y):
-    arr = np.asarray(y, dtype=float)
-    if np.any(arr <= 0.0):
-        raise LinkDomainError("poisson mean inverse derivative requires y > 0")
-    out = 1.0 / arr
-    return _match(out, y)
-
-
 def make_link_bundle(model: ModelKind) -> LinkBundle:
-    """Closed-form link quintuple for the given model."""
+    """Closed-form link functions of the given model."""
     if model.family == LINEAR:
-        return LinkBundle(_linear_A, _identity, _ones_like, _identity, _ones_like, model)
+        return LinkBundle(_identity, _ones_like, _identity, model)
     if model.family == LOGISTIC:
-        return LinkBundle(
-            _logistic_A,
-            _logistic_A_prime,
-            _logistic_A_second,
-            _logistic_A_prime_inv,
-            _logistic_A_prime_inv_deriv,
-            model,
-        )
-    return LinkBundle(_exp, _exp, _exp, _poisson_A_prime_inv, _poisson_A_prime_inv_deriv, model)
+        return LinkBundle(_logistic_A_prime, _logistic_A_second, _logistic_A_prime_inv, model)
+    return LinkBundle(_exp, _exp, _poisson_A_prime_inv, model)
 
 
 # ---------------------------------------------------------------------------

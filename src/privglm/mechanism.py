@@ -89,29 +89,20 @@ def brier_payment(a1: float, a2: float, p, q):
 class CostFunction:
     """Upper envelope F(eps, gamma) of the per-unit privacy cost.
 
-    quartic    (1 + gamma) eps^4
-    nonic      (1 + gamma) eps^9
-    quadratic  eps^2
-    power      (1 + gamma) eps^exponent
+    quartic    (1 + gamma) eps^4   (sub-Gaussian schedules)
+    nonic      (1 + gamma) eps^9   (heavy-tailed schedule)
     """
 
     kind: str = "quartic"
-    exponent: float = 4.0
 
     def __post_init__(self):
-        if self.kind not in ("quartic", "nonic", "quadratic", "power"):
+        if self.kind not in ("quartic", "nonic"):
             raise ConfigError(f"unknown cost function kind {self.kind!r}")
-        if self.kind == "power" and not self.exponent > 0:
-            raise ConfigError("power cost function needs a positive exponent")
 
     def __call__(self, epsilon: float, gamma: float) -> float:
         if self.kind == "quartic":
             return (1.0 + gamma) * epsilon ** 4
-        if self.kind == "nonic":
-            return (1.0 + gamma) * epsilon ** 9
-        if self.kind == "quadratic":
-            return epsilon ** 2
-        return (1.0 + gamma) * epsilon ** self.exponent
+        return (1.0 + gamma) * epsilon ** 9
 
 
 # ---------------------------------------------------------------------------
@@ -394,57 +385,6 @@ def run_mechanism(
 # ---------------------------------------------------------------------------
 # Diagnostics
 # ---------------------------------------------------------------------------
-
-def outcome_to_json(outcome: MechanismOutcome) -> dict:
-    """Plain-dict form of one run for report files."""
-    return {
-        "theta_bar_full": [float(v) for v in outcome.theta_bar_full],
-        "theta_bar_g0": [float(v) for v in outcome.theta_bar_g0],
-        "theta_bar_g1": [float(v) for v in outcome.theta_bar_g1],
-        "payments": [float(v) for v in outcome.payments],
-        "group_assignment": [int(v) for v in outcome.group_assignment],
-        "budget": outcome.budget,
-        "account": {"epsilon_total": outcome.account[0], "gamma_total": outcome.account[1]},
-        "privacy": {
-            "epsilon": outcome.privacy.epsilon,
-            "delta_n": outcome.privacy.delta_n,
-            "delta_half": outcome.privacy.delta_half,
-            "gamma_n": outcome.privacy.gamma_n,
-            "gamma_half": outcome.privacy.gamma_half,
-        },
-        "noise_audit": [
-            {"which": which, "magnitude": magnitude} for which, magnitude in outcome.noise_audit
-        ],
-    }
-
-
-def payments_to_csv(
-    outcome: MechanismOutcome, costs: np.ndarray, cost_fn: CostFunction, path
-) -> None:
-    """Per-agent payment table: agent_index, group, payment, cost, utility."""
-    import csv
-    from pathlib import Path
-
-    costs = np.asarray(costs, dtype=float)
-    if costs.shape[0] != outcome.payments.shape[0]:
-        raise ConfigError("costs and payments must align by agent index")
-    eps_tot, gamma_tot = outcome.account
-    unit_cost = cost_fn(eps_tot, gamma_tot)
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("agent_index", "group", "payment", "cost", "utility"))
-        for i in range(costs.shape[0]):
-            pay = float(outcome.payments[i])
-            writer.writerow(
-                (
-                    i,
-                    int(outcome.group_assignment[i]),
-                    repr(pay),
-                    repr(float(costs[i])),
-                    repr(pay - float(costs[i]) * unit_cost),
-                )
-            )
-
 
 def rationality_check(
     outcome: MechanismOutcome, costs: np.ndarray, cost_fn: CostFunction, tau: float

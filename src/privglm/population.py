@@ -1,18 +1,16 @@
-"""Synthetic agent populations, reporting strategies and the cost threshold.
+"""Synthetic agent populations, the threshold strategy and the cost threshold.
 
 An agent is a covariate vector, a true response drawn from the configured
 model, and a privacy-cost coefficient with an exponential tail. The threshold
 strategy reports the truth whenever the cost coefficient is at most tau and
-falls back to a configurable misreport rule otherwise; covariates are never
-altered by any strategy.
+falls back to a configurable misreport rule otherwise; it never alters the
+covariates.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -104,14 +102,6 @@ def _check_spd(name: str, matrix, d: int) -> None:
 
 
 @dataclass
-class AgentRecord:
-    x: np.ndarray
-    y_true: float
-    cost: float
-    reported: Optional[float] = None
-
-
-@dataclass
 class Population:
     """Struct-of-arrays view of the generated agents."""
 
@@ -121,12 +111,6 @@ class Population:
     theta_star: np.ndarray
     spec: PopulationSpec
 
-    def __len__(self) -> int:
-        return self.X.shape[0]
-
-    def record(self, i: int) -> AgentRecord:
-        return AgentRecord(self.X[i].copy(), float(self.y_true[i]), float(self.costs[i]))
-
 
 def draw_theta_star(d: int, tau_theta: float, rng: np.random.Generator) -> np.ndarray:
     """Rejection-sample N(0, (tau_theta^2/d) I) truncated to the tau_theta ball."""
@@ -135,13 +119,6 @@ def draw_theta_star(d: int, tau_theta: float, rng: np.random.Generator) -> np.nd
         theta = rng.standard_normal(d) * scale
         if np.linalg.norm(theta) <= tau_theta:
             return theta
-
-
-def sample_costs(lam: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """i.i.d. Exponential(lam) draws, so P(c <= t) = 1 - exp(-lam t)."""
-    if not lam > 0:
-        raise ConfigError("lambda must be positive")
-    return rng.exponential(1.0 / lam, size=n)
 
 
 def _draw_covariates(spec: PopulationSpec, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -184,7 +161,11 @@ def generate_population(spec: PopulationSpec, rng: np.random.Generator) -> Popul
 
 
 def _draw_costs(spec: PopulationSpec, y: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Cost coefficients of the agents with responses y; each row of y is one population."""
+    """Cost coefficients of the agents with responses y; each row of y is one population.
+
+    Without `cost_correlated` they are i.i.d. Exponential(cost_lambda), so
+    P(c <= t) = 1 - exp(-cost_lambda t).
+    """
     costs = rng.exponential(1.0, size=y.shape)
     if spec.cost_correlated:
         # agents whose response exceeds the median are twice as privacy-averse
@@ -220,6 +201,11 @@ def tau_alpha_beta_bound(alpha: float, beta: float, lam: float) -> float:
     return math.log(1.0 / (alpha * beta)) / lam
 
 
+# doublings allowed to bracket the population threshold, and bisection steps
+_BRACKET_ITERS = 60
+_BISECT_ITERS = 60
+
+
 def tau_alpha_beta_monte_carlo(
     alpha: float,
     beta: float,
@@ -227,8 +213,6 @@ def tau_alpha_beta_monte_carlo(
     n: int,
     trials: int,
     rng: np.random.Generator,
-    bracket_iters: int = 60,
-    bisect_iters: int = 60,
 ) -> float:
     """Monte-Carlo estimate of the two-part threshold.
 
@@ -254,10 +238,10 @@ def tau_alpha_beta_monte_carlo(
     while not satisfied(hi):
         hi *= 2.0
         it += 1
-        if it > bracket_iters:
+        if it > _BRACKET_ITERS:
             raise NonConvergenceError("failed to bracket the population threshold")
     lo = 0.0
-    for _ in range(bisect_iters):
+    for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
         if satisfied(mid):
             hi = mid
@@ -298,26 +282,11 @@ MisreportRule = Union[Constant, SignFlip, AdditiveNoise, WorstOfGrid]
 
 
 @dataclass(frozen=True)
-class Truthful:
-    pass
-
-
-@dataclass(frozen=True)
 class Threshold:
     """Report the truth iff cost <= tau, else fall back to the misreport rule."""
 
     tau: float
     fallback: MisreportRule = field(default_factory=Constant)
-
-
-@dataclass(frozen=True)
-class Misreport:
-    """Every agent reports per the rule (negative-control profile)."""
-
-    rule: MisreportRule
-
-
-StrategyProfile = Union[Truthful, Threshold, Misreport]
 
 
 def coerce_response(values: np.ndarray, model: ModelKind) -> np.ndarray:
@@ -363,52 +332,8 @@ def _threshold_reports(
 
 
 def apply_strategy(
-    pop: Population, profile: StrategyProfile, rng: np.random.Generator
+    pop: Population, strategy: Threshold, rng: np.random.Generator
 ) -> Dataset:
-    """Produce the reported dataset; covariates pass through untouched."""
-    model = pop.spec.model
-    if isinstance(profile, Truthful):
-        reported = pop.y_true.copy()
-    elif isinstance(profile, Misreport):
-        reported = coerce_response(_rule_values(profile.rule, pop.y_true, rng), model)
-    elif isinstance(profile, Threshold):
-        reported = _threshold_reports(pop.y_true, pop.costs, profile, model, rng)
-    else:
-        raise ConfigError(f"unknown strategy profile {profile!r}")
+    """Reports under the threshold strategy; covariates pass through untouched."""
+    reported = _threshold_reports(pop.y_true, pop.costs, strategy, pop.spec.model, rng)
     return Dataset(pop.X.copy(), reported)
-
-
-# ---------------------------------------------------------------------------
-# Import/export
-# ---------------------------------------------------------------------------
-
-def save_population(pop: Population, csv_path, sidecar_path, seed: Optional[int] = None) -> None:
-    """Dataset CSV (true responses) plus a JSON sidecar with the generation facts."""
-    Dataset(pop.X, pop.y_true).save_csv(csv_path)
-    sidecar = {
-        "theta_star": [float(v) for v in pop.theta_star],
-        "lambda": pop.spec.cost_lambda,
-        **pop.spec.model.to_json(),
-        "seed": seed,
-        "costs": [float(c) for c in pop.costs],
-    }
-    Path(sidecar_path).write_text(json.dumps(sidecar, indent=2))
-
-
-def load_population(csv_path, sidecar_path) -> Population:
-    data = Dataset.load_csv(csv_path)
-    sidecar = json.loads(Path(sidecar_path).read_text())
-    model = ModelKind.from_json(sidecar)
-    theta = np.asarray(sidecar["theta_star"], dtype=float)
-    costs = np.asarray(sidecar["costs"], dtype=float)
-    if costs.shape[0] != data.n:
-        raise ConfigError("sidecar cost vector does not match the CSV row count")
-    spec = PopulationSpec(
-        n=data.n,
-        d=data.d,
-        model=model,
-        tau_theta=max(1.0, float(np.linalg.norm(theta))),
-        theta_star=theta,
-        cost_lambda=float(sidecar["lambda"]),
-    )
-    return Population(data.X, data.y, costs, theta, spec)

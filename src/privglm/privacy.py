@@ -100,10 +100,17 @@ def sample_norm_exponential(
 # Empirical ratio check
 # ---------------------------------------------------------------------------
 
-def wilson_interval(k: int, n: int, z: float = 3.29) -> Tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+# a bin is estimable when both histograms put at least _MIN_COUNT samples in it
+_MIN_COUNT = 50
+# standard normal quantile of the Wilson intervals (two-sided 99.9 %)
+_Z = 3.29
+
+
+def wilson_interval(k: int, n: int) -> Tuple[float, float]:
+    """Wilson score interval, at _Z standard normal quantiles, for a binomial proportion."""
     if n <= 0:
         return 0.0, 1.0
+    z = _Z
     p = k / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
@@ -151,19 +158,17 @@ def empirical_privacy_ratio(
     bins: int,
     rng: np.random.Generator,
     epsilon_bound: float,
-    min_count: int = 50,
-    z: float = 3.29,
 ) -> RatioReport:
     """Histogram two output distributions and compare per-bin ratios to e^bound.
 
     `build(dataset, rng, trials)` must return a (trials, d) array of public
     outputs, d <= 2. The two datasets may differ in at most one row. Binning
     is by pooled-sample quantiles so occupied bins carry comparable mass; a
-    bin is estimable when both histograms put at least `min_count` samples in
-    it, and a bin passes when its Wilson intervals (at `z` standard normal
-    quantiles) are consistent with the e^bound ratio in both directions.
+    bin is estimable when both histograms put at least _MIN_COUNT samples in
+    it, and a bin passes when its Wilson intervals are consistent with the
+    e^bound ratio in both directions.
     """
-    if trials < 2 * min_count:
+    if trials < 2 * _MIN_COUNT:
         raise ConfigError("trials too small for the estimability floor")
     n_diff = _rows_differing(data_a, data_b)
     if n_diff > 1:
@@ -191,22 +196,22 @@ def empirical_privacy_ratio(
     counts_b = np.bincount(_bin_ids(out_b, edges_per_dim), minlength=n_cells)
 
     occupied = (counts_a + counts_b) > 0
-    thin = occupied & ((counts_a < min_count) | (counts_b < min_count))
+    thin = occupied & ((counts_a < _MIN_COUNT) | (counts_b < _MIN_COUNT))
     n_occ = int(occupied.sum())
     if n_occ == 0:
         raise InsufficientMassError("no occupied bins")
     if thin.sum() > 0.20 * n_occ:
         raise InsufficientMassError(
-            f"{int(thin.sum())} of {n_occ} occupied bins fall below {min_count} samples"
+            f"{int(thin.sum())} of {n_occ} occupied bins fall below {_MIN_COUNT} samples"
         )
     estimable = occupied & ~thin
 
     ka = counts_a[estimable].astype(float)
     kb = counts_b[estimable].astype(float)
-    log_ratio = np.log(ka / kb)  # both >= min_count > 0 here
-    bounds = np.array([wilson_interval(int(k), trials, z) for k in counts_a[estimable]])
+    log_ratio = np.log(ka / kb)  # both >= _MIN_COUNT > 0 here
+    bounds = np.array([wilson_interval(int(k), trials) for k in counts_a[estimable]])
     lo_a, hi_a = bounds[:, 0], bounds[:, 1]
-    bounds = np.array([wilson_interval(int(k), trials, z) for k in counts_b[estimable]])
+    bounds = np.array([wilson_interval(int(k), trials) for k in counts_b[estimable]])
     lo_b, hi_b = bounds[:, 0], bounds[:, 1]
 
     ok = (np.log(np.maximum(lo_a, 1e-300)) - np.log(hi_b) <= epsilon_bound) & (

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import privglm
 from privglm import estimators, harness
 from privglm.cli import main as cli_main
 from privglm.errors import ConfigError, SingularGramError
@@ -14,12 +17,12 @@ from privglm.harness import (
     ExperimentConfig,
     ScheduleSpec,
     canonical_privacy_check,
+    config_to_json,
     emit_report,
     estimate_deviation_gain,
     fit_rate,
     parse_rule,
     private_release_closure,
-    report_from_dict,
     report_to_dict,
     run_experiment,
 )
@@ -132,10 +135,11 @@ def test_json_round_trip(tmp_path):
     config = linear_config(sweep=[150, 300], repeats=2, fmt="json")
     report = run_experiment(config)
     emit_report(report, tmp_path, "json")
-    loaded = report_from_dict(json.loads((tmp_path / "report.json").read_text()))
-    assert loaded == report
-    assert loaded.config["sweep"] == [150, 300]
-    assert loaded.config["schedule"]["delta"] == 0.3
+    loaded = json.loads((tmp_path / "report.json").read_text())
+    assert loaded == report_to_dict(report)
+    assert loaded["config"]["sweep"] == [150, 300]
+    assert loaded["config"]["schedule"]["delta"] == 0.3
+    assert config_to_json(ExperimentConfig.from_json(loaded["config"])) == loaded["config"]
 
 
 def test_failed_cells_are_recorded():
@@ -201,6 +205,25 @@ def test_parse_rule_forms():
     assert parse_rule({"kind": "grid", "grid": [0, 1]}) == WorstOfGrid((0.0, 1.0))
     with pytest.raises(ConfigError):
         parse_rule("nonsense")
+
+
+@pytest.mark.parametrize("rule", [
+    None, Constant(0.0), Constant(-2.5), SignFlip(), AdditiveNoise(0.3),
+    WorstOfGrid((-1.0, 0.0, 1e-7, 2.5)),
+], ids=["truthful", "constant", "constant-negative", "signflip", "noise", "grid"])
+def test_config_echo_reads_back(rule):
+    # a report's config echo is a config: reading it back echoes it identically
+    config = linear_config(
+        population=PopulationSpec(
+            n=2, d=2, model=ModelKind.linear(0.5), covariates=StudentTCovariates(6.0),
+            theta_star=[0.1, -0.2], cost_correlated=True,
+        ),
+        deviation_rule=rule,
+    )
+    echoed = config_to_json(config)
+    back = ExperimentConfig.from_json(echoed)
+    assert back.deviation_rule == rule
+    assert config_to_json(back) == echoed
 
 
 def test_truthful_deviation_gain_is_zero():
@@ -440,8 +463,11 @@ def test_ratio_check_on_shared_release(family, d, bins):
 
 
 def run_cli(*args):
+    # the child imports privglm from where this process found it
+    path = [str(Path(privglm.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     return subprocess.run(
-        [sys.executable, "-m", "privglm.cli", *args], capture_output=True, text=True
+        [sys.executable, "-m", "privglm.cli", *args], capture_output=True, text=True, env=env
     )
 
 
@@ -566,6 +592,7 @@ def _write_config(tmp_path, payload):
     ({"population": {"d": 2, "model": "linear",
                      "covariates": {"kind": "subgaussian_isotropic", "sigm": 2.0}}}, "sigm"),
     ({"deviation": {"rule": "truthful", "trails": 5}}, "trails"),
+    ({"population": {"d": 2, "n": 500, "model": "linear"}}, "n"),
 ])
 def test_cli_rejects_unknown_config_keys(tmp_path, capsys, typo, key):
     payload = {

@@ -8,22 +8,17 @@ from privglm.links import ModelKind
 from privglm.population import (
     AdditiveNoise,
     Constant,
-    Misreport,
     PopulationSpec,
     SignFlip,
     StudentTCovariates,
     SubGaussianCov,
     SubGaussianIsotropic,
     Threshold,
-    Truthful,
     WorstOfGrid,
     apply_strategy,
     coerce_response,
     generate_population,
-    load_population,
     replacement_sampler,
-    sample_costs,
-    save_population,
     tau_alpha_beta_bound,
     tau_alpha_beta_monte_carlo,
 )
@@ -78,14 +73,13 @@ def test_conditional_mean_tracks_link(model):
 
 
 def test_sample_costs_matches_exponential_cdf():
-    rng = np.random.default_rng(5)
-    c = sample_costs(1.0, 10**6, rng)
+    c = make_pop(ModelKind.linear(1.0), n=10**6, d=1, seed=5)[0].costs
     assert np.mean(c <= 1.0) == pytest.approx(1 - math.exp(-1), abs=0.005)
     assert np.mean(c <= 0.0) == 0.0
-    c2 = sample_costs(2.0, 10**6, np.random.default_rng(6))
+    c2 = make_pop(ModelKind.linear(1.0), n=10**6, d=1, seed=6, cost_lambda=2.0)[0].costs
     assert c2.mean() / c.mean() == pytest.approx(0.5, rel=0.02)
     with pytest.raises(ConfigError):
-        sample_costs(0.0, 10, rng)
+        PopulationSpec(n=10, d=1, model=ModelKind.linear(1.0), cost_lambda=0.0)
 
 
 def test_correlated_costs_double_above_median():
@@ -220,14 +214,15 @@ def test_coercion_per_model():
 
 
 def test_misreport_rules():
+    # costs are nonnegative, so a threshold of -1 sends every agent to the rule
     pop, _ = make_pop(ModelKind.linear(1.0), n=50, d=2, seed=16)
-    flipped = apply_strategy(pop, Misreport(SignFlip()), np.random.default_rng(0))
+    flipped = apply_strategy(pop, Threshold(-1.0, SignFlip()), np.random.default_rng(0))
     assert np.array_equal(flipped.y, -pop.y_true)
-    grid = apply_strategy(pop, Misreport(WorstOfGrid((-5.0, 5.0))), np.random.default_rng(0))
+    grid = apply_strategy(
+        pop, Threshold(-1.0, WorstOfGrid((-5.0, 5.0))), np.random.default_rng(0)
+    )
     expected = np.where(np.abs(-5.0 - pop.y_true) >= np.abs(5.0 - pop.y_true), -5.0, 5.0)
     assert np.array_equal(grid.y, expected)
-    truthful = apply_strategy(pop, Truthful(), np.random.default_rng(0))
-    assert np.array_equal(truthful.y, pop.y_true)
 
 
 def test_logistic_fallback_sign_flip_stays_in_response_set():
@@ -238,17 +233,6 @@ def test_logistic_fallback_sign_flip_stays_in_response_set():
     assert np.array_equal(data.y[misreported], -pop.y_true[misreported])
 
 
-def test_population_round_trip(tmp_path):
-    pop, spec = make_pop(ModelKind.poisson(), n=40, d=3, seed=18)
-    save_population(pop, tmp_path / "pop.csv", tmp_path / "pop.json", seed=18)
-    back = load_population(tmp_path / "pop.csv", tmp_path / "pop.json")
-    assert np.array_equal(back.X, pop.X)
-    assert np.array_equal(back.y_true, pop.y_true)
-    assert np.array_equal(back.costs, pop.costs)
-    assert np.array_equal(back.theta_star, pop.theta_star)
-    assert back.spec.model == spec.model
-
-
 def test_replacement_sampler_determinism():
     spec = PopulationSpec(n=10, d=2, model=ModelKind.linear(1.0))
     draw = replacement_sampler(spec, np.array([0.3, -0.1]))
@@ -256,12 +240,3 @@ def test_replacement_sampler_determinism():
     x2, y2 = draw(np.random.default_rng(9))
     assert np.array_equal(x1, x2) and y1 == y2
 
-
-def test_agent_record_view():
-    pop, _ = make_pop(ModelKind.linear(1.0), n=5, d=2, seed=19)
-    rec = pop.record(3)
-    assert np.array_equal(rec.x, pop.X[3])
-    assert rec.y_true == pop.y_true[3]
-    assert rec.cost == pop.costs[3]
-    assert rec.reported is None
-    assert len(pop) == 5
