@@ -43,13 +43,15 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _load_config(args) -> ExperimentConfig:
     config = ExperimentConfig.from_json(args.config)
+    overrides = {}
     if args.seed is not None:
-        config.master_seed = args.seed
+        overrides["master_seed"] = args.seed
     if getattr(args, "out", None):
-        config.out_dir = args.out
+        overrides["out_dir"] = args.out
     if getattr(args, "format", None):
-        config.fmt = args.format
-    return config
+        overrides["fmt"] = args.format
+    # replace() validates the overridden config again
+    return replace(config, **overrides)
 
 
 def _cmd_simulate(args) -> int:
@@ -98,7 +100,6 @@ def _cmd_sensitivity(args) -> int:
         (config.master_seed, n),
         replacement_sampler(spec, pop.theta_star),
     )
-    formula = sensitivity_bound(n, spec.d, bundle, params.settings, params.c0).delta_n
     shape = sensitivity_bound(n, spec.d, bundle, params.settings).delta_n
     print(
         json.dumps(
@@ -106,8 +107,8 @@ def _cmd_sensitivity(args) -> int:
                 "n": n,
                 "trials": args.trials,
                 "empirical_max": emp,
-                "formula_delta": formula,
-                "c0": params.c0,
+                "formula_delta": params.privacy.delta_n,
+                "c0": config.schedule.c0,
                 "c0_calibrated_suggestion": calibrate_c0(emp, shape),
                 "note": "calibrated c0 is data-dependent and voids the privacy accounting",
             },

@@ -44,6 +44,9 @@ REGIMES = (SUBGAUSSIAN, HEAVY)
 # a block of an operand (512 KiB) stays in a core's L2 cache
 _BLOCK_ELEMENTS = 2 ** 16
 
+# largest design condition number the solver accepts
+COND_CAP = 1e12
+
 
 @dataclass
 class Dataset:
@@ -86,9 +89,8 @@ def check_responses(data: Dataset, model: ModelKind) -> None:
 class EstimatorSettings:
     """Preprocessing thresholds and regime selector.
 
-    tau1 caps the covariate l4 norm (heavy regime only), tau2 caps |y|,
-    tau_theta is the radius of the parameter ball, and cond_cap bounds the
-    design condition number accepted by the solver. The heavy regime takes
+    tau1 caps the covariate l4 norm (heavy regime only), tau2 caps |y| and
+    tau_theta is the radius of the parameter ball. The heavy regime takes
     the unbounded polytope: its responses are only clipped.
     """
 
@@ -97,7 +99,6 @@ class EstimatorSettings:
     tau_theta: float
     polytope: PolytopeSpec = field(default_factory=PolytopeSpec)
     regime: str = SUBGAUSSIAN
-    cond_cap: float = 1e12
 
     def __post_init__(self):
         if self.regime not in REGIMES:
@@ -162,8 +163,8 @@ def triangular_factor(
     return factors[0] if len(factors) == 1 else stack_factors(*factors)
 
 
-def solve_factor(R: np.ndarray, cond_cap: float) -> np.ndarray:
-    """Least-squares solution from the factor R of [X | z]; raise if X is ill-conditioned.
+def solve_factor(R: np.ndarray) -> np.ndarray:
+    """Least-squares solution from the factor R of [X | z]; raise if cond(X) > COND_CAP.
 
     X = Q R11 with R11 = R[:d, :d], so R11 has the singular values of X and
     the solution is R11^-1 R[:d, d], taken through the SVD of R11. R may
@@ -175,9 +176,9 @@ def solve_factor(R: np.ndarray, cond_cap: float) -> np.ndarray:
     if not (s[..., -1].min() > 0.0 and np.isfinite(s[..., 0]).all()):
         raise SingularGramError("design matrix is rank deficient")
     cond = (s[..., 0] / s[..., -1]).max()
-    if cond > cond_cap:
+    if cond > COND_CAP:
         raise SingularGramError(
-            f"design condition number {cond:.3e} exceeds cap {cond_cap:.3e}"
+            f"design condition number {cond:.3e} exceeds cap {COND_CAP:.3e}"
         )
     ut_z = (np.swapaxes(u, -1, -2) @ R[..., :d, d, None]) / s[..., None]
     return (np.swapaxes(vt, -1, -2) @ ut_z)[..., 0]
@@ -193,8 +194,7 @@ def estimate(data: Dataset, bundle: LinkBundle, settings: EstimatorSettings) -> 
     return solve_factor(
         triangular_factor(
             design(data.X, bundle.model, settings), working_response(data.y, bundle, settings)
-        ),
-        settings.cond_cap,
+        )
     )
 
 
@@ -327,7 +327,7 @@ def empirical_sensitivity(
     # one row with its mapped replacement, solves, and puts the row back
     X = np.array(design(data.X, bundle.model, settings))
     z = working_response(data.y, bundle, settings)
-    base = solve_factor(triangular_factor(X, z), settings.cond_cap)
+    base = solve_factor(triangular_factor(X, z))
     worst = 0.0
     for t in range(trials):
         rng = np.random.default_rng(entropy + [t])
@@ -339,7 +339,7 @@ def empirical_sensitivity(
         x_i, z_i = X[i].copy(), z[i]
         X[i] = design(x_new[None, :], bundle.model, settings)[0]
         z[i] = working_response(np.array([y_new]), bundle, settings)[0]
-        shifted = solve_factor(triangular_factor(X, z), settings.cond_cap)
+        shifted = solve_factor(triangular_factor(X, z))
         X[i], z[i] = x_i, z_i
         worst = max(worst, float(np.linalg.norm(base - shifted)))
     return worst

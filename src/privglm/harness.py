@@ -38,7 +38,6 @@ from .mechanism import (
     posterior_mean,
     project_ball,
     rationality_check,
-    resolve_privacy,
     run_mechanism,
 )
 from .population import (
@@ -62,7 +61,6 @@ from .population import (
     draw_theta_star,
     generate_population,
     replacement_sampler,
-    tau_alpha_beta_bound,
 )
 from .privacy import (
     RatioReport,
@@ -119,6 +117,12 @@ def cell_rng(master_seed: int, n: int, repeat: int, arm: int, *extra) -> np.rand
     return np.random.default_rng([master_seed, n, repeat, arm, *extra])
 
 
+def _check_seed(seed: int) -> None:
+    """Seeds key numpy's SeedSequence, which takes nonnegative integers only."""
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
+
+
 @dataclass
 class ScheduleSpec:
     """Reference to a per-model parameter schedule plus its free constants."""
@@ -139,13 +143,11 @@ class ExperimentConfig:
     regime: str
     sweep: Sequence[int]
     repeats: int
-    schedule: Optional[ScheduleSpec] = None
-    mechanism: Optional[MechanismParams] = None
+    schedule: ScheduleSpec
     metrics: Tuple[str, ...] = ("accuracy", "budget", "rationality")
     out_dir: Optional[str] = None
     fmt: str = "csv"
     master_seed: int = 0
-    fallback_rule: MisreportRule = field(default_factory=Constant)
     deviation_rule: Optional[MisreportRule] = field(default_factory=Constant)
     deviation_trials: int = 100
     sensitivity_trials: int = 40
@@ -170,8 +172,9 @@ class ExperimentConfig:
         unknown = set(self.metrics) - set(METRICS)
         if unknown:
             raise ConfigError(f"unknown metrics {sorted(unknown)}")
-        if (self.schedule is None) == (self.mechanism is None):
-            raise ConfigError("exactly one of schedule or mechanism must be given")
+        if self.schedule is None:
+            raise ConfigError("a schedule is required")
+        _check_seed(self.master_seed)
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"unknown report format {self.fmt!r}")
         if self.report_mode not in ("debug", "release"):
@@ -378,16 +381,11 @@ def config_to_json(config: ExperimentConfig) -> dict:
         "deviation": {"rule": rule_name(config.deviation_rule), "trials": config.deviation_trials},
         "sensitivity_trials": config.sensitivity_trials,
     }
-    if config.schedule is not None:
-        out["schedule"] = asdict(config.schedule)
-    else:
-        out["mechanism"] = "programmatic MechanismParams (not reconstructed from JSON)"
+    out["schedule"] = asdict(config.schedule)
     return out
 
 
 def params_for(config: ExperimentConfig, n: int) -> MechanismParams:
-    if config.mechanism is not None:
-        return config.mechanism
     s = config.schedule
     return preset_schedule(
         config.population.model,
@@ -400,7 +398,6 @@ def params_for(config: ExperimentConfig, n: int) -> MechanismParams:
         tau_theta=config.population.tau_theta,
         sigma=s.sigma,
         c0=s.c0,
-        c0_calibrated=s.c0_calibrated,
         gamma_c1=s.gamma_c1,
         gamma_exponent=s.gamma_exponent,
         posterior_samples=config.posterior_samples,
@@ -421,14 +418,8 @@ def _run_cell(config: ExperimentConfig, n: int, repeat: int):
         bundle = make_link_bundle(model)
         spec_n = replace(config.population, n=n)
         pop = generate_population(spec_n, cell_rng(ms, n, repeat, ARM_POPULATION))
-        tau = (
-            params.tau_threshold
-            if params.tau_threshold is not None
-            else tau_alpha_beta_bound(params.alpha, params.beta, spec_n.cost_lambda)
-        )
-        reported = apply_strategy(
-            pop, Threshold(tau, config.fallback_rule), cell_rng(ms, n, repeat, ARM_STRATEGY)
-        )
+        tau = params.tau_threshold
+        reported = apply_strategy(pop, Threshold(tau), cell_rng(ms, n, repeat, ARM_STRATEGY))
         outcome = run_mechanism(reported, bundle, params, cell_rng(ms, n, repeat, ARM_MECHANISM))
         rationality = None
         if "rationality" in config.metrics:
@@ -530,7 +521,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentRepo
         "rate-shape bands are deliberately wide: the schedule's hidden Theta(.) "
         "constants are unknown"
     )
-    if config.schedule is not None and config.schedule.c0_calibrated:
+    if config.schedule.c0_calibrated:
         footer += "; c0 was calibrated on data, so the privacy accounting is NOT valid"
     return ExperimentReport(
         rows=rows,
@@ -613,13 +604,8 @@ def estimate_deviation_gain(
     params = params_for(config, nn)
     settings = params.settings
     spec_n = replace(config.population, n=nn)
-    tau = (
-        params.tau_threshold
-        if params.tau_threshold is not None
-        else tau_alpha_beta_bound(params.alpha, params.beta, spec_n.cost_lambda)
-    )
-    resolved = resolve_privacy(params, nn, spec_n.d, bundle)
-    eps_tot, gamma_tot = compose_account(resolved)
+    privacy = params.privacy
+    eps_tot, gamma_tot = compose_account(privacy)
 
     # the tagged agent's type; keyed without n so paired studies share it
     type_pop = generate_population(
@@ -656,7 +642,7 @@ def estimate_deviation_gain(
     q = predict([y0, *reports])
 
     d = spec_n.d
-    strategy = Threshold(tau, config.fallback_rule)
+    strategy = Threshold(params.tau_threshold)
     per_block = max(1, _BLOCK_ELEMENTS // ((nn - nn // 2) * (d + 1)))
     p = np.empty(trials)
     for block, lo in enumerate(range(0, trials, per_block)):
@@ -673,7 +659,7 @@ def estimate_deviation_gain(
             theta_opp[trial] = _solve_opposite_groups(
                 spec_n, theta_star[trial], int(m), strategy, bundle, settings, rng
             )
-        noise = sample_norm_exponential_batch(d, resolved.delta_half, resolved.epsilon, rng, b)
+        noise = sample_norm_exponential_batch(d, privacy.delta_half, privacy.epsilon, rng, b)
         theta_bar = project_ball(theta_opp + noise, settings.tau_theta)
         p[lo : lo + b] = bundle.A_prime(rows_inner(x_pay, theta_bar))
 
@@ -706,7 +692,7 @@ def _solve_opposite_groups(spec, theta_star, m, strategy, bundle, settings, rng)
     stack = np.empty((k, m, d + 1))
     stack[..., :d] = design(X, model, settings).reshape(k, m, d)
     stack[..., d] = working_response(reported, bundle, settings).reshape(k, m)
-    return solve_factor(np.linalg.qr(stack, mode="r"), settings.cond_cap)
+    return solve_factor(np.linalg.qr(stack, mode="r"))
 
 
 def _gain_moments(p: np.ndarray, q: np.ndarray, a2: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -883,6 +869,7 @@ def canonical_privacy_check(
     one-row estimator gap, so the honest mechanism's worst log-ratio sits at
     epsilon/2 while a corruption of 10 pushes it to 5 epsilon.
     """
+    _check_seed(seed)
     n, tau2 = 60, 2.0
     X = np.ones((n, 1))
     y_a = np.zeros(n)

@@ -18,18 +18,22 @@ form for the linear model, a deterministic 1-D quadrature for the logistic
 and Poisson models, so a payment uses no random draw beyond the release.
 
 Each step has one implementation in this module: `partition`,
-`resolve_privacy`, `release_noise` (the three noises, drawn in the order
-full, half 0, half 1), `project_ball`, `posterior_mean` and `payments`.
-`run_mechanism` composes all of them. The harness composes the same pieces
-twice more: the deviation study releases, per trial, only the half that pays
-its tagged agent (one noise vector at the half sensitivity), and the privacy
-check releases one estimator many times.
+`release_noise` (the three noises, drawn in the order full, half 0, half 1),
+`project_ball`, `posterior_mean` and `payments`. `run_mechanism` composes
+all of them. The harness composes the same pieces twice more: the deviation
+study releases, per trial, only the half that pays its tagged agent (one
+noise vector at the half sensitivity), and the privacy check releases one
+estimator many times.
+
+`preset_schedule` is the one source of a run's parameters. It resolves every
+one of them at the n it is given, the release sensitivities included: the
+regime's bound at n for the full-data release and at n // 2 for each half.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
@@ -111,13 +115,12 @@ class CostFunction:
 
 @dataclass
 class MechanismParams:
-    """Every knob of one mechanism run.
+    """Every knob of one mechanism run, resolved at one n by `preset_schedule`.
 
-    The sensitivities inside `privacy` may be unresolved (None); the run then
-    fills them from the regime's bound formula at the dataset's actual n,
-    using the sensitivity constant c0. `posterior_samples` is the number of
-    quadrature nodes behind each logistic or Poisson posterior mean; it is
-    checked here, once, against the floor of 1000.
+    `tau_threshold` is the cost threshold of the strategy the schedule
+    assumes. `posterior_samples` is the number of quadrature nodes behind
+    each logistic or Poisson posterior mean; it is checked here, once,
+    against the floor of 1000.
     """
 
     privacy: PrivacyParams
@@ -126,12 +129,9 @@ class MechanismParams:
     a2: float
     alpha: float
     beta: float
+    tau_threshold: float
     cost_fn: CostFunction = field(default_factory=CostFunction)
     posterior_samples: int = 10_000
-    seed: int = 0
-    c0: float = 1.0
-    tau_threshold: Optional[float] = None
-    c0_calibrated: bool = False  # data-dependent c0 voids the privacy accounting
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0 and 0.0 < self.beta < 1.0):
@@ -151,7 +151,6 @@ class MechanismOutcome:
     group_assignment: np.ndarray
     budget: float
     account: Tuple[float, float]
-    privacy: PrivacyParams
     noise_audit: Tuple[Tuple[str, float], ...]  # (release, noise magnitude)
     p: np.ndarray
     q: np.ndarray
@@ -174,28 +173,10 @@ def opposite_release(group: int) -> int:
     return 2 - group
 
 
-def resolve_privacy(
-    params: MechanismParams, n: int, d: int, bundle: LinkBundle
-) -> PrivacyParams:
-    """Fill unresolved sensitivities from the regime's bound formula at size n."""
-    pp = params.privacy
-
-    def bound(m: int) -> float:
-        return sensitivity_bound(m, d, bundle, params.settings, params.c0).delta_n
-
-    return replace(
-        pp,
-        delta_n=pp.delta_n if pp.delta_n is not None else bound(n),
-        delta_half=pp.delta_half if pp.delta_half is not None else bound(n // 2),
-    )
-
-
 def release_noise(
     d: int, privacy: PrivacyParams, rng: np.random.Generator
 ) -> Tuple[NoiseSample, NoiseSample, NoiseSample]:
     """Noise of the three releases, drawn in the order of RELEASES."""
-    if privacy.delta_n is None or privacy.delta_half is None:
-        raise ConfigError("release sensitivities have not been resolved")
     return tuple(
         sample_norm_exponential(d, delta, privacy.epsilon, rng)
         for delta in (privacy.delta_n, privacy.delta_half, privacy.delta_half)
@@ -325,19 +306,18 @@ def run_mechanism(
     reported: Dataset,
     bundle: LinkBundle,
     params: MechanismParams,
-    rng: Optional[np.random.Generator] = None,
+    rng: np.random.Generator,
 ) -> MechanismOutcome:
     """Execute one full mechanism run on the reported dataset.
 
     Steps, in order: the design and the working response of all n reports;
     random equal partition; the triangular factor of each group's rows of
     them, one pass over the data; three least-squares solves (all rows, from
-    the two stacked factors; group 0; group 1); sensitivity resolution; three
-    independent noise draws (full, group 0, group 1); ball projections;
-    per-agent Brier payments against the opposite group's private estimator.
+    the two stacked factors; group 0; group 1); three independent noise
+    draws (full, group 0, group 1) at the schedule's sensitivities; ball
+    projections; per-agent Brier payments against the opposite group's
+    private estimator.
     """
-    if rng is None:
-        rng = np.random.default_rng(params.seed)
     settings = params.settings
     n, d = reported.n, reported.d
     if n < 2 * d:
@@ -349,11 +329,8 @@ def run_mechanism(
     assign = partition(n, rng)
     groups = [np.flatnonzero(assign == group) for group in (0, 1)]
     halves = [triangular_factor(X, z, rows) for rows in groups]
-    thetas = np.stack([
-        solve_factor(R, settings.cond_cap) for R in (stack_factors(*halves), *halves)
-    ])
-    resolved = resolve_privacy(params, n, d, bundle)
-    noise = release_noise(d, resolved, rng)
+    thetas = np.stack([solve_factor(R) for R in (stack_factors(*halves), *halves)])
+    noise = release_noise(d, params.privacy, rng)
     bars = project_ball(thetas + np.stack([s.v for s in noise]), settings.tau_theta)
 
     # group by group: one opposite release per call, and only half-size row copies
@@ -374,8 +351,7 @@ def run_mechanism(
         payments=pay,
         group_assignment=assign,
         budget=math.fsum(pay),
-        account=compose_account(resolved),
-        privacy=resolved,
+        account=compose_account(params.privacy),
         noise_audit=tuple((which, s.magnitude) for which, s in zip(RELEASES, noise)),
         p=p,
         q=q,
@@ -455,20 +431,20 @@ def preset_schedule(
     tau_theta: float = 1.0,
     sigma: float = 1.0,
     c0: float = 1.0,
-    c0_calibrated: bool = False,
     gamma_c1: float = 1.0,
     gamma_exponent: float = 1.0,
     posterior_samples: int = 10_000,
-    seed: int = 0,
     scale: Optional[dict] = None,
 ) -> MechanismParams:
-    """Fill every mechanism knob from the per-model parameter schedules.
+    """Fill every mechanism knob from the per-model parameter schedules at size n.
 
     The exponents follow the per-model schedules; every hidden Theta(.)
     constant defaults to 1 and can be overridden through `scale`, a dict of
     multipliers for tau1, tau2, epsilon, alpha and a2. a1 is set exactly to
     the individual-rationality floor, with the threshold taken from the
-    closed-form bound (1/lambda) log(1/(alpha beta)).
+    closed-form bound (1/lambda) log(1/(alpha beta)). The release
+    sensitivities are the regime's bound, scaled by c0, at n (the full-data
+    release) and at n // 2 (each half release).
     """
     if n < 4:
         raise ConfigError("schedule requires n >= 4")
@@ -524,18 +500,18 @@ def preset_schedule(
     tau_thr = tau_alpha_beta_bound(alpha, beta, cost_lambda)
     m_a = prediction_bound(model, settings, d)
     a1 = rationality_floor(a2, m_a, tau_thr, cost_fn, epsilon, gamma_total)
+    bundle = make_link_bundle(model)
+    delta_n = sensitivity_bound(n, d, bundle, settings, c0).delta_n
+    delta_half = sensitivity_bound(n // 2, d, bundle, settings, c0).delta_n
 
     return MechanismParams(
-        privacy=PrivacyParams(epsilon, None, None, gamma_n, gamma_half),
+        privacy=PrivacyParams(epsilon, delta_n, delta_half, gamma_n, gamma_half),
         settings=settings,
         a1=a1,
         a2=a2,
         alpha=alpha,
         beta=beta,
+        tau_threshold=tau_thr,
         cost_fn=cost_fn,
         posterior_samples=posterior_samples,
-        seed=seed,
-        c0=c0,
-        tau_threshold=tau_thr,
-        c0_calibrated=c0_calibrated,
     )

@@ -2,8 +2,9 @@
 
 An agent is a covariate vector, a true response drawn from the configured
 model, and a privacy-cost coefficient with an exponential tail. The threshold
-strategy reports the truth whenever the cost coefficient is at most tau and
-falls back to a configurable misreport rule otherwise; it never alters the
+strategy reports the truth whenever the cost coefficient is at most tau and a
+misreport rule otherwise: by default, and in every harness run, the constant 0
+coerced into the model's response set (-1 for logistic). It never alters the
 covariates.
 """
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -27,23 +27,21 @@ from .errors import ConfigError, InsufficientMassError
 class PrivacyParams:
     """Per-release budget and sensitivities for the three released estimators.
 
-    delta_n / delta_half may be left as None when the mechanism is expected
-    to fill them from the regime's sensitivity formula at run time.
+    delta_n is the sensitivity of the full-data release and delta_half that
+    of each half release; the schedule sets both from the regime's bound at
+    n and at n // 2.
     """
 
     epsilon: float
-    delta_n: Optional[float] = None
-    delta_half: Optional[float] = None
+    delta_n: float
+    delta_half: float
     gamma_n: float = 0.0
     gamma_half: float = 0.0
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ConfigError("epsilon must be positive")
-        for name in ("delta_n", "delta_half"):
-            v = getattr(self, name)
-            if v is not None and not v > 0:
-                raise ConfigError(f"{name} must be positive when given")
+        for name in ("epsilon", "delta_n", "delta_half"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive")
         for name in ("gamma_n", "gamma_half"):
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):

@@ -243,7 +243,7 @@ def test_criterion_07_rationality():
     bundle = make_link_bundle(model)
     perfect = 0
     for seed in range(100):
-        params = preset_schedule(model, "subgaussian", 2000, 0.3, d=3, seed=seed)
+        params = preset_schedule(model, "subgaussian", 2000, 0.3, d=3)
         spec = PopulationSpec(n=2000, d=3, model=model)
         pop = generate_population(spec, np.random.default_rng([seed, 1]))
         reported = apply_strategy(

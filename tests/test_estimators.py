@@ -6,6 +6,7 @@ import pytest
 from privglm.errors import ConfigError, LinkDomainError, SingularGramError
 from privglm.estimators import (
     _BLOCK_ELEMENTS,
+    COND_CAP,
     Dataset,
     EstimatorSettings,
     check_responses,
@@ -110,14 +111,14 @@ def test_factor_solve_matches_lstsq(d, m):
     X = rng.standard_normal((m, d))
     z = X @ rng.standard_normal(d) + rng.standard_normal(m)
     oracle = np.linalg.lstsq(X, z, rcond=None)[0]
-    est = solve_factor(triangular_factor(X, z), 1e12)
+    est = solve_factor(triangular_factor(X, z))
     assert np.linalg.norm(est - oracle) <= 1e-10 * np.linalg.norm(oracle)
     # the same rows as a subset of a taller design, gathered in shuffled order
     Xt = np.vstack([X, rng.standard_normal((m, d))])
     zt = np.concatenate([z, rng.standard_normal(m)])
     rows = rng.permutation(2 * m)
     rows = rows[rows < m]
-    est = solve_factor(triangular_factor(Xt, zt, rows), 1e12)
+    est = solve_factor(triangular_factor(Xt, zt, rows))
     assert np.linalg.norm(est - oracle) <= 1e-10 * np.linalg.norm(oracle)
 
 
@@ -132,7 +133,7 @@ def test_stacked_half_factors_match_all_rows():
     oracle = np.linalg.lstsq(X, z, rcond=None)[0]
     for R in (stack_factors(R0, R1), triangular_factor(X, z)):
         assert R.shape == (d + 1, d + 1)
-        est = solve_factor(R, 1e12)
+        est = solve_factor(R)
         assert np.linalg.norm(est - oracle) <= 1e-10 * np.linalg.norm(oracle)
 
 
@@ -153,10 +154,10 @@ def test_stacked_solve_factor_matches_per_trial():
     rng = np.random.default_rng(61)
     stack = rng.standard_normal((k, m, d + 1)) * [1e2, 1.0, 1e-2, 1.0]
     R = np.linalg.qr(stack, mode="r")
-    stacked = solve_factor(R, 1e12)
+    stacked = solve_factor(R)
     assert stacked.shape == (k, d)
     for t in range(k):
-        single = solve_factor(R[t], 1e12)
+        single = solve_factor(R[t])
         assert np.allclose(stacked[t], single, rtol=1e-13, atol=0)
         lstsq = np.linalg.lstsq(stack[t, :, :d], stack[t, :, d], rcond=None)[0]
         assert np.allclose(stacked[t], lstsq, rtol=1e-10, atol=0)
@@ -167,12 +168,20 @@ def test_stacked_solve_factor_matches_per_trial():
         rank_deficient = stack.copy()
         rank_deficient[3, :, zero] = 0.0
         with pytest.raises(SingularGramError):
-            solve_factor(np.linalg.qr(rank_deficient, mode="r"), 1e12)
-    over_cap = stack.copy()
-    over_cap[5, :, 2] = over_cap[5, :, 1] + 1e-9 * rng.standard_normal(m)
-    solve_factor(np.linalg.qr(np.delete(over_cap, 5, axis=0), mode="r"), 1e6)
-    with pytest.raises(SingularGramError, match="exceeds cap"):
-        solve_factor(np.linalg.qr(over_cap, mode="r"), 1e6)
+            solve_factor(np.linalg.qr(rank_deficient, mode="r"))
+    # one trial's design shrunk in one column to cond(X) of about 1e11 passes
+    # the cap, and to about 1e13 fails the stack
+    for shrink, over in ((1e-7, False), (1e-9, True)):
+        ill = stack.copy()
+        ill[5, :, 2] *= shrink
+        cond = np.linalg.cond(ill[5, :, :d])
+        assert 0.01 * COND_CAP < cond < 100 * COND_CAP and (cond > COND_CAP) == over
+        R = np.linalg.qr(ill, mode="r")
+        if over:
+            with pytest.raises(SingularGramError, match="exceeds cap"):
+                solve_factor(R)
+        else:
+            assert solve_factor(R).shape == (k, d)
 
 
 def test_rows_inner_bit_equal_to_sequential_loop():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import privglm
 from privglm import estimators, harness
 from privglm.cli import main as cli_main
 from privglm.errors import ConfigError, SingularGramError
-from privglm.estimators import Dataset, EstimatorSettings, estimate
+from privglm.estimators import Dataset, estimate
 from privglm.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -29,7 +30,6 @@ from privglm.harness import (
 from privglm.links import ModelKind, make_link_bundle
 from privglm.mechanism import (
     CostFunction,
-    MechanismParams,
     brier_payment,
     preset_schedule,
     rationality_floor,
@@ -43,7 +43,7 @@ from privglm.population import (
     SubGaussianCov,
     WorstOfGrid,
 )
-from privglm.privacy import PrivacyParams, empirical_privacy_ratio
+from privglm.privacy import empirical_privacy_ratio
 
 
 def linear_config(**kw):
@@ -142,19 +142,56 @@ def test_json_round_trip(tmp_path):
     assert config_to_json(ExperimentConfig.from_json(loaded["config"])) == loaded["config"]
 
 
-def test_failed_cells_are_recorded():
-    # a condition cap of 1 rejects every design, so every cell fails
-    params = MechanismParams(
-        privacy=PrivacyParams(0.5),
-        settings=EstimatorSettings(tau1=3.0, tau2=3.0, tau_theta=1.0, cond_cap=1.0),
-        a1=1.0, a2=0.1, alpha=0.1, beta=0.1, tau_threshold=5.0,
-    )
-    config = linear_config(schedule=None, mechanism=params, sweep=[100], repeats=2)
-    report = run_experiment(config)
-    assert report.failed_cells == 2
-    assert all(r.failed and r.error for r in report.rows)
-    assert all(r.mse is None for r in report.rows)
-    assert "mse" not in report.fits
+def test_failed_cells_are_recorded(tmp_path, capsys):
+    # a positive-definite covariance whose second direction has scale 1e-13:
+    # every design's condition number (about 1e13) exceeds the solver's cap
+    payload = {
+        "population": {"d": 2, "model": "linear",
+                       "covariates": {"kind": "subgaussian_cov", "cov": [[1, 0], [0, 1e-26]]}},
+        "schedule": {"delta": 0.3},
+        "sweep": [100],
+        "repeats": 2,
+        "master_seed": 404,
+        "format": "json",
+    }
+    out = tmp_path / "out"
+    assert cli_main(["simulate", "--config", _write_config(tmp_path, payload),
+                     "--out", str(out)]) == 3
+    assert "every cell failed numerically" in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert len(report["rows"]) == 2
+    for row in report["rows"]:
+        assert row["failed"] and "exceeds cap" in row["error"]
+        assert row["mse"] is None
+    assert "mse" not in report["fits"]
+
+
+def test_every_defaulted_config_field_is_settable(tmp_path):
+    # a config that moves every key off its default must move every field
+    # with a default: a field no config can set is a knob only code reaches
+    payload = {
+        "population": {"d": 2, "model": "linear"},
+        "regime": "heavy",
+        "schedule": {"delta": 0.12},
+        "sweep": [100],
+        "repeats": 2,
+        "metrics": ["accuracy"],
+        "out_dir": str(tmp_path / "out"),
+        "format": "json",
+        "master_seed": 9,
+        "deviation": {"rule": "truthful", "trials": 7},
+        "sensitivity_trials": 5,
+        "posterior_samples": 2000,
+        "audit_log": str(tmp_path / "audit.jsonl"),
+        "report_mode": "debug",
+    }
+    assert set(payload) == set(harness._CONFIG_KEYS)
+    config = ExperimentConfig.from_json(payload)
+    for f in dataclasses.fields(ExperimentConfig):
+        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            continue
+        default = f.default if f.default is not dataclasses.MISSING else f.default_factory()
+        assert getattr(config, f.name) != default, f"no config key moves {f.name!r}"
 
 
 def test_config_validation():
@@ -245,13 +282,8 @@ def test_deviation_gain_deterministic():
 def test_zero_a2_removes_payment_component():
     # constant payments make the paired payment difference identically zero,
     # leaving only the (constant) privacy-cost saving
-    base = linear_config()
-    from privglm.harness import params_for
-
-    params = params_for(base, 200)
-    from dataclasses import replace
-
-    config = linear_config(schedule=None, mechanism=replace(params, a2=0.0))
+    config = linear_config(schedule=ScheduleSpec(delta=0.3, scale={"a2": 0.0}))
+    assert harness.params_for(config, 200).a2 == 0.0
     est = estimate_deviation_gain(config, Constant(0.0), 15, n=200)
     assert est.std_error < 1e-15  # numerical noise only: every paired gain is 0
     assert est.eta_hat >= 0.0
@@ -650,10 +682,37 @@ def test_cli_rejects_invalid_covariance(tmp_path, capsys, covariates, message):
 
 
 @pytest.mark.parametrize("verb, where", [
+    ("simulate", "config"), ("simulate", "flag"), ("deviate", "config"), ("deviate", "flag"),
+    ("privacy-check", "flag"),
+])
+def test_cli_rejects_negative_seed(tmp_path, capsys, verb, where):
+    payload = {
+        "population": {"d": 2, "model": "linear"},
+        "schedule": {"delta": 0.3},
+        "sweep": [120],
+        "repeats": 1,
+        "master_seed": -1 if where == "config" else 3,
+    }
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path, payload)
+    argv = {
+        "simulate": ["simulate", "--config", cfg, "--out", str(out)],
+        "deviate": ["deviate", "--config", cfg, "--trials", "3"],
+        "privacy-check": ["privacy-check", "--trials", "200", "--bins", "2"],
+    }[verb]
+    if where == "flag":
+        argv += ["--seed", "-3"]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "seed must be nonnegative" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb, where", [
     ("deviate", harness), ("sensitivity", estimators),
 ])
 def test_cli_numerical_failure_exits_3(tmp_path, capsys, monkeypatch, verb, where):
-    def singular(R, cond_cap):
+    def singular(R):
         raise SingularGramError("design matrix is rank deficient")
 
     monkeypatch.setattr(where, "solve_factor", singular)

@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 
 from privglm.errors import ConfigError, PartitionTooSmallError
 from privglm import estimators, mechanism
-from privglm.estimators import Dataset, EstimatorSettings, design, l4_shrink_rows, rows_inner
+from privglm.estimators import (
+    Dataset,
+    EstimatorSettings,
+    design,
+    l4_shrink_rows,
+    rows_inner,
+    sensitivity_bound,
+)
 from privglm.links import ModelKind, compute_link_constants, make_link_bundle
 from privglm.mechanism import (
     CostFunction,
@@ -24,7 +31,6 @@ from privglm.mechanism import (
     project_ball,
     rationality_check,
     rationality_floor,
-    resolve_privacy,
     run_mechanism,
 )
 from privglm.population import (
@@ -180,8 +186,8 @@ def test_posterior_extreme_report_inside_ball():
 
 def test_posterior_sampling_floor():
     settings = EstimatorSettings(tau1=1.0, tau2=1.0, tau_theta=1.0)
-    base = dict(privacy=PrivacyParams(0.5), settings=settings, a1=1.0, a2=1.0,
-                alpha=0.5, beta=0.5)
+    base = dict(privacy=PrivacyParams(0.5, 1.0, 1.0), settings=settings, a1=1.0, a2=1.0,
+                alpha=0.5, beta=0.5, tau_threshold=1.0)
     MechanismParams(**base, posterior_samples=1000)
     for samples in (10, 999):
         with pytest.raises(ConfigError):
@@ -551,38 +557,27 @@ def test_schedule_scale_overrides():
     assert scaled.settings.tau2 == pytest.approx(3 * base.settings.tau2, rel=1e-12)
 
 
-def test_resolve_privacy_fills_unresolved_deltas():
-    from privglm.estimators import sensitivity_bound_subgaussian
-
+def test_schedule_resolves_release_sensitivities():
+    # the full release's sensitivity is the regime's bound at n, each half's at n // 2
     model = ModelKind.linear(1.0)
     bundle = make_link_bundle(model)
-    params = preset_schedule(model, "subgaussian", 500, 0.3, d=2)
-    assert params.privacy.delta_n is None
-    resolved = resolve_privacy(params, 500, 2, bundle)
-    constants = compute_link_constants(
-        bundle, params.settings.polytope, params.settings.tau1,
-        params.settings.tau2, params.settings.tau_theta,
-    )
-    expected = sensitivity_bound_subgaussian(500, 2, constants.kappa1, params.c0).delta_n
-    assert resolved.delta_n == pytest.approx(expected, rel=1e-12)
-    assert resolved.delta_half == pytest.approx(
-        sensitivity_bound_subgaussian(250, 2, constants.kappa1, params.c0).delta_n, rel=1e-12
-    )
-    # explicit values pass through untouched
-    explicit = replace(params, privacy=PrivacyParams(0.5, 0.11, 0.22))
-    kept = resolve_privacy(explicit, 500, 2, bundle)
-    assert (kept.delta_n, kept.delta_half) == (0.11, 0.22)
+    for regime, n, delta, c0 in (
+        ("subgaussian", 500, 0.3, 1.0), ("subgaussian", 501, 0.3, 2.5), ("heavy", 777, 0.12, 0.4),
+    ):
+        params = preset_schedule(model, regime, n, delta, d=2, c0=c0)
+        for size, got in ((n, params.privacy.delta_n), (n // 2, params.privacy.delta_half)):
+            assert got == sensitivity_bound(size, 2, bundle, params.settings, c0).delta_n
 
 
 def test_mechanism_params_validation():
     settings = EstimatorSettings(tau1=1.0, tau2=1.0, tau_theta=1.0)
     with pytest.raises(ConfigError):
         MechanismParams(
-            privacy=PrivacyParams(0.5), settings=settings, a1=1.0, a2=1.0,
-            alpha=0.0, beta=0.5,
+            privacy=PrivacyParams(0.5, 1.0, 1.0), settings=settings, a1=1.0, a2=1.0,
+            alpha=0.0, beta=0.5, tau_threshold=1.0,
         )
     with pytest.raises(ConfigError):
         MechanismParams(
-            privacy=PrivacyParams(0.5), settings=settings, a1=-1.0, a2=1.0,
-            alpha=0.5, beta=0.5,
+            privacy=PrivacyParams(0.5, 1.0, 1.0), settings=settings, a1=-1.0, a2=1.0,
+            alpha=0.5, beta=0.5, tau_threshold=1.0,
         )

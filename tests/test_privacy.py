@@ -21,7 +21,8 @@ def test_params_validation():
         PrivacyParams(0.5, -1.0, 1.0)
     with pytest.raises(ConfigError):
         PrivacyParams(0.5, 1.0, 1.0, gamma_n=1.5)
-    PrivacyParams(0.5)  # unresolved sensitivities are allowed
+    with pytest.raises(ConfigError):
+        PrivacyParams(0.5, 1.0, 0.0)
 
 
 def test_compose_account():
@@ -76,9 +77,6 @@ def test_release_noise_determinism_and_scale():
 
     tiny = PrivacyParams(0.5, delta_n=1e-12, delta_half=1e-12)
     assert all(s.magnitude < 1e-9 for s in release_noise(3, tiny, np.random.default_rng(9)))
-
-    with pytest.raises(ConfigError):
-        release_noise(3, PrivacyParams(0.5), np.random.default_rng(0))
 
 
 def test_halving_epsilon_doubles_norm():
