@@ -56,7 +56,7 @@ from .mechanism import (
     brier_payment,
     budget_bound,
     partition,
-    payments,
+    predictions,
     preset_schedule,
     posterior_mean,
     project_ball,
@@ -69,6 +69,7 @@ from .population import (
     Constant,
     Population,
     PopulationSpec,
+    PopulationStream,
     SignFlip,
     StudentTCovariates,
     SubGaussianCov,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -47,10 +47,25 @@ _BLOCK_ELEMENTS = 2 ** 16
 # largest design condition number the solver accepts
 COND_CAP = 1e12
 
+# agents per chunk of a mechanism run: a run holds one chunk's rows at a time
+CHUNK_ROWS = 2 ** 16
+
+
+def check_rows(X: np.ndarray, y: np.ndarray) -> None:
+    """Covariate rows and responses must align and be finite."""
+    if y.shape[0] != X.shape[0]:
+        raise ConfigError(f"X has {X.shape[0]} rows but y has {y.shape[0]} entries")
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+        raise ConfigError("dataset contains non-finite entries")
+
 
 @dataclass
 class Dataset:
-    """Design matrix X (rows are covariates) and response vector y."""
+    """Design matrix X (rows are covariates) and response vector y.
+
+    A row source for `mechanism.run_mechanism`: `chunks` and
+    `covariate_chunks` slice the rows in chunks of CHUNK_ROWS.
+    """
 
     X: np.ndarray
     y: np.ndarray
@@ -59,12 +74,9 @@ class Dataset:
         self.X = np.atleast_2d(np.asarray(self.X, dtype=float))
         self.y = np.asarray(self.y, dtype=float).ravel()
         n, d = self.X.shape
-        if self.y.shape[0] != n:
-            raise ConfigError(f"X has {n} rows but y has {self.y.shape[0]} entries")
+        check_rows(self.X, self.y)
         if not (n >= d >= 1):
             raise ConfigError(f"need n >= d >= 1, got n = {n}, d = {d}")
-        if not (np.all(np.isfinite(self.X)) and np.all(np.isfinite(self.y))):
-            raise ConfigError("dataset contains non-finite entries")
 
     @property
     def n(self) -> int:
@@ -74,14 +86,24 @@ class Dataset:
     def d(self) -> int:
         return self.X.shape[1]
 
+    def chunks(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """(covariates, responses) of each chunk of CHUNK_ROWS rows, as views."""
+        for lo in range(0, self.n, CHUNK_ROWS):
+            yield self.X[lo : lo + CHUNK_ROWS], self.y[lo : lo + CHUNK_ROWS]
 
-def check_responses(data: Dataset, model: ModelKind) -> None:
+    def covariate_chunks(self) -> Iterator[np.ndarray]:
+        """The covariates of the same chunks."""
+        for X, _ in self.chunks():
+            yield X
+
+
+def check_responses(y: np.ndarray, model: ModelKind) -> None:
     """Validate responses against the model's response set."""
     if model.family == "logistic":
-        if not np.all(np.isin(data.y, (-1.0, 1.0))):
+        if not np.all(np.isin(y, (-1.0, 1.0))):
             raise ConfigError("logistic responses must lie in {-1, +1}")
     elif model.family == "poisson":
-        if np.any(data.y < 0) or np.any(data.y != np.floor(data.y)):
+        if np.any(y < 0) or np.any(y != np.floor(y)):
             raise ConfigError("poisson responses must be nonnegative integers")
 
 

@@ -4,7 +4,9 @@ log-log rate fits and report emission.
 Every cell of a sweep derives its random streams from the tuple
 (master_seed, n, repeat, arm) through numpy's SeedSequence, so any cell can be
 re-run in isolation and results do not depend on execution order or thread
-count.
+count. A cell's population is a `PopulationStream` of chunks of CHUNK_ROWS
+agents: chunk 0 draws from the cell's own population and strategy
+generators, chunk c >= 1 from (master_seed, n, repeat, arm, c).
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .estimators import (
 from .links import LINEAR, LOGISTIC, ModelKind, PolytopeSpec, make_link_bundle
 from .mechanism import (
     MechanismParams,
+    predictions,
     preset_schedule,
     posterior_mean,
     project_ball,
@@ -45,6 +48,7 @@ from .population import (
     Constant,
     MisreportRule,
     PopulationSpec,
+    PopulationStream,
     SignFlip,
     StudentTCovariates,
     SubGaussianCov,
@@ -56,7 +60,6 @@ from .population import (
     _draw_responses,
     _rule_values,
     _threshold_reports,
-    apply_strategy,
     coerce_response,
     draw_theta_star,
     generate_population,
@@ -97,7 +100,6 @@ _CONFIG_KEYS = (
 )
 _POPULATION_KEYS = (
     "d", "model", "noise_std", "covariates", "tau_theta", "theta_star", "cost_lambda",
-    "cost_correlated",
 )
 _COVARIATE_KEYS = {
     "subgaussian_isotropic": ("kind", "sigma"),
@@ -115,6 +117,11 @@ def _check_keys(obj: dict, known, where: str) -> None:
 
 def cell_rng(master_seed: int, n: int, repeat: int, arm: int, *extra) -> np.random.Generator:
     return np.random.default_rng([master_seed, n, repeat, arm, *extra])
+
+
+def _chunk_rngs(master_seed: int, n: int, repeat: int, arm: int):
+    """Chunk c's generator of one arm: the cell's own for c = 0, keyed by c after."""
+    return lambda c: cell_rng(master_seed, n, repeat, arm, *((c,) if c else ()))
 
 
 def _check_seed(seed: int) -> None:
@@ -246,7 +253,6 @@ def _population_from_json(obj: dict) -> PopulationSpec:
         tau_theta=float(obj.get("tau_theta", 1.0)),
         theta_star=np.asarray(theta, dtype=float) if theta is not None else None,
         cost_lambda=float(obj.get("cost_lambda", 1.0)),
-        cost_correlated=bool(obj.get("cost_correlated", False)),
     )
 
 
@@ -368,7 +374,6 @@ def config_to_json(config: ExperimentConfig) -> dict:
             "tau_theta": pop.tau_theta,
             "theta_star": None if pop.theta_star is None else [float(v) for v in pop.theta_star],
             "cost_lambda": pop.cost_lambda,
-            "cost_correlated": pop.cost_correlated,
         },
         "regime": config.regime,
         "sweep": list(config.sweep),
@@ -409,6 +414,17 @@ def _cell_seed(master_seed: int, n: int, repeat: int) -> int:
     return int(np.random.SeedSequence([master_seed, n, repeat]).generate_state(1)[0])
 
 
+def cell_population(config: ExperimentConfig, n: int, repeat: int, tau: float) -> PopulationStream:
+    """The population of cell (n, repeat), reporting under the threshold strategy at tau."""
+    ms = config.master_seed
+    return PopulationStream(
+        replace(config.population, n=n),
+        Threshold(tau),
+        _chunk_rngs(ms, n, repeat, ARM_POPULATION),
+        _chunk_rngs(ms, n, repeat, ARM_STRATEGY),
+    )
+
+
 def _run_cell(config: ExperimentConfig, n: int, repeat: int):
     ms = config.master_seed
     seed_tag = _cell_seed(ms, n, repeat)
@@ -416,14 +432,12 @@ def _run_cell(config: ExperimentConfig, n: int, repeat: int):
     try:
         params = params_for(config, n)
         bundle = make_link_bundle(model)
-        spec_n = replace(config.population, n=n)
-        pop = generate_population(spec_n, cell_rng(ms, n, repeat, ARM_POPULATION))
         tau = params.tau_threshold
-        reported = apply_strategy(pop, Threshold(tau), cell_rng(ms, n, repeat, ARM_STRATEGY))
-        outcome = run_mechanism(reported, bundle, params, cell_rng(ms, n, repeat, ARM_MECHANISM))
+        stream = cell_population(config, n, repeat, tau)
+        outcome = run_mechanism(stream, bundle, params, cell_rng(ms, n, repeat, ARM_MECHANISM))
         rationality = None
         if "rationality" in config.metrics:
-            rationality = rationality_check(outcome, pop.costs, params.cost_fn, tau)
+            rationality = rationality_check(outcome, stream.costs, params.cost_fn, tau)
         eta = None
         if "deviation_gain" in config.metrics:
             est = estimate_deviation_gain(
@@ -433,13 +447,14 @@ def _run_cell(config: ExperimentConfig, n: int, repeat: int):
             eta = est.eta_hat
         delta_emp = None
         if "sensitivity" in config.metrics:
+            pop = stream.population()
             delta_emp = empirical_sensitivity(
                 Dataset(pop.X, pop.y_true),
                 bundle,
                 params.settings,
                 config.sensitivity_trials,
                 (ms, n, repeat, ARM_SENSITIVITY),
-                replacement_sampler(spec_n, pop.theta_star),
+                replacement_sampler(stream.spec, pop.theta_star),
             )
     except SingularGramError as exc:
         return (
@@ -451,9 +466,9 @@ def _run_cell(config: ExperimentConfig, n: int, repeat: int):
             [],
         )
 
-    diff = outcome.theta_bar_full - pop.theta_star
+    diff = outcome.theta_bar_full - stream.theta_star
     mse = float(diff @ diff)
-    truthful = float(np.mean(pop.costs <= tau))
+    truthful = float(np.mean(stream.costs <= tau))
     eps_tot, gamma_tot = outcome.account
     audit = [
         {"which": which, "seed": seed_tag, "magnitude": mag}
@@ -570,12 +585,10 @@ def estimate_deviation_gain(
     (unless the spec fixes it) and only those m agents with their costs and
     threshold-strategy reports, factors their mapped rows, and adds one noise
     vector at the half sensitivity: the one half release that pays agent 0.
-    With `cost_correlated`, the cost split is at the median response of the
-    drawn opposite group rather than of all n agents. Trials are taken in
-    blocks of at most _BLOCK_ELEMENTS factored terms, block k keyed
-    (master_seed, n, seed_tag, ARM_DEVIATION, k): one stacked QR and one
-    stacked `solve_factor` per block, so every trial keeps its own rank and
-    condition check.
+    Trials are taken in blocks of at most _BLOCK_ELEMENTS factored terms,
+    block k keyed (master_seed, n, seed_tag, ARM_DEVIATION, k): one stacked
+    QR and one stacked `solve_factor` per block, so every trial keeps its own
+    rank and condition check.
 
     The Brier payment is linear in p, so a trial needs only the scalar
     p_t = A'(x_pay . theta_bar_opp,t). The paired gain of report r over the
@@ -636,7 +649,7 @@ def estimate_deviation_gain(
             np.repeat(type_pop.X[:1], r.shape[0], axis=0), r, model,
             settings.tau_theta, params.posterior_samples,
         )
-        return bundle.A_prime(rows_inner(x_pay, means))
+        return predictions(x_pay, means, bundle)
 
     # q[0] predicts from the truthful report, q[1 + j] from reports[j]
     q = predict([y0, *reports])
@@ -661,7 +674,7 @@ def estimate_deviation_gain(
             )
         noise = sample_norm_exponential_batch(d, privacy.delta_half, privacy.epsilon, rng, b)
         theta_bar = project_ball(theta_opp + noise, settings.tau_theta)
-        p[lo : lo + b] = bundle.A_prime(rows_inner(x_pay, theta_bar))
+        p[lo : lo + b] = predictions(x_pay, theta_bar, bundle)
 
     mean_gains, std_errors = _gain_moments(p, q, params.a2)
     best = int(np.argmax(mean_gains))
@@ -687,7 +700,7 @@ def _solve_opposite_groups(spec, theta_star, m, strategy, bundle, settings, rng)
     model = spec.model
     X = _draw_covariates(spec, rng, k * m)
     y = _draw_responses(model, np.matmul(X.reshape(k, m, d), theta_star[:, :, None]).ravel(), rng)
-    costs = _draw_costs(spec, y.reshape(k, m), rng).ravel()
+    costs = _draw_costs(spec, k * m, rng)
     reported = _threshold_reports(y, costs, strategy, model, rng)
     stack = np.empty((k, m, d + 1))
     stack[..., :d] = design(X, model, settings).reshape(k, m, d)

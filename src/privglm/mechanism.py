@@ -8,22 +8,29 @@ posterior mean given the agent's own report. Payments of agents in one group
 never touch that group's own estimator, which is what makes the released
 output jointly private per agent.
 
-Both regimes run the same mechanism. The estimators module maps the reports
-once: `design` gives the covariates (l4-shrunk rows in the heavy regime) and
-`working_response` the response the solve fits. `run_mechanism` factors
-each half's rows of that one design once, gets the full-data factor by
-stacking the two (TSQR), solves all three, and pays each group with its rows
-of the same design. The posterior means take the raw covariates: a closed
-form for the linear model, a deterministic 1-D quadrature for the logistic
-and Poisson models, so a payment uses no random draw beyond the release.
+Both regimes run the same mechanism. The estimators module maps the reports:
+`design` gives the covariates (l4-shrunk rows in the heavy regime) and
+`working_response` the response the solve fits. The posterior means take
+the raw covariates: a closed form for the linear model, a deterministic 1-D
+quadrature for the logistic and Poisson models, so a payment uses no random
+draw beyond the release.
+
+`run_mechanism` walks a row source (a `Dataset`, or the harness's
+`population.PopulationStream`) in chunks of CHUNK_ROWS agents, twice. The
+first pass maps each chunk, takes each group's triangular factor of the
+chunk's rows and the agents' posterior predictions q. The release stacks
+each group's chunk factors (TSQR), gets the full-data factor by stacking the
+two halves, solves all three, adds noise and projects. The second pass maps
+each chunk's covariates again and pays each agent against the opposite
+group's release. Between the passes the run keeps per-agent vectors only.
 
 Each step has one implementation in this module: `partition`,
 `release_noise` (the three noises, drawn in the order full, half 0, half 1),
-`project_ball`, `posterior_mean` and `payments`. `run_mechanism` composes
-all of them. The harness composes the same pieces twice more: the deviation
-study releases, per trial, only the half that pays its tagged agent (one
-noise vector at the half sensitivity), and the privacy check releases one
-estimator many times.
+`project_ball`, `posterior_mean`, `predictions` and `brier_payment`.
+`run_mechanism` composes all of them. The harness composes the same pieces
+twice more: the deviation study releases, per trial, only the half that pays
+its tagged agent (one noise vector at the half sensitivity), and the privacy
+check releases one estimator many times.
 
 `preset_schedule` is the one source of a run's parameters. It resolves every
 one of them at the n it is given, the release sensitivities included: the
@@ -32,6 +39,7 @@ regime's bound at n for the full-data release and at n // 2 for each half.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
@@ -41,10 +49,10 @@ import numpy as np
 from .errors import ConfigError, PartitionTooSmallError
 from .estimators import (
     HEAVY,
-    Dataset,
     EstimatorSettings,
     check_regime,
     check_responses,
+    check_rows,
     design,
     rows_inner,
     sensitivity_bound,
@@ -117,12 +125,14 @@ class CostFunction:
 class MechanismParams:
     """Every knob of one mechanism run, resolved at one n by `preset_schedule`.
 
-    `tau_threshold` is the cost threshold of the strategy the schedule
-    assumes. `posterior_samples` is the number of quadrature nodes behind
-    each logistic or Poisson posterior mean; it is checked here, once,
-    against the floor of 1000.
+    `n` is the population size the knobs were resolved at; `run_mechanism`
+    refuses reports of any other size. `tau_threshold` is the cost threshold
+    of the strategy the schedule assumes. `posterior_samples` is the number
+    of quadrature nodes behind each logistic or Poisson posterior mean; it is
+    checked here, once, against the floor of 1000.
     """
 
+    n: int
     privacy: PrivacyParams
     settings: EstimatorSettings
     a1: float
@@ -168,8 +178,11 @@ def partition(n: int, rng: np.random.Generator) -> np.ndarray:
     return assign
 
 
-def opposite_release(group: int) -> int:
-    """Index in RELEASES of the half release that pays the agents of `group`."""
+def opposite_release(group):
+    """Index in RELEASES of the half release that pays the agents of `group`.
+
+    `group` may also be an array of group indices.
+    """
     return 2 - group
 
 
@@ -217,6 +230,23 @@ def _log_gammainc(a: float, z: np.ndarray) -> np.ndarray:
     return a * np.log(z) - z - math.lgamma(a + 1.0) + np.log(total)
 
 
+@functools.lru_cache(maxsize=64)
+def _quadrature(d: int, nodes: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes t = sin(phi) of the midpoint rule in phi and their log prior weights.
+
+    They depend only on (d, nodes), so they are computed once per pair and
+    returned read-only.
+    """
+    phi = (np.arange(nodes) + 0.5) * (math.pi / nodes) - 0.5 * math.pi
+    t, c = np.sin(phi), np.cos(phi)
+    log_prior = np.log(c) - 0.5 * d * t * t  # log cos(phi) is the Jacobian
+    if d > 1:
+        log_prior += _log_gammainc(0.5 * (d - 1), 0.5 * d * c * c)
+    t.flags.writeable = False
+    log_prior.flags.writeable = False
+    return t, log_prior
+
+
 def posterior_mean(
     X: np.ndarray, y: np.ndarray, model: ModelKind, tau_theta: float, nodes: int
 ) -> np.ndarray:
@@ -251,11 +281,7 @@ def posterior_mean(
         scale[over] *= tau_theta / norms[over]
         return scale[:, None] * X
 
-    phi = (np.arange(nodes) + 0.5) * (math.pi / nodes) - 0.5 * math.pi
-    t, c = np.sin(phi), np.cos(phi)
-    log_prior = np.log(c) - 0.5 * d * t * t  # log cos(phi) is the Jacobian
-    if d > 1:
-        log_prior += _log_gammainc(0.5 * (d - 1), 0.5 * d * c * c)
+    t, log_prior = _quadrature(d, nodes)
     norms = np.sqrt(norm2)
     mean_t = np.empty(X.shape[0])
     step = max(1, _BLOCK_ELEMENTS // nodes)
@@ -279,23 +305,14 @@ def posterior_mean(
     return scale[:, None] * X
 
 
-def payments(
-    x_pay: np.ndarray,
-    theta_bar_opposite: np.ndarray,
-    means: np.ndarray,
-    bundle: LinkBundle,
-    params: MechanismParams,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Brier payments of agents whose design rows are `x_pay`.
+def predictions(x_pay: np.ndarray, theta: np.ndarray, bundle: LinkBundle) -> np.ndarray:
+    """A'(x_pay . theta) for each row: the response the payment rule predicts.
 
-    p = A'(x_pay . theta_bar_opposite) predicts each response from the
-    opposite group's release, q = A'(x_pay . mean) from the posterior mean
-    given the agent's own report. A single row of x_pay broadcasts against
-    several rows of `means`. Returns (payments, p, q).
+    p takes theta = the opposite group's release, q the posterior mean given
+    the agent's own report. A single row of either side broadcasts against
+    the rows of the other.
     """
-    p = bundle.A_prime(rows_inner(x_pay, theta_bar_opposite))
-    q = bundle.A_prime(rows_inner(x_pay, means))
-    return brier_payment(params.a1, params.a2, p, q), p, q
+    return bundle.A_prime(rows_inner(x_pay, theta))
 
 
 # ---------------------------------------------------------------------------
@@ -303,46 +320,63 @@ def payments(
 # ---------------------------------------------------------------------------
 
 def run_mechanism(
-    reported: Dataset,
+    reported,
     bundle: LinkBundle,
     params: MechanismParams,
     rng: np.random.Generator,
 ) -> MechanismOutcome:
-    """Execute one full mechanism run on the reported dataset.
+    """Execute one full mechanism run on the reports of a row source.
 
-    Steps, in order: the design and the working response of all n reports;
-    random equal partition; the triangular factor of each group's rows of
-    them, one pass over the data; three least-squares solves (all rows, from
-    the two stacked factors; group 0; group 1); three independent noise
-    draws (full, group 0, group 1) at the schedule's sensitivities; ball
-    projections; per-agent Brier payments against the opposite group's
-    private estimator.
+    `reported` has `n`, `d`, `chunks()` yielding (covariates, reports) of
+    consecutive agents and `covariate_chunks()` yielding the same covariates
+    again, chunk by chunk (`Dataset` slices its rows in chunks of
+    CHUNK_ROWS). Steps, in order: random equal partition; pass 1, per chunk:
+    the design and the working response, each group's triangular factor of
+    them, and q = A'(x_design . posterior mean); the release: each group's
+    chunk factors stacked, three least-squares solves (all rows, from the two
+    stacked halves; group 0; group 1), three independent noise draws (full,
+    group 0, group 1) at the schedule's sensitivities and ball projections;
+    pass 2, per chunk: p = A'(x_design . opposite group's release) and the
+    Brier payment.
     """
-    settings = params.settings
+    settings, model = params.settings, bundle.model
     n, d = reported.n, reported.d
+    if n != params.n:
+        raise ConfigError(f"parameters resolved at n = {params.n} cannot run {n} agents")
     if n < 2 * d:
         raise PartitionTooSmallError(f"n = {n} leaves a group smaller than d = {d}")
-    check_responses(reported, bundle.model)
-    X = design(reported.X, bundle.model, settings)
-    z = working_response(reported.y, bundle, settings)
 
     assign = partition(n, rng)
-    groups = [np.flatnonzero(assign == group) for group in (0, 1)]
-    halves = [triangular_factor(X, z, rows) for rows in groups]
+    factors = ([], [])
+    q = np.empty(n)
+    lo = 0
+    for X, y in reported.chunks():
+        check_rows(X, y)
+        check_responses(y, model)
+        hi = lo + X.shape[0]
+        x_pay = design(X, model, settings)
+        z = working_response(y, bundle, settings)
+        for group, found in enumerate(factors):
+            rows = np.flatnonzero(assign[lo:hi] == group)
+            if rows.size:
+                found.append(triangular_factor(x_pay, z, rows))
+        means = posterior_mean(X, y, model, settings.tau_theta, params.posterior_samples)
+        q[lo:hi] = predictions(x_pay, means, bundle)
+        lo = hi
+
+    halves = [found[0] if len(found) == 1 else stack_factors(*found) for found in factors]
     thetas = np.stack([solve_factor(R) for R in (stack_factors(*halves), *halves)])
     noise = release_noise(d, params.privacy, rng)
     bars = project_ball(thetas + np.stack([s.v for s in noise]), settings.tau_theta)
 
-    # group by group: one opposite release per call, and only half-size row copies
-    pay, p, q = np.empty(n), np.empty(n), np.empty(n)
-    for group, rows in enumerate(groups):
-        means = posterior_mean(
-            reported.X[rows], reported.y[rows], bundle.model, settings.tau_theta,
-            params.posterior_samples,
-        )
-        pay[rows], p[rows], q[rows] = payments(
-            X[rows], bars[opposite_release(group)], means, bundle, params
-        )
+    p, pay = np.empty(n), np.empty(n)
+    lo = 0
+    for X in reported.covariate_chunks():
+        hi = lo + X.shape[0]
+        opposite = bars[opposite_release(assign[lo:hi])]
+        p[lo:hi] = predictions(design(X, model, settings), opposite, bundle)
+        pay[lo:hi] = brier_payment(params.a1, params.a2, p[lo:hi], q[lo:hi])
+        lo = hi
 
     return MechanismOutcome(
         theta_bar_full=bars[0],
@@ -373,8 +407,9 @@ def rationality_check(
     below = costs <= tau
     if not np.any(below):
         return 1.0
-    utility = outcome.payments[below] - costs[below] * cost_fn(eps_tot, gamma_tot)
-    return float(np.mean(utility >= 0.0))
+    # utility payment - cost F(account) >= 0, compared without a utility vector
+    rational = outcome.payments >= costs * cost_fn(eps_tot, gamma_tot)
+    return float(np.mean(rational[below]))
 
 
 def budget_bound(n: int, a1: float, a2: float, m_a: float) -> float:
@@ -505,6 +540,7 @@ def preset_schedule(
     delta_half = sensitivity_bound(n // 2, d, bundle, settings, c0).delta_n
 
     return MechanismParams(
+        n=n,
         privacy=PrivacyParams(epsilon, delta_n, delta_half, gamma_n, gamma_half),
         settings=settings,
         a1=a1,

@@ -6,18 +6,28 @@ strategy reports the truth whenever the cost coefficient is at most tau and a
 misreport rule otherwise: by default, and in every harness run, the constant 0
 coerced into the model's response set (-1 for logistic). It never alters the
 covariates.
+
+`generate_population` draws theta* (unless the spec fixes it) and then one
+block of agents: covariates, responses, costs, in that order. A
+`PopulationStream` is the population of a simulate cell: the same draw,
+chunk by chunk, CHUNK_ROWS agents at a time, each chunk from its own
+generator, reported under a strategy. It is a row source for
+`mechanism.run_mechanism`, which walks it twice: once for the reports, once
+more for the covariates alone, which it redraws because they come first in
+each chunk's stream. A materialised population is the chunk draws
+concatenated (`PopulationStream.population`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple, Union
+from typing import Callable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
 from .errors import ConfigError, NonConvergenceError
-from .estimators import Dataset
+from .estimators import CHUNK_ROWS, Dataset
 from .links import LINEAR, LOGISTIC, POISSON, ModelKind
 
 
@@ -64,7 +74,6 @@ class PopulationSpec:
     tau_theta: float = 1.0
     theta_star: Optional[np.ndarray] = None  # None draws from the truncated prior
     cost_lambda: float = 1.0
-    cost_correlated: bool = False
 
     def __post_init__(self):
         if self.n < 1 or self.d < 1:
@@ -148,33 +157,96 @@ def _draw_responses(
     return rng.poisson(np.exp(eta)).astype(float)
 
 
+def _theta_star(spec: PopulationSpec, rng: np.random.Generator) -> np.ndarray:
+    """The spec's theta*, or a draw from the truncated prior when it fixes none."""
+    if spec.theta_star is not None:
+        return spec.theta_star.copy()
+    return draw_theta_star(spec.d, spec.tau_theta, rng)
+
+
 def generate_population(spec: PopulationSpec, rng: np.random.Generator) -> Population:
     """Draw theta*, covariates, responses and costs; deterministic given rng state."""
-    theta = (
-        spec.theta_star.copy()
-        if spec.theta_star is not None
-        else draw_theta_star(spec.d, spec.tau_theta, rng)
-    )
+    theta = _theta_star(spec, rng)
     X = _draw_covariates(spec, rng, spec.n)
     eta = X @ theta
     y = _draw_responses(spec.model, eta, rng)
-    return Population(X, y, _draw_costs(spec, y, rng), theta, spec)
+    return Population(X, y, _draw_costs(spec, y.shape, rng), theta, spec)
 
 
-def _draw_costs(spec: PopulationSpec, y: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Cost coefficients of the agents with responses y; each row of y is one population.
+def _draw_costs(spec: PopulationSpec, size, rng: np.random.Generator) -> np.ndarray:
+    """i.i.d. Exponential(cost_lambda) cost coefficients, so P(c <= t) = 1 - exp(-cost_lambda t)."""
+    return rng.exponential(1.0, size) * (1.0 / spec.cost_lambda)
 
-    Without `cost_correlated` they are i.i.d. Exponential(cost_lambda), so
-    P(c <= t) = 1 - exp(-cost_lambda t).
+
+ChunkRng = Callable[[int], np.random.Generator]
+
+
+class PopulationStream:
+    """The spec.n agents of one cell, drawn in chunks and reported under a strategy.
+
+    A row source for `mechanism.run_mechanism`. Chunk c holds agents
+    [c CHUNK_ROWS, (c + 1) CHUNK_ROWS) and draws them with
+    `generate_population` (theta* fixed) from population_rng(c); its reports
+    take strategy_rng(c). Chunk 0's population generator draws theta* first,
+    unless the spec fixes it, so a population of at most CHUNK_ROWS agents is
+    exactly `generate_population(spec, population_rng(0))`.
+
+    `chunks` yields each chunk's covariates and reports and keeps the costs
+    in `costs`; `covariate_chunks` redraws the covariates alone from the
+    start of each chunk's stream. No pass keeps more than one chunk's rows.
     """
-    costs = rng.exponential(1.0, size=y.shape)
-    if spec.cost_correlated:
-        # agents whose response exceeds the median are twice as privacy-averse
-        median = np.median(y, axis=-1, keepdims=True)
-        scale = np.where(y > median, 2.0 / spec.cost_lambda, 1.0 / spec.cost_lambda)
-    else:
-        scale = 1.0 / spec.cost_lambda
-    return costs * scale
+
+    def __init__(
+        self, spec: PopulationSpec, strategy: Threshold,
+        population_rng: ChunkRng, strategy_rng: ChunkRng,
+    ):
+        self.spec, self.strategy = spec, strategy
+        self.n, self.d = spec.n, spec.d
+        self._population_rng, self._strategy_rng = population_rng, strategy_rng
+        rng = population_rng(0)
+        self.theta_star = _theta_star(spec, rng)
+        self._chunk0_state = rng.bit_generator.state  # chunk 0's agents start here
+        self._chunk_spec = replace(spec, theta_star=self.theta_star)
+        self.costs = np.empty(spec.n)
+
+    def _rng(self, c: int) -> np.random.Generator:
+        """Chunk c's population generator, at the start of its agents' draws."""
+        rng = self._population_rng(c)
+        if c == 0:
+            rng.bit_generator.state = self._chunk0_state
+        return rng
+
+    def _bounds(self) -> Iterator[Tuple[int, int, int]]:
+        for c, lo in enumerate(range(0, self.n, CHUNK_ROWS)):
+            yield c, lo, min(lo + CHUNK_ROWS, self.n)
+
+    def _draw(self, c: int, rows: int) -> Population:
+        return generate_population(replace(self._chunk_spec, n=rows), self._rng(c))
+
+    def chunks(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """(covariates, reports) of each chunk; fills `costs` as it goes."""
+        for c, lo, hi in self._bounds():
+            pop = self._draw(c, hi - lo)
+            self.costs[lo:hi] = pop.costs
+            yield pop.X, _threshold_reports(
+                pop.y_true, pop.costs, self.strategy, self.spec.model, self._strategy_rng(c)
+            )
+
+    def covariate_chunks(self) -> Iterator[np.ndarray]:
+        """The covariates of each chunk again, redrawn without responses or costs."""
+        for c, lo, hi in self._bounds():
+            yield _draw_covariates(self.spec, self._rng(c), hi - lo)
+
+    def population(self) -> Population:
+        """The whole population at once: the chunk draws concatenated."""
+        pops = [self._draw(c, hi - lo) for c, lo, hi in self._bounds()]
+        return Population(
+            np.concatenate([p.X for p in pops]),
+            np.concatenate([p.y_true for p in pops]),
+            np.concatenate([p.costs for p in pops]),
+            self.theta_star,
+            self.spec,
+        )
 
 
 def replacement_sampler(spec: PopulationSpec, theta_star: np.ndarray):

@@ -454,12 +454,12 @@ def test_dataset_validation():
 
 
 def test_check_responses():
-    check_responses(Dataset(np.ones((2, 1)), np.array([-1.0, 1.0])), ModelKind.logistic())
+    check_responses(np.array([-1.0, 1.0]), ModelKind.logistic())
     with pytest.raises(ConfigError):
-        check_responses(Dataset(np.ones((2, 1)), np.array([0.5, 1.0])), ModelKind.logistic())
-    check_responses(Dataset(np.ones((2, 1)), np.array([0.0, 4.0])), ModelKind.poisson())
+        check_responses(np.array([0.5, 1.0]), ModelKind.logistic())
+    check_responses(np.array([0.0, 4.0]), ModelKind.poisson())
     with pytest.raises(ConfigError):
-        check_responses(Dataset(np.ones((2, 1)), np.array([1.5, 1.0])), ModelKind.poisson())
+        check_responses(np.array([1.5, 1.0]), ModelKind.poisson())
 
 
 def test_settings_validation():

@@ -253,7 +253,7 @@ def test_config_echo_reads_back(rule):
     config = linear_config(
         population=PopulationSpec(
             n=2, d=2, model=ModelKind.linear(0.5), covariates=StudentTCovariates(6.0),
-            theta_star=[0.1, -0.2], cost_correlated=True,
+            theta_star=[0.1, -0.2], cost_lambda=2.0,
         ),
         deviation_rule=rule,
     )
@@ -408,9 +408,9 @@ def test_eta_sup_bounds_eta_hat_and_matches_dense_grid(family):
 
 
 @pytest.mark.parametrize("regime, covariates, extra", [
-    ("subgaussian", SubGaussianCov(np.array([[0.6, 0.2], [0.2, 0.4]])), {"cost_correlated": True}),
+    ("subgaussian", SubGaussianCov(np.array([[0.6, 0.2], [0.2, 0.4]])), {}),
     ("heavy", StudentTCovariates(5.0), {"theta_star": np.array([0.3, -0.4])}),
-], ids=["subgaussian-cov-correlated-costs", "heavy-fixed-theta"])
+], ids=["subgaussian-cov", "heavy-fixed-theta"])
 def test_deviation_study_on_every_population_kind(regime, covariates, extra):
     config = linear_config(
         population=PopulationSpec(n=2, d=2, model=ModelKind.linear(1.0), covariates=covariates,
@@ -625,6 +625,7 @@ def _write_config(tmp_path, payload):
                      "covariates": {"kind": "subgaussian_isotropic", "sigm": 2.0}}}, "sigm"),
     ({"deviation": {"rule": "truthful", "trails": 5}}, "trails"),
     ({"population": {"d": 2, "n": 500, "model": "linear"}}, "n"),
+    ({"population": {"d": 2, "model": "linear", "cost_correlated": True}}, "cost_correlated"),
 ])
 def test_cli_rejects_unknown_config_keys(tmp_path, capsys, typo, key):
     payload = {

@@ -22,10 +22,11 @@ from privglm.mechanism import (
     CostFunction,
     MechanismParams,
     _log_gammainc,
+    _quadrature,
     brier_payment,
     budget_bound,
-    payments,
     prediction_bound,
+    predictions,
     preset_schedule,
     posterior_mean,
     project_ball,
@@ -176,6 +177,14 @@ def test_log_gammainc_matches_scipy():
         assert np.max(np.abs(np.exp(_log_gammainc(a, z)) - gammainc(a, z))) < 1e-14
 
 
+def test_quadrature_table_is_cached_and_read_only():
+    t, log_prior = _quadrature(3, 1000)
+    assert _quadrature(3, 1000)[0] is t
+    assert not t.flags.writeable and not log_prior.flags.writeable
+    with pytest.raises(ValueError):
+        log_prior[0] = 0.0
+
+
 def test_posterior_extreme_report_inside_ball():
     # the likelihood of a report of 500 peaks at x . theta = log 500, far
     # outside the ball, so the mean sits finite just inside the boundary
@@ -186,8 +195,8 @@ def test_posterior_extreme_report_inside_ball():
 
 def test_posterior_sampling_floor():
     settings = EstimatorSettings(tau1=1.0, tau2=1.0, tau_theta=1.0)
-    base = dict(privacy=PrivacyParams(0.5, 1.0, 1.0), settings=settings, a1=1.0, a2=1.0,
-                alpha=0.5, beta=0.5, tau_threshold=1.0)
+    base = dict(n=100, privacy=PrivacyParams(0.5, 1.0, 1.0), settings=settings, a1=1.0,
+                a2=1.0, alpha=0.5, beta=0.5, tau_threshold=1.0)
     MechanismParams(**base, posterior_samples=1000)
     for samples in (10, 999):
         with pytest.raises(ConfigError):
@@ -241,9 +250,11 @@ def test_run_mechanism_deterministic():
 
 def test_run_mechanism_reads_each_row_once(monkeypatch):
     # the three releases come from one blocked pass: every row enters one QR
-    # block, the full release stacks the half factors, and no SVD sees n rows
+    # block, the full release stacks the half factors, and no SVD sees n rows;
+    # n is one chunk of CHUNK_ROWS rows plus a partial chunk of 6
     d = 2
     n = 3 * (estimators._BLOCK_ELEMENTS // (d + 1)) + 7
+    assert n == estimators.CHUNK_ROWS + 6
     model, bundle, params, pop, reported = _linear_setup(n=n, d=d)
     qr, svd, stack = np.linalg.qr, np.linalg.svd, estimators.stack_factors
     qr_rows, svd_shapes, stacking = [], [], []
@@ -268,26 +279,43 @@ def test_run_mechanism_reads_each_row_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", traced_svd)
     monkeypatch.setattr(estimators, "stack_factors", traced_stack)
     monkeypatch.setattr(mechanism, "stack_factors", traced_stack)
-    run_mechanism(reported, bundle, params, np.random.default_rng(3))
+    out = run_mechanism(reported, bundle, params, np.random.default_rng(3))
     assert sum(qr_rows) == n
-    assert len(qr_rows) == 4  # two blocks per half
+    # per half: two blocks in the full chunk, one in the partial chunk if it has rows there
+    tail = out.group_assignment[estimators.CHUNK_ROWS:]
+    assert len(qr_rows) == 4 + sum(np.any(tail == group) for group in (0, 1))
     assert svd_shapes == [(d, d)] * 3
 
 
 def test_partition_too_small():
-    model, bundle, params, _, _ = _linear_setup()
-    tiny = Dataset(np.eye(3), np.zeros(3))
+    model = ModelKind.linear(1.0)
+    params = preset_schedule(model, "subgaussian", 5, 0.3, d=3)
+    tiny = Dataset(np.random.default_rng(0).standard_normal((5, 3)), np.zeros(5))
     with pytest.raises(PartitionTooSmallError):
-        run_mechanism(tiny, bundle, params, np.random.default_rng(0))
+        run_mechanism(tiny, make_link_bundle(model), params, np.random.default_rng(0))
 
 
 def test_heavy_regime_requires_linear_model():
     params = preset_schedule(ModelKind.linear(1.0), "heavy", 400, 0.12, d=2)
     bundle = make_link_bundle(ModelKind.logistic())
-    data = Dataset(np.random.default_rng(0).standard_normal((40, 2)),
-                   np.where(np.random.default_rng(1).random(40) < 0.5, 1.0, -1.0))
-    with pytest.raises(ConfigError):
+    data = Dataset(np.random.default_rng(0).standard_normal((400, 2)),
+                   np.where(np.random.default_rng(1).random(400) < 0.5, 1.0, -1.0))
+    with pytest.raises(ConfigError, match="heavy regime is defined for the linear model only"):
         run_mechanism(data, bundle, params, np.random.default_rng(0))
+
+
+def test_run_mechanism_rejects_params_of_another_n():
+    # params resolved at n = 4000 would release noise at the n = 4000 bound
+    # (0.097) where 400 agents need the n = 400 bound (0.234)
+    model = ModelKind.linear(1.0)
+    params = preset_schedule(model, "subgaussian", 4000, 0.3, d=2)
+    assert params.n == 4000
+    assert params.privacy.delta_n == pytest.approx(0.0975, abs=5e-4)
+    assert preset_schedule(model, "subgaussian", 400, 0.3, d=2).privacy.delta_n == pytest.approx(
+        0.2335, abs=5e-4)
+    _, bundle, _, _, reported = _linear_setup(n=400)
+    with pytest.raises(ConfigError, match="resolved at n = 4000 cannot run 400 agents"):
+        run_mechanism(reported, bundle, params, np.random.default_rng(0))
 
 
 def _recompute_payment(reported, i, out, bundle, params):
@@ -298,8 +326,9 @@ def _recompute_payment(reported, i, out, bundle, params):
         X, reported.y[i : i + 1], bundle.model, params.settings.tau_theta,
         params.posterior_samples,
     )
-    pay, _, _ = payments(design(X, bundle.model, params.settings), opposite, mean, bundle, params)
-    return pay[0]
+    x_pay = design(X, bundle.model, params.settings)
+    p, q = predictions(x_pay, opposite, bundle), predictions(x_pay, mean, bundle)
+    return brier_payment(params.a1, params.a2, p, q)[0]
 
 
 def test_group_blinding_recompute_linear():
@@ -573,11 +602,11 @@ def test_mechanism_params_validation():
     settings = EstimatorSettings(tau1=1.0, tau2=1.0, tau_theta=1.0)
     with pytest.raises(ConfigError):
         MechanismParams(
-            privacy=PrivacyParams(0.5, 1.0, 1.0), settings=settings, a1=1.0, a2=1.0,
+            n=100, privacy=PrivacyParams(0.5, 1.0, 1.0), settings=settings, a1=1.0, a2=1.0,
             alpha=0.0, beta=0.5, tau_threshold=1.0,
         )
     with pytest.raises(ConfigError):
         MechanismParams(
-            privacy=PrivacyParams(0.5, 1.0, 1.0), settings=settings, a1=-1.0, a2=1.0,
+            n=100, privacy=PrivacyParams(0.5, 1.0, 1.0), settings=settings, a1=-1.0, a2=1.0,
             alpha=0.5, beta=0.5, tau_threshold=1.0,
         )

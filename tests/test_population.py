@@ -82,13 +82,6 @@ def test_sample_costs_matches_exponential_cdf():
         PopulationSpec(n=10, d=1, model=ModelKind.linear(1.0), cost_lambda=0.0)
 
 
-def test_correlated_costs_double_above_median():
-    pop, _ = make_pop(ModelKind.linear(1.0), n=10**5, d=2, seed=7, cost_correlated=True)
-    above = pop.y_true > np.median(pop.y_true)
-    ratio = pop.costs[above].mean() / pop.costs[~above].mean()
-    assert 1.8 < ratio < 2.2
-
-
 def test_covariate_variance_isotropic():
     pop, _ = make_pop(
         ModelKind.linear(1.0), n=10**5, d=4, seed=8,
