@@ -7,19 +7,10 @@ end-to-end mechanisms (`mechanism`), and the experiment harness plus CLI
 (`harness`, `cli`).
 """
 
-from .errors import (
-    ConfigError,
-    InsufficientMassError,
-    InvalidPolytopeError,
-    LinkDomainError,
-    NonConvergenceError,
-    PartitionTooSmallError,
-    SingularGramError,
-)
+from .errors import ConfigError, NonConvergenceError, SingularGramError
 from .estimators import (
     Dataset,
     EstimatorSettings,
-    SensitivityBound,
     calibrate_c0,
     empirical_sensitivity,
     estimate,
@@ -82,7 +73,6 @@ from .population import (
     tau_alpha_beta_monte_carlo,
 )
 from .privacy import (
-    NoiseSample,
     PrivacyParams,
     RatioReport,
     compose_account,

@@ -3,8 +3,10 @@
 Verbs: simulate (sweep from a JSON config), deviate (deviation-gain study),
 sensitivity (empirical vs formula sensitivity), privacy-check (ratio
 falsification test) and schedule (print a parameter schedule). Exit codes:
-0 success, 2 config error, 3 numerical failure (in every cell of a sweep, or
-in the one solve or study of another verb).
+0 success, 2 config error (a bad config, flag or input, and any error the
+config causes, such as a response subset with infinite link constants or a
+ratio check with too few samples per bin), 3 numerical failure (in every
+cell of a sweep, or in the one solve or study of another verb).
 """
 
 from __future__ import annotations
@@ -15,13 +17,13 @@ import json
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from .errors import ConfigError, SingularGramError
 from .estimators import Dataset, calibrate_c0, empirical_sensitivity, sensitivity_bound
 from .harness import (
+    ARM_POPULATION,
     ExperimentConfig,
     canonical_privacy_check,
+    cell_rng,
     emit_report,
     estimate_deviation_gain,
     params_for,
@@ -91,7 +93,7 @@ def _cmd_sensitivity(args) -> int:
     params = params_for(config, n)
     bundle = make_link_bundle(config.population.model)
     spec = replace(config.population, n=n)
-    pop = generate_population(spec, np.random.default_rng([config.master_seed, n, 0, 0]))
+    pop = generate_population(spec, cell_rng(config.master_seed, n, 0, ARM_POPULATION))
     emp = empirical_sensitivity(
         Dataset(pop.X, pop.y_true),
         bundle,
@@ -100,7 +102,7 @@ def _cmd_sensitivity(args) -> int:
         (config.master_seed, n),
         replacement_sampler(spec, pop.theta_star),
     )
-    shape = sensitivity_bound(n, spec.d, bundle, params.settings).delta_n
+    shape = sensitivity_bound(n, spec.d, bundle, params.settings)
     print(
         json.dumps(
             {

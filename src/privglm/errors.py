@@ -2,33 +2,18 @@
 
 
 class ConfigError(ValueError):
-    """Invalid configuration: schedule exponent out of range, malformed config file,
-    unwritable output path, or parameters inconsistent with the chosen regime."""
-
-
-class LinkDomainError(ValueError):
-    """An argument left the domain of a link-function inverse (e.g. |a| >= 1 for the
-    logistic mean inverse, a <= 0 for the Poisson one)."""
-
-
-class InvalidPolytopeError(ValueError):
-    """The chosen response-mean subset makes one of the link constants infinite or
-    leaves an empty intersection with the clipped response range."""
+    """Invalid configuration or input: a schedule exponent out of range, a
+    malformed config file, an unwritable output path, a response subset whose
+    link constants are infinite, a response outside a link inverse's domain,
+    a ratio check with too few samples per bin, or parameters inconsistent
+    with the chosen regime."""
 
 
 class SingularGramError(ArithmeticError):
-    """Gram matrix condition number exceeds the configured cap; the instance is too
-    small or the covariates are degenerate."""
-
-
-class InsufficientMassError(RuntimeError):
-    """Too many histogram bins hold fewer samples than the estimability floor, so the
-    ratio test cannot be evaluated."""
+    """The design is rank deficient, has fewer rows than d, or its condition
+    number exceeds the cap; the instance is too small or the covariates are
+    degenerate."""
 
 
 class NonConvergenceError(RuntimeError):
     """A bracketing or bisection search failed to converge within its iteration cap."""
-
-
-class PartitionTooSmallError(ValueError):
-    """A mechanism group ended up with fewer rows than the parameter dimension."""

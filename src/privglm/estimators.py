@@ -191,9 +191,14 @@ def solve_factor(R: np.ndarray) -> np.ndarray:
     X = Q R11 with R11 = R[:d, :d], so R11 has the singular values of X and
     the solution is R11^-1 R[:d, d], taken through the SVD of R11. R may
     also be a stack (..., rows, d + 1) of factors: each gets its own SVD,
-    and one rank-deficient or over-cap factor raises for the whole stack.
+    and one rank-deficient or over-cap factor raises for the whole stack. A
+    factor of fewer than d rows (a design of fewer than d rows) raises too.
     """
     d = R.shape[-1] - 1
+    if R.shape[-2] < d:
+        raise SingularGramError(
+            f"a design of {R.shape[-2]} rows cannot determine d = {d} coefficients"
+        )
     u, s, vt = np.linalg.svd(R[..., :d, :d], full_matrices=False)
     if not (s[..., -1].min() > 0.0 and np.isfinite(s[..., 0]).all()):
         raise SingularGramError("design matrix is rank deficient")
@@ -270,35 +275,24 @@ def l4_shrink_rows(X: np.ndarray, tau1: float) -> np.ndarray:
     return X * scale[:, None]
 
 
-@dataclass(frozen=True)
-class SensitivityBound:
-    """One-replacement l2 sensitivity bound at one sample size."""
-
-    delta_n: float
-
-
-def sensitivity_bound_subgaussian(
-    n: int, d: int, kappa1: float, c0: float = 1.0
-) -> SensitivityBound:
+def sensitivity_bound_subgaussian(n: int, d: int, kappa1: float, c0: float = 1.0) -> float:
     """C0 * kappa1 * sqrt(d log n / n)."""
     if n < 2:
         raise ConfigError("sensitivity bound requires n >= 2")
-    delta = c0 * kappa1 * math.sqrt(d * math.log(n) / n)
-    return SensitivityBound(delta)
+    return c0 * kappa1 * math.sqrt(d * math.log(n) / n)
 
 
-def sensitivity_bound_heavy(n: int, d: int, c0: float = 1.0) -> SensitivityBound:
+def sensitivity_bound_heavy(n: int, d: int, c0: float = 1.0) -> float:
     """C0 * d^(3/4) * (log n / n)^(1/8)."""
     if n < 2:
         raise ConfigError("sensitivity bound requires n >= 2")
-    delta = c0 * d ** 0.75 * (math.log(n) / n) ** 0.125
-    return SensitivityBound(delta)
+    return c0 * d ** 0.75 * (math.log(n) / n) ** 0.125
 
 
 def sensitivity_bound(
     n: int, d: int, bundle: LinkBundle, settings: EstimatorSettings, c0: float = 1.0
-) -> SensitivityBound:
-    """The regime's one-replacement sensitivity bound at size n."""
+) -> float:
+    """The regime's one-replacement l2 sensitivity bound at size n."""
     if settings.regime == HEAVY:
         return sensitivity_bound_heavy(n, d, c0)
     kappa1 = compute_link_constants(

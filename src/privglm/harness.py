@@ -5,8 +5,8 @@ Every cell of a sweep derives its random streams from the tuple
 (master_seed, n, repeat, arm) through numpy's SeedSequence, so any cell can be
 re-run in isolation and results do not depend on execution order or thread
 count. A cell's population is a `PopulationStream` of chunks of CHUNK_ROWS
-agents: chunk 0 draws from the cell's own population and strategy
-generators, chunk c >= 1 from (master_seed, n, repeat, arm, c).
+agents: chunk 0 draws from the cell's own population generator, chunk
+c >= 1 from (master_seed, n, repeat, arm, c).
 """
 
 from __future__ import annotations
@@ -69,12 +69,13 @@ from .privacy import (
     RatioReport,
     compose_account,
     empirical_privacy_ratio,
-    sample_norm_exponential_batch,
+    sample_norm_exponential,
 )
 
 METRICS = ("accuracy", "sensitivity", "deviation_gain", "rationality", "budget", "privacy_ratio")
 
-ARM_POPULATION, ARM_STRATEGY, ARM_MECHANISM, ARM_SENSITIVITY, ARM_DEVIATION = range(5)
+# arm 1 is unused: the threshold strategy draws nothing
+ARM_POPULATION, ARM_MECHANISM, ARM_SENSITIVITY, ARM_DEVIATION = 0, 2, 3, 4
 
 CSV_COLUMNS = (
     "n",
@@ -95,8 +96,7 @@ CSV_COLUMNS = (
 
 _CONFIG_KEYS = (
     "population", "regime", "schedule", "sweep", "repeats", "metrics", "out_dir", "format",
-    "master_seed", "deviation", "sensitivity_trials", "posterior_samples", "audit_log",
-    "report_mode",
+    "master_seed", "deviation", "sensitivity_trials", "posterior_samples",
 )
 _POPULATION_KEYS = (
     "d", "model", "noise_std", "covariates", "tau_theta", "theta_star", "cost_lambda",
@@ -124,6 +124,15 @@ def _chunk_rngs(master_seed: int, n: int, repeat: int, arm: int):
     return lambda c: cell_rng(master_seed, n, repeat, arm, *((c,) if c else ()))
 
 
+def _check_size(n: int, d: int) -> None:
+    """Each half of the partition of n agents needs at least d rows."""
+    if n < 2 * d:
+        raise ConfigError(
+            f"n = {n} is below 2d = {2 * d} (d = {d}): a group of the partition would "
+            f"have fewer rows than d"
+        )
+
+
 def _check_seed(seed: int) -> None:
     """Seeds key numpy's SeedSequence, which takes nonnegative integers only."""
     if seed < 0:
@@ -139,8 +148,6 @@ class ScheduleSpec:
     c0: float = 1.0
     c0_calibrated: bool = False
     sigma: float = 1.0
-    gamma_c1: float = 1.0
-    gamma_exponent: float = 1.0
     scale: Optional[dict] = None
 
 
@@ -159,8 +166,6 @@ class ExperimentConfig:
     deviation_trials: int = 100
     sensitivity_trials: int = 40
     posterior_samples: int = 10_000
-    audit_log: Optional[str] = None
-    report_mode: str = "release"
 
     def __post_init__(self):
         self.sweep = [int(v) for v in self.sweep]
@@ -170,12 +175,8 @@ class ExperimentConfig:
             pass  # an empty sweep produces a header-only report
         elif any(b <= a for a, b in zip(self.sweep, self.sweep[1:])):
             raise ConfigError("sweep must be strictly increasing")
-        elif self.sweep[0] < 2 * self.population.d:
-            raise ConfigError(
-                f"sweep point n = {self.sweep[0]} is below 2d = {2 * self.population.d} "
-                f"(d = {self.population.d}): a group of the partition would have fewer "
-                f"rows than d"
-            )
+        else:
+            _check_size(self.sweep[0], self.population.d)
         unknown = set(self.metrics) - set(METRICS)
         if unknown:
             raise ConfigError(f"unknown metrics {sorted(unknown)}")
@@ -184,8 +185,6 @@ class ExperimentConfig:
         _check_seed(self.master_seed)
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"unknown report format {self.fmt!r}")
-        if self.report_mode not in ("debug", "release"):
-            raise ConfigError("report_mode must be debug or release")
 
     @classmethod
     def from_json(cls, obj) -> "ExperimentConfig":
@@ -216,8 +215,6 @@ class ExperimentConfig:
                 deviation_trials=int(dev.get("trials", 100)),
                 sensitivity_trials=int(obj.get("sensitivity_trials", 40)),
                 posterior_samples=int(obj.get("posterior_samples", 10_000)),
-                audit_log=obj.get("audit_log"),
-                report_mode=obj.get("report_mode", "release"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, ConfigError):
@@ -326,6 +323,7 @@ class CellResult:
     failed: bool = False
     error: Optional[str] = None
     theta_bar: Optional[list] = None
+    noise_norms: Optional[list] = None  # each release's noise norm, in RELEASES order
 
 
 @dataclass
@@ -381,7 +379,6 @@ def config_to_json(config: ExperimentConfig) -> dict:
         "metrics": list(config.metrics),
         "master_seed": config.master_seed,
         "format": config.fmt,
-        "report_mode": config.report_mode,
         "posterior_samples": config.posterior_samples,
         "deviation": {"rule": rule_name(config.deviation_rule), "trials": config.deviation_trials},
         "sensitivity_trials": config.sensitivity_trials,
@@ -403,8 +400,6 @@ def params_for(config: ExperimentConfig, n: int) -> MechanismParams:
         tau_theta=config.population.tau_theta,
         sigma=s.sigma,
         c0=s.c0,
-        gamma_c1=s.gamma_c1,
-        gamma_exponent=s.gamma_exponent,
         posterior_samples=config.posterior_samples,
         scale=s.scale,
     )
@@ -416,16 +411,13 @@ def _cell_seed(master_seed: int, n: int, repeat: int) -> int:
 
 def cell_population(config: ExperimentConfig, n: int, repeat: int, tau: float) -> PopulationStream:
     """The population of cell (n, repeat), reporting under the threshold strategy at tau."""
-    ms = config.master_seed
     return PopulationStream(
-        replace(config.population, n=n),
-        Threshold(tau),
-        _chunk_rngs(ms, n, repeat, ARM_POPULATION),
-        _chunk_rngs(ms, n, repeat, ARM_STRATEGY),
+        replace(config.population, n=n), Threshold(tau),
+        _chunk_rngs(config.master_seed, n, repeat, ARM_POPULATION),
     )
 
 
-def _run_cell(config: ExperimentConfig, n: int, repeat: int):
+def _run_cell(config: ExperimentConfig, n: int, repeat: int) -> CellResult:
     ms = config.master_seed
     seed_tag = _cell_seed(ms, n, repeat)
     model = config.population.model
@@ -457,41 +449,32 @@ def _run_cell(config: ExperimentConfig, n: int, repeat: int):
                 replacement_sampler(stream.spec, pop.theta_star),
             )
     except SingularGramError as exc:
-        return (
-            CellResult(
-                n, repeat, model.family, config.regime,
-                None, None, None, None, None, None, None, None,
-                seed_tag, failed=True, error=str(exc),
-            ),
-            [],
+        return CellResult(
+            n, repeat, model.family, config.regime,
+            None, None, None, None, None, None, None, None,
+            seed_tag, failed=True, error=str(exc),
         )
 
     diff = outcome.theta_bar_full - stream.theta_star
     mse = float(diff @ diff)
     truthful = float(np.mean(stream.costs <= tau))
     eps_tot, gamma_tot = outcome.account
-    audit = [
-        {"which": which, "seed": seed_tag, "magnitude": mag}
-        for which, mag in outcome.noise_audit
-    ]
-    return (
-        CellResult(
-            n,
-            repeat,
-            model.family,
-            config.regime,
-            mse,
-            outcome.budget,
-            truthful,
-            rationality,
-            eta,
-            delta_emp,
-            eps_tot,
-            gamma_tot,
-            seed_tag,
-            theta_bar=[float(v) for v in outcome.theta_bar_full],
-        ),
-        audit,
+    return CellResult(
+        n,
+        repeat,
+        model.family,
+        config.regime,
+        mse,
+        outcome.budget,
+        truthful,
+        rationality,
+        eta,
+        delta_emp,
+        eps_tot,
+        gamma_tot,
+        seed_tag,
+        theta_bar=[float(v) for v in outcome.theta_bar_full],
+        noise_norms=list(outcome.noise_norms),
     )
 
 
@@ -504,17 +487,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentRepo
     else:
         results = [_run_cell(config, n, r) for n, r in cells]
 
-    order = sorted(range(len(cells)), key=lambda i: cells[i])
-    rows = [results[i][0] for i in order]
-
-    if config.audit_log and config.report_mode == "debug":
-        try:
-            with Path(config.audit_log).open("a") as fh:
-                for i in order:
-                    for line in results[i][1]:
-                        fh.write(json.dumps(line) + "\n")
-        except OSError as exc:
-            raise ConfigError(f"cannot write the audit log to {config.audit_log}: {exc}")
+    rows = [results[i] for i in sorted(range(len(cells)), key=lambda i: cells[i])]
 
     fits = {}
     for metric in ("mse", "budget"):
@@ -611,6 +584,7 @@ def estimate_deviation_gain(
     nn = int(n) if n is not None else (config.sweep[0] if config.sweep else None)
     if nn is None:
         raise ConfigError("no sweep point to run the deviation study at")
+    _check_size(nn, config.population.d)
     ms = config.master_seed
     model = config.population.model
     bundle = make_link_bundle(model)
@@ -672,7 +646,7 @@ def estimate_deviation_gain(
             theta_opp[trial] = _solve_opposite_groups(
                 spec_n, theta_star[trial], int(m), strategy, bundle, settings, rng
             )
-        noise = sample_norm_exponential_batch(d, privacy.delta_half, privacy.epsilon, rng, b)
+        noise = sample_norm_exponential(d, privacy.delta_half, privacy.epsilon, rng, b)
         theta_bar = project_ball(theta_opp + noise, settings.tau_theta)
         p[lo : lo + b] = predictions(x_pay, theta_bar, bundle)
 
@@ -701,7 +675,7 @@ def _solve_opposite_groups(spec, theta_star, m, strategy, bundle, settings, rng)
     X = _draw_covariates(spec, rng, k * m)
     y = _draw_responses(model, np.matmul(X.reshape(k, m, d), theta_star[:, :, None]).ravel(), rng)
     costs = _draw_costs(spec, k * m, rng)
-    reported = _threshold_reports(y, costs, strategy, model, rng)
+    reported = _threshold_reports(y, costs, strategy, model)
     stack = np.empty((k, m, d + 1))
     stack[..., :d] = design(X, model, settings).reshape(k, m, d)
     stack[..., d] = working_response(reported, bundle, settings).reshape(k, m)
@@ -861,7 +835,7 @@ def private_release_closure(bundle, settings, epsilon: float, delta: float, corr
 
     def build(dataset, rng: np.random.Generator, trials: int) -> np.ndarray:
         theta = estimate(dataset, bundle, settings)
-        v = sample_norm_exponential_batch(dataset.d, delta / corruption, epsilon, rng, trials)
+        v = sample_norm_exponential(dataset.d, delta / corruption, epsilon, rng, trials)
         v += theta  # in place: at 4e5 trials each extra trials x d buffer shows in peak RSS
         return project_ball(v, settings.tau_theta)
 

@@ -29,7 +29,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import ConfigError, InvalidPolytopeError, LinkDomainError
+from .errors import ConfigError
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -151,14 +151,12 @@ class LinkConstants:
     kappa2: float
     m_a: float
     eps_mbar: float
-    tau1: float
-    tau2: float
 
     def __post_init__(self):
         for name in ("kappa0", "kappa1", "kappa2", "m_a", "eps_mbar"):
             v = getattr(self, name)
             if not math.isfinite(v) or v < 0:
-                raise InvalidPolytopeError(f"link constant {name} = {v} is not finite and nonnegative")
+                raise ConfigError(f"link constant {name} = {v} is not finite and nonnegative")
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +188,7 @@ def _logistic_A_second(a):
 def _logistic_A_prime_inv(y):
     arr = np.asarray(y, dtype=float)
     if np.any(np.abs(arr) >= 1.0):
-        raise LinkDomainError("logistic mean inverse requires |y| < 1")
+        raise ConfigError("logistic mean inverse requires |y| < 1")
     out = np.arctanh(arr)
     return _match(out, y)
 
@@ -203,7 +201,7 @@ def _exp(a):
 def _poisson_A_prime_inv(y):
     arr = np.asarray(y, dtype=float)
     if np.any(arr <= 0.0):
-        raise LinkDomainError("poisson mean inverse requires y > 0")
+        raise ConfigError("poisson mean inverse requires y > 0")
     out = np.log(arr)
     return _match(out, y)
 
@@ -295,7 +293,7 @@ def compute_link_constants(
     which every symmetric predictor interval contains), and the distance to
     an interval is convex in y. An infinite value, an empty intersection
     with the clip range, or a pole inside the subset signals an invalid
-    subset choice and raises InvalidPolytopeError.
+    subset choice and raises ConfigError.
     """
     if not (tau1 > 0 and tau2 > 0 and tau_theta > 0):
         raise ConfigError("tau1, tau2 and tau_theta must be positive")
@@ -306,7 +304,7 @@ def compute_link_constants(
     # Mbar intersect [-tau2, tau2]
     ilo, ihi = max(lo, -tau2), min(hi, tau2)
     if ilo > ihi:
-        raise InvalidPolytopeError(
+        raise ConfigError(
             f"subset [{lo}, {hi}] does not meet the clip range [-{tau2}, {tau2}]"
         )
 
@@ -316,32 +314,32 @@ def compute_link_constants(
         kappa2 = 1.0
         m_a = T
         eps_mbar = max(0.0, lo + tau2, tau2 - hi)
-        return LinkConstants(kappa0, kappa1, kappa2, m_a, eps_mbar, tau1, tau2)
+        return LinkConstants(kappa0, kappa1, kappa2, m_a, eps_mbar)
 
     if family == LOGISTIC:
         m = max(math.tanh(T), abs(lo), abs(hi))
         if m >= 1.0:
-            raise InvalidPolytopeError(
+            raise ConfigError(
                 "logistic subset touches the pole of the inverse-mean derivative at |y| = 1"
             )
         kappa0 = 1.0 / (1.0 - m * m)
         if max(abs(ilo), abs(ihi)) >= 1.0:
-            raise InvalidPolytopeError("logistic subset reaches |y| = 1 inside the clip range")
+            raise ConfigError("logistic subset reaches |y| = 1 inside the clip range")
         kappa1 = max(abs(math.atanh(ilo)), abs(math.atanh(ihi)))
         kappa2 = 1.0
         m_a = math.tanh(T)
         candidates = [y for y in (-1.0, 1.0) if abs(y) <= tau2]
         eps_mbar = max((_interval_distance(y, lo, hi) for y in candidates), default=0.0)
-        return LinkConstants(kappa0, kappa1, kappa2, m_a, eps_mbar, tau1, tau2)
+        return LinkConstants(kappa0, kappa1, kappa2, m_a, eps_mbar)
 
     # poisson
     if lo <= 0.0:
-        raise InvalidPolytopeError(
+        raise ConfigError(
             "poisson subset must stay strictly positive (pole of the inverse mean at 0)"
         )
     lower_reach = min(math.exp(-T), lo)  # exp underflows to 0 for huge ranges
     if lower_reach <= 0.0:
-        raise InvalidPolytopeError(
+        raise ConfigError(
             "poisson inverse-mean derivative unbounded on the predictor range"
         )
     kappa0 = 1.0 / lower_reach
@@ -349,9 +347,9 @@ def compute_link_constants(
     try:
         peak = math.exp(T)
     except OverflowError:
-        raise InvalidPolytopeError("poisson mean unbounded on the predictor range")
+        raise ConfigError("poisson mean unbounded on the predictor range")
     kappa2 = peak
     m_a = peak
     candidates = [0.0, float(math.floor(tau2))]
     eps_mbar = max(_interval_distance(y, lo, hi) for y in candidates)
-    return LinkConstants(kappa0, kappa1, kappa2, m_a, eps_mbar, tau1, tau2)
+    return LinkConstants(kappa0, kappa1, kappa2, m_a, eps_mbar)

@@ -46,7 +46,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, PartitionTooSmallError
+from .errors import ConfigError
 from .estimators import (
     HEAVY,
     EstimatorSettings,
@@ -73,7 +73,7 @@ from .links import (
     preset_polytope,
 )
 from .population import tau_alpha_beta_bound
-from .privacy import NoiseSample, PrivacyParams, compose_account, sample_norm_exponential
+from .privacy import PrivacyParams, compose_account, sample_norm_exponential
 
 MIN_POSTERIOR_SAMPLES = 1000
 # terms of one row block of the (agents x nodes) posterior table
@@ -161,7 +161,7 @@ class MechanismOutcome:
     group_assignment: np.ndarray
     budget: float
     account: Tuple[float, float]
-    noise_audit: Tuple[Tuple[str, float], ...]  # (release, noise magnitude)
+    noise_norms: Tuple[float, float, float]  # each release's noise norm, in RELEASES order
     p: np.ndarray
     q: np.ndarray
 
@@ -186,14 +186,12 @@ def opposite_release(group):
     return 2 - group
 
 
-def release_noise(
-    d: int, privacy: PrivacyParams, rng: np.random.Generator
-) -> Tuple[NoiseSample, NoiseSample, NoiseSample]:
-    """Noise of the three releases, drawn in the order of RELEASES."""
-    return tuple(
-        sample_norm_exponential(d, delta, privacy.epsilon, rng)
+def release_noise(d: int, privacy: PrivacyParams, rng: np.random.Generator) -> np.ndarray:
+    """Noise of the three releases, one row each, drawn one by one in the order of RELEASES."""
+    return np.concatenate([
+        sample_norm_exponential(d, delta, privacy.epsilon, rng, 1)
         for delta in (privacy.delta_n, privacy.delta_half, privacy.delta_half)
-    )
+    ])
 
 
 def project_ball(theta: np.ndarray, tau_theta: float) -> np.ndarray:
@@ -344,7 +342,7 @@ def run_mechanism(
     if n != params.n:
         raise ConfigError(f"parameters resolved at n = {params.n} cannot run {n} agents")
     if n < 2 * d:
-        raise PartitionTooSmallError(f"n = {n} leaves a group smaller than d = {d}")
+        raise ConfigError(f"n = {n} leaves a group smaller than d = {d}")
 
     assign = partition(n, rng)
     factors = ([], [])
@@ -367,7 +365,7 @@ def run_mechanism(
     halves = [found[0] if len(found) == 1 else stack_factors(*found) for found in factors]
     thetas = np.stack([solve_factor(R) for R in (stack_factors(*halves), *halves)])
     noise = release_noise(d, params.privacy, rng)
-    bars = project_ball(thetas + np.stack([s.v for s in noise]), settings.tau_theta)
+    bars = project_ball(thetas + noise, settings.tau_theta)
 
     p, pay = np.empty(n), np.empty(n)
     lo = 0
@@ -386,7 +384,7 @@ def run_mechanism(
         group_assignment=assign,
         budget=math.fsum(pay),
         account=compose_account(params.privacy),
-        noise_audit=tuple((which, s.magnitude) for which, s in zip(RELEASES, noise)),
+        noise_norms=tuple(float(np.linalg.norm(v)) for v in noise),
         p=p,
         q=q,
     )
@@ -466,8 +464,6 @@ def preset_schedule(
     tau_theta: float = 1.0,
     sigma: float = 1.0,
     c0: float = 1.0,
-    gamma_c1: float = 1.0,
-    gamma_exponent: float = 1.0,
     posterior_samples: int = 10_000,
     scale: Optional[dict] = None,
 ) -> MechanismParams:
@@ -525,8 +521,9 @@ def preset_schedule(
     beta = n ** (-c)
     alpha = min(alpha, 1.0 - 1e-12)
     beta = min(beta, 1.0 - 1e-12)
-    gamma_n = min(1.0, gamma_c1 * n ** (-gamma_exponent))
-    gamma_half = min(1.0, gamma_c1 * (n // 2) ** (-gamma_exponent))
+    # the o(1) failure probability of each release's privacy claim
+    gamma_n = min(1.0, n ** -1.0)
+    gamma_half = min(1.0, (n // 2) ** -1.0)
     gamma_total = gamma_n + 2.0 * gamma_half
 
     settings = EstimatorSettings(
@@ -536,8 +533,8 @@ def preset_schedule(
     m_a = prediction_bound(model, settings, d)
     a1 = rationality_floor(a2, m_a, tau_thr, cost_fn, epsilon, gamma_total)
     bundle = make_link_bundle(model)
-    delta_n = sensitivity_bound(n, d, bundle, settings, c0).delta_n
-    delta_half = sensitivity_bound(n // 2, d, bundle, settings, c0).delta_n
+    delta_n = sensitivity_bound(n, d, bundle, settings, c0)
+    delta_half = sensitivity_bound(n // 2, d, bundle, settings, c0)
 
     return MechanismParams(
         n=n,

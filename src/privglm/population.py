@@ -2,16 +2,16 @@
 
 An agent is a covariate vector, a true response drawn from the configured
 model, and a privacy-cost coefficient with an exponential tail. The threshold
-strategy reports the truth whenever the cost coefficient is at most tau and a
-misreport rule otherwise: by default, and in every harness run, the constant 0
-coerced into the model's response set (-1 for logistic). It never alters the
-covariates.
+strategy reports the truth whenever the cost coefficient is at most tau and
+otherwise the constant 0 coerced into the model's response set (-1 for
+logistic): the paper lets such an agent report anything, and this draws
+nothing at random. It never alters the covariates.
 
 `generate_population` draws theta* (unless the spec fixes it) and then one
 block of agents: covariates, responses, costs, in that order. A
 `PopulationStream` is the population of a simulate cell: the same draw,
 chunk by chunk, CHUNK_ROWS agents at a time, each chunk from its own
-generator, reported under a strategy. It is a row source for
+generator, reported under the threshold strategy. It is a row source for
 `mechanism.run_mechanism`, which walks it twice: once for the reports, once
 more for the covariates alone, which it redraws because they come first in
 each chunk's stream. A materialised population is the chunk draws
@@ -182,27 +182,24 @@ ChunkRng = Callable[[int], np.random.Generator]
 
 
 class PopulationStream:
-    """The spec.n agents of one cell, drawn in chunks and reported under a strategy.
+    """The spec.n agents of one cell, drawn in chunks and reported under a threshold strategy.
 
     A row source for `mechanism.run_mechanism`. Chunk c holds agents
     [c CHUNK_ROWS, (c + 1) CHUNK_ROWS) and draws them with
-    `generate_population` (theta* fixed) from population_rng(c); its reports
-    take strategy_rng(c). Chunk 0's population generator draws theta* first,
-    unless the spec fixes it, so a population of at most CHUNK_ROWS agents is
-    exactly `generate_population(spec, population_rng(0))`.
+    `generate_population` (theta* fixed) from population_rng(c). Chunk 0's
+    generator draws theta* first, unless the spec fixes it, so a population
+    of at most CHUNK_ROWS agents is exactly
+    `generate_population(spec, population_rng(0))`.
 
     `chunks` yields each chunk's covariates and reports and keeps the costs
     in `costs`; `covariate_chunks` redraws the covariates alone from the
     start of each chunk's stream. No pass keeps more than one chunk's rows.
     """
 
-    def __init__(
-        self, spec: PopulationSpec, strategy: Threshold,
-        population_rng: ChunkRng, strategy_rng: ChunkRng,
-    ):
+    def __init__(self, spec: PopulationSpec, strategy: Threshold, population_rng: ChunkRng):
         self.spec, self.strategy = spec, strategy
         self.n, self.d = spec.n, spec.d
-        self._population_rng, self._strategy_rng = population_rng, strategy_rng
+        self._population_rng = population_rng
         rng = population_rng(0)
         self.theta_star = _theta_star(spec, rng)
         self._chunk0_state = rng.bit_generator.state  # chunk 0's agents start here
@@ -228,9 +225,7 @@ class PopulationStream:
         for c, lo, hi in self._bounds():
             pop = self._draw(c, hi - lo)
             self.costs[lo:hi] = pop.costs
-            yield pop.X, _threshold_reports(
-                pop.y_true, pop.costs, self.strategy, self.spec.model, self._strategy_rng(c)
-            )
+            yield pop.X, _threshold_reports(pop.y_true, pop.costs, self.strategy, self.spec.model)
 
     def covariate_chunks(self) -> Iterator[np.ndarray]:
         """The covariates of each chunk again, redrawn without responses or costs."""
@@ -346,9 +341,13 @@ class AdditiveNoise:
 
 @dataclass(frozen=True)
 class WorstOfGrid:
-    """Report the grid value farthest from the truth (accuracy-adversarial)."""
+    """A deviation study's grid of reports; the study reports the most profitable one."""
 
     grid: Tuple[float, ...]
+
+    def __post_init__(self):
+        if not self.grid:
+            raise ConfigError("a grid rule needs a nonempty grid")
 
 
 MisreportRule = Union[Constant, SignFlip, AdditiveNoise, WorstOfGrid]
@@ -356,10 +355,9 @@ MisreportRule = Union[Constant, SignFlip, AdditiveNoise, WorstOfGrid]
 
 @dataclass(frozen=True)
 class Threshold:
-    """Report the truth iff cost <= tau, else fall back to the misreport rule."""
+    """Report the truth iff cost <= tau, else 0 coerced into the response set."""
 
     tau: float
-    fallback: MisreportRule = field(default_factory=Constant)
 
 
 def coerce_response(values: np.ndarray, model: ModelKind) -> np.ndarray:
@@ -380,33 +378,24 @@ def coerce_response(values: np.ndarray, model: ModelKind) -> np.ndarray:
 def _rule_values(
     rule: MisreportRule, y_true: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
+    """The reports of a per-agent misreport rule; a grid is the deviation study's own."""
     if isinstance(rule, Constant):
         return np.full_like(y_true, rule.value)
     if isinstance(rule, SignFlip):
         return -y_true
     if isinstance(rule, AdditiveNoise):
         return y_true + rule.scale * rng.standard_normal(y_true.shape[0])
-    if isinstance(rule, WorstOfGrid):
-        grid = np.asarray(rule.grid, dtype=float)
-        if grid.size == 0:
-            raise ConfigError("WorstOfGrid needs a nonempty grid")
-        dist = np.abs(grid[None, :] - y_true[:, None])
-        return grid[np.argmax(dist, axis=1)]
     raise ConfigError(f"unknown misreport rule {rule!r}")
 
 
 def _threshold_reports(
-    y_true: np.ndarray, costs: np.ndarray, strategy: Threshold, model: ModelKind,
-    rng: np.random.Generator,
+    y_true: np.ndarray, costs: np.ndarray, strategy: Threshold, model: ModelKind
 ) -> np.ndarray:
-    """Reports under the threshold strategy: the truth iff cost <= tau, else the fallback."""
-    fallback = coerce_response(_rule_values(strategy.fallback, y_true, rng), model)
-    return np.where(costs <= strategy.tau, y_true, fallback)
+    """Reports under the threshold strategy: the truth iff cost <= tau, else 0 coerced."""
+    return np.where(costs <= strategy.tau, y_true, coerce_response(0.0, model))
 
 
-def apply_strategy(
-    pop: Population, strategy: Threshold, rng: np.random.Generator
-) -> Dataset:
+def apply_strategy(pop: Population, strategy: Threshold) -> Dataset:
     """Reports under the threshold strategy; covariates pass through untouched."""
-    reported = _threshold_reports(pop.y_true, pop.costs, strategy, pop.spec.model, rng)
+    reported = _threshold_reports(pop.y_true, pop.costs, strategy, pop.spec.model)
     return Dataset(pop.X.copy(), reported)

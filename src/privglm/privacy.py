@@ -21,7 +21,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientMassError
+from .errors import ConfigError
 
 @dataclass(frozen=True)
 class PrivacyParams:
@@ -58,15 +58,7 @@ def compose_account(params: PrivacyParams) -> Tuple[float, float]:
     return 2.0 * params.epsilon, params.gamma_n + 2.0 * params.gamma_half
 
 
-@dataclass(frozen=True)
-class NoiseSample:
-    """One noise draw with its recomputable magnitude."""
-
-    v: np.ndarray
-    magnitude: float
-
-
-def sample_norm_exponential_batch(
+def sample_norm_exponential(
     d: int, delta: float, epsilon: float, rng: np.random.Generator, count: int
 ) -> np.ndarray:
     """Draw `count` vectors v = r * u, r ~ Gamma(d, delta/epsilon), u uniform on the sphere."""
@@ -84,14 +76,6 @@ def sample_norm_exponential_batch(
         u[bad] = rng.standard_normal((int(bad.sum()), d))
         norms = np.sqrt(np.sum(u * u, axis=1))
     return u * (r / norms)[:, None]
-
-
-def sample_norm_exponential(
-    d: int, delta: float, epsilon: float, rng: np.random.Generator
-) -> NoiseSample:
-    """Draw one noise vector with the norm-exponential density."""
-    v = sample_norm_exponential_batch(d, delta, epsilon, rng, 1)[0]
-    return NoiseSample(v, float(np.linalg.norm(v)))
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +181,9 @@ def empirical_privacy_ratio(
     thin = occupied & ((counts_a < _MIN_COUNT) | (counts_b < _MIN_COUNT))
     n_occ = int(occupied.sum())
     if n_occ == 0:
-        raise InsufficientMassError("no occupied bins")
+        raise ConfigError("no occupied bins")
     if thin.sum() > 0.20 * n_occ:
-        raise InsufficientMassError(
+        raise ConfigError(
             f"{int(thin.sum())} of {n_occ} occupied bins fall below {_MIN_COUNT} samples"
         )
     estimable = occupied & ~thin

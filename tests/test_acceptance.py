@@ -38,7 +38,6 @@ from privglm.mechanism import (
     run_mechanism,
 )
 from privglm.population import (
-    Constant,
     PopulationSpec,
     StudentTCovariates,
     SubGaussianIsotropic,
@@ -50,7 +49,7 @@ from privglm.population import (
     tau_alpha_beta_bound,
     tau_alpha_beta_monte_carlo,
 )
-from privglm.privacy import sample_norm_exponential_batch
+from privglm.privacy import sample_norm_exponential
 
 LINEAR = ModelKind.linear(1.0)
 
@@ -80,14 +79,14 @@ def _empirical_max(regime: str, n: int, seed: int, trials: int = 40, d: int = 3)
 
 def _shape(regime: str, n: int, d: int = 3) -> float:
     if regime == "heavy":
-        return sensitivity_bound_heavy(n, d, 1.0).delta_n
+        return sensitivity_bound_heavy(n, d, 1.0)
     params = preset_schedule(LINEAR, "subgaussian", n, 0.3, d=d)
     bundle = make_link_bundle(LINEAR)
     constants = compute_link_constants(
         bundle, params.settings.polytope, params.settings.tau1,
         params.settings.tau2, params.settings.tau_theta,
     )
-    return sensitivity_bound_subgaussian(n, d, constants.kappa1, 1.0).delta_n
+    return sensitivity_bound_subgaussian(n, d, constants.kappa1, 1.0)
 
 
 def _pilot_c0(regime: str, n: int, pilots: int = 12, seed0: int = 10_000) -> float:
@@ -119,7 +118,7 @@ def test_criterion_01_noise_moments():
     ok = True
     details = []
     for d, delta, eps in ((3, 0.05, 0.2), (5, 0.1, 0.5), (10, 0.02, 1.0)):
-        v = sample_norm_exponential_batch(d, delta, eps, np.random.default_rng([1, d]), 10**6)
+        v = sample_norm_exponential(d, delta, eps, np.random.default_rng([1, d]), 10**6)
         mags = np.linalg.norm(v, axis=1)
         m1, m2 = float(mags.mean()), float((mags**2).mean())
         t1 = d * delta / eps
@@ -246,9 +245,7 @@ def test_criterion_07_rationality():
         params = preset_schedule(model, "subgaussian", 2000, 0.3, d=3)
         spec = PopulationSpec(n=2000, d=3, model=model)
         pop = generate_population(spec, np.random.default_rng([seed, 1]))
-        reported = apply_strategy(
-            pop, Threshold(params.tau_threshold, Constant(0.0)), np.random.default_rng([seed, 2])
-        )
+        reported = apply_strategy(pop, Threshold(params.tau_threshold))
         outcome = run_mechanism(reported, bundle, params, np.random.default_rng([seed, 3]))
         frac = rationality_check(outcome, pop.costs, params.cost_fn, params.tau_threshold)
         perfect += frac == 1.0

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from privglm.errors import ConfigError, LinkDomainError, SingularGramError
+from privglm.errors import ConfigError, SingularGramError
 from privglm.estimators import (
     _BLOCK_ELEMENTS,
     COND_CAP,
@@ -83,7 +83,7 @@ def test_poisson_polytope_touching_zero_breaks_domain():
     settings = EstimatorSettings(
         tau1=1.0, tau2=5.0, tau_theta=1.0, polytope=PolytopeSpec(0.0, math.inf)
     )
-    with pytest.raises(LinkDomainError):
+    with pytest.raises(ConfigError, match="poisson mean inverse requires y > 0"):
         estimate(data, bundle, settings)
 
 
@@ -91,6 +91,19 @@ def test_singular_design_raises():
     X = np.ones((10, 2))  # duplicate columns
     with pytest.raises(SingularGramError):
         estimate(Dataset(X, np.ones(10)), LIN, wide_settings())
+
+
+def test_factor_of_fewer_than_d_rows_raises():
+    # 3 rows at d = 5 have a minimum-norm solution, which is no estimate
+    rng = np.random.default_rng(5)
+    R = triangular_factor(rng.standard_normal((3, 5)), rng.standard_normal(3))
+    assert R.shape == (3, 6)
+    with pytest.raises(SingularGramError, match="3 rows cannot determine d = 5"):
+        solve_factor(R)
+    with pytest.raises(SingularGramError, match="3 rows cannot determine d = 5"):
+        solve_factor(np.linalg.qr(rng.standard_normal((4, 3, 6)), mode="r"))
+    # d rows determine the solution
+    assert solve_factor(triangular_factor(np.eye(5), np.arange(5.0))).tolist() == [0, 1, 2, 3, 4]
 
 
 def _block_rows(d):
@@ -328,21 +341,21 @@ def test_project_ball_nonexpansive():
 
 def test_sensitivity_bound_subgaussian_values():
     b = sensitivity_bound_subgaussian(10**4, 4, 1.0, 1.0)
-    assert b.delta_n == pytest.approx(math.sqrt(4 * math.log(10**4) / 10**4), rel=1e-12)
-    assert b.delta_n == pytest.approx(0.0607, abs=5e-5)
+    assert b == pytest.approx(math.sqrt(4 * math.log(10**4) / 10**4), rel=1e-12)
+    assert b == pytest.approx(0.0607, abs=5e-5)
     doubled = sensitivity_bound_subgaussian(10**4, 4, 2.0, 1.0)
-    assert doubled.delta_n == pytest.approx(2 * b.delta_n, rel=1e-12)
-    vals = [sensitivity_bound_subgaussian(n, 4, 1.0, 1.0).delta_n for n in range(3, 400)]
+    assert doubled == pytest.approx(2 * b, rel=1e-12)
+    vals = [sensitivity_bound_subgaussian(n, 4, 1.0, 1.0) for n in range(3, 400)]
     assert all(a > b2 for a, b2 in zip(vals, vals[1:]))
 
 
 def test_sensitivity_bound_heavy_values():
     b = sensitivity_bound_heavy(10**4, 1, 1.0)
-    assert b.delta_n == pytest.approx((math.log(10**4) / 10**4) ** 0.125, rel=1e-12)
-    assert b.delta_n == pytest.approx(0.417, abs=5e-4)
-    ratio = sensitivity_bound_heavy(10**4, 16, 1.0).delta_n / b.delta_n
+    assert b == pytest.approx((math.log(10**4) / 10**4) ** 0.125, rel=1e-12)
+    assert b == pytest.approx(0.417, abs=5e-4)
+    ratio = sensitivity_bound_heavy(10**4, 16, 1.0) / b
     assert ratio == pytest.approx(8.0, rel=1e-12)
-    vals = [sensitivity_bound_heavy(n, 2, 1.0).delta_n for n in range(3, 400)]
+    vals = [sensitivity_bound_heavy(n, 2, 1.0) for n in range(3, 400)]
     assert all(a > b2 for a, b2 in zip(vals, vals[1:]))
 
 

@@ -31,8 +31,10 @@ from privglm.links import ModelKind, make_link_bundle
 from privglm.mechanism import (
     CostFunction,
     brier_payment,
+    partition,
     preset_schedule,
     rationality_floor,
+    release_noise,
 )
 from privglm.population import (
     AdditiveNoise,
@@ -162,7 +164,7 @@ def test_failed_cells_are_recorded(tmp_path, capsys):
     assert len(report["rows"]) == 2
     for row in report["rows"]:
         assert row["failed"] and "exceeds cap" in row["error"]
-        assert row["mse"] is None
+        assert row["mse"] is None and row["noise_norms"] is None
     assert "mse" not in report["fits"]
 
 
@@ -182,8 +184,6 @@ def test_every_defaulted_config_field_is_settable(tmp_path):
         "deviation": {"rule": "truthful", "trials": 7},
         "sensitivity_trials": 5,
         "posterior_samples": 2000,
-        "audit_log": str(tmp_path / "audit.jsonl"),
-        "report_mode": "debug",
     }
     assert set(payload) == set(harness._CONFIG_KEYS)
     config = ExperimentConfig.from_json(payload)
@@ -431,21 +431,22 @@ def test_sensitivity_metric_in_rows():
     assert report.rows[0].delta_empirical is not None and report.rows[0].delta_empirical >= 0
 
 
-def test_audit_log_written_in_debug_mode(tmp_path):
-    log = tmp_path / "audit.jsonl"
-    config = linear_config(audit_log=str(log), report_mode="debug", sweep=[150, 300])
+@pytest.mark.parametrize("model", [ModelKind.linear(1.0), ModelKind.logistic()],
+                         ids=["linear", "logistic"])
+def test_noise_norms_are_the_norms_of_the_redrawn_release_noise(tmp_path, model):
+    config = linear_config(population=PopulationSpec(n=2, d=2, model=model),
+                           sweep=[150, 300], repeats=2, posterior_samples=2000)
     report = run_experiment(config)
-    lines = [json.loads(line) for line in log.read_text().splitlines()]
-    assert len(lines) == 6
-    # each cell's three lines carry that cell's seed, so they join to its row
-    for row, cell in zip(report.rows, (lines[:3], lines[3:])):
-        assert [entry["which"] for entry in cell] == ["full", "half0", "half1"]
-        assert {entry["seed"] for entry in cell} == {row.seed}
-    assert report.rows[0].seed != report.rows[1].seed
-    # release mode never writes noise audits
-    log2 = tmp_path / "audit2.jsonl"
-    run_experiment(linear_config(audit_log=str(log2), report_mode="release"))
-    assert not log2.exists()
+    for row in report.rows:
+        # the cell's mechanism generator draws the partition, then the three noises
+        rng = harness.cell_rng(config.master_seed, row.n, row.repeat, harness.ARM_MECHANISM)
+        partition(row.n, rng)
+        noise = release_noise(2, harness.params_for(config, row.n).privacy, rng)
+        assert row.noise_norms == [float(np.linalg.norm(v)) for v in noise]
+    # the JSON rows carry them
+    emit_report(report, tmp_path, "json")
+    rows = json.loads((tmp_path / "report.json").read_text())["rows"]
+    assert [r["noise_norms"] for r in rows] == [r.noise_norms for r in report.rows]
 
 
 def test_canonical_privacy_check_smoke():
@@ -594,23 +595,6 @@ def test_cli_output_directory_created_only_on_write(tmp_path, capsys):
     assert "cannot write the report" in capsys.readouterr().err
 
 
-def test_cli_unwritable_audit_log_is_config_error(tmp_path, capsys):
-    (tmp_path / "plain").write_text("")
-    log = tmp_path / "plain" / "audit.jsonl"
-    payload = {
-        "population": {"d": 2, "model": "linear", "noise_std": 1.0},
-        "schedule": {"delta": 0.3},
-        "sweep": [120],
-        "repeats": 1,
-        "master_seed": 3,
-        "report_mode": "debug",
-        "audit_log": str(log),
-    }
-    cfg = _write_config(tmp_path, payload)
-    assert cli_main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-    assert f"cannot write the audit log to {log}" in capsys.readouterr().err
-
-
 def _write_config(tmp_path, payload):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(payload))
@@ -626,6 +610,10 @@ def _write_config(tmp_path, payload):
     ({"deviation": {"rule": "truthful", "trails": 5}}, "trails"),
     ({"population": {"d": 2, "n": 500, "model": "linear"}}, "n"),
     ({"population": {"d": 2, "model": "linear", "cost_correlated": True}}, "cost_correlated"),
+    ({"report_mode": "debug"}, "report_mode"),
+    ({"audit_log": "audit.jsonl"}, "audit_log"),
+    ({"schedule": {"delta": 0.3, "gamma_c1": 2.0}}, "gamma_c1"),
+    ({"schedule": {"delta": 0.3, "gamma_exponent": 0.5}}, "gamma_exponent"),
 ])
 def test_cli_rejects_unknown_config_keys(tmp_path, capsys, typo, key):
     payload = {
@@ -727,6 +715,68 @@ def test_cli_numerical_failure_exits_3(tmp_path, capsys, monkeypatch, verb, wher
     assert cli_main([verb, "--config", _write_config(tmp_path, payload), "--trials", "3"]) == 3
     err = capsys.readouterr().err
     assert err == "numerical failure: design matrix is rank deficient\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--config", None],
+     "logistic subset touches the pole of the inverse-mean derivative"),
+    (["schedule", "--model", "poisson", "--n", "1000", "--delta", "0.26", "--tau-theta", "400"],
+     "poisson inverse-mean derivative unbounded on the predictor range"),
+    (["privacy-check", "--trials", "120"], "occupied bins fall below 50 samples"),
+], ids=["simulate-polytope", "schedule-polytope", "privacy-check-mass"])
+def test_cli_config_caused_failure_exits_2(tmp_path, capsys, argv, message):
+    payload = {
+        "population": {"d": 2, "model": "logistic", "tau_theta": 10.0},
+        "schedule": {"delta": 0.3},
+        "sweep": [1000],
+    }
+    argv = [_write_config(tmp_path, payload) if a is None else a for a in argv]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err and err.count("\n") == 1
+
+
+def test_deviation_study_rejects_n_below_2d(tmp_path, capsys):
+    # at n = 6 and d = 5 the opposite group has 3 rows: no estimator solves on it
+    payload = {
+        "population": {"d": 5, "model": "linear"},
+        "schedule": {"delta": 0.3},
+        "sweep": [100],
+    }
+    cfg = _write_config(tmp_path, payload)
+    assert cli_main(["deviate", "--config", cfg, "--n", "6", "--trials", "3"]) == 2
+    err = capsys.readouterr().err
+    # the message a sweep point below 2d gets
+    assert cli_main(["simulate", "--config", _write_config(tmp_path, payload | {"sweep": [6]}),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == err
+    assert err == ("config error: n = 6 is below 2d = 10 (d = 5): a group of the partition "
+                   "would have fewer rows than d\n")
+
+
+def test_readme_config_block_reads_back():
+    # the README's config example is a valid config, and its echo gives back
+    # every key it shows (out_dir is never echoed; the rule comes back in its
+    # CLI text form)
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("### Config schema")[1].split("```json")[1].split("```")[0]
+    shown = json.loads("\n".join(line.split("//")[0] for line in block.splitlines()))
+    echoed = config_to_json(ExperimentConfig.from_json(shown))
+    assert set(shown) == set(harness._CONFIG_KEYS)
+
+    def compare(want, got, where):
+        for key, value in want.items():
+            if where + key == "out_dir":
+                continue
+            assert key in got, f"{where}{key} is not echoed"
+            if isinstance(value, dict) and isinstance(got[key], dict):
+                compare(value, got[key], f"{where}{key}.")
+            elif where + key == "deviation.rule":
+                assert parse_rule(got[key]) == parse_rule(value)
+            else:
+                assert got[key] == value, f"{where}{key}: shown {value!r}, echoed {got[key]!r}"
+
+    compare(shown, echoed, "")
 
 
 def test_cli_deviate_and_privacy_check(tmp_path):

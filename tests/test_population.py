@@ -15,6 +15,7 @@ from privglm.population import (
     SubGaussianIsotropic,
     Threshold,
     WorstOfGrid,
+    _rule_values,
     apply_strategy,
     coerce_response,
     generate_population,
@@ -173,9 +174,9 @@ def test_tau_monte_carlo_single_agent():
 
 def test_threshold_strategy_edges():
     pop, _ = make_pop(ModelKind.linear(1.0), n=500, d=2, seed=13)
-    data = apply_strategy(pop, Threshold(math.inf, Constant(0.0)), np.random.default_rng(1))
+    data = apply_strategy(pop, Threshold(math.inf))
     assert np.array_equal(data.y, pop.y_true)
-    data = apply_strategy(pop, Threshold(0.0, Constant(0.0)), np.random.default_rng(1))
+    data = apply_strategy(pop, Threshold(0.0))
     assert np.all(data.y == 0.0)
 
 
@@ -189,9 +190,13 @@ def test_threshold_fraction_at_closed_form_bound():
 def test_strategy_determinism_and_covariate_safety():
     pop, _ = make_pop(ModelKind.linear(1.0), n=300, d=2, seed=15)
     X_before = pop.X.copy()
-    a = apply_strategy(pop, Threshold(1.0, AdditiveNoise(2.0)), np.random.default_rng(77))
-    b = apply_strategy(pop, Threshold(1.0, AdditiveNoise(2.0)), np.random.default_rng(77))
+    a = apply_strategy(pop, Threshold(1.0))
+    b = apply_strategy(pop, Threshold(1.0))
     assert np.array_equal(a.y, b.y)
+    # the per-agent rules of the deviation study draw only from their generator
+    rule = AdditiveNoise(2.0)
+    assert np.array_equal(_rule_values(rule, pop.y_true, np.random.default_rng(77)),
+                          _rule_values(rule, pop.y_true, np.random.default_rng(77)))
     assert np.array_equal(a.X, X_before)
     assert np.array_equal(pop.X, X_before)
 
@@ -207,23 +212,27 @@ def test_coercion_per_model():
 
 
 def test_misreport_rules():
-    # costs are nonnegative, so a threshold of -1 sends every agent to the rule
     pop, _ = make_pop(ModelKind.linear(1.0), n=50, d=2, seed=16)
-    flipped = apply_strategy(pop, Threshold(-1.0, SignFlip()), np.random.default_rng(0))
-    assert np.array_equal(flipped.y, -pop.y_true)
-    grid = apply_strategy(
-        pop, Threshold(-1.0, WorstOfGrid((-5.0, 5.0))), np.random.default_rng(0)
-    )
-    expected = np.where(np.abs(-5.0 - pop.y_true) >= np.abs(5.0 - pop.y_true), -5.0, 5.0)
-    assert np.array_equal(grid.y, expected)
+    rng = np.random.default_rng(0)
+    assert np.array_equal(_rule_values(SignFlip(), pop.y_true, rng), -pop.y_true)
+    assert np.all(_rule_values(Constant(1.5), pop.y_true, rng) == 1.5)
+    # a grid is not a per-agent rule: the deviation study reports its best value
+    with pytest.raises(ConfigError, match="unknown misreport rule"):
+        _rule_values(WorstOfGrid((-5.0, 5.0)), pop.y_true, rng)
+    with pytest.raises(ConfigError, match="nonempty grid"):
+        WorstOfGrid(())
 
 
 def test_logistic_fallback_sign_flip_stays_in_response_set():
     pop, _ = make_pop(ModelKind.logistic(), n=400, d=2, seed=17)
-    data = apply_strategy(pop, Threshold(0.5, SignFlip()), np.random.default_rng(2))
-    assert set(np.unique(data.y)) <= {-1.0, 1.0}
+    # above the threshold an agent reports 0 coerced into {-1, +1}: -1
+    data = apply_strategy(pop, Threshold(0.5))
     misreported = pop.costs > 0.5
-    assert np.array_equal(data.y[misreported], -pop.y_true[misreported])
+    assert np.any(misreported) and np.all(data.y[misreported] == -1.0)
+    assert np.array_equal(data.y[~misreported], pop.y_true[~misreported])
+    # the sign-flip deviation, coerced, stays in the response set too
+    flipped = coerce_response(_rule_values(SignFlip(), pop.y_true, None), ModelKind.logistic())
+    assert np.array_equal(flipped, -pop.y_true)
 
 
 def test_replacement_sampler_determinism():

@@ -20,7 +20,6 @@ from privglm.harness import (
     ARM_MECHANISM,
     ARM_POPULATION,
     ARM_SENSITIVITY,
-    ARM_STRATEGY,
     ExperimentConfig,
     ScheduleSpec,
     cell_population,
@@ -69,7 +68,7 @@ def test_one_chunk_cell_is_the_materialised_composition(name, fixed_theta):
     if fixed_theta:
         config = replace(config, population=replace(config.population,
                                                     theta_star=[0.2, -0.1, 0.3]))
-    row, _ = harness._run_cell(config, n, repeat)
+    row = harness._run_cell(config, n, repeat)
 
     ms = config.master_seed
     params = params_for(config, n)
@@ -77,11 +76,12 @@ def test_one_chunk_cell_is_the_materialised_composition(name, fixed_theta):
     tau = params.tau_threshold
     spec = replace(config.population, n=n)
     pop = generate_population(spec, cell_rng(ms, n, repeat, ARM_POPULATION))
-    reported = apply_strategy(pop, Threshold(tau), cell_rng(ms, n, repeat, ARM_STRATEGY))
+    reported = apply_strategy(pop, Threshold(tau))
     out = run_mechanism(reported, bundle, params, cell_rng(ms, n, repeat, ARM_MECHANISM))
     diff = out.theta_bar_full - pop.theta_star
     assert not row.failed
     assert row.theta_bar == [float(v) for v in out.theta_bar_full]
+    assert row.noise_norms == list(out.noise_norms)
     assert row.mse == float(diff @ diff)
     assert row.budget == out.budget
     assert row.truthful_frac == float(np.mean(pop.costs <= tau))
@@ -110,8 +110,7 @@ def test_streamed_cell_equals_run_on_materialised_population(name):
     stream = cell_population(config, n, 0, tau)
     streamed = run_mechanism(stream, bundle, params, cell_rng(ms, n, 0, ARM_MECHANISM))
     pop = stream.population()
-    # the threshold strategy's constant fallback draws nothing from its generator
-    reported = apply_strategy(pop, Threshold(tau), np.random.default_rng(0))
+    reported = apply_strategy(pop, Threshold(tau))
     whole = run_mechanism(reported, bundle, params, cell_rng(ms, n, 0, ARM_MECHANISM))
 
     for field in ("theta_bar_full", "theta_bar_g0", "theta_bar_g1", "payments", "p", "q"):
@@ -125,7 +124,7 @@ def test_streamed_cell_equals_run_on_materialised_population(name):
 def test_streamed_cell_row_reads_the_stream():
     n = 2 * CHUNK_ROWS + 1  # a last chunk of one agent
     config = cell_config("linear", 2, n)
-    row, _ = harness._run_cell(config, n, 0)
+    row = harness._run_cell(config, n, 0)
     params = params_for(config, n)
     stream = cell_population(config, n, 0, params.tau_threshold)
     out = run_mechanism(stream, make_link_bundle(config.population.model), params,
@@ -149,7 +148,7 @@ def test_run_mechanism_checks_the_responses_of_every_chunk():
 def _traced_peak(config, n) -> int:
     tracemalloc.start()
     try:
-        row, _ = harness._run_cell(config, n, 0)
+        row = harness._run_cell(config, n, 0)
         assert not row.failed
         return tracemalloc.get_traced_memory()[1]
     finally:
