@@ -7,7 +7,7 @@ end-to-end mechanisms (`mechanism`), and the experiment harness plus CLI
 (`harness`, `cli`).
 """
 
-from .errors import ConfigError, NonConvergenceError, SingularGramError
+from .errors import ConfigError, SingularGramError
 from .estimators import (
     Dataset,
     EstimatorSettings,
@@ -70,7 +70,6 @@ from .population import (
     apply_strategy,
     generate_population,
     tau_alpha_beta_bound,
-    tau_alpha_beta_monte_carlo,
 )
 from .privacy import (
     PrivacyParams,

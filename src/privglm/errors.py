@@ -13,7 +13,3 @@ class SingularGramError(ArithmeticError):
     """The design is rank deficient, has fewer rows than d, or its condition
     number exceeds the cap; the instance is too small or the covariates are
     degenerate."""
-
-
-class NonConvergenceError(RuntimeError):
-    """A bracketing or bisection search failed to converge within its iteration cap."""

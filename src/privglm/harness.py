@@ -266,11 +266,11 @@ def parse_rule(obj) -> Optional[MisreportRule]:
         if ":" in text:
             kind, arg = text.split(":", 1)
             if kind == "constant":
-                return Constant(float(arg))
+                return Constant(_rule_number(arg))
             if kind == "noise":
-                return AdditiveNoise(float(arg))
+                return AdditiveNoise(_rule_number(arg))
             if kind == "grid":
-                return WorstOfGrid(tuple(float(v) for v in arg.split(",")))
+                return WorstOfGrid(tuple(_rule_number(v) for v in arg.split(",")))
         raise ConfigError(f"cannot parse rule {obj!r}")
     return _rule_from_dict(obj)
 
@@ -278,14 +278,25 @@ def parse_rule(obj) -> Optional[MisreportRule]:
 def _rule_from_dict(obj: dict) -> MisreportRule:
     kind = obj.get("kind")
     if kind == "constant":
-        return Constant(float(obj.get("value", 0.0)))
+        return Constant(_rule_number(obj.get("value", 0.0)))
     if kind == "signflip":
         return SignFlip()
     if kind == "noise":
-        return AdditiveNoise(float(obj.get("scale", 1.0)))
+        return AdditiveNoise(_rule_number(obj.get("scale", 1.0)))
     if kind == "grid":
-        return WorstOfGrid(tuple(float(v) for v in obj["grid"]))
+        return WorstOfGrid(tuple(_rule_number(v) for v in obj["grid"]))
     raise ConfigError(f"unknown rule {obj!r}")
+
+
+def _rule_number(value) -> float:
+    """A rule's number as a float; unparsable or non-finite values are a ConfigError."""
+    try:
+        out = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"rule value {value!r} is not a number") from None
+    if not math.isfinite(out):
+        raise ConfigError(f"rule value {value!r} is not finite")
+    return out
 
 
 def rule_name(rule: Optional[MisreportRule]) -> str:

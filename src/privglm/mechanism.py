@@ -13,7 +13,8 @@ Both regimes run the same mechanism. The estimators module maps the reports:
 `working_response` the response the solve fits. The posterior means take
 the raw covariates: a closed form for the linear model, a deterministic 1-D
 quadrature for the logistic and Poisson models, so a payment uses no random
-draw beyond the release.
+draw beyond the release. For a logistic report of +-1 that quadrature folds
+exactly into a sum of tanh terms over its positive nodes.
 
 `run_mechanism` walks a row source (a `Dataset`, or the harness's
 `population.PopulationStream`) in chunks of CHUNK_ROWS agents, twice. The
@@ -245,6 +246,26 @@ def _quadrature(d: int, nodes: int) -> Tuple[np.ndarray, np.ndarray]:
     return t, log_prior
 
 
+@functools.lru_cache(maxsize=64)
+def _logistic_terms(d: int, nodes: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Positive nodes t_k of `_quadrature(d, nodes)` and the coefficients c_k
+    of the folded logistic rule E[t | y, s] = y sum_k c_k tanh(s t_k).
+
+    With pi_k = exp(log_prior_k - max log_prior), c_k = t_k pi_k / Z, where Z
+    is the prior weight of the positive nodes plus half that of the middle
+    node of an odd count. Returned read-only, like `_quadrature`.
+    """
+    t, log_prior = _quadrature(d, nodes)
+    prior = np.exp(log_prior - np.max(log_prior))
+    upper = slice(nodes - nodes // 2, None)
+    total = np.sum(prior[upper])
+    if nodes % 2:
+        total += 0.5 * prior[nodes // 2]
+    coef = t[upper] * prior[upper] / total
+    coef.flags.writeable = False
+    return t[upper], coef
+
+
 def posterior_mean(
     X: np.ndarray, y: np.ndarray, model: ModelKind, tau_theta: float, nodes: int
 ) -> np.ndarray:
@@ -264,6 +285,13 @@ def posterior_mean(
     t = sin(phi), over `nodes` nodes, taken in row blocks of at most
     _BLOCK_ELEMENTS terms. Every step is row-wise, so one row gives the same
     bits alone and inside a batch.
+
+    A logistic report y is +1 or -1, and its likelihood is sigma(2 y s t)
+    with s = tau_theta ||x||. The nodes and the prior are symmetric in t and
+    sigma(u) + sigma(-u) = 1, so the rule folds exactly into the node pairs
+    +-t_k: E[t | y] = y sum_{t_k > 0} c_k tanh(s t_k), with constant
+    coefficients c_k (see `_logistic_terms`). The Poisson rule weighs every
+    node by its log posterior.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
@@ -279,26 +307,28 @@ def posterior_mean(
         scale[over] *= tau_theta / norms[over]
         return scale[:, None] * X
 
-    t, log_prior = _quadrature(d, nodes)
     norms = np.sqrt(norm2)
     mean_t = np.empty(X.shape[0])
-    step = max(1, _BLOCK_ELEMENTS // nodes)
-    # in place, so one block holds two buffers of its size at a time
-    for lo in range(0, X.shape[0], step):
-        a = (tau_theta * norms[lo : lo + step])[:, None] * t
-        log_post = y[lo : lo + step, None] * a
-        if model.family == LOGISTIC:
-            # minus log(e^a + e^-a) = -(|a| + log1p(e^(-2|a|))), without overflow
-            np.abs(a, out=a)
-            log_post -= a
-            a *= -2.0
-            log_post -= np.log1p(np.exp(a, out=a), out=a)
-        else:  # Poisson
+    if model.family == LOGISTIC:
+        t, coef = _logistic_terms(d, nodes)
+        step = max(1, 2 * _BLOCK_ELEMENTS // nodes)  # a row has nodes // 2 terms
+        for lo in range(0, X.shape[0], step):
+            a = (tau_theta * norms[lo : lo + step])[:, None] * t
+            np.tanh(a, out=a)
+            a *= coef
+            mean_t[lo : lo + step] = y[lo : lo + step] * np.sum(a, axis=1)
+    else:  # Poisson
+        t, log_prior = _quadrature(d, nodes)
+        step = max(1, _BLOCK_ELEMENTS // nodes)
+        # in place, so one block holds two buffers of its size at a time
+        for lo in range(0, X.shape[0], step):
+            a = (tau_theta * norms[lo : lo + step])[:, None] * t
+            log_post = y[lo : lo + step, None] * a
             log_post -= np.exp(a, out=a)
-        log_post += log_prior
-        log_post -= np.max(log_post, axis=1, keepdims=True)
-        w = np.exp(log_post, out=log_post)
-        mean_t[lo : lo + step] = np.sum(np.multiply(w, t, out=a), axis=1) / np.sum(w, axis=1)
+            log_post += log_prior
+            log_post -= np.max(log_post, axis=1, keepdims=True)
+            w = np.exp(log_post, out=log_post)
+            mean_t[lo : lo + step] = np.sum(np.multiply(w, t, out=a), axis=1) / np.sum(w, axis=1)
     scale = np.divide(tau_theta * mean_t, norms, out=np.zeros_like(norms), where=norms > 0)
     return scale[:, None] * X
 

@@ -47,9 +47,10 @@ from privglm.population import (
     generate_population,
     replacement_sampler,
     tau_alpha_beta_bound,
-    tau_alpha_beta_monte_carlo,
 )
 from privglm.privacy import sample_norm_exponential
+
+from threshold_oracle import tau_alpha_beta_monte_carlo
 
 LINEAR = ModelKind.linear(1.0)
 

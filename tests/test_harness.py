@@ -736,6 +736,31 @@ def test_cli_config_caused_failure_exits_2(tmp_path, capsys, argv, message):
     assert err.startswith("config error:") and message in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("rule, message", [
+    ("grid:", "rule value '' is not a number"),
+    ("constant:abc", "rule value 'abc' is not a number"),
+    ("constant:nan", "rule value 'nan' is not finite"),
+    ("grid:1,inf", "rule value 'inf' is not finite"),
+    ({"kind": "noise", "scale": float("nan")}, "rule value nan is not finite"),
+    ({"kind": "grid", "grid": [0.0, "x"]}, "rule value 'x' is not a number"),
+], ids=["empty-grid", "constant-text", "constant-nan", "grid-inf", "config-nan", "config-text"])
+def test_cli_rejects_bad_rule_numbers(tmp_path, capsys, rule, message):
+    # a non-finite rule value would print "eta_hat": NaN, which is not JSON
+    payload = {
+        "population": {"d": 2, "model": "linear"},
+        "schedule": {"delta": 0.3},
+        "sweep": [400],
+        "master_seed": 3,
+    }
+    argv = ["deviate", "--trials", "3", "--n", "400", "--config"]
+    if isinstance(rule, dict):
+        argv += [_write_config(tmp_path, payload | {"deviation": {"rule": rule}})]
+    else:
+        argv += [_write_config(tmp_path, payload), "--rule", rule]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_deviation_study_rejects_n_below_2d(tmp_path, capsys):
     # at n = 6 and d = 5 the opposite group has 3 rows: no estimator solves on it
     payload = {

@@ -22,6 +22,7 @@ from privglm.mechanism import (
     CostFunction,
     MechanismParams,
     _log_gammainc,
+    _logistic_terms,
     _quadrature,
     brier_payment,
     budget_bound,
@@ -182,6 +183,66 @@ def test_quadrature_table_is_cached_and_read_only():
     assert not t.flags.writeable and not log_prior.flags.writeable
     with pytest.raises(ValueError):
         log_prior[0] = 0.0
+    t_pos, coef = _logistic_terms(3, 1000)
+    assert _logistic_terms(3, 1000)[1] is coef
+    assert not t_pos.flags.writeable and not coef.flags.writeable
+    with pytest.raises(ValueError):
+        coef[0] = 0.0
+
+
+def _log_sum_exp_mean_t(s, y, d, nodes):
+    """E[t | y, s] by the log-sum-exp midpoint loop over all `nodes` nodes
+    that the folded logistic rule replaced."""
+    t, log_prior = _quadrature(d, nodes)
+    a = s[:, None] * t
+    log_post = y[:, None] * a
+    # minus log(e^a + e^-a) = -(|a| + log1p(e^(-2|a|))), without overflow
+    np.abs(a, out=a)
+    log_post -= a
+    a *= -2.0
+    log_post -= np.log1p(np.exp(a, out=a), out=a)
+    log_post += log_prior
+    log_post -= np.max(log_post, axis=1, keepdims=True)
+    w = np.exp(log_post, out=log_post)
+    return np.sum(np.multiply(w, t, out=a), axis=1) / np.sum(w, axis=1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 10])
+def test_folded_logistic_rule_matches_log_sum_exp_loop(d):
+    # an odd node count puts a node at t = 0, which the fold counts half
+    s = np.array([0.0, 1e-8, 1e-3, 0.3, 1.0, 3.0, 50.0, 1e3])
+    X = np.zeros((s.size, d))
+    X[:, 0] = s
+    for nodes in (1000, 1001, 10_000):
+        for sign in (1.0, -1.0):
+            y = np.full(s.size, sign)
+            est = posterior_mean(X, y, ModelKind.logistic(), 1.0, nodes)
+            oracle = _log_sum_exp_mean_t(s, y, d, nodes)
+            assert np.max(np.abs(est[:, 0] - oracle)) < 1e-14
+            assert np.all(est[:, 1:] == 0.0)
+
+
+def test_logistic_posterior_is_antisymmetric_in_the_report():
+    X = np.random.default_rng(5).standard_normal((100, 3))
+    ones = np.ones(100)
+    up = posterior_mean(X, ones, ModelKind.logistic(), 1.0, 10_000)
+    assert np.array_equal(posterior_mean(X, -ones, ModelKind.logistic(), 1.0, 10_000), -up)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 10])
+def test_logistic_posterior_first_order_at_tiny_norm(d):
+    # E[t | y, s] = y s E_pi[t^2] + O(s^3); by isotropy E_pi[t^2] is
+    # E||theta||^2 / d, with radial density r^(d-1) e^(-d r^2 / 2) on [0, 1]
+    r, w = np.polynomial.legendre.leggauss(80)
+    r, w = 0.5 * (r + 1.0), 0.5 * w
+    radial = w * r ** (d - 1) * np.exp(-0.5 * d * r * r)
+    second_moment = np.sum(radial * r * r) / np.sum(radial) / d
+    s = 1e-8
+    x = np.zeros((1, d))
+    x[0, 0] = s
+    for y in (1.0, -1.0):
+        mean = posterior_mean(x, [y], ModelKind.logistic(), 1.0, 10_000)
+        assert mean[0, 0] == pytest.approx(y * s * second_moment, rel=1e-6)
 
 
 def test_posterior_extreme_report_inside_ball():

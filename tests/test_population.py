@@ -21,8 +21,9 @@ from privglm.population import (
     generate_population,
     replacement_sampler,
     tau_alpha_beta_bound,
-    tau_alpha_beta_monte_carlo,
 )
+
+from threshold_oracle import tau_alpha_beta_monte_carlo
 
 
 def make_pop(model, n=1000, d=2, seed=0, **kw):
