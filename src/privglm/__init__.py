@@ -67,7 +67,6 @@ from .population import (
     SubGaussianIsotropic,
     Threshold,
     WorstOfGrid,
-    apply_strategy,
     generate_population,
     tau_alpha_beta_bound,
 )

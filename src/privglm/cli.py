@@ -140,7 +140,6 @@ def _cmd_schedule(args) -> int:
         args.n,
         args.delta,
         args.d,
-        c=args.c,
         cost_lambda=args.cost_lambda,
         tau_theta=args.tau_theta,
         sigma=args.sigma,
@@ -208,16 +207,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_privacy_check)
 
-    p = sub.add_parser("schedule", help="print a parameter schedule")
+    # no prefix matching: the deleted --c must not read as --cost-lambda
+    p = sub.add_parser("schedule", help="print a parameter schedule", allow_abbrev=False)
     p.add_argument("--model", required=True, choices=("linear", "logistic", "poisson"))
     p.add_argument("--regime", default="subgaussian", choices=("subgaussian", "heavy"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--d", type=int, default=1)
-    p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--cost-lambda", dest="cost_lambda", type=float, default=1.0)
     p.add_argument("--tau-theta", dest="tau_theta", type=float, default=1.0)
-    p.add_argument("--sigma", type=float, default=1.0)
+    p.add_argument("--sigma", type=float, default=1.0, help="the covariates' sigma")
     p.add_argument("--noise-std", dest="noise_std", type=float, default=1.0)
     p.set_defaults(func=_cmd_schedule)
 

@@ -42,7 +42,7 @@ REGIMES = (SUBGAUSSIAN, HEAVY)
 
 # terms of one row block of the QR factorisation and of the row reductions;
 # a block of an operand (512 KiB) stays in a core's L2 cache
-_BLOCK_ELEMENTS = 2 ** 16
+BLOCK_ELEMENTS = 2 ** 16
 
 # largest design condition number the solver accepts
 COND_CAP = 1e12
@@ -167,14 +167,14 @@ def triangular_factor(
 ) -> np.ndarray:
     """Upper-triangular R of the QR factorisation of [X | z], or of its `rows`.
 
-    Each row block of at most _BLOCK_ELEMENTS terms is gathered straight
+    Each row block of at most BLOCK_ELEMENTS terms is gathered straight
     from X and z, in the column-major order LAPACK takes, and factored on
     its own; `stack_factors` combines the block factors. R has d + 1
     columns and min(m, d + 1) rows for m rows.
     """
     d = X.shape[1]
     m = X.shape[0] if rows is None else len(rows)
-    step = max(d + 1, _BLOCK_ELEMENTS // (d + 1))
+    step = max(d + 1, BLOCK_ELEMENTS // (d + 1))
     factors = []
     for lo in range(0, m, step):
         take = slice(lo, lo + step) if rows is None else rows[lo : lo + step]
@@ -238,7 +238,7 @@ def rows_inner(A: np.ndarray, B) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     B = np.atleast_2d(np.asarray(B, dtype=float))
     n, d = max(A.shape[0], B.shape[0]), A.shape[1]
-    step = max(1, _BLOCK_ELEMENTS // d)
+    step = max(1, BLOCK_ELEMENTS // d)
     if n <= step:
         acc = A[:, 0] * B[:, 0]
         for j in range(1, d):

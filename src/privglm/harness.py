@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, SingularGramError
 from .estimators import (
-    _BLOCK_ELEMENTS,
+    BLOCK_ELEMENTS,
     Dataset,
     EstimatorSettings,
     design,
@@ -55,15 +55,13 @@ from .population import (
     SubGaussianIsotropic,
     Threshold,
     WorstOfGrid,
-    _draw_costs,
-    _draw_covariates,
-    _draw_responses,
-    _rule_values,
-    _threshold_reports,
     coerce_response,
+    covariate_sigma,
+    draw_group_reports,
     draw_theta_star,
     generate_population,
     replacement_sampler,
+    rule_values,
 )
 from .privacy import (
     RatioReport,
@@ -107,6 +105,7 @@ _COVARIATE_KEYS = {
     "student_t": ("kind", "dof", "scale"),
 }
 _DEVIATION_KEYS = ("rule", "trials")
+_SCHEDULE_KEYS = ("delta", "c0", "c0_calibrated")
 
 
 def _check_keys(obj: dict, known, where: str) -> None:
@@ -141,14 +140,14 @@ def _check_seed(seed: int) -> None:
 
 @dataclass
 class ScheduleSpec:
-    """Reference to a per-model parameter schedule plus its free constants."""
+    """The schedule's exponent delta and the sensitivity constant c0.
+
+    Every other schedule value is a function of n and the population.
+    """
 
     delta: float
-    c: float = 1.0
     c0: float = 1.0
     c0_calibrated: bool = False
-    sigma: float = 1.0
-    scale: Optional[dict] = None
 
 
 @dataclass
@@ -197,6 +196,8 @@ class ExperimentConfig:
             _check_keys(obj, _CONFIG_KEYS, "config")
             pop = _population_from_json(obj["population"])
             sched = obj.get("schedule")
+            if sched is not None:
+                _check_keys(sched, _SCHEDULE_KEYS, "schedule")
             schedule = ScheduleSpec(**sched) if sched is not None else None
             dev = obj.get("deviation", {})
             _check_keys(dev, _DEVIATION_KEYS, "deviation")
@@ -399,20 +400,19 @@ def config_to_json(config: ExperimentConfig) -> dict:
 
 
 def params_for(config: ExperimentConfig, n: int) -> MechanismParams:
-    s = config.schedule
+    """The mechanism parameters of the config at n; sigma is the covariates' own."""
+    pop = config.population
     return preset_schedule(
-        config.population.model,
+        pop.model,
         config.regime,
         n,
-        s.delta,
-        config.population.d,
-        c=s.c,
-        cost_lambda=config.population.cost_lambda,
-        tau_theta=config.population.tau_theta,
-        sigma=s.sigma,
-        c0=s.c0,
+        config.schedule.delta,
+        pop.d,
+        cost_lambda=pop.cost_lambda,
+        tau_theta=pop.tau_theta,
+        sigma=covariate_sigma(pop),
+        c0=config.schedule.c0,
         posterior_samples=config.posterior_samples,
-        scale=s.scale,
     )
 
 
@@ -569,7 +569,7 @@ def estimate_deviation_gain(
     (unless the spec fixes it) and only those m agents with their costs and
     threshold-strategy reports, factors their mapped rows, and adds one noise
     vector at the half sensitivity: the one half release that pays agent 0.
-    Trials are taken in blocks of at most _BLOCK_ELEMENTS factored terms,
+    Trials are taken in blocks of at most BLOCK_ELEMENTS factored terms,
     block k keyed (master_seed, n, seed_tag, ARM_DEVIATION, k): one stacked
     QR and one stacked `solve_factor` per block, so every trial keeps its own
     rank and condition check.
@@ -620,7 +620,7 @@ def estimate_deviation_gain(
             float(v) for v in coerce_response(np.asarray(deviant_rule.grid, float), model)
         ]
     else:
-        raw = _rule_values(
+        raw = rule_values(
             deviant_rule,
             np.asarray([y0]),
             np.random.default_rng([ms, seed_tag, ARM_DEVIATION, 2]),
@@ -641,7 +641,7 @@ def estimate_deviation_gain(
 
     d = spec_n.d
     strategy = Threshold(params.tau_threshold)
-    per_block = max(1, _BLOCK_ELEMENTS // ((nn - nn // 2) * (d + 1)))
+    per_block = max(1, BLOCK_ELEMENTS // ((nn - nn // 2) * (d + 1)))
     p = np.empty(trials)
     for block, lo in enumerate(range(0, trials, per_block)):
         b = min(per_block, trials - lo)
@@ -677,18 +677,14 @@ def estimate_deviation_gain(
 def _solve_opposite_groups(spec, theta_star, m, strategy, bundle, settings, rng) -> np.ndarray:
     """Unprojected estimators of len(theta_star) independent groups of m agents.
 
-    Group t draws m agents under theta_star[t] and reports under `strategy`;
-    its rows are mapped as the mechanism maps them and factored with the
-    other groups' in one stacked QR.
+    Group t draws m agents under theta_star[t] and reports under `strategy`
+    (`draw_group_reports`); its rows are mapped as the mechanism maps them
+    and factored with the other groups' in one stacked QR.
     """
     k, d = theta_star.shape
-    model = spec.model
-    X = _draw_covariates(spec, rng, k * m)
-    y = _draw_responses(model, np.matmul(X.reshape(k, m, d), theta_star[:, :, None]).ravel(), rng)
-    costs = _draw_costs(spec, k * m, rng)
-    reported = _threshold_reports(y, costs, strategy, model)
+    X, reported = draw_group_reports(spec, theta_star, m, strategy, rng)
     stack = np.empty((k, m, d + 1))
-    stack[..., :d] = design(X, model, settings).reshape(k, m, d)
+    stack[..., :d] = design(X, spec.model, settings).reshape(k, m, d)
     stack[..., d] = working_response(reported, bundle, settings).reshape(k, m)
     return solve_factor(np.linalg.qr(stack, mode="r"))
 

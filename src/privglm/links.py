@@ -11,14 +11,14 @@ Because A' is only onto the interior of the response-mean set, the estimator
 first clips responses to [-tau2, tau2] and then projects them onto a closed
 subset of that interior (an interval here), so that (A')^-1 stays defined.
 
-A `LinkBundle` holds three functions of a model: A' (the payment rule's
-predictions), (A')^-1 (the estimator's working response) and A'' (the
-curvature kappa2 bounds). The constants (kappa0, kappa1, kappa2, m_a,
-eps_mbar) are worst-case magnitudes over the intervals the estimator actually
-touches of [(A')^-1]', (A')^-1, A'', A' and the distance to the subset. Each
-of these is monotone (or unimodal with a known peak) on those intervals for
-the three models, so every maximum is attained at an interval endpoint and is
-computed in closed form ("endpoint analysis") rather than by grid search.
+A `LinkBundle` holds two functions of a model on arrays: A' (the payment
+rule's predictions) and (A')^-1 (the estimator's working response). The
+constants (kappa0, kappa1, kappa2, m_a, eps_mbar) are worst-case magnitudes
+over the intervals the estimator actually touches of [(A')^-1]', (A')^-1,
+A'', A' and the distance to the subset. Each of these is monotone (or
+unimodal with a known peak) on those intervals for the three models, so
+every maximum is attained at an interval endpoint and is computed in closed
+form ("endpoint analysis") rather than by grid search.
 """
 
 from __future__ import annotations
@@ -37,13 +37,6 @@ LINEAR = "linear"
 LOGISTIC = "logistic"
 POISSON = "poisson"
 FAMILIES = (LINEAR, LOGISTIC, POISSON)
-
-
-def _match(out: np.ndarray, ref) -> ArrayLike:
-    """Return a float for scalar input, an array otherwise."""
-    if np.ndim(ref) == 0:
-        return float(out)
-    return out
 
 
 @dataclass(frozen=True)
@@ -110,9 +103,8 @@ class PolytopeSpec:
         if self.lower > self.upper:
             raise ConfigError(f"polytope lower {self.lower} exceeds upper {self.upper}")
 
-    def project(self, y: ArrayLike) -> ArrayLike:
-        out = np.clip(np.asarray(y, dtype=float), self.lower, self.upper)
-        return _match(out, y)
+    def project(self, y: ArrayLike) -> np.ndarray:
+        return np.clip(np.asarray(y, dtype=float), self.lower, self.upper)
 
     def to_json(self) -> dict:
         def enc(v: float):
@@ -127,11 +119,10 @@ class PolytopeSpec:
 
 @dataclass(frozen=True)
 class LinkBundle:
-    """A', A'' and (A')^-1 of one model; every callable accepts scalars or arrays."""
+    """A' and (A')^-1 of one model; each maps an array elementwise to an array."""
 
-    A_prime: Callable[[ArrayLike], ArrayLike]
-    A_second: Callable[[ArrayLike], ArrayLike]
-    A_prime_inv: Callable[[ArrayLike], ArrayLike]
+    A_prime: Callable[[ArrayLike], np.ndarray]
+    A_prime_inv: Callable[[ArrayLike], np.ndarray]
     model: ModelKind
 
 
@@ -164,71 +155,53 @@ class LinkConstants:
 # ---------------------------------------------------------------------------
 
 def _identity(a):
-    out = np.asarray(a, dtype=float).copy()
-    return _match(out, a)
-
-
-def _ones_like(a):
-    out = np.ones_like(np.asarray(a, dtype=float))
-    return _match(out, a)
+    return np.asarray(a, dtype=float).copy()
 
 
 def _logistic_A_prime(a):
-    out = np.tanh(np.asarray(a, dtype=float))
-    return _match(out, a)
-
-
-def _logistic_A_second(a):
-    # 4 / (e^a + e^-a)^2 = 4 e^(-2|a|) / (1 + e^(-2|a|))^2
-    e = np.exp(-2.0 * np.abs(np.asarray(a, dtype=float)))
-    out = 4.0 * e / np.square(1.0 + e)
-    return _match(out, a)
+    return np.tanh(np.asarray(a, dtype=float))
 
 
 def _logistic_A_prime_inv(y):
     arr = np.asarray(y, dtype=float)
     if np.any(np.abs(arr) >= 1.0):
         raise ConfigError("logistic mean inverse requires |y| < 1")
-    out = np.arctanh(arr)
-    return _match(out, y)
+    return np.arctanh(arr)
 
 
 def _exp(a):
-    out = np.exp(np.asarray(a, dtype=float))
-    return _match(out, a)
+    return np.exp(np.asarray(a, dtype=float))
 
 
 def _poisson_A_prime_inv(y):
     arr = np.asarray(y, dtype=float)
     if np.any(arr <= 0.0):
         raise ConfigError("poisson mean inverse requires y > 0")
-    out = np.log(arr)
-    return _match(out, y)
+    return np.log(arr)
 
 
 def make_link_bundle(model: ModelKind) -> LinkBundle:
     """Closed-form link functions of the given model."""
     if model.family == LINEAR:
-        return LinkBundle(_identity, _ones_like, _identity, model)
+        return LinkBundle(_identity, _identity, model)
     if model.family == LOGISTIC:
-        return LinkBundle(_logistic_A_prime, _logistic_A_second, _logistic_A_prime_inv, model)
-    return LinkBundle(_exp, _exp, _poisson_A_prime_inv, model)
+        return LinkBundle(_logistic_A_prime, _logistic_A_prime_inv, model)
+    return LinkBundle(_exp, _poisson_A_prime_inv, model)
 
 
 # ---------------------------------------------------------------------------
 # Response preprocessing
 # ---------------------------------------------------------------------------
 
-def clip_response(y: ArrayLike, tau2: float) -> ArrayLike:
+def clip_response(y: ArrayLike, tau2: float) -> np.ndarray:
     """sgn(y) * min(|y|, tau2); keeps the sign, caps the magnitude at tau2."""
     if not tau2 > 0:
         raise ConfigError("tau2 must be positive")
     arr = np.asarray(y, dtype=float)
-    out = np.sign(arr) * np.minimum(np.abs(arr), tau2)
-    return _match(out, y)
+    return np.sign(arr) * np.minimum(np.abs(arr), tau2)
 
 
-def project_polytope(y_clipped: ArrayLike, spec: PolytopeSpec) -> ArrayLike:
+def project_polytope(y_clipped: ArrayLike, spec: PolytopeSpec) -> np.ndarray:
     """Nearest point of [lower, upper]; an interval clamp."""
     return spec.project(y_clipped)
 

@@ -43,7 +43,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -479,8 +479,6 @@ def rationality_floor(
 
 _HEAVY_DELTA = (1.0 / 9.0, 1.0 / 8.0)
 
-_SCALE_KEYS = ("tau1", "tau2", "epsilon", "alpha", "a2")
-
 
 def preset_schedule(
     model: ModelKind,
@@ -489,33 +487,27 @@ def preset_schedule(
     delta: float,
     d: int,
     *,
-    c: float = 1.0,
     cost_lambda: float = 1.0,
     tau_theta: float = 1.0,
     sigma: float = 1.0,
     c0: float = 1.0,
     posterior_samples: int = 10_000,
-    scale: Optional[dict] = None,
 ) -> MechanismParams:
     """Fill every mechanism knob from the per-model parameter schedules at size n.
 
-    The exponents follow the per-model schedules; every hidden Theta(.)
-    constant defaults to 1 and can be overridden through `scale`, a dict of
-    multipliers for tau1, tau2, epsilon, alpha and a2. a1 is set exactly to
-    the individual-rationality floor, with the threshold taken from the
-    closed-form bound (1/lambda) log(1/(alpha beta)). The release
-    sensitivities are the regime's bound, scaled by c0, at n (the full-data
-    release) and at n // 2 (each half release).
+    Every value is a function of n, delta and the population: the exponents
+    follow the per-model schedules, every hidden Theta(.) constant is 1, and
+    `sigma` is the covariates' scale (`population.covariate_sigma`), which
+    sets the sub-Gaussian clip tau1 = sigma sqrt(log n). beta = 1/n, as is
+    gamma_n. a1 is set exactly to the individual-rationality floor, with the
+    threshold taken from the closed-form bound (1/lambda) log(1/(alpha beta)).
+    The release sensitivities are the regime's bound, scaled by c0, at n (the
+    full-data release) and at n // 2 (each half release). With n >= 4 and
+    delta in the schedule's range, alpha, beta, gamma_n and gamma_half all
+    lie below 1.
     """
     if n < 4:
         raise ConfigError("schedule requires n >= 4")
-    mult = {k: 1.0 for k in _SCALE_KEYS}
-    if scale:
-        unknown = set(scale) - set(_SCALE_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown scale overrides {sorted(unknown)}")
-        mult.update({k: float(v) for k, v in scale.items()})
-
     check_regime(model, regime)
     log_n = math.log(n)
     if regime == HEAVY:
@@ -523,37 +515,35 @@ def preset_schedule(
         if not (lo <= delta < hi):
             raise ConfigError(f"delta = {delta} outside the heavy schedule range [{lo}, {hi})")
         polytope = PolytopeSpec()
-        tau1 = mult["tau1"] * (n / log_n) ** 0.25
-        tau2 = mult["tau2"] * (n / log_n) ** 0.125
-        epsilon = mult["epsilon"] * n ** (-delta)
-        alpha = mult["alpha"] * n ** (-1.0 + delta)
-        a2 = mult["a2"] * n ** (-0.5 - 9.0 * delta)
+        tau1 = (n / log_n) ** 0.25
+        tau2 = (n / log_n) ** 0.125
+        epsilon = n ** (-delta)
+        alpha = n ** (-1.0 + delta)
+        a2 = n ** (-0.5 - 9.0 * delta)
         cost_fn = CostFunction("nonic")
     else:
         check_preset_delta(model.family, delta)
         polytope = preset_polytope(model, n, delta)
-        tau1 = mult["tau1"] * sigma * math.sqrt(log_n)
+        tau1 = sigma * math.sqrt(log_n)
         if model.family == LINEAR:
-            tau2 = mult["tau2"] * n ** ((1.0 - 3.0 * delta) / 2.0)
-            epsilon = mult["epsilon"] * n ** (-delta)
-            a2 = mult["a2"] * n ** (-4.0 * delta)
+            tau2 = n ** ((1.0 - 3.0 * delta) / 2.0)
+            epsilon = n ** (-delta)
+            a2 = n ** (-4.0 * delta)
         elif model.family == LOGISTIC:
-            tau2 = mult["tau2"] * 1.0
-            epsilon = mult["epsilon"] * n ** (-delta)
-            a2 = mult["a2"] * n ** (-4.0 * delta)
+            tau2 = 1.0
+            epsilon = n ** (-delta)
+            a2 = n ** (-4.0 * delta)
         else:
-            tau2 = mult["tau2"] * n ** 0.25
-            epsilon = mult["epsilon"] * n ** (-3.0 * delta)
-            a2 = mult["a2"] * n ** (-6.0 * delta)
-        alpha = mult["alpha"] * n ** (-3.0 * delta)
+            tau2 = n ** 0.25
+            epsilon = n ** (-3.0 * delta)
+            a2 = n ** (-6.0 * delta)
+        alpha = n ** (-3.0 * delta)
         cost_fn = CostFunction("quartic")
 
-    beta = n ** (-c)
-    alpha = min(alpha, 1.0 - 1e-12)
-    beta = min(beta, 1.0 - 1e-12)
+    beta = n ** (-1.0)
     # the o(1) failure probability of each release's privacy claim
-    gamma_n = min(1.0, n ** -1.0)
-    gamma_half = min(1.0, (n // 2) ** -1.0)
+    gamma_n = n ** (-1.0)
+    gamma_half = (n // 2) ** (-1.0)
     gamma_total = gamma_n + 2.0 * gamma_half
 
     settings = EstimatorSettings(

@@ -15,7 +15,11 @@ generator, reported under the threshold strategy. It is a row source for
 `mechanism.run_mechanism`, which walks it twice: once for the reports, once
 more for the covariates alone, which it redraws because they come first in
 each chunk's stream. A materialised population is the chunk draws
-concatenated (`PopulationStream.population`).
+concatenated (`PopulationStream.population`). `draw_group_reports` draws
+the k stacked groups of the deviation study in the same order.
+
+`covariate_sigma` is the covariates' scale, the sigma of the schedule's
+sub-Gaussian clip.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import Callable, Iterator, Optional, Tuple, Union
 import numpy as np
 
 from .errors import ConfigError
-from .estimators import CHUNK_ROWS, Dataset
+from .estimators import CHUNK_ROWS
 from .links import LINEAR, LOGISTIC, POISSON, ModelKind
 
 
@@ -111,6 +115,23 @@ def _check_spd(name: str, matrix, d: int) -> None:
         raise ConfigError(f"{name} is not positive definite") from None
 
 
+def covariate_sigma(spec: PopulationSpec) -> float:
+    """sigma of the isotropic law N(0, (sigma^2/d) I) that dominates the covariates.
+
+    The sub-Gaussian clip tau1 = sigma sqrt(log n) of the schedule takes it.
+    For a covariance matrix S it is sqrt(d lambda_max(S)). Student-t
+    covariates take the same expression of their scale matrix, exactly 1
+    for the default I/d; the heavy regime's clip does not read sigma.
+    """
+    cov = spec.covariates
+    if isinstance(cov, SubGaussianIsotropic):
+        return cov.sigma
+    matrix = cov.cov if isinstance(cov, SubGaussianCov) else cov.scale
+    if matrix is None:
+        return 1.0
+    return math.sqrt(spec.d * float(np.linalg.eigvalsh(np.asarray(matrix, dtype=float))[-1]))
+
+
 @dataclass
 class Population:
     """Struct-of-arrays view of the generated agents."""
@@ -176,6 +197,27 @@ def generate_population(spec: PopulationSpec, rng: np.random.Generator) -> Popul
 def _draw_costs(spec: PopulationSpec, size, rng: np.random.Generator) -> np.ndarray:
     """i.i.d. Exponential(cost_lambda) cost coefficients, so P(c <= t) = 1 - exp(-cost_lambda t)."""
     return rng.exponential(1.0, size) * (1.0 / spec.cost_lambda)
+
+
+def draw_group_reports(
+    spec: PopulationSpec,
+    theta_star: np.ndarray,
+    m: int,
+    strategy: Threshold,
+    rng: np.random.Generator,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Covariates and threshold-strategy reports of k stacked groups of m agents.
+
+    theta_star is k x d; group t is rows [t m, (t + 1) m) and draws its
+    responses under theta_star[t]. The draws follow `generate_population`:
+    every group's covariates, then their responses, then their costs.
+    """
+    k, d = theta_star.shape
+    X = _draw_covariates(spec, rng, k * m)
+    eta = np.matmul(X.reshape(k, m, d), theta_star[:, :, None]).ravel()
+    y = _draw_responses(spec.model, eta, rng)
+    costs = _draw_costs(spec, k * m, rng)
+    return X, _threshold_reports(y, costs, strategy, spec.model)
 
 
 ChunkRng = Callable[[int], np.random.Generator]
@@ -324,7 +366,7 @@ def coerce_response(values: np.ndarray, model: ModelKind) -> np.ndarray:
     return values
 
 
-def _rule_values(
+def rule_values(
     rule: MisreportRule, y_true: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     """The reports of a per-agent misreport rule; a grid is the deviation study's own."""
@@ -342,9 +384,3 @@ def _threshold_reports(
 ) -> np.ndarray:
     """Reports under the threshold strategy: the truth iff cost <= tau, else 0 coerced."""
     return np.where(costs <= strategy.tau, y_true, coerce_response(0.0, model))
-
-
-def apply_strategy(pop: Population, strategy: Threshold) -> Dataset:
-    """Reports under the threshold strategy; covariates pass through untouched."""
-    reported = _threshold_reports(pop.y_true, pop.costs, strategy, pop.spec.model)
-    return Dataset(pop.X.copy(), reported)

@@ -43,13 +43,13 @@ from privglm.population import (
     SubGaussianIsotropic,
     Threshold,
     WorstOfGrid,
-    apply_strategy,
     generate_population,
     replacement_sampler,
     tau_alpha_beta_bound,
 )
 from privglm.privacy import sample_norm_exponential
 
+from strategy_oracle import apply_strategy
 from threshold_oracle import tau_alpha_beta_monte_carlo
 
 LINEAR = ModelKind.linear(1.0)

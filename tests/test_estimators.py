@@ -5,7 +5,7 @@ import pytest
 
 from privglm.errors import ConfigError, SingularGramError
 from privglm.estimators import (
-    _BLOCK_ELEMENTS,
+    BLOCK_ELEMENTS,
     COND_CAP,
     Dataset,
     EstimatorSettings,
@@ -108,7 +108,7 @@ def test_factor_of_fewer_than_d_rows_raises():
 
 def _block_rows(d):
     """Rows in one block of the QR factorisation of [X | z]."""
-    return _BLOCK_ELEMENTS // (d + 1)
+    return BLOCK_ELEMENTS // (d + 1)
 
 
 def _factor_sizes():
@@ -199,7 +199,7 @@ def test_stacked_solve_factor_matches_per_trial():
 
 def test_rows_inner_bit_equal_to_sequential_loop():
     d = 3
-    n = 2 * (_BLOCK_ELEMENTS // d) + 5  # three row blocks, the last one short
+    n = 2 * (BLOCK_ELEMENTS // d) + 5  # three row blocks, the last one short
     rng = np.random.default_rng(32)
     A = rng.standard_normal((n, d))
     B = rng.standard_normal((n, d))
@@ -224,7 +224,7 @@ def test_rows_inner_bit_equal_to_sequential_loop():
 
 def test_l4_shrink_rows_matches_power_sum():
     rng = np.random.default_rng(33)
-    X = rng.standard_t(3.0, (_BLOCK_ELEMENTS // 5 + 9, 5))
+    X = rng.standard_t(3.0, (BLOCK_ELEMENTS // 5 + 9, 5))
     X[3] = 0.0
     norms = np.sum(X ** 4, axis=1) ** 0.25
     scale = np.where(norms > 1.3, 1.3 / np.where(norms > 0, norms, 1.0), 1.0)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -31,7 +32,9 @@ from privglm.links import ModelKind, make_link_bundle
 from privglm.mechanism import (
     CostFunction,
     brier_payment,
+    budget_bound,
     partition,
+    prediction_bound,
     preset_schedule,
     rationality_floor,
     release_noise,
@@ -43,7 +46,9 @@ from privglm.population import (
     SignFlip,
     StudentTCovariates,
     SubGaussianCov,
+    SubGaussianIsotropic,
     WorstOfGrid,
+    covariate_sigma,
 )
 from privglm.privacy import empirical_privacy_ratio
 
@@ -263,6 +268,47 @@ def test_config_echo_reads_back(rule):
     assert config_to_json(back) == echoed
 
 
+
+@pytest.mark.parametrize("covariates", [
+    {"kind": "subgaussian_cov", "cov": [[2.0, 0.6, 0.0], [0.6, 1.0, 0.2], [0.0, 0.2, 0.5]]},
+    {"kind": "student_t", "dof": 6.0, "scale": [[0.5, 0.1, 0.0], [0.1, 0.3, 0.0], [0.0, 0.0, 0.9]]},
+], ids=["subgaussian_cov", "student_t"])
+def test_tau1_takes_sigma_from_the_covariates(covariates):
+    # tau1 = sigma sqrt(log n), with sigma = sqrt(d lambda_max) of the covariance or scale
+    config = ExperimentConfig.from_json({
+        "population": {"d": 3, "model": "linear", "covariates": covariates},
+        "schedule": {"delta": 0.3},
+        "sweep": [1000],
+    })
+    matrix = np.asarray(covariates.get("cov", covariates.get("scale")))
+    sigma = math.sqrt(3 * np.linalg.eigvalsh(matrix)[-1])
+    assert covariate_sigma(config.population) == pytest.approx(sigma, rel=1e-14)
+    tau1 = harness.params_for(config, 1000).settings.tau1
+    assert tau1 == pytest.approx(sigma * math.sqrt(math.log(1000)), rel=1e-14)
+
+
+def test_poisson_cells_hold_at_the_covariates_sigma():
+    # covariates of sigma 4 get the clip tau1 = 4 sqrt(log n), so every
+    # prediction stays within the m_A that a1 and the budget bound assume
+    config = ExperimentConfig(
+        population=PopulationSpec(
+            n=2, d=2, model=ModelKind.poisson(), covariates=SubGaussianIsotropic(4.0),
+        ),
+        regime="subgaussian",
+        sweep=[2000, 8000],
+        repeats=3,
+        schedule=ScheduleSpec(delta=0.26),
+        master_seed=5,
+        posterior_samples=1000,
+    )
+    report = run_experiment(config)
+    assert len(report.rows) == 6 and report.failed_cells == 0
+    for row in report.rows:
+        params = harness.params_for(config, row.n)
+        m_a = prediction_bound(config.population.model, params.settings, 2)
+        assert row.rationality_frac == 1.0
+        assert row.budget <= budget_bound(row.n, params.a1, params.a2, m_a)
+
 def test_truthful_deviation_gain_is_zero():
     config = linear_config()
     est = estimate_deviation_gain(config, None, 12, n=200)
@@ -280,13 +326,11 @@ def test_deviation_gain_deterministic():
 
 
 def test_zero_a2_removes_payment_component():
-    # constant payments make the paired payment difference identically zero,
-    # leaving only the (constant) privacy-cost saving
-    config = linear_config(schedule=ScheduleSpec(delta=0.3, scale={"a2": 0.0}))
-    assert harness.params_for(config, 200).a2 == 0.0
-    est = estimate_deviation_gain(config, Constant(0.0), 15, n=200)
-    assert est.std_error < 1e-15  # numerical noise only: every paired gain is 0
-    assert est.eta_hat >= 0.0
+    # constant payments make every paired payment difference zero, whatever p and q
+    rng = np.random.default_rng(12)
+    mean, std_error = harness._gain_moments(rng.standard_normal(15), rng.standard_normal(4), 0.0)
+    assert mean.shape == std_error.shape == (3,)
+    assert np.all(mean == 0.0) and np.all(std_error == 0.0)
 
 
 def test_deviation_gain_shrinks_with_n():
@@ -537,6 +581,14 @@ def test_cli_schedule_rejects_bad_delta():
     assert "config error" in proc.stderr
 
 
+def test_cli_schedule_rejects_the_deleted_c_flag(capsys):
+    # --c is no prefix of --cost-lambda: the schedule verb matches whole flags only
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["schedule", "--model", "linear", "--n", "1000", "--delta", "0.3", "--c", "2"])
+    assert exc.value.code == 2
+    assert "--c" in capsys.readouterr().err
+
+
 def test_cli_simulate_and_exit_codes(tmp_path):
     payload = {
         "population": {"d": 2, "model": "linear", "noise_std": 1.0},
@@ -614,6 +666,9 @@ def _write_config(tmp_path, payload):
     ({"audit_log": "audit.jsonl"}, "audit_log"),
     ({"schedule": {"delta": 0.3, "gamma_c1": 2.0}}, "gamma_c1"),
     ({"schedule": {"delta": 0.3, "gamma_exponent": 0.5}}, "gamma_exponent"),
+    ({"schedule": {"delta": 0.3, "c": 1.0}}, "c"),
+    ({"schedule": {"delta": 0.3, "sigma": 4.0}}, "sigma"),
+    ({"schedule": {"delta": 0.3, "scale": {"tau2": 3.0}}}, "scale"),
 ])
 def test_cli_rejects_unknown_config_keys(tmp_path, capsys, typo, key):
     payload = {

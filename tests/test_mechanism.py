@@ -40,10 +40,11 @@ from privglm.population import (
     StudentTCovariates,
     SubGaussianIsotropic,
     Threshold,
-    apply_strategy,
     generate_population,
 )
 from privglm.privacy import PrivacyParams
+
+from strategy_oracle import apply_strategy
 
 
 def test_brier_reference_value():
@@ -309,7 +310,7 @@ def test_run_mechanism_reads_each_row_once(monkeypatch):
     # block, the full release stacks the half factors, and no SVD sees n rows;
     # n is one chunk of CHUNK_ROWS rows plus a partial chunk of 6
     d = 2
-    n = 3 * (estimators._BLOCK_ELEMENTS // (d + 1)) + 7
+    n = 3 * (estimators.BLOCK_ELEMENTS // (d + 1)) + 7
     assert n == estimators.CHUNK_ROWS + 6
     model, bundle, params, pop, reported = _linear_setup(n=n, d=d)
     qr, svd, stack = np.linalg.qr, np.linalg.svd, estimators.stack_factors
@@ -625,17 +626,6 @@ def test_schedule_delta_validation():
         preset_schedule(ModelKind.linear(1.0), "heavy", 1000, 0.13, d=2)
     with pytest.raises(ConfigError):
         preset_schedule(ModelKind.poisson(), "heavy", 1000, 0.12, d=2)
-    with pytest.raises(ConfigError):
-        preset_schedule(ModelKind.linear(1.0), "subgaussian", 1000, 0.3, d=2,
-                           scale={"bogus": 2.0})
-
-
-def test_schedule_scale_overrides():
-    base = preset_schedule(ModelKind.linear(1.0), "subgaussian", 1000, 0.3, d=2)
-    scaled = preset_schedule(
-        ModelKind.linear(1.0), "subgaussian", 1000, 0.3, d=2, scale={"tau2": 3.0}
-    )
-    assert scaled.settings.tau2 == pytest.approx(3 * base.settings.tau2, rel=1e-12)
 
 
 def test_schedule_resolves_release_sensitivities():

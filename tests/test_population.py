@@ -15,14 +15,15 @@ from privglm.population import (
     SubGaussianIsotropic,
     Threshold,
     WorstOfGrid,
-    _rule_values,
-    apply_strategy,
     coerce_response,
+    covariate_sigma,
     generate_population,
     replacement_sampler,
+    rule_values,
     tau_alpha_beta_bound,
 )
 
+from strategy_oracle import apply_strategy
 from threshold_oracle import tau_alpha_beta_monte_carlo
 
 
@@ -30,6 +31,17 @@ def make_pop(model, n=1000, d=2, seed=0, **kw):
     spec = PopulationSpec(n=n, d=d, model=model, **kw)
     return generate_population(spec, np.random.default_rng(seed)), spec
 
+
+
+def test_covariate_sigma_of_each_kind():
+    # sigma of N(0, (sigma^2/d) I): given, sqrt(d lambda_max), and exactly 1 for the default I/d
+    def sigma(cov):
+        return covariate_sigma(PopulationSpec(n=1, d=3, model=ModelKind.linear(1.0), covariates=cov))
+
+    assert sigma(SubGaussianIsotropic(2.5)) == 2.5
+    assert sigma(StudentTCovariates(5.0)) == 1.0
+    assert sigma(SubGaussianCov(np.diag([0.5, 2.0, 1.0]))) == pytest.approx(math.sqrt(6.0), rel=1e-15)
+    assert sigma(StudentTCovariates(5.0, np.eye(3) / 3)) == pytest.approx(1.0, rel=1e-15)
 
 def test_zero_noise_linear_is_exact():
     pop, _ = make_pop(ModelKind.linear(0.0), n=200, d=3, seed=1)
@@ -196,8 +208,8 @@ def test_strategy_determinism_and_covariate_safety():
     assert np.array_equal(a.y, b.y)
     # the per-agent rules of the deviation study draw only from their generator
     rule = AdditiveNoise(2.0)
-    assert np.array_equal(_rule_values(rule, pop.y_true, np.random.default_rng(77)),
-                          _rule_values(rule, pop.y_true, np.random.default_rng(77)))
+    assert np.array_equal(rule_values(rule, pop.y_true, np.random.default_rng(77)),
+                          rule_values(rule, pop.y_true, np.random.default_rng(77)))
     assert np.array_equal(a.X, X_before)
     assert np.array_equal(pop.X, X_before)
 
@@ -215,11 +227,11 @@ def test_coercion_per_model():
 def test_misreport_rules():
     pop, _ = make_pop(ModelKind.linear(1.0), n=50, d=2, seed=16)
     rng = np.random.default_rng(0)
-    assert np.array_equal(_rule_values(SignFlip(), pop.y_true, rng), -pop.y_true)
-    assert np.all(_rule_values(Constant(1.5), pop.y_true, rng) == 1.5)
+    assert np.array_equal(rule_values(SignFlip(), pop.y_true, rng), -pop.y_true)
+    assert np.all(rule_values(Constant(1.5), pop.y_true, rng) == 1.5)
     # a grid is not a per-agent rule: the deviation study reports its best value
     with pytest.raises(ConfigError, match="unknown misreport rule"):
-        _rule_values(WorstOfGrid((-5.0, 5.0)), pop.y_true, rng)
+        rule_values(WorstOfGrid((-5.0, 5.0)), pop.y_true, rng)
     with pytest.raises(ConfigError, match="nonempty grid"):
         WorstOfGrid(())
 
@@ -232,7 +244,7 @@ def test_logistic_fallback_sign_flip_stays_in_response_set():
     assert np.any(misreported) and np.all(data.y[misreported] == -1.0)
     assert np.array_equal(data.y[~misreported], pop.y_true[~misreported])
     # the sign-flip deviation, coerced, stays in the response set too
-    flipped = coerce_response(_rule_values(SignFlip(), pop.y_true, None), ModelKind.logistic())
+    flipped = coerce_response(rule_values(SignFlip(), pop.y_true, None), ModelKind.logistic())
     assert np.array_equal(flipped, -pop.y_true)
 
 

@@ -32,10 +32,11 @@ from privglm.population import (
     PopulationSpec,
     StudentTCovariates,
     Threshold,
-    apply_strategy,
     generate_population,
     replacement_sampler,
 )
+
+from strategy_oracle import apply_strategy
 
 CELLS = {
     # name: (model, regime, delta, covariates)
