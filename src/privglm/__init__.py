@@ -56,12 +56,9 @@ from .mechanism import (
     run_mechanism,
 )
 from .population import (
-    AdditiveNoise,
-    Constant,
     Population,
     PopulationSpec,
     PopulationStream,
-    SignFlip,
     StudentTCovariates,
     SubGaussianCov,
     SubGaussianIsotropic,

@@ -80,7 +80,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_deviate(args) -> int:
     config = _load_config(args)
     rule = parse_rule(args.rule) if args.rule is not None else config.deviation_rule
-    est = estimate_deviation_gain(config, rule, args.trials, n=args.n)
+    trials = args.trials if args.trials is not None else config.deviation_trials
+    est = estimate_deviation_gain(config, rule, trials, n=args.n)
     print(json.dumps(dataclasses.asdict(est), indent=2))
     return 0
 
@@ -90,6 +91,7 @@ def _cmd_sensitivity(args) -> int:
     n = args.n or (config.sweep[0] if config.sweep else None)
     if n is None:
         raise ConfigError("give --n or a non-empty sweep")
+    trials = args.trials if args.trials is not None else config.sensitivity_trials
     params = params_for(config, n)
     bundle = make_link_bundle(config.population.model)
     spec = replace(config.population, n=n)
@@ -98,7 +100,7 @@ def _cmd_sensitivity(args) -> int:
         Dataset(pop.X, pop.y_true),
         bundle,
         params.settings,
-        args.trials,
+        trials,
         (config.master_seed, n),
         replacement_sampler(spec, pop.theta_star),
     )
@@ -107,7 +109,7 @@ def _cmd_sensitivity(args) -> int:
         json.dumps(
             {
                 "n": n,
-                "trials": args.trials,
+                "trials": trials,
                 "empirical_max": emp,
                 "formula_delta": params.privacy.delta_n,
                 "c0": config.schedule.c0,
@@ -188,14 +190,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("deviate", help="paired deviation-gain study")
     _add_common(p)
-    p.add_argument("--rule", default=None, help="truthful | constant:V | signflip | noise:S | grid:a,b,c")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--rule", default=None,
+                   help="truthful | grid:a,b,c (default: the config's deviation.rule)")
+    p.add_argument("--trials", type=int, default=None,
+                   help="default: the config's deviation.trials")
     p.add_argument("--n", type=int, default=None)
     p.set_defaults(func=_cmd_deviate)
 
     p = sub.add_parser("sensitivity", help="empirical vs formula sensitivity")
     _add_common(p)
-    p.add_argument("--trials", type=int, default=60)
+    p.add_argument("--trials", type=int, default=None,
+                   help="default: the config's sensitivity_trials")
     p.add_argument("--n", type=int, default=None)
     p.set_defaults(func=_cmd_sensitivity)
 

@@ -15,7 +15,7 @@ import csv
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
@@ -24,6 +24,7 @@ import numpy as np
 from .errors import ConfigError, SingularGramError
 from .estimators import (
     BLOCK_ELEMENTS,
+    SUBGAUSSIAN,
     Dataset,
     EstimatorSettings,
     design,
@@ -44,12 +45,8 @@ from .mechanism import (
     run_mechanism,
 )
 from .population import (
-    AdditiveNoise,
-    Constant,
-    MisreportRule,
     PopulationSpec,
     PopulationStream,
-    SignFlip,
     StudentTCovariates,
     SubGaussianCov,
     SubGaussianIsotropic,
@@ -61,7 +58,6 @@ from .population import (
     draw_theta_star,
     generate_population,
     replacement_sampler,
-    rule_values,
 )
 from .privacy import (
     RatioReport,
@@ -161,7 +157,7 @@ class ExperimentConfig:
     out_dir: Optional[str] = None
     fmt: str = "csv"
     master_seed: int = 0
-    deviation_rule: Optional[MisreportRule] = field(default_factory=Constant)
+    deviation_rule: Optional[WorstOfGrid] = WorstOfGrid((0.0,))  # None: the truthful control
     deviation_trials: int = 100
     sensitivity_trials: int = 40
     posterior_samples: int = 10_000
@@ -184,6 +180,8 @@ class ExperimentConfig:
         _check_seed(self.master_seed)
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"unknown report format {self.fmt!r}")
+        if self.regime == SUBGAUSSIAN:
+            covariate_sigma(self.population)  # Student-t covariates have none: a ConfigError
 
     @classmethod
     def from_json(cls, obj) -> "ExperimentConfig":
@@ -201,7 +199,6 @@ class ExperimentConfig:
             schedule = ScheduleSpec(**sched) if sched is not None else None
             dev = obj.get("deviation", {})
             _check_keys(dev, _DEVIATION_KEYS, "deviation")
-            rule = dev.get("rule", {"kind": "constant", "value": 0.0})
             return cls(
                 population=pop,
                 regime=obj.get("regime", "subgaussian"),
@@ -212,7 +209,7 @@ class ExperimentConfig:
                 out_dir=obj.get("out_dir"),
                 fmt=obj.get("format", "csv"),
                 master_seed=int(obj.get("master_seed", 0)),
-                deviation_rule=parse_rule(rule) if rule != "truthful" else None,
+                deviation_rule=parse_rule(dev.get("rule", "grid:0.0")),
                 deviation_trials=int(dev.get("trials", 100)),
                 sensitivity_trials=int(obj.get("sensitivity_trials", 40)),
                 posterior_samples=int(obj.get("posterior_samples", 10_000)),
@@ -254,39 +251,13 @@ def _population_from_json(obj: dict) -> PopulationSpec:
     )
 
 
-def parse_rule(obj) -> Optional[MisreportRule]:
-    """Parse a misreport rule from JSON ({"kind": ...}) or CLI text (kind:arg)."""
-    if obj is None:
+def parse_rule(text) -> Optional[WorstOfGrid]:
+    """Read a deviation rule: `truthful` (the control, None) or `grid:a,b,c`."""
+    if text == "truthful":
         return None
-    if isinstance(obj, str):
-        text = obj.strip().lower()
-        if text == "truthful":
-            return None
-        if text == "signflip":
-            return SignFlip()
-        if ":" in text:
-            kind, arg = text.split(":", 1)
-            if kind == "constant":
-                return Constant(_rule_number(arg))
-            if kind == "noise":
-                return AdditiveNoise(_rule_number(arg))
-            if kind == "grid":
-                return WorstOfGrid(tuple(_rule_number(v) for v in arg.split(",")))
-        raise ConfigError(f"cannot parse rule {obj!r}")
-    return _rule_from_dict(obj)
-
-
-def _rule_from_dict(obj: dict) -> MisreportRule:
-    kind = obj.get("kind")
-    if kind == "constant":
-        return Constant(_rule_number(obj.get("value", 0.0)))
-    if kind == "signflip":
-        return SignFlip()
-    if kind == "noise":
-        return AdditiveNoise(_rule_number(obj.get("scale", 1.0)))
-    if kind == "grid":
-        return WorstOfGrid(tuple(_rule_number(v) for v in obj["grid"]))
-    raise ConfigError(f"unknown rule {obj!r}")
+    if isinstance(text, str) and text.startswith("grid:"):
+        return WorstOfGrid(tuple(_rule_number(v) for v in text[len("grid:"):].split(",")))
+    raise ConfigError(f"cannot parse rule {text!r}: a rule is truthful or grid:a,b,c")
 
 
 def _rule_number(value) -> float:
@@ -300,16 +271,10 @@ def _rule_number(value) -> float:
     return out
 
 
-def rule_name(rule: Optional[MisreportRule]) -> str:
-    """The CLI text form of a rule, which `parse_rule` reads back."""
+def rule_name(rule: Optional[WorstOfGrid]) -> str:
+    """The text form of a rule, which `parse_rule` reads back."""
     if rule is None:
         return "truthful"
-    if isinstance(rule, Constant):
-        return f"constant:{float(rule.value)!r}"
-    if isinstance(rule, SignFlip):
-        return "signflip"
-    if isinstance(rule, AdditiveNoise):
-        return f"noise:{float(rule.scale)!r}"
     return "grid:" + ",".join(repr(float(v)) for v in rule.grid)
 
 
@@ -400,7 +365,10 @@ def config_to_json(config: ExperimentConfig) -> dict:
 
 
 def params_for(config: ExperimentConfig, n: int) -> MechanismParams:
-    """The mechanism parameters of the config at n; sigma is the covariates' own."""
+    """The mechanism parameters of the config at n; sigma is the covariates' own.
+
+    Only the sub-Gaussian clip reads sigma, and Student-t covariates have none.
+    """
     pop = config.population
     return preset_schedule(
         pop.model,
@@ -410,7 +378,7 @@ def params_for(config: ExperimentConfig, n: int) -> MechanismParams:
         pop.d,
         cost_lambda=pop.cost_lambda,
         tau_theta=pop.tau_theta,
-        sigma=covariate_sigma(pop),
+        sigma=covariate_sigma(pop) if config.regime == SUBGAUSSIAN else 1.0,
         c0=config.schedule.c0,
         posterior_samples=config.posterior_samples,
     )
@@ -547,7 +515,7 @@ class DeviationGainEstimate:
 
 def estimate_deviation_gain(
     config: ExperimentConfig,
-    deviant_rule: Optional[MisreportRule],
+    deviant_rule: Optional[WorstOfGrid],
     trials: int,
     n: Optional[int] = None,
     seed_tag: int = 0,
@@ -583,10 +551,10 @@ def estimate_deviation_gain(
     `WorstOfGrid` estimates the sup-gain the equilibrium statement bounds: it
     reports the most profitable grid value (mean paired gain maximized over
     the grid; the grid should contain the truthful report so the payment part
-    is nonnegative by construction). Any other rule measures that fixed
-    deviation. A genuine misreport also saves the agent's privacy cost, at
-    most cost * F(total account) per the cost model; the truthful control
-    (rule None) shares account and report, so its gain is identically zero.
+    is nonnegative by construction). A genuine misreport also saves the
+    agent's privacy cost, at most cost * F(total account) per the cost model;
+    the truthful control (rule None) shares account and report, so its gain
+    is identically zero.
     `eta_sup` is the supremum of the mean paired gain over the model's whole
     report space plus that saving (see `_sup_gain`); it is 0 for the control.
     """
@@ -613,19 +581,9 @@ def estimate_deviation_gain(
     cost0 = float(type_pop.costs[0])
     x_pay = design(type_pop.X[:1], model, settings)
 
-    if deviant_rule is None:
-        reports = [y0]  # the control repeats the truthful prediction
-    elif isinstance(deviant_rule, WorstOfGrid):
-        reports = [
-            float(v) for v in coerce_response(np.asarray(deviant_rule.grid, float), model)
-        ]
-    else:
-        raw = rule_values(
-            deviant_rule,
-            np.asarray([y0]),
-            np.random.default_rng([ms, seed_tag, ARM_DEVIATION, 2]),
-        )
-        reports = [float(coerce_response(raw, model)[0])]
+    # the control repeats the truthful report, which is in the response set already
+    grid = (y0,) if deviant_rule is None else deviant_rule.grid
+    reports = [float(v) for v in coerce_response(np.asarray(grid, float), model)]
 
     def predict(r) -> np.ndarray:
         """q = A'(x_pay . posterior mean) for each report in r."""

@@ -119,17 +119,19 @@ def covariate_sigma(spec: PopulationSpec) -> float:
     """sigma of the isotropic law N(0, (sigma^2/d) I) that dominates the covariates.
 
     The sub-Gaussian clip tau1 = sigma sqrt(log n) of the schedule takes it.
-    For a covariance matrix S it is sqrt(d lambda_max(S)). Student-t
-    covariates take the same expression of their scale matrix, exactly 1
-    for the default I/d; the heavy regime's clip does not read sigma.
+    For a covariance matrix S it is sqrt(d lambda_max(S)). A Student-t law
+    is not sub-Gaussian, so no sigma dominates it; the heavy regime's clip
+    does not read sigma.
     """
     cov = spec.covariates
     if isinstance(cov, SubGaussianIsotropic):
         return cov.sigma
-    matrix = cov.cov if isinstance(cov, SubGaussianCov) else cov.scale
-    if matrix is None:
-        return 1.0
-    return math.sqrt(spec.d * float(np.linalg.eigvalsh(np.asarray(matrix, dtype=float))[-1]))
+    if isinstance(cov, StudentTCovariates):
+        raise ConfigError(
+            "Student-t covariates are not sub-Gaussian: no sigma makes the clip "
+            "tau1 = sigma sqrt(log n) hold; run them in the heavy regime"
+        )
+    return math.sqrt(spec.d * float(np.linalg.eigvalsh(np.asarray(cov.cov, dtype=float))[-1]))
 
 
 @dataclass
@@ -316,21 +318,6 @@ def tau_alpha_beta_bound(alpha: float, beta: float, lam: float) -> float:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Constant:
-    value: float = 0.0
-
-
-@dataclass(frozen=True)
-class SignFlip:
-    pass
-
-
-@dataclass(frozen=True)
-class AdditiveNoise:
-    scale: float = 1.0
-
-
-@dataclass(frozen=True)
 class WorstOfGrid:
     """A deviation study's grid of reports; the study reports the most profitable one."""
 
@@ -339,9 +326,6 @@ class WorstOfGrid:
     def __post_init__(self):
         if not self.grid:
             raise ConfigError("a grid rule needs a nonempty grid")
-
-
-MisreportRule = Union[Constant, SignFlip, AdditiveNoise, WorstOfGrid]
 
 
 @dataclass(frozen=True)
@@ -364,19 +348,6 @@ def coerce_response(values: np.ndarray, model: ModelKind) -> np.ndarray:
     if model.family == POISSON:
         return np.maximum(0.0, np.round(values))
     return values
-
-
-def rule_values(
-    rule: MisreportRule, y_true: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """The reports of a per-agent misreport rule; a grid is the deviation study's own."""
-    if isinstance(rule, Constant):
-        return np.full_like(y_true, rule.value)
-    if isinstance(rule, SignFlip):
-        return -y_true
-    if isinstance(rule, AdditiveNoise):
-        return y_true + rule.scale * rng.standard_normal(y_true.shape[0])
-    raise ConfigError(f"unknown misreport rule {rule!r}")
 
 
 def _threshold_reports(

@@ -40,10 +40,7 @@ from privglm.mechanism import (
     release_noise,
 )
 from privglm.population import (
-    AdditiveNoise,
-    Constant,
     PopulationSpec,
-    SignFlip,
     StudentTCovariates,
     SubGaussianCov,
     SubGaussianIsotropic,
@@ -222,14 +219,14 @@ def test_config_from_json(tmp_path):
         "repeats": 2,
         "metrics": ["accuracy", "budget"],
         "master_seed": 7,
-        "deviation": {"rule": {"kind": "constant", "value": 0.0}, "trials": 10},
+        "deviation": {"rule": "grid:0,1.5", "trials": 10},
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(payload))
     config = ExperimentConfig.from_json(path)
     assert config.sweep == [100, 200]
     assert config.population.model.family == "linear"
-    assert isinstance(config.deviation_rule, Constant)
+    assert config.deviation_rule == WorstOfGrid((0.0, 1.5))
     with pytest.raises(ConfigError):
         ExperimentConfig.from_json(tmp_path / "missing.json")
     bad = tmp_path / "bad.json"
@@ -240,19 +237,25 @@ def test_config_from_json(tmp_path):
 
 def test_parse_rule_forms():
     assert parse_rule("truthful") is None
-    assert parse_rule("signflip") == SignFlip()
-    assert parse_rule("constant:1.5") == Constant(1.5)
-    assert parse_rule("noise:0.3") == AdditiveNoise(0.3)
     assert parse_rule("grid:0,1,2") == WorstOfGrid((0.0, 1.0, 2.0))
-    assert parse_rule({"kind": "grid", "grid": [0, 1]}) == WorstOfGrid((0.0, 1.0))
-    with pytest.raises(ConfigError):
+    assert parse_rule("grid:-1.5") == WorstOfGrid((-1.5,))
+    with pytest.raises(ConfigError, match="a rule is truthful or grid:a,b,c"):
         parse_rule("nonsense")
 
 
+def test_default_rule_is_the_report_zero():
+    # a config that names no rule studies the one report 0
+    config = ExperimentConfig.from_json({
+        "population": {"d": 2, "model": "linear"}, "schedule": {"delta": 0.3}, "sweep": [100],
+    })
+    assert config.deviation_rule == WorstOfGrid((0.0,))
+    assert config_to_json(config)["deviation"]["rule"] == "grid:0.0"
+    assert linear_config().deviation_rule == WorstOfGrid((0.0,))
+
+
 @pytest.mark.parametrize("rule", [
-    None, Constant(0.0), Constant(-2.5), SignFlip(), AdditiveNoise(0.3),
-    WorstOfGrid((-1.0, 0.0, 1e-7, 2.5)),
-], ids=["truthful", "constant", "constant-negative", "signflip", "noise", "grid"])
+    None, WorstOfGrid((-2.5,)), WorstOfGrid((-1.0, 0.0, 1e-7, 2.5)),
+], ids=["truthful", "grid-one", "grid"])
 def test_config_echo_reads_back(rule):
     # a report's config echo is a config: reading it back echoes it identically
     config = linear_config(
@@ -260,6 +263,8 @@ def test_config_echo_reads_back(rule):
             n=2, d=2, model=ModelKind.linear(0.5), covariates=StudentTCovariates(6.0),
             theta_star=[0.1, -0.2], cost_lambda=2.0,
         ),
+        regime="heavy",
+        schedule=ScheduleSpec(delta=0.12),
         deviation_rule=rule,
     )
     echoed = config_to_json(config)
@@ -271,16 +276,15 @@ def test_config_echo_reads_back(rule):
 
 @pytest.mark.parametrize("covariates", [
     {"kind": "subgaussian_cov", "cov": [[2.0, 0.6, 0.0], [0.6, 1.0, 0.2], [0.0, 0.2, 0.5]]},
-    {"kind": "student_t", "dof": 6.0, "scale": [[0.5, 0.1, 0.0], [0.1, 0.3, 0.0], [0.0, 0.0, 0.9]]},
-], ids=["subgaussian_cov", "student_t"])
+], ids=["subgaussian_cov"])
 def test_tau1_takes_sigma_from_the_covariates(covariates):
-    # tau1 = sigma sqrt(log n), with sigma = sqrt(d lambda_max) of the covariance or scale
+    # tau1 = sigma sqrt(log n), with sigma = sqrt(d lambda_max) of the covariance
     config = ExperimentConfig.from_json({
         "population": {"d": 3, "model": "linear", "covariates": covariates},
         "schedule": {"delta": 0.3},
         "sweep": [1000],
     })
-    matrix = np.asarray(covariates.get("cov", covariates.get("scale")))
+    matrix = np.asarray(covariates["cov"])
     sigma = math.sqrt(3 * np.linalg.eigvalsh(matrix)[-1])
     assert covariate_sigma(config.population) == pytest.approx(sigma, rel=1e-14)
     tau1 = harness.params_for(config, 1000).settings.tau1
@@ -320,8 +324,8 @@ def test_truthful_deviation_gain_is_zero():
 
 def test_deviation_gain_deterministic():
     config = linear_config()
-    a = estimate_deviation_gain(config, Constant(0.0), 10, n=200, seed_tag=3)
-    b = estimate_deviation_gain(config, Constant(0.0), 10, n=200, seed_tag=3)
+    a = estimate_deviation_gain(config, WorstOfGrid((0.0,)), 10, n=200, seed_tag=3)
+    b = estimate_deviation_gain(config, WorstOfGrid((0.0,)), 10, n=200, seed_tag=3)
     assert a.eta_hat == b.eta_hat and a.std_error == b.std_error
 
 
@@ -347,7 +351,7 @@ def test_deviation_gain_shrinks_with_n():
 def test_deviation_metric_in_rows():
     config = linear_config(
         metrics=("accuracy", "deviation_gain"), deviation_trials=5,
-        deviation_rule=Constant(0.0), posterior_samples=2000,
+        deviation_rule=WorstOfGrid((0.0,)), posterior_samples=2000,
     )
     report = run_experiment(config)
     assert report.rows[0].eta_hat is not None
@@ -414,7 +418,7 @@ def test_deviation_study_factors_only_the_opposite_groups(monkeypatch):
     monkeypatch.setattr(np.linalg, "qr", counting_qr)
     monkeypatch.setattr(harness, "generate_population", counting_generate)
     trials, n = 60, 2000  # 21 trials to a block of at most 2^16 terms
-    estimate_deviation_gain(linear_config(), Constant(0.0), trials, n=n)
+    estimate_deviation_gain(linear_config(), WorstOfGrid((0.0,)), trials, n=n)
     assert all(len(shape) == 3 and shape[1:] == (n // 2, 3) for shape in factored)
     assert sum(shape[0] * shape[1] for shape in factored) == trials * (n // 2)
     assert 1 < len(factored) < trials
@@ -422,7 +426,7 @@ def test_deviation_study_factors_only_the_opposite_groups(monkeypatch):
 
     # odd n: each trial factors the group of n // 2 or n - n // 2 agents opposite agent 0
     factored.clear()
-    estimate_deviation_gain(linear_config(), Constant(0.0), trials, n=n + 1)
+    estimate_deviation_gain(linear_config(), WorstOfGrid((0.0,)), trials, n=n + 1)
     sizes = {shape[1] for shape in factored}
     assert sizes == {n // 2, n // 2 + 1}
     rows = sum(shape[0] * shape[1] for shape in factored)
@@ -705,7 +709,9 @@ def test_cli_rejects_posterior_samples_below_floor(tmp_path, capsys):
     ({"kind": "subgaussian_cov", "cov": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]},
      "must be a 2x2 matrix"),
     ({"kind": "student_t", "dof": 5.0, "scale": [[1.0, 2.0], [2.0, 1.0]]}, "not positive definite"),
-], ids=["singular", "non-symmetric", "wrong-shape", "student-t-indefinite"])
+    ({"kind": "student_t", "dof": 5.0}, "Student-t covariates are not sub-Gaussian"),
+], ids=["singular", "non-symmetric", "wrong-shape", "student-t-indefinite",
+        "student-t-subgaussian"])
 def test_cli_rejects_invalid_covariance(tmp_path, capsys, covariates, message):
     payload = {
         "population": {"d": 2, "model": "linear", "covariates": covariates},
@@ -791,16 +797,8 @@ def test_cli_config_caused_failure_exits_2(tmp_path, capsys, argv, message):
     assert err.startswith("config error:") and message in err and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("rule, message", [
-    ("grid:", "rule value '' is not a number"),
-    ("constant:abc", "rule value 'abc' is not a number"),
-    ("constant:nan", "rule value 'nan' is not finite"),
-    ("grid:1,inf", "rule value 'inf' is not finite"),
-    ({"kind": "noise", "scale": float("nan")}, "rule value nan is not finite"),
-    ({"kind": "grid", "grid": [0.0, "x"]}, "rule value 'x' is not a number"),
-], ids=["empty-grid", "constant-text", "constant-nan", "grid-inf", "config-nan", "config-text"])
-def test_cli_rejects_bad_rule_numbers(tmp_path, capsys, rule, message):
-    # a non-finite rule value would print "eta_hat": NaN, which is not JSON
+def _deviate_argv(tmp_path, rule, where):
+    """`deviate` with `rule` as its --rule text or as the config's deviation.rule."""
     payload = {
         "population": {"d": 2, "model": "linear"},
         "schedule": {"delta": 0.3},
@@ -808,12 +806,52 @@ def test_cli_rejects_bad_rule_numbers(tmp_path, capsys, rule, message):
         "master_seed": 3,
     }
     argv = ["deviate", "--trials", "3", "--n", "400", "--config"]
-    if isinstance(rule, dict):
-        argv += [_write_config(tmp_path, payload | {"deviation": {"rule": rule}})]
-    else:
-        argv += [_write_config(tmp_path, payload), "--rule", rule]
-    assert cli_main(argv) == 2
+    if where == "config":
+        return argv + [_write_config(tmp_path, payload | {"deviation": {"rule": rule}})]
+    return argv + [_write_config(tmp_path, payload), "--rule", rule]
+
+
+@pytest.mark.parametrize("rule, where, message", [
+    ("grid:", "flag", "rule value '' is not a number"),
+    ("grid:abc", "flag", "rule value 'abc' is not a number"),
+    ("grid:nan", "flag", "rule value 'nan' is not finite"),
+    ("grid:1,inf", "flag", "rule value 'inf' is not finite"),
+    ("grid:0,nan", "config", "rule value 'nan' is not finite"),
+    ("grid:0,x", "config", "rule value 'x' is not a number"),
+], ids=["empty-grid", "grid-text", "grid-nan", "grid-inf", "config-nan", "config-text"])
+def test_cli_rejects_bad_rule_numbers(tmp_path, capsys, rule, where, message):
+    # a non-finite rule value would print "eta_hat": NaN, which is not JSON
+    assert cli_main(_deviate_argv(tmp_path, rule, where)) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("rule", [
+    "constant:1", "signflip", "noise:0.3", {"kind": "grid", "grid": [0, 1]}, None,
+], ids=["constant", "signflip", "noise", "json-object", "null"])
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_cli_rejects_removed_rule_forms(tmp_path, capsys, rule, where):
+    # a rule is written truthful or grid:a,b,c, and nothing else
+    text = rule if isinstance(rule, str) or where == "config" else json.dumps(rule)
+    assert cli_main(_deviate_argv(tmp_path, text, where)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot parse rule")
+    assert "a rule is truthful or grid:a,b,c" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("verb, key, trials", [
+    ("deviate", {"deviation": {"trials": 7}}, 7), ("sensitivity", {"sensitivity_trials": 5}, 5),
+])
+def test_cli_trials_default_to_the_config(tmp_path, capsys, verb, key, trials):
+    # without --trials a verb runs the config's trial count, as without --rule or --n
+    payload = {
+        "population": {"d": 2, "model": "linear"},
+        "schedule": {"delta": 0.3},
+        "sweep": [120],
+        "master_seed": 3,
+        "posterior_samples": 1000,
+    }
+    assert cli_main([verb, "--config", _write_config(tmp_path, payload | key)]) == 0
+    assert json.loads(capsys.readouterr().out)["trials"] == trials
 
 
 def test_deviation_study_rejects_n_below_2d(tmp_path, capsys):
@@ -836,8 +874,8 @@ def test_deviation_study_rejects_n_below_2d(tmp_path, capsys):
 
 def test_readme_config_block_reads_back():
     # the README's config example is a valid config, and its echo gives back
-    # every key it shows (out_dir is never echoed; the rule comes back in its
-    # CLI text form)
+    # every key it shows (out_dir is never echoed; the rule's numbers come
+    # back as repr of floats)
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     block = readme.split("### Config schema")[1].split("```json")[1].split("```")[0]
     shown = json.loads("\n".join(line.split("//")[0] for line in block.splitlines()))

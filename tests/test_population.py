@@ -6,10 +6,7 @@ import pytest
 from privglm.errors import ConfigError
 from privglm.links import ModelKind
 from privglm.population import (
-    AdditiveNoise,
-    Constant,
     PopulationSpec,
-    SignFlip,
     StudentTCovariates,
     SubGaussianCov,
     SubGaussianIsotropic,
@@ -19,7 +16,6 @@ from privglm.population import (
     covariate_sigma,
     generate_population,
     replacement_sampler,
-    rule_values,
     tau_alpha_beta_bound,
 )
 
@@ -34,14 +30,14 @@ def make_pop(model, n=1000, d=2, seed=0, **kw):
 
 
 def test_covariate_sigma_of_each_kind():
-    # sigma of N(0, (sigma^2/d) I): given, sqrt(d lambda_max), and exactly 1 for the default I/d
+    # sigma of N(0, (sigma^2/d) I): given, or sqrt(d lambda_max); a Student-t law has none
     def sigma(cov):
         return covariate_sigma(PopulationSpec(n=1, d=3, model=ModelKind.linear(1.0), covariates=cov))
 
     assert sigma(SubGaussianIsotropic(2.5)) == 2.5
-    assert sigma(StudentTCovariates(5.0)) == 1.0
     assert sigma(SubGaussianCov(np.diag([0.5, 2.0, 1.0]))) == pytest.approx(math.sqrt(6.0), rel=1e-15)
-    assert sigma(StudentTCovariates(5.0, np.eye(3) / 3)) == pytest.approx(1.0, rel=1e-15)
+    with pytest.raises(ConfigError, match="not sub-Gaussian"):
+        sigma(StudentTCovariates(5.0))
 
 def test_zero_noise_linear_is_exact():
     pop, _ = make_pop(ModelKind.linear(0.0), n=200, d=3, seed=1)
@@ -206,10 +202,6 @@ def test_strategy_determinism_and_covariate_safety():
     a = apply_strategy(pop, Threshold(1.0))
     b = apply_strategy(pop, Threshold(1.0))
     assert np.array_equal(a.y, b.y)
-    # the per-agent rules of the deviation study draw only from their generator
-    rule = AdditiveNoise(2.0)
-    assert np.array_equal(rule_values(rule, pop.y_true, np.random.default_rng(77)),
-                          rule_values(rule, pop.y_true, np.random.default_rng(77)))
     assert np.array_equal(a.X, X_before)
     assert np.array_equal(pop.X, X_before)
 
@@ -225,13 +217,7 @@ def test_coercion_per_model():
 
 
 def test_misreport_rules():
-    pop, _ = make_pop(ModelKind.linear(1.0), n=50, d=2, seed=16)
-    rng = np.random.default_rng(0)
-    assert np.array_equal(rule_values(SignFlip(), pop.y_true, rng), -pop.y_true)
-    assert np.all(rule_values(Constant(1.5), pop.y_true, rng) == 1.5)
-    # a grid is not a per-agent rule: the deviation study reports its best value
-    with pytest.raises(ConfigError, match="unknown misreport rule"):
-        rule_values(WorstOfGrid((-5.0, 5.0)), pop.y_true, rng)
+    # a deviation is a grid of reports, of which the study reports the best
     with pytest.raises(ConfigError, match="nonempty grid"):
         WorstOfGrid(())
 
@@ -243,9 +229,6 @@ def test_logistic_fallback_sign_flip_stays_in_response_set():
     misreported = pop.costs > 0.5
     assert np.any(misreported) and np.all(data.y[misreported] == -1.0)
     assert np.array_equal(data.y[~misreported], pop.y_true[~misreported])
-    # the sign-flip deviation, coerced, stays in the response set too
-    flipped = coerce_response(rule_values(SignFlip(), pop.y_true, None), ModelKind.logistic())
-    assert np.array_equal(flipped, -pop.y_true)
 
 
 def test_replacement_sampler_determinism():

@@ -1,9 +1,15 @@
 """Structural checks on the package source."""
 
 import ast
+import re
+import shlex
 from pathlib import Path
 
+import pytest
+
 import privglm
+from privglm.cli import build_parser
+from privglm.harness import parse_rule
 
 SRC = Path(privglm.__file__).parent
 
@@ -24,3 +30,44 @@ def test_no_module_imports_a_private_name_of_another():
                     if alias.name.startswith("_")
                 ]
     assert not found, "\n".join(found)
+
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def _verb_flags(parser) -> dict:
+    """Each verb's option strings, from the parser's subcommand action."""
+    (verbs,) = [a.choices for a in parser._actions if isinstance(a.choices, dict)]
+    return {
+        verb: set(re.findall(r"--[\w-]+", sub.format_usage())) for verb, sub in verbs.items()
+    }
+
+
+def test_readme_usage_and_rule_forms_match_the_code():
+    # every README usage line parses, each of its [--flag ...] groups names a
+    # flag of its verb, and every rule form the rule sentence shows parses
+    block = README.read_text().split("## CLI")[1].split("```sh")[1].split("```")[0]
+    lines = []
+    for line in block.splitlines():
+        if line.startswith(" ") and lines:
+            lines[-1] += line  # a continuation of the line above
+        elif line.strip():
+            lines.append(line)
+    parser = build_parser()
+    flags = _verb_flags(parser)
+    assert len(lines) == len(flags), lines
+    for line in lines:
+        optional = re.findall(r"\[(--[\w-]+)[^\]]*\]", line)
+        argv = shlex.split(re.sub(r"\[--[^\]]*\]", " ", line))
+        assert argv[0] == "privglm", line
+        try:
+            args = parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README usage line does not parse: {line}")
+        assert set(optional) <= flags[args.verb], line
+
+    sentence = re.search(r"Deviation rules are written (.*?)\.\s", README.read_text(), re.S)
+    forms = re.findall(r"`([^`]+)`", sentence.group(1))
+    assert "truthful" in forms and any(f.startswith("grid:") for f in forms), forms
+    for form in forms:
+        parse_rule(form)
