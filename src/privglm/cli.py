@@ -18,21 +18,19 @@ import sys
 from dataclasses import replace
 
 from .errors import ConfigError, SingularGramError
-from .estimators import Dataset, calibrate_c0, empirical_sensitivity, sensitivity_bound
+from .estimators import calibrate_c0, sensitivity_bound
 from .harness import (
-    ARM_POPULATION,
     ExperimentConfig,
     canonical_privacy_check,
-    cell_rng,
     emit_report,
     estimate_deviation_gain,
     params_for,
     parse_rule,
     run_experiment,
+    sensitivity_study,
 )
 from .links import ModelKind, compute_link_constants, make_link_bundle
 from .mechanism import prediction_bound, preset_schedule
-from .population import generate_population, replacement_sampler
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -88,23 +86,15 @@ def _cmd_deviate(args) -> int:
 
 def _cmd_sensitivity(args) -> int:
     config = _load_config(args)
-    n = args.n or (config.sweep[0] if config.sweep else None)
+    n = args.n if args.n is not None else (config.sweep[0] if config.sweep else None)
     if n is None:
         raise ConfigError("give --n or a non-empty sweep")
     trials = args.trials if args.trials is not None else config.sensitivity_trials
+    # the population of cell (n, 0), with the oracle keyed (master_seed, n)
+    emp = sensitivity_study(config, n, 0, trials, (config.master_seed, n))
     params = params_for(config, n)
     bundle = make_link_bundle(config.population.model)
-    spec = replace(config.population, n=n)
-    pop = generate_population(spec, cell_rng(config.master_seed, n, 0, ARM_POPULATION))
-    emp = empirical_sensitivity(
-        Dataset(pop.X, pop.y_true),
-        bundle,
-        params.settings,
-        trials,
-        (config.master_seed, n),
-        replacement_sampler(spec, pop.theta_star),
-    )
-    shape = sensitivity_bound(n, spec.d, bundle, params.settings)
+    shape = sensitivity_bound(n, config.population.d, bundle, params.settings)
     print(
         json.dumps(
             {

@@ -6,7 +6,8 @@ Every cell of a sweep derives its random streams from the tuple
 re-run in isolation and results do not depend on execution order or thread
 count. A cell's population is a `PopulationStream` of chunks of CHUNK_ROWS
 agents: chunk 0 draws from the cell's own population generator, chunk
-c >= 1 from (master_seed, n, repeat, arm, c).
+c >= 1 from (master_seed, n, repeat, arm, c). The `sensitivity` metric and
+verb share `sensitivity_study`, the oracle on that population, materialised.
 """
 
 from __future__ import annotations
@@ -50,14 +51,14 @@ from .population import (
     StudentTCovariates,
     SubGaussianCov,
     SubGaussianIsotropic,
-    Threshold,
     WorstOfGrid,
     coerce_response,
     covariate_sigma,
-    draw_group_reports,
+    draw_agents,
     draw_theta_star,
     generate_population,
     replacement_sampler,
+    threshold_reports,
 )
 from .privacy import (
     RatioReport,
@@ -172,6 +173,9 @@ class ExperimentConfig:
             raise ConfigError("sweep must be strictly increasing")
         else:
             _check_size(self.sweep[0], self.population.d)
+        if min(self.deviation_trials, self.sensitivity_trials) < 1:
+            raise ConfigError(f"trials must be >= 1, got deviation.trials {self.deviation_trials}"
+                              f" and sensitivity_trials {self.sensitivity_trials}")
         unknown = set(self.metrics) - set(METRICS)
         if unknown:
             raise ConfigError(f"unknown metrics {sorted(unknown)}")
@@ -391,9 +395,23 @@ def _cell_seed(master_seed: int, n: int, repeat: int) -> int:
 def cell_population(config: ExperimentConfig, n: int, repeat: int, tau: float) -> PopulationStream:
     """The population of cell (n, repeat), reporting under the threshold strategy at tau."""
     return PopulationStream(
-        replace(config.population, n=n), Threshold(tau),
+        replace(config.population, n=n), tau,
         _chunk_rngs(config.master_seed, n, repeat, ARM_POPULATION),
     )
+
+
+def sensitivity_study(config: ExperimentConfig, n: int, repeat: int, trials: int, seed) -> float:
+    """`empirical_sensitivity` on cell (n, repeat)'s population, materialised from its chunks.
+
+    A trial's replacement row is a `draw_agents` row under the cell's theta*;
+    `seed` keys the trials.
+    """
+    _check_size(n, config.population.d)
+    params = params_for(config, n)
+    pop = cell_population(config, n, repeat, params.tau_threshold).population()
+    bundle = make_link_bundle(config.population.model)
+    return empirical_sensitivity(Dataset(pop.X, pop.y_true), bundle, params.settings, trials,
+                                 seed, replacement_sampler(config.population, pop.theta_star))
 
 
 def _run_cell(config: ExperimentConfig, n: int, repeat: int) -> CellResult:
@@ -418,14 +436,8 @@ def _run_cell(config: ExperimentConfig, n: int, repeat: int) -> CellResult:
             eta = est.eta_hat
         delta_emp = None
         if "sensitivity" in config.metrics:
-            pop = stream.population()
-            delta_emp = empirical_sensitivity(
-                Dataset(pop.X, pop.y_true),
-                bundle,
-                params.settings,
-                config.sensitivity_trials,
-                (ms, n, repeat, ARM_SENSITIVITY),
-                replacement_sampler(stream.spec, pop.theta_star),
+            delta_emp = sensitivity_study(
+                config, n, repeat, config.sensitivity_trials, (ms, n, repeat, ARM_SENSITIVITY)
             )
     except SingularGramError as exc:
         return CellResult(
@@ -598,7 +610,6 @@ def estimate_deviation_gain(
     q = predict([y0, *reports])
 
     d = spec_n.d
-    strategy = Threshold(params.tau_threshold)
     per_block = max(1, BLOCK_ELEMENTS // ((nn - nn // 2) * (d + 1)))
     p = np.empty(trials)
     for block, lo in enumerate(range(0, trials, per_block)):
@@ -613,7 +624,7 @@ def estimate_deviation_gain(
         for m in np.unique(sizes):
             trial = np.flatnonzero(sizes == m)
             theta_opp[trial] = _solve_opposite_groups(
-                spec_n, theta_star[trial], int(m), strategy, bundle, settings, rng
+                spec_n, theta_star[trial], int(m), params.tau_threshold, bundle, settings, rng
             )
         noise = sample_norm_exponential(d, privacy.delta_half, privacy.epsilon, rng, b)
         theta_bar = project_ball(theta_opp + noise, settings.tau_theta)
@@ -632,15 +643,16 @@ def estimate_deviation_gain(
     )
 
 
-def _solve_opposite_groups(spec, theta_star, m, strategy, bundle, settings, rng) -> np.ndarray:
+def _solve_opposite_groups(spec, theta_star, m, tau, bundle, settings, rng) -> np.ndarray:
     """Unprojected estimators of len(theta_star) independent groups of m agents.
 
-    Group t draws m agents under theta_star[t] and reports under `strategy`
-    (`draw_group_reports`); its rows are mapped as the mechanism maps them
-    and factored with the other groups' in one stacked QR.
+    Group t draws m agents under theta_star[t] (`draw_agents`) and reports
+    under the threshold strategy at tau; its rows are mapped as the
+    mechanism maps them and factored with the other groups' in one stacked QR.
     """
     k, d = theta_star.shape
-    X, reported = draw_group_reports(spec, theta_star, m, strategy, rng)
+    X, y, costs = draw_agents(spec, theta_star, m, rng)
+    reported = threshold_reports(y, costs, tau, spec.model)
     stack = np.empty((k, m, d + 1))
     stack[..., :d] = design(X, spec.model, settings).reshape(k, m, d)
     stack[..., d] = working_response(reported, bundle, settings).reshape(k, m)

@@ -7,16 +7,18 @@ otherwise the constant 0 coerced into the model's response set (-1 for
 logistic): the paper lets such an agent report anything, and this draws
 nothing at random. It never alters the covariates.
 
+`draw_agents` is the one agent draw: k stacked groups of m agents, each
+under its own theta*, as covariates, then responses, then costs.
 `generate_population` draws theta* (unless the spec fixes it) and then one
-block of agents: covariates, responses, costs, in that order. A
+group of spec.n agents; the deviation study's opposite groups and the
+sensitivity oracle's replacement rows call `draw_agents` directly. A
 `PopulationStream` is the population of a simulate cell: the same draw,
 chunk by chunk, CHUNK_ROWS agents at a time, each chunk from its own
-generator, reported under the threshold strategy. It is a row source for
-`mechanism.run_mechanism`, which walks it twice: once for the reports, once
-more for the covariates alone, which it redraws because they come first in
-each chunk's stream. A materialised population is the chunk draws
-concatenated (`PopulationStream.population`). `draw_group_reports` draws
-the k stacked groups of the deviation study in the same order.
+generator, reported under the threshold strategy (`threshold_reports`). It
+is a row source for `mechanism.run_mechanism`, which walks it twice: once
+for the reports, once more for the covariates alone, which it redraws
+because they come first in each chunk's stream. A materialised population
+is the chunk draws concatenated (`PopulationStream.population`).
 
 `covariate_sigma` is the covariates' scale, the sigma of the schedule's
 sub-Gaussian clip.
@@ -25,7 +27,7 @@ sub-Gaussian clip.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Tuple, Union
 
 import numpy as np
@@ -142,7 +144,6 @@ class Population:
     y_true: np.ndarray
     costs: np.ndarray
     theta_star: np.ndarray
-    spec: PopulationSpec
 
 
 def draw_theta_star(d: int, tau_theta: float, rng: np.random.Generator) -> np.ndarray:
@@ -187,67 +188,59 @@ def _theta_star(spec: PopulationSpec, rng: np.random.Generator) -> np.ndarray:
     return draw_theta_star(spec.d, spec.tau_theta, rng)
 
 
-def generate_population(spec: PopulationSpec, rng: np.random.Generator) -> Population:
-    """Draw theta*, covariates, responses and costs; deterministic given rng state."""
-    theta = _theta_star(spec, rng)
-    X = _draw_covariates(spec, rng, spec.n)
-    eta = X @ theta
-    y = _draw_responses(spec.model, eta, rng)
-    return Population(X, y, _draw_costs(spec, y.shape, rng), theta, spec)
-
-
 def _draw_costs(spec: PopulationSpec, size, rng: np.random.Generator) -> np.ndarray:
     """i.i.d. Exponential(cost_lambda) cost coefficients, so P(c <= t) = 1 - exp(-cost_lambda t)."""
     return rng.exponential(1.0, size) * (1.0 / spec.cost_lambda)
 
 
-def draw_group_reports(
-    spec: PopulationSpec,
-    theta_star: np.ndarray,
-    m: int,
-    strategy: Threshold,
-    rng: np.random.Generator,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Covariates and threshold-strategy reports of k stacked groups of m agents.
+def draw_agents(
+    spec: PopulationSpec, theta_star: np.ndarray, m: int, rng: np.random.Generator
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Covariates, true responses and costs of k stacked groups of m agents.
 
-    theta_star is k x d; group t is rows [t m, (t + 1) m) and draws its
-    responses under theta_star[t]. The draws follow `generate_population`:
-    every group's covariates, then their responses, then their costs.
+    theta_star is k x d (a d-vector is one group); group t is rows
+    [t m, (t + 1) m) and draws its responses under theta_star[t]. The draws
+    come in this order: every group's covariates, then their responses, then
+    their costs. spec.n is not read.
     """
-    k, d = theta_star.shape
+    theta = np.atleast_2d(theta_star)
+    k, d = theta.shape
     X = _draw_covariates(spec, rng, k * m)
-    eta = np.matmul(X.reshape(k, m, d), theta_star[:, :, None]).ravel()
+    eta = np.matmul(X.reshape(k, m, d), theta[:, :, None]).ravel()
     y = _draw_responses(spec.model, eta, rng)
-    costs = _draw_costs(spec, k * m, rng)
-    return X, _threshold_reports(y, costs, strategy, spec.model)
+    return X, y, _draw_costs(spec, k * m, rng)
+
+
+def generate_population(spec: PopulationSpec, rng: np.random.Generator) -> Population:
+    """Draw theta*, then spec.n agents; deterministic given rng state."""
+    theta = _theta_star(spec, rng)
+    return Population(*draw_agents(spec, theta, spec.n, rng), theta)
 
 
 ChunkRng = Callable[[int], np.random.Generator]
 
 
 class PopulationStream:
-    """The spec.n agents of one cell, drawn in chunks and reported under a threshold strategy.
+    """A cell's spec.n agents, drawn in chunks and reported under the threshold strategy at tau.
 
     A row source for `mechanism.run_mechanism`. Chunk c holds agents
-    [c CHUNK_ROWS, (c + 1) CHUNK_ROWS) and draws them with
-    `generate_population` (theta* fixed) from population_rng(c). Chunk 0's
-    generator draws theta* first, unless the spec fixes it, so a population
-    of at most CHUNK_ROWS agents is exactly
-    `generate_population(spec, population_rng(0))`.
+    [c CHUNK_ROWS, (c + 1) CHUNK_ROWS) and draws them with `draw_agents`
+    from population_rng(c). Chunk 0's generator draws theta* first, unless
+    the spec fixes it, so a population of at most CHUNK_ROWS agents is
+    exactly `generate_population(spec, population_rng(0))`.
 
     `chunks` yields each chunk's covariates and reports and keeps the costs
     in `costs`; `covariate_chunks` redraws the covariates alone from the
     start of each chunk's stream. No pass keeps more than one chunk's rows.
     """
 
-    def __init__(self, spec: PopulationSpec, strategy: Threshold, population_rng: ChunkRng):
-        self.spec, self.strategy = spec, strategy
+    def __init__(self, spec: PopulationSpec, tau: float, population_rng: ChunkRng):
+        self.spec, self.tau = spec, tau
         self.n, self.d = spec.n, spec.d
         self._population_rng = population_rng
         rng = population_rng(0)
         self.theta_star = _theta_star(spec, rng)
         self._chunk0_state = rng.bit_generator.state  # chunk 0's agents start here
-        self._chunk_spec = replace(spec, theta_star=self.theta_star)
         self.costs = np.empty(spec.n)
 
     def _rng(self, c: int) -> np.random.Generator:
@@ -261,15 +254,15 @@ class PopulationStream:
         for c, lo in enumerate(range(0, self.n, CHUNK_ROWS)):
             yield c, lo, min(lo + CHUNK_ROWS, self.n)
 
-    def _draw(self, c: int, rows: int) -> Population:
-        return generate_population(replace(self._chunk_spec, n=rows), self._rng(c))
+    def _draw(self, c: int, rows: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return draw_agents(self.spec, self.theta_star, rows, self._rng(c))
 
     def chunks(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         """(covariates, reports) of each chunk; fills `costs` as it goes."""
         for c, lo, hi in self._bounds():
-            pop = self._draw(c, hi - lo)
-            self.costs[lo:hi] = pop.costs
-            yield pop.X, _threshold_reports(pop.y_true, pop.costs, self.strategy, self.spec.model)
+            X, y, costs = self._draw(c, hi - lo)
+            self.costs[lo:hi] = costs
+            yield X, threshold_reports(y, costs, self.tau, self.spec.model)
 
     def covariate_chunks(self) -> Iterator[np.ndarray]:
         """The covariates of each chunk again, redrawn without responses or costs."""
@@ -278,24 +271,18 @@ class PopulationStream:
 
     def population(self) -> Population:
         """The whole population at once: the chunk draws concatenated."""
-        pops = [self._draw(c, hi - lo) for c, lo, hi in self._bounds()]
-        return Population(
-            np.concatenate([p.X for p in pops]),
-            np.concatenate([p.y_true for p in pops]),
-            np.concatenate([p.costs for p in pops]),
-            self.theta_star,
-            self.spec,
-        )
+        draws = [self._draw(c, hi - lo) for c, lo, hi in self._bounds()]
+        X, y, costs = (np.concatenate(parts) for parts in zip(*draws))
+        return Population(X, y, costs, self.theta_star)
 
 
 def replacement_sampler(spec: PopulationSpec, theta_star: np.ndarray):
-    """One-agent sampler used by the empirical sensitivity oracle."""
-    fixed = replace(spec, n=1, theta_star=np.asarray(theta_star, dtype=float))
+    """One-agent sampler used by the empirical sensitivity oracle: a `draw_agents` row."""
+    theta = np.asarray(theta_star, dtype=float)
 
     def draw(rng: np.random.Generator) -> Tuple[np.ndarray, float]:
-        x = _draw_covariates(fixed, rng, 1)[0]
-        y = _draw_responses(fixed.model, np.atleast_1d(x @ fixed.theta_star), rng)[0]
-        return x, float(y)
+        X, y, _ = draw_agents(spec, theta, 1, rng)
+        return X[0], float(y[0])
 
     return draw
 
@@ -328,13 +315,6 @@ class WorstOfGrid:
             raise ConfigError("a grid rule needs a nonempty grid")
 
 
-@dataclass(frozen=True)
-class Threshold:
-    """Report the truth iff cost <= tau, else 0 coerced into the response set."""
-
-    tau: float
-
-
 def coerce_response(values: np.ndarray, model: ModelKind) -> np.ndarray:
     """Map arbitrary reals into the model's response set.
 
@@ -350,8 +330,8 @@ def coerce_response(values: np.ndarray, model: ModelKind) -> np.ndarray:
     return values
 
 
-def _threshold_reports(
-    y_true: np.ndarray, costs: np.ndarray, strategy: Threshold, model: ModelKind
+def threshold_reports(
+    y_true: np.ndarray, costs: np.ndarray, tau: float, model: ModelKind
 ) -> np.ndarray:
     """Reports under the threshold strategy: the truth iff cost <= tau, else 0 coerced."""
-    return np.where(costs <= strategy.tau, y_true, coerce_response(0.0, model))
+    return np.where(costs <= tau, y_true, coerce_response(0.0, model))

@@ -8,14 +8,15 @@ which reports its agents chunk by chunk; no verb or cell uses this helper.
 import numpy as np
 
 from privglm.estimators import Dataset
-from privglm.population import Population, Threshold, coerce_response
+from privglm.links import ModelKind
+from privglm.population import Population, coerce_response
 
 
-def apply_strategy(pop: Population, strategy: Threshold) -> Dataset:
+def apply_strategy(pop: Population, tau: float, model: ModelKind) -> Dataset:
     """Reports under the threshold strategy; covariates pass through untouched.
 
     An agent reports the truth iff its cost is at most tau, else 0 coerced
     into the model's response set.
     """
-    silent = coerce_response(0.0, pop.spec.model)
-    return Dataset(pop.X.copy(), np.where(pop.costs <= strategy.tau, pop.y_true, silent))
+    silent = coerce_response(0.0, model)
+    return Dataset(pop.X.copy(), np.where(pop.costs <= tau, pop.y_true, silent))

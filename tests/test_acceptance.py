@@ -41,7 +41,6 @@ from privglm.population import (
     PopulationSpec,
     StudentTCovariates,
     SubGaussianIsotropic,
-    Threshold,
     WorstOfGrid,
     generate_population,
     replacement_sampler,
@@ -246,7 +245,7 @@ def test_criterion_07_rationality():
         params = preset_schedule(model, "subgaussian", 2000, 0.3, d=3)
         spec = PopulationSpec(n=2000, d=3, model=model)
         pop = generate_population(spec, np.random.default_rng([seed, 1]))
-        reported = apply_strategy(pop, Threshold(params.tau_threshold))
+        reported = apply_strategy(pop, params.tau_threshold, model)
         outcome = run_mechanism(reported, bundle, params, np.random.default_rng([seed, 3]))
         frac = rationality_check(outcome, pop.costs, params.cost_fn, params.tau_threshold)
         perfect += frac == 1.0

@@ -854,6 +854,46 @@ def test_cli_trials_default_to_the_config(tmp_path, capsys, verb, key, trials):
     assert json.loads(capsys.readouterr().out)["trials"] == trials
 
 
+@pytest.mark.parametrize("counts", [
+    {"deviation": {"trials": 0}}, {"sensitivity_trials": -4},
+    {"deviation": {"trials": 0}, "sensitivity_trials": -4},
+], ids=["deviation", "sensitivity", "both"])
+def test_cli_rejects_trial_counts_below_one(tmp_path, capsys, counts):
+    # refused when the config is read, whatever the metrics ask for
+    payload = {
+        "population": {"d": 2, "model": "linear"},
+        "schedule": {"delta": 0.3},
+        "sweep": [200],
+        "metrics": ["accuracy"],
+        "master_seed": 3,
+    }
+    out = tmp_path / "out"
+    assert cli_main(["simulate", "--config", _write_config(tmp_path, payload | counts),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: trials must be >= 1") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [0, 5])
+def test_sensitivity_verb_checks_n_as_deviate_does(tmp_path, capsys, n):
+    # --n 0 is a size, not an absent flag, and n below 2d has no estimator
+    payload = {
+        "population": {"d": 3, "model": "linear"},
+        "schedule": {"delta": 0.3},
+        "sweep": [100],
+    }
+    cfg = _write_config(tmp_path, payload)
+    errors = []
+    for verb in ("deviate", "sensitivity"):
+        assert cli_main([verb, "--config", cfg, "--n", str(n), "--trials", "3"]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == (
+        f"config error: n = {n} is below 2d = 6 (d = 3): a group of the partition "
+        f"would have fewer rows than d\n"
+    )
+
+
 def test_deviation_study_rejects_n_below_2d(tmp_path, capsys):
     # at n = 6 and d = 5 the opposite group has 3 rows: no estimator solves on it
     payload = {

@@ -39,7 +39,6 @@ from privglm.population import (
     PopulationSpec,
     StudentTCovariates,
     SubGaussianIsotropic,
-    Threshold,
     generate_population,
 )
 from privglm.privacy import PrivacyParams
@@ -274,7 +273,7 @@ def _linear_setup(n=400, d=2, seed=0, delta=0.3):
     pop = generate_population(
         PopulationSpec(n=n, d=d, model=model), np.random.default_rng([seed, 0])
     )
-    reported = apply_strategy(pop, Threshold(params.tau_threshold))
+    reported = apply_strategy(pop, params.tau_threshold, model)
     return model, bundle, params, pop, reported
 
 
@@ -403,7 +402,7 @@ def test_group_blinding_recompute_quadrature():
     pop = generate_population(
         PopulationSpec(n=60, d=2, model=model), np.random.default_rng(21)
     )
-    reported = apply_strategy(pop, Threshold(params.tau_threshold))
+    reported = apply_strategy(pop, params.tau_threshold, model)
     out = run_mechanism(reported, bundle, params, np.random.default_rng(23))
     for i in (0, 7, 31, 59):
         assert _recompute_payment(reported, i, out, bundle, params) == out.payments[i]
@@ -524,7 +523,7 @@ def test_heavy_mechanism_uses_shrunk_covariates():
         PopulationSpec(n=200, d=2, model=model, covariates=StudentTCovariates(5.0)),
         np.random.default_rng(41),
     )
-    reported = apply_strategy(pop, Threshold(params.tau_threshold))
+    reported = apply_strategy(pop, params.tau_threshold, model)
     out = run_mechanism(reported, bundle, params, np.random.default_rng(43))
     xs = l4_shrink_rows(reported.X, params.settings.tau1)
     i = 5

@@ -10,10 +10,14 @@ from privglm.population import (
     StudentTCovariates,
     SubGaussianCov,
     SubGaussianIsotropic,
-    Threshold,
     WorstOfGrid,
+    _draw_costs,
+    _draw_covariates,
+    _draw_responses,
     coerce_response,
     covariate_sigma,
+    draw_agents,
+    draw_theta_star,
     generate_population,
     replacement_sampler,
     tau_alpha_beta_bound,
@@ -182,10 +186,10 @@ def test_tau_monte_carlo_single_agent():
 
 
 def test_threshold_strategy_edges():
-    pop, _ = make_pop(ModelKind.linear(1.0), n=500, d=2, seed=13)
-    data = apply_strategy(pop, Threshold(math.inf))
+    pop, spec = make_pop(ModelKind.linear(1.0), n=500, d=2, seed=13)
+    data = apply_strategy(pop, math.inf, spec.model)
     assert np.array_equal(data.y, pop.y_true)
-    data = apply_strategy(pop, Threshold(0.0))
+    data = apply_strategy(pop, 0.0, spec.model)
     assert np.all(data.y == 0.0)
 
 
@@ -197,10 +201,10 @@ def test_threshold_fraction_at_closed_form_bound():
 
 
 def test_strategy_determinism_and_covariate_safety():
-    pop, _ = make_pop(ModelKind.linear(1.0), n=300, d=2, seed=15)
+    pop, spec = make_pop(ModelKind.linear(1.0), n=300, d=2, seed=15)
     X_before = pop.X.copy()
-    a = apply_strategy(pop, Threshold(1.0))
-    b = apply_strategy(pop, Threshold(1.0))
+    a = apply_strategy(pop, 1.0, spec.model)
+    b = apply_strategy(pop, 1.0, spec.model)
     assert np.array_equal(a.y, b.y)
     assert np.array_equal(a.X, X_before)
     assert np.array_equal(pop.X, X_before)
@@ -223,12 +227,50 @@ def test_misreport_rules():
 
 
 def test_logistic_fallback_sign_flip_stays_in_response_set():
-    pop, _ = make_pop(ModelKind.logistic(), n=400, d=2, seed=17)
+    pop, spec = make_pop(ModelKind.logistic(), n=400, d=2, seed=17)
     # above the threshold an agent reports 0 coerced into {-1, +1}: -1
-    data = apply_strategy(pop, Threshold(0.5))
+    data = apply_strategy(pop, 0.5, spec.model)
     misreported = pop.costs > 0.5
     assert np.any(misreported) and np.all(data.y[misreported] == -1.0)
     assert np.array_equal(data.y[~misreported], pop.y_true[~misreported])
+
+
+MODELS = {
+    "linear": ModelKind.linear(1.0), "logistic": ModelKind.logistic(),
+    "poisson": ModelKind.poisson(),
+}
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("d", [1, 3, 10])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_draw_agents_is_covariates_then_responses_then_costs(name, d, k):
+    # group t's responses are drawn at X_t . theta_t, the eta each caller
+    # computed before the draws were one function
+    spec = PopulationSpec(n=2, d=d, model=MODELS[name], covariates=StudentTCovariates(5.0))
+    m, rng = 1000, np.random.default_rng([d, k])
+    theta = np.stack([draw_theta_star(d, 1.0, rng) for _ in range(k)])
+    X, y, costs = draw_agents(spec, theta, m, np.random.default_rng(7))
+
+    rng = np.random.default_rng(7)
+    X_want = _draw_covariates(spec, rng, k * m)
+    eta = np.concatenate([X_want[t * m : (t + 1) * m] @ theta[t] for t in range(k)])
+    y_want = _draw_responses(spec.model, eta, rng)
+    for got, want in ((X, X_want), (y, y_want), (costs, _draw_costs(spec, k * m, rng))):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_replacement_sampler_rows_are_covariates_then_responses(name):
+    spec = PopulationSpec(n=10, d=3, model=MODELS[name])
+    theta = np.array([0.3, -0.1, 0.5])
+    draw = replacement_sampler(spec, theta)
+    for seed in range(5):
+        x, y = draw(np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        x_want = _draw_covariates(spec, rng, 1)[0]
+        y_want = _draw_responses(spec.model, np.atleast_1d(x_want @ theta), rng)[0]
+        assert np.array_equal(x, x_want) and y == float(y_want)
 
 
 def test_replacement_sampler_determinism():

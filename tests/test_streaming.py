@@ -3,10 +3,12 @@
 Oracles: a cell of one chunk is the materialised composition
 generate_population -> apply_strategy -> run_mechanism, bit for bit; a cell
 of several chunks, the last one partial, gives the releases and payments of
-`run_mechanism` on its own materialised population; and the memory a cell
-traces grows by its per-agent vectors only.
+`run_mechanism` on its own materialised population; the `sensitivity` verb
+runs the oracle on the materialised population of cell (n, 0); and the
+memory a cell traces grows by its per-agent vectors only.
 """
 
+import json
 import tracemalloc
 from dataclasses import replace
 
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 
 from privglm import harness
+from privglm.cli import main as cli_main
 from privglm.errors import ConfigError
 from privglm.estimators import CHUNK_ROWS, Dataset, empirical_sensitivity
 from privglm.harness import (
@@ -24,6 +27,7 @@ from privglm.harness import (
     ScheduleSpec,
     cell_population,
     cell_rng,
+    config_to_json,
     params_for,
 )
 from privglm.links import ModelKind, make_link_bundle
@@ -31,7 +35,6 @@ from privglm.mechanism import preset_schedule, rationality_check, run_mechanism
 from privglm.population import (
     PopulationSpec,
     StudentTCovariates,
-    Threshold,
     generate_population,
     replacement_sampler,
 )
@@ -77,7 +80,7 @@ def test_one_chunk_cell_is_the_materialised_composition(name, fixed_theta):
     tau = params.tau_threshold
     spec = replace(config.population, n=n)
     pop = generate_population(spec, cell_rng(ms, n, repeat, ARM_POPULATION))
-    reported = apply_strategy(pop, Threshold(tau))
+    reported = apply_strategy(pop, tau, config.population.model)
     out = run_mechanism(reported, bundle, params, cell_rng(ms, n, repeat, ARM_MECHANISM))
     diff = out.theta_bar_full - pop.theta_star
     assert not row.failed
@@ -111,7 +114,7 @@ def test_streamed_cell_equals_run_on_materialised_population(name):
     stream = cell_population(config, n, 0, tau)
     streamed = run_mechanism(stream, bundle, params, cell_rng(ms, n, 0, ARM_MECHANISM))
     pop = stream.population()
-    reported = apply_strategy(pop, Threshold(tau))
+    reported = apply_strategy(pop, tau, config.population.model)
     whole = run_mechanism(reported, bundle, params, cell_rng(ms, n, 0, ARM_MECHANISM))
 
     for field in ("theta_bar_full", "theta_bar_g0", "theta_bar_g1", "payments", "p", "q"):
@@ -133,6 +136,51 @@ def test_streamed_cell_row_reads_the_stream():
     assert row.theta_bar == [float(v) for v in out.theta_bar_full]
     assert row.budget == out.budget
     assert row.truthful_frac == float(np.mean(stream.costs <= params.tau_threshold))
+
+
+def _sensitivity_verb(tmp_path, capsys, config, n, trials) -> float:
+    """The `sensitivity` verb's empirical_max for the config at n."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config_to_json(config)))
+    argv = ["sensitivity", "--config", str(path), "--n", str(n), "--trials", str(trials)]
+    assert cli_main(argv) == 0
+    return json.loads(capsys.readouterr().out)["empirical_max"]
+
+
+def _oracle(config, n, pop, trials) -> float:
+    """The oracle on pop, keyed as the verb keys it: (master_seed, n)."""
+    params = params_for(config, n)
+    return empirical_sensitivity(
+        Dataset(pop.X, pop.y_true), make_link_bundle(config.population.model), params.settings,
+        trials, (config.master_seed, n), replacement_sampler(config.population, pop.theta_star),
+    )
+
+
+def test_sensitivity_verb_draws_the_cell_population(tmp_path, capsys):
+    # above CHUNK_ROWS the verb's agents are those of cell (n, 0): chunk 1
+    # draws from its own key rather than continuing chunk 0's stream
+    n, trials = CHUNK_ROWS + 4, 2
+    config = cell_config("linear", 2, n)
+    tau = params_for(config, n).tau_threshold
+    pop = cell_population(config, n, 0, tau).population()
+    assert _sensitivity_verb(tmp_path, capsys, config, n, trials) == _oracle(config, n, pop, trials)
+
+    one_stream = generate_population(
+        replace(config.population, n=n), cell_rng(config.master_seed, n, 0, ARM_POPULATION)
+    )
+    assert np.array_equal(one_stream.X[:CHUNK_ROWS], pop.X[:CHUNK_ROWS])
+    assert not np.array_equal(one_stream.X[CHUNK_ROWS:], pop.X[CHUNK_ROWS:])
+
+
+@pytest.mark.parametrize("name", sorted(CELLS))
+def test_sensitivity_verb_keeps_its_one_chunk_draw(tmp_path, capsys, name):
+    # at n <= CHUNK_ROWS the cell's population is one generate_population draw
+    n, trials = 400, 5
+    config = cell_config(name, 2, n)
+    pop = generate_population(
+        replace(config.population, n=n), cell_rng(config.master_seed, n, 0, ARM_POPULATION)
+    )
+    assert _sensitivity_verb(tmp_path, capsys, config, n, trials) == _oracle(config, n, pop, trials)
 
 
 def test_run_mechanism_checks_the_responses_of_every_chunk():

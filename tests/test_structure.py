@@ -1,6 +1,8 @@
 """Structural checks on the package source."""
 
 import ast
+import importlib.util
+import json
 import re
 import shlex
 from pathlib import Path
@@ -8,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import privglm
-from privglm.cli import build_parser
+from privglm.cli import build_parser, main
 from privglm.harness import parse_rule
 
 SRC = Path(privglm.__file__).parent
@@ -71,3 +73,55 @@ def test_readme_usage_and_rule_forms_match_the_code():
     assert "truthful" in forms and any(f.startswith("grid:") for f in forms), forms
     for form in forms:
         parse_rule(form)
+
+
+TRACING = Path(__file__).parents[1] / "benchmarks" / "tracing.py"
+
+# bindings the benchmark's tracer looks for and the package no longer has;
+# their per-layer metrics read 0
+TRACER_MISSING = [
+    "privglm.cli.empirical_sensitivity",
+    "privglm.cli.generate_population",
+    "privglm.harness.apply_strategy",
+    "privglm.mechanism.estimate",
+    "privglm.mechanism.l4_shrink_rows",
+    "privglm.mechanism.privatize",
+]
+
+
+def test_benchmark_tracer_runs_every_verb(tmp_path, capsys):
+    # the tracer wraps package globals and reads their arguments by name
+    # (generate_population's spec.n, empirical_sensitivity's trials), so a
+    # renamed argument or a moved call shows here rather than in a benchmark run
+    spec = importlib.util.spec_from_file_location("tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "population": {"d": 2, "model": "linear"},
+        "schedule": {"delta": 0.3},
+        "sweep": [120],
+        "metrics": ["accuracy", "budget", "rationality", "sensitivity", "deviation_gain"],
+        "master_seed": 3,
+        "posterior_samples": 1000,
+        "deviation": {"trials": 3},
+        "sensitivity_trials": 3,
+    }))
+    calls = (
+        ["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")],
+        ["deviate", "--config", str(cfg)],
+        ["sensitivity", "--config", str(cfg)],
+    )
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        codes = [tracer.span("cli.main", main, argv) for argv in calls]
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert codes == [0, 0, 0]
+    metrics = tracer.take_metrics(0)
+    assert set(metrics) == set(tracing.PER_LAYER)
+    assert metrics["population.agents_drawn"] > 0
+    assert metrics["estimators.empirical_sensitivity.ms_per_trial"] > 0
+    assert sorted(tracer.missing) == TRACER_MISSING
