@@ -2,11 +2,12 @@
 
 Verbs: simulate (sweep from a JSON config), deviate (deviation-gain study),
 sensitivity (empirical vs formula sensitivity), privacy-check (ratio
-falsification test) and schedule (print a parameter schedule). Exit codes:
-0 success, 2 config error (a bad config, flag or input, and any error the
-config causes, such as a response subset with infinite link constants or a
-ratio check with too few samples per bin), 3 numerical failure (in every
-cell of a sweep, or in the one solve or study of another verb).
+falsification test) and schedule (the parameters of a config's cell at n).
+Exit codes: 0 success, 2 config error (a bad config, flag or input, and any
+error the config causes, such as a response subset with infinite link
+constants or a ratio check with too few samples per bin), 3 numerical
+failure (in every cell of a sweep, or in the one solve or study of another
+verb).
 """
 
 from __future__ import annotations
@@ -15,13 +16,13 @@ import argparse
 import dataclasses
 import json
 import sys
-from dataclasses import replace
 
 from .errors import ConfigError, SingularGramError
 from .estimators import calibrate_c0, sensitivity_bound
 from .harness import (
     ExperimentConfig,
     canonical_privacy_check,
+    check_size,
     emit_report,
     estimate_deviation_gain,
     params_for,
@@ -29,8 +30,8 @@ from .harness import (
     run_experiment,
     sensitivity_study,
 )
-from .links import ModelKind, compute_link_constants, make_link_bundle
-from .mechanism import prediction_bound, preset_schedule
+from .links import compute_link_constants, make_link_bundle
+from .mechanism import prediction_bound
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -51,12 +52,23 @@ def _load_config(args) -> ExperimentConfig:
     if getattr(args, "format", None):
         overrides["fmt"] = args.format
     # replace() validates the overridden config again
-    return replace(config, **overrides)
+    return dataclasses.replace(config, **overrides)
+
+
+def _size(args, config: ExperimentConfig) -> int:
+    """The n a study verb runs at: --n, else the first sweep point; n below 2d is refused."""
+    if args.n is None and not config.sweep:
+        raise ConfigError("give --n or a non-empty sweep")
+    n = config.sweep[0] if args.n is None else args.n
+    check_size(n, config.population.d)
+    return n
 
 
 def _cmd_simulate(args) -> int:
     config = _load_config(args)
-    report = run_experiment(config, threads=max(1, args.threads))
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+    report = run_experiment(config, threads=args.threads)
     out_dir = config.out_dir or "."
     paths = emit_report(report, out_dir, config.fmt)
     for path in paths:
@@ -79,16 +91,14 @@ def _cmd_deviate(args) -> int:
     config = _load_config(args)
     rule = parse_rule(args.rule) if args.rule is not None else config.deviation_rule
     trials = args.trials if args.trials is not None else config.deviation_trials
-    est = estimate_deviation_gain(config, rule, trials, n=args.n)
+    est = estimate_deviation_gain(config, rule, trials, _size(args, config))
     print(json.dumps(dataclasses.asdict(est), indent=2))
     return 0
 
 
 def _cmd_sensitivity(args) -> int:
     config = _load_config(args)
-    n = args.n if args.n is not None else (config.sweep[0] if config.sweep else None)
-    if n is None:
-        raise ConfigError("give --n or a non-empty sweep")
+    n = _size(args, config)
     trials = args.trials if args.trials is not None else config.sensitivity_trials
     # the population of cell (n, 0), with the oracle keyed (master_seed, n)
     emp = sensitivity_study(config, n, 0, trials, (config.master_seed, n))
@@ -113,58 +123,26 @@ def _cmd_sensitivity(args) -> int:
 
 
 def _cmd_privacy_check(args) -> int:
-    report = canonical_privacy_check(
-        epsilon=args.epsilon,
-        trials=args.trials,
-        bins=args.bins,
-        corruption=args.corruption,
-        seed=args.seed or 0,
-    )
+    # a flag left out takes its default from canonical_privacy_check
+    flags = {k: v for k, v in vars(args).items() if k not in ("verb", "func")}
+    report = canonical_privacy_check(**flags)
     print(json.dumps(dataclasses.asdict(report) | {"ok": report.passed()}, indent=2))
     return 0
 
 
 def _cmd_schedule(args) -> int:
-    model = ModelKind.from_json({"model": args.model, "noise_std": args.noise_std})
-    params = preset_schedule(
-        model,
-        args.regime,
-        args.n,
-        args.delta,
-        args.d,
-        cost_lambda=args.cost_lambda,
-        tau_theta=args.tau_theta,
-        sigma=args.sigma,
-    )
-    bundle = make_link_bundle(model)
+    config = ExperimentConfig.from_json(args.config)
+    params = params_for(config, _size(args, config))
+    settings = params.settings
     constants = compute_link_constants(
-        bundle,
-        params.settings.polytope,
-        params.settings.tau1,
-        params.settings.tau2,
-        params.settings.tau_theta,
+        make_link_bundle(config.population.model), settings.polytope, settings.tau1,
+        settings.tau2, settings.tau_theta,
     )
-    out = {
-        "epsilon": params.privacy.epsilon,
-        "tau1": params.settings.tau1,
-        "tau2": params.settings.tau2,
-        "tau_theta": params.settings.tau_theta,
-        "polytope": params.settings.polytope.to_json(),
-        "alpha": params.alpha,
-        "beta": params.beta,
-        "a1": params.a1,
-        "a2": params.a2,
-        "tau_threshold": params.tau_threshold,
-        "cost_fn": params.cost_fn.kind,
-        "gamma_n": params.privacy.gamma_n,
-        "gamma_half": params.privacy.gamma_half,
-        "constants": {
-            "kappa0": constants.kappa0,
-            "kappa1": constants.kappa1,
-            "kappa2": constants.kappa2,
-            "m_a": prediction_bound(model, params.settings, args.d),
-            "eps_mbar": constants.eps_mbar,
-        },
+    # every MechanismParams field, with privacy's and settings' flattened into it
+    out = {k: v for k, v in vars(params).items() if k not in ("privacy", "settings")}
+    out |= vars(params.privacy) | vars(settings) | {"polytope": settings.polytope.to_json()}
+    out["constants"] = dataclasses.asdict(constants) | {
+        "m_a": prediction_bound(config.population.model, settings, config.population.d),
     }
     print(json.dumps(out, indent=2))
     return 0
@@ -184,35 +162,28 @@ def build_parser() -> argparse.ArgumentParser:
                    help="truthful | grid:a,b,c (default: the config's deviation.rule)")
     p.add_argument("--trials", type=int, default=None,
                    help="default: the config's deviation.trials")
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=int, default=None, help="default: the config's first sweep point")
     p.set_defaults(func=_cmd_deviate)
 
     p = sub.add_parser("sensitivity", help="empirical vs formula sensitivity")
     _add_common(p)
     p.add_argument("--trials", type=int, default=None,
                    help="default: the config's sensitivity_trials")
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=int, default=None, help="default: the config's first sweep point")
     p.set_defaults(func=_cmd_sensitivity)
 
-    p = sub.add_parser("privacy-check", help="histogram ratio falsification test")
-    p.add_argument("--epsilon", type=float, default=0.5)
-    p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--bins", type=int, default=30)
-    p.add_argument("--corruption", type=float, default=1.0, help="divide the noise scale (negative control)")
-    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser("privacy-check", help="histogram ratio falsification test",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--epsilon", type=float)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--bins", type=int)
+    p.add_argument("--corruption", type=float, help="divide the noise scale (negative control)")
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_privacy_check)
 
-    # no prefix matching: the deleted --c must not read as --cost-lambda
-    p = sub.add_parser("schedule", help="print a parameter schedule", allow_abbrev=False)
-    p.add_argument("--model", required=True, choices=("linear", "logistic", "poisson"))
-    p.add_argument("--regime", default="subgaussian", choices=("subgaussian", "heavy"))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--cost-lambda", dest="cost_lambda", type=float, default=1.0)
-    p.add_argument("--tau-theta", dest="tau_theta", type=float, default=1.0)
-    p.add_argument("--sigma", type=float, default=1.0, help="the covariates' sigma")
-    p.add_argument("--noise-std", dest="noise_std", type=float, default=1.0)
+    p = sub.add_parser("schedule", help="print the parameters of a config's cell at n")
+    p.add_argument("--config", required=True, help="path to a JSON experiment config")
+    p.add_argument("--n", type=int, default=None, help="default: the config's first sweep point")
     p.set_defaults(func=_cmd_schedule)
 
     return parser

@@ -37,15 +37,18 @@ from .estimators import (
 )
 from .links import LINEAR, LOGISTIC, ModelKind, PolytopeSpec, make_link_bundle
 from .mechanism import (
+    POSTERIOR_SAMPLES,
     MechanismParams,
     predictions,
     preset_schedule,
     posterior_mean,
+    privacy_cost,
     project_ball,
     rationality_check,
     run_mechanism,
 )
 from .population import (
+    CovariateSpec,
     PopulationSpec,
     PopulationStream,
     StudentTCovariates,
@@ -89,28 +92,6 @@ CSV_COLUMNS = (
 )
 
 
-_CONFIG_KEYS = (
-    "population", "regime", "schedule", "sweep", "repeats", "metrics", "out_dir", "format",
-    "master_seed", "deviation", "sensitivity_trials", "posterior_samples",
-)
-_POPULATION_KEYS = (
-    "d", "model", "noise_std", "covariates", "tau_theta", "theta_star", "cost_lambda",
-)
-_COVARIATE_KEYS = {
-    "subgaussian_isotropic": ("kind", "sigma"),
-    "subgaussian_cov": ("kind", "cov"),
-    "student_t": ("kind", "dof", "scale"),
-}
-_DEVIATION_KEYS = ("rule", "trials")
-_SCHEDULE_KEYS = ("delta", "c0", "c0_calibrated")
-
-
-def _check_keys(obj: dict, known, where: str) -> None:
-    unknown = sorted(set(obj) - set(known))
-    if unknown:
-        raise ConfigError(f"unknown {where} key(s) {unknown}")
-
-
 def cell_rng(master_seed: int, n: int, repeat: int, arm: int, *extra) -> np.random.Generator:
     return np.random.default_rng([master_seed, n, repeat, arm, *extra])
 
@@ -120,7 +101,7 @@ def _chunk_rngs(master_seed: int, n: int, repeat: int, arm: int):
     return lambda c: cell_rng(master_seed, n, repeat, arm, *((c,) if c else ()))
 
 
-def _check_size(n: int, d: int) -> None:
+def check_size(n: int, d: int) -> None:
     """Each half of the partition of n agents needs at least d rows."""
     if n < 2 * d:
         raise ConfigError(
@@ -149,11 +130,13 @@ class ScheduleSpec:
 
 @dataclass
 class ExperimentConfig:
+    """One experiment; a config that leaves a key out runs its field's default."""
+
     population: PopulationSpec  # template; n is replaced by each sweep point
-    regime: str
-    sweep: Sequence[int]
-    repeats: int
     schedule: ScheduleSpec
+    regime: str = SUBGAUSSIAN
+    sweep: Sequence[int] = ()
+    repeats: int = 1
     metrics: Tuple[str, ...] = ("accuracy", "budget", "rationality")
     out_dir: Optional[str] = None
     fmt: str = "csv"
@@ -161,18 +144,16 @@ class ExperimentConfig:
     deviation_rule: Optional[WorstOfGrid] = WorstOfGrid((0.0,))  # None: the truthful control
     deviation_trials: int = 100
     sensitivity_trials: int = 40
-    posterior_samples: int = 10_000
+    posterior_samples: int = POSTERIOR_SAMPLES
 
     def __post_init__(self):
         self.sweep = [int(v) for v in self.sweep]
         if self.repeats < 1:
             raise ConfigError("repeats must be >= 1")
-        if not self.sweep:
-            pass  # an empty sweep produces a header-only report
-        elif any(b <= a for a, b in zip(self.sweep, self.sweep[1:])):
+        if any(b <= a for a, b in zip(self.sweep, self.sweep[1:])):
             raise ConfigError("sweep must be strictly increasing")
-        else:
-            _check_size(self.sweep[0], self.population.d)
+        if self.sweep:  # an empty sweep produces a header-only report
+            check_size(self.sweep[0], self.population.d)
         if min(self.deviation_trials, self.sensitivity_trials) < 1:
             raise ConfigError(f"trials must be >= 1, got deviation.trials {self.deviation_trials}"
                               f" and sensitivity_trials {self.sensitivity_trials}")
@@ -189,70 +170,18 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, obj) -> "ExperimentConfig":
+        """Read a config object or file; only the keys it gives reach `_CONFIG_KEYS`' readers."""
         if isinstance(obj, (str, Path)):
             try:
                 obj = json.loads(Path(obj).read_text())
             except (OSError, json.JSONDecodeError) as exc:
                 raise ConfigError(f"cannot read config: {exc}")
+        fields = _fields(obj, _CONFIG_KEYS, "config")
+        fields.update(fields.pop("deviation", {}))
         try:
-            _check_keys(obj, _CONFIG_KEYS, "config")
-            pop = _population_from_json(obj["population"])
-            sched = obj.get("schedule")
-            if sched is not None:
-                _check_keys(sched, _SCHEDULE_KEYS, "schedule")
-            schedule = ScheduleSpec(**sched) if sched is not None else None
-            dev = obj.get("deviation", {})
-            _check_keys(dev, _DEVIATION_KEYS, "deviation")
-            return cls(
-                population=pop,
-                regime=obj.get("regime", "subgaussian"),
-                sweep=obj.get("sweep", []),
-                repeats=int(obj.get("repeats", 1)),
-                schedule=schedule,
-                metrics=tuple(obj.get("metrics", ("accuracy", "budget", "rationality"))),
-                out_dir=obj.get("out_dir"),
-                fmt=obj.get("format", "csv"),
-                master_seed=int(obj.get("master_seed", 0)),
-                deviation_rule=parse_rule(dev.get("rule", "grid:0.0")),
-                deviation_trials=int(dev.get("trials", 100)),
-                sensitivity_trials=int(obj.get("sensitivity_trials", 40)),
-                posterior_samples=int(obj.get("posterior_samples", 10_000)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(f"bad experiment config: {exc}")
-
-
-def _population_from_json(obj: dict) -> PopulationSpec:
-    _check_keys(obj, _POPULATION_KEYS, "population")
-    model = ModelKind.from_json(obj)
-    cov = obj.get("covariates", {"kind": "subgaussian_isotropic"})
-    kind = cov.get("kind", "subgaussian_isotropic")
-    if kind in _COVARIATE_KEYS:
-        _check_keys(cov, _COVARIATE_KEYS[kind], f"{kind} covariates")
-    if kind == "subgaussian_isotropic":
-        covariates = SubGaussianIsotropic(float(cov.get("sigma", 1.0)))
-    elif kind == "subgaussian_cov":
-        covariates = SubGaussianCov(np.asarray(cov["cov"], dtype=float))
-    elif kind == "student_t":
-        scale = cov.get("scale")
-        covariates = StudentTCovariates(
-            float(cov.get("dof", 5.0)),
-            np.asarray(scale, dtype=float) if scale is not None else None,
-        )
-    else:
-        raise ConfigError(f"unknown covariate kind {kind!r}")
-    theta = obj.get("theta_star")
-    return PopulationSpec(
-        n=2,  # a placeholder: every run replaces it with its sweep point
-        d=int(obj["d"]),
-        model=model,
-        covariates=covariates,
-        tau_theta=float(obj.get("tau_theta", 1.0)),
-        theta_star=np.asarray(theta, dtype=float) if theta is not None else None,
-        cost_lambda=float(obj.get("cost_lambda", 1.0)),
-    )
+            return cls(**fields)
+        except TypeError as exc:
+            raise ConfigError(f"bad experiment config: {exc}") from None
 
 
 def parse_rule(text) -> Optional[WorstOfGrid]:
@@ -280,6 +209,112 @@ def rule_name(rule: Optional[WorstOfGrid]) -> str:
     if rule is None:
         return "truthful"
     return "grid:" + ",".join(repr(float(v)) for v in rule.grid)
+
+
+# ---------------------------------------------------------------------------
+# Config reading: one table per section maps each JSON key to the keyword
+# its value fills and the reader of that value
+# ---------------------------------------------------------------------------
+
+def _integer(value) -> int:
+    """A JSON integer; a number with no fractional part, such as 1e6, counts."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{value!r} is not an integer")
+    return value
+
+
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{value!r} is not a finite number")
+    return float(value)
+
+
+def _typed(kind: type):
+    def read(value):
+        if not isinstance(value, kind):
+            raise ValueError(f"{value!r} is not a {kind.__name__}")
+        return value
+    return read
+
+
+def _array(value) -> Optional[np.ndarray]:
+    return None if value is None else np.asarray(value, dtype=float)
+
+
+def _fields(obj, table: dict, where: str) -> dict:
+    """Keywords for the keys `obj` gives, each read by its (keyword, reader) in `table`."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"the {where} must be an object, got {obj!r}")
+    unknown = sorted(set(obj) - set(table))
+    if unknown:
+        raise ConfigError(f"unknown {where} key(s) {unknown}")
+    out = {}
+    for key, value in obj.items():
+        name, read = table[key]
+        try:
+            out[name] = read(value)
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{where} key {key!r}: {exc}") from None
+    return out
+
+
+def _covariates(obj) -> CovariateSpec:
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    if kind not in _COVARIATE_KEYS:
+        raise ConfigError(f"unknown covariate kind {kind!r}")
+    law, table = _COVARIATE_KEYS[kind]
+    return law(**_fields({k: v for k, v in obj.items() if k != "kind"}, table, f"{kind} covariates"))
+
+
+def _population(obj) -> PopulationSpec:
+    fields = _fields(obj, _POPULATION_KEYS, "population")
+    model = ModelKind.from_json({k: fields.pop(k) for k in ("model", "noise_std") if k in fields})
+    return PopulationSpec(n=2, model=model, **fields)  # each run sets n to its sweep point
+
+
+_POPULATION_KEYS = {
+    "d": ("d", _integer),
+    "model": ("model", _typed(str)),  # model and noise_std go to ModelKind.from_json
+    "noise_std": ("noise_std", _number),
+    "covariates": ("covariates", _covariates),
+    "tau_theta": ("tau_theta", _number),
+    "theta_star": ("theta_star", _array),
+    "cost_lambda": ("cost_lambda", _number),
+}
+# each kind's law, and the keys beside "kind"
+_COVARIATE_KEYS = {
+    "subgaussian_isotropic": (SubGaussianIsotropic, {"sigma": ("sigma", _number)}),
+    "subgaussian_cov": (SubGaussianCov, {"cov": ("cov", _array)}),
+    "student_t": (StudentTCovariates, {"dof": ("dof", _number), "scale": ("scale", _array)}),
+}
+_SCHEDULE_KEYS = {
+    "delta": ("delta", _number),
+    "c0": ("c0", _number),
+    "c0_calibrated": ("c0_calibrated", _typed(bool)),
+}
+_DEVIATION_KEYS = {
+    "rule": ("deviation_rule", parse_rule),
+    "trials": ("deviation_trials", _integer),
+}
+# from_json merges the fields "deviation" reads into the others
+_CONFIG_KEYS = {
+    "population": ("population", _population),
+    "regime": ("regime", _typed(str)),
+    "schedule": ("schedule", lambda obj: ScheduleSpec(**_fields(obj, _SCHEDULE_KEYS, "schedule"))),
+    "sweep": ("sweep", lambda values: [_integer(v) for v in values]),
+    "repeats": ("repeats", _integer),
+    "metrics": ("metrics", tuple),
+    "out_dir": ("out_dir", _typed(str)),
+    "format": ("fmt", _typed(str)),
+    "master_seed": ("master_seed", _integer),
+    "deviation": ("deviation", lambda obj: _fields(obj, _DEVIATION_KEYS, "deviation")),
+    "sensitivity_trials": ("sensitivity_trials", _integer),
+    "posterior_samples": ("posterior_samples", _integer),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +441,6 @@ def sensitivity_study(config: ExperimentConfig, n: int, repeat: int, trials: int
     A trial's replacement row is a `draw_agents` row under the cell's theta*;
     `seed` keys the trials.
     """
-    _check_size(n, config.population.d)
     params = params_for(config, n)
     pop = cell_population(config, n, repeat, params.tau_threshold).population()
     bundle = make_link_bundle(config.population.model)
@@ -426,7 +460,7 @@ def _run_cell(config: ExperimentConfig, n: int, repeat: int) -> CellResult:
         outcome = run_mechanism(stream, bundle, params, cell_rng(ms, n, repeat, ARM_MECHANISM))
         rationality = None
         if "rationality" in config.metrics:
-            rationality = rationality_check(outcome, stream.costs, params.cost_fn, tau)
+            rationality = rationality_check(outcome, stream.costs, params.cost_exponent, tau)
         eta = None
         if "deviation_gain" in config.metrics:
             est = estimate_deviation_gain(
@@ -529,7 +563,7 @@ def estimate_deviation_gain(
     config: ExperimentConfig,
     deviant_rule: Optional[WorstOfGrid],
     trials: int,
-    n: Optional[int] = None,
+    n: int,
     seed_tag: int = 0,
 ) -> DeviationGainEstimate:
     """Paired Monte-Carlo estimate of the tagged agent's gain from deviating.
@@ -564,7 +598,7 @@ def estimate_deviation_gain(
     reports the most profitable grid value (mean paired gain maximized over
     the grid; the grid should contain the truthful report so the payment part
     is nonnegative by construction). A genuine misreport also saves the
-    agent's privacy cost, at most cost * F(total account) per the cost model;
+    agent's privacy cost, at most cost * (1 + gamma) eps^k of the total account;
     the truthful control (rule None) shares account and report, so its gain
     is identically zero.
     `eta_sup` is the supremum of the mean paired gain over the model's whole
@@ -572,16 +606,12 @@ def estimate_deviation_gain(
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
-    nn = int(n) if n is not None else (config.sweep[0] if config.sweep else None)
-    if nn is None:
-        raise ConfigError("no sweep point to run the deviation study at")
-    _check_size(nn, config.population.d)
     ms = config.master_seed
     model = config.population.model
     bundle = make_link_bundle(model)
-    params = params_for(config, nn)
+    params = params_for(config, n)
     settings = params.settings
-    spec_n = replace(config.population, n=nn)
+    spec_n = replace(config.population, n=n)
     privacy = params.privacy
     eps_tot, gamma_tot = compose_account(privacy)
 
@@ -610,12 +640,12 @@ def estimate_deviation_gain(
     q = predict([y0, *reports])
 
     d = spec_n.d
-    per_block = max(1, BLOCK_ELEMENTS // ((nn - nn // 2) * (d + 1)))
+    per_block = max(1, BLOCK_ELEMENTS // ((n - n // 2) * (d + 1)))
     p = np.empty(trials)
     for block, lo in enumerate(range(0, trials, per_block)):
         b = min(per_block, trials - lo)
-        rng = np.random.default_rng([ms, nn, seed_tag, ARM_DEVIATION, block])
-        sizes = np.where(rng.random(b) < (nn // 2) / nn, nn - nn // 2, nn // 2)
+        rng = np.random.default_rng([ms, n, seed_tag, ARM_DEVIATION, block])
+        sizes = np.where(rng.random(b) < (n // 2) / n, n - n // 2, n // 2)
         if spec_n.theta_star is None:
             theta_star = np.stack([draw_theta_star(d, spec_n.tau_theta, rng) for _ in range(b)])
         else:
@@ -632,7 +662,9 @@ def estimate_deviation_gain(
 
     mean_gains, std_errors = _gain_moments(p, q, params.a2)
     best = int(np.argmax(mean_gains))
-    saving = 0.0 if deviant_rule is None else cost0 * params.cost_fn(eps_tot, gamma_tot)
+    saving = 0.0 if deviant_rule is None else (
+        cost0 * privacy_cost(eps_tot, gamma_tot, params.cost_exponent)
+    )
     eta_sup = 0.0
     if deviant_rule is not None:
         eta_sup = saving + _sup_gain(model, predict, x_pay, type_pop.X[0], settings.tau_theta,
@@ -834,6 +866,8 @@ def canonical_privacy_check(
     epsilon/2 while a corruption of 10 pushes it to 5 epsilon.
     """
     _check_seed(seed)
+    if not (math.isfinite(corruption) and corruption > 0):
+        raise ConfigError(f"corruption must be finite and > 0, got {corruption}")
     n, tau2 = 60, 2.0
     X = np.ones((n, 1))
     y_a = np.zeros(n)

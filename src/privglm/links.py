@@ -78,9 +78,9 @@ class ModelKind:
     @classmethod
     def from_json(cls, obj: dict) -> "ModelKind":
         family = obj.get("model")
-        if family == LINEAR:
-            return cls.linear(float(obj.get("noise_std", 1.0)))
-        if family in (LOGISTIC, POISSON):
+        if family == LINEAR and "noise_std" in obj:
+            return cls(family, float(obj["noise_std"]))
+        if family in FAMILIES:
             return cls(family)
         raise ConfigError(f"bad model entry {obj!r}")
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -77,6 +77,8 @@ from .population import tau_alpha_beta_bound
 from .privacy import PrivacyParams, compose_account, sample_norm_exponential
 
 MIN_POSTERIOR_SAMPLES = 1000
+# quadrature nodes behind each logistic or Poisson posterior mean, unless a config sets them
+POSTERIOR_SAMPLES = 10_000
 # terms of one row block of the (agents x nodes) posterior table
 _BLOCK_ELEMENTS = 2 ** 15
 
@@ -85,7 +87,7 @@ RELEASES = ("full", "half0", "half1")
 
 
 # ---------------------------------------------------------------------------
-# Payment rule and cost functions
+# Payment rule and privacy cost
 # ---------------------------------------------------------------------------
 
 def brier_payment(a1: float, a2: float, p, q):
@@ -98,24 +100,9 @@ def brier_payment(a1: float, a2: float, p, q):
     return out
 
 
-@dataclass(frozen=True)
-class CostFunction:
-    """Upper envelope F(eps, gamma) of the per-unit privacy cost.
-
-    quartic    (1 + gamma) eps^4   (sub-Gaussian schedules)
-    nonic      (1 + gamma) eps^9   (heavy-tailed schedule)
-    """
-
-    kind: str = "quartic"
-
-    def __post_init__(self):
-        if self.kind not in ("quartic", "nonic"):
-            raise ConfigError(f"unknown cost function kind {self.kind!r}")
-
-    def __call__(self, epsilon: float, gamma: float) -> float:
-        if self.kind == "quartic":
-            return (1.0 + gamma) * epsilon ** 4
-        return (1.0 + gamma) * epsilon ** 9
+def privacy_cost(epsilon: float, gamma: float, exponent: int) -> float:
+    """Upper envelope (1 + gamma) eps^k of the per-unit privacy cost; the schedule's k is 4 or 9."""
+    return (1.0 + gamma) * epsilon ** exponent
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +115,8 @@ class MechanismParams:
 
     `n` is the population size the knobs were resolved at; `run_mechanism`
     refuses reports of any other size. `tau_threshold` is the cost threshold
-    of the strategy the schedule assumes. `posterior_samples` is the number
+    of the strategy the schedule assumes, and `cost_exponent` the k of the
+    privacy cost (1 + gamma) eps^k. `posterior_samples` is the number
     of quadrature nodes behind each logistic or Poisson posterior mean; it is
     checked here, once, against the floor of 1000.
     """
@@ -141,8 +129,8 @@ class MechanismParams:
     alpha: float
     beta: float
     tau_threshold: float
-    cost_fn: CostFunction = field(default_factory=CostFunction)
-    posterior_samples: int = 10_000
+    cost_exponent: int
+    posterior_samples: int = POSTERIOR_SAMPLES
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0 and 0.0 < self.beta < 1.0):
@@ -425,7 +413,7 @@ def run_mechanism(
 # ---------------------------------------------------------------------------
 
 def rationality_check(
-    outcome: MechanismOutcome, costs: np.ndarray, cost_fn: CostFunction, tau: float
+    outcome: MechanismOutcome, costs: np.ndarray, cost_exponent: int, tau: float
 ) -> float:
     """Fraction of below-threshold agents whose realized utility is nonnegative."""
     costs = np.asarray(costs, dtype=float)
@@ -435,8 +423,8 @@ def rationality_check(
     below = costs <= tau
     if not np.any(below):
         return 1.0
-    # utility payment - cost F(account) >= 0, compared without a utility vector
-    rational = outcome.payments >= costs * cost_fn(eps_tot, gamma_tot)
+    # utility payment - cost (1 + gamma) eps^k >= 0, compared without a utility vector
+    rational = outcome.payments >= costs * privacy_cost(eps_tot, gamma_tot, cost_exponent)
     return float(np.mean(rational[below]))
 
 
@@ -463,14 +451,15 @@ def prediction_bound(model: ModelKind, settings: EstimatorSettings, d: int) -> f
 
 
 def rationality_floor(
-    a2: float, m_a: float, tau_threshold: float, cost_fn: CostFunction,
+    a2: float, m_a: float, tau_threshold: float, cost_exponent: int,
     epsilon: float, gamma_total: float,
 ) -> float:
     """Smallest a1 making below-threshold participation individually rational.
 
     m_a bounds every prediction |p| and |q| the payment rule can make.
     """
-    return a2 * (m_a + 3.0 * m_a * m_a) + tau_threshold * cost_fn(2.0 * epsilon, gamma_total)
+    cost = privacy_cost(2.0 * epsilon, gamma_total, cost_exponent)
+    return a2 * (m_a + 3.0 * m_a * m_a) + tau_threshold * cost
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +480,7 @@ def preset_schedule(
     tau_theta: float = 1.0,
     sigma: float = 1.0,
     c0: float = 1.0,
-    posterior_samples: int = 10_000,
+    posterior_samples: int = POSTERIOR_SAMPLES,
 ) -> MechanismParams:
     """Fill every mechanism knob from the per-model parameter schedules at size n.
 
@@ -520,7 +509,7 @@ def preset_schedule(
         epsilon = n ** (-delta)
         alpha = n ** (-1.0 + delta)
         a2 = n ** (-0.5 - 9.0 * delta)
-        cost_fn = CostFunction("nonic")
+        cost_exponent = 9
     else:
         check_preset_delta(model.family, delta)
         polytope = preset_polytope(model, n, delta)
@@ -538,7 +527,7 @@ def preset_schedule(
             epsilon = n ** (-3.0 * delta)
             a2 = n ** (-6.0 * delta)
         alpha = n ** (-3.0 * delta)
-        cost_fn = CostFunction("quartic")
+        cost_exponent = 4
 
     beta = n ** (-1.0)
     # the o(1) failure probability of each release's privacy claim
@@ -551,7 +540,7 @@ def preset_schedule(
     )
     tau_thr = tau_alpha_beta_bound(alpha, beta, cost_lambda)
     m_a = prediction_bound(model, settings, d)
-    a1 = rationality_floor(a2, m_a, tau_thr, cost_fn, epsilon, gamma_total)
+    a1 = rationality_floor(a2, m_a, tau_thr, cost_exponent, epsilon, gamma_total)
     bundle = make_link_bundle(model)
     delta_n = sensitivity_bound(n, d, bundle, settings, c0)
     delta_half = sensitivity_bound(n // 2, d, bundle, settings, c0)
@@ -565,6 +554,6 @@ def preset_schedule(
         alpha=alpha,
         beta=beta,
         tau_threshold=tau_thr,
-        cost_fn=cost_fn,
+        cost_exponent=cost_exponent,
         posterior_samples=posterior_samples,
     )

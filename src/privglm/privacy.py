@@ -152,6 +152,9 @@ def empirical_privacy_ratio(
     """
     if trials < 2 * _MIN_COUNT:
         raise ConfigError("trials too small for the estimability floor")
+    if bins < 2:
+        # one bin holds every sample of both outputs: its ratio is 1 whatever the release
+        raise ConfigError(f"bins must be >= 2, got {bins}")
     n_diff = _rows_differing(data_a, data_b)
     if n_diff > 1:
         raise ConfigError(f"datasets differ in {n_diff} rows; at most one allowed")

@@ -30,7 +30,6 @@ from privglm.harness import (
 )
 from privglm.links import ModelKind, make_link_bundle
 from privglm.mechanism import (
-    CostFunction,
     brier_payment,
     budget_bound,
     partition,
@@ -552,10 +551,22 @@ def run_cli(*args):
     )
 
 
-def test_cli_schedule_verb():
-    proc = run_cli("schedule", "--model", "linear", "--n", "10000", "--delta", "0.3", "--d", "3")
-    assert proc.returncode == 0
+def _schedule(tmp_path, capsys, payload, *flags):
+    """The JSON that `schedule` prints for a config of `payload`."""
+    assert cli_main(["schedule", "--config", _write_config(tmp_path, payload), *flags]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_cli_schedule_verb(tmp_path):
+    payload = {
+        "population": {"d": 3, "model": "linear"},
+        "schedule": {"delta": 0.3},
+        "sweep": [10_000],
+    }
+    proc = run_cli("schedule", "--config", _write_config(tmp_path, payload))
+    assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
+    assert out["n"] == 10_000
     assert out["epsilon"] == pytest.approx(10000**-0.3, rel=1e-9)
     assert "kappa0" in out["constants"]
 
@@ -564,33 +575,100 @@ def test_cli_schedule_verb():
     ("linear", "heavy", 0.12, 10 ** 0.25 * (10_000 / np.log(10_000)) ** 0.25),
     ("logistic", "subgaussian", 0.3, None),
 ], ids=["heavy", "subgaussian"])
-def test_cli_schedule_a1_is_floor_at_printed_m_a(capsys, model, regime, delta, m_a):
-    argv = ["schedule", "--model", model, "--regime", regime, "--n", "10000",
-            "--delta", str(delta), "--d", "10"]
-    assert cli_main(argv) == 0
-    out = json.loads(capsys.readouterr().out)
+def test_cli_schedule_a1_is_floor_at_printed_m_a(tmp_path, capsys, model, regime, delta, m_a):
+    payload = {
+        "population": {"d": 10, "model": model},
+        "regime": regime,
+        "schedule": {"delta": delta},
+        "sweep": [10_000],
+    }
+    out = _schedule(tmp_path, capsys, payload)
     printed = out["constants"]["m_a"]
     if m_a is not None:
         assert printed == pytest.approx(m_a, rel=1e-12)
     floor = rationality_floor(
-        out["a2"], printed, out["tau_threshold"], CostFunction(out["cost_fn"]),
+        out["a2"], printed, out["tau_threshold"], out["cost_exponent"],
         out["epsilon"], out["gamma_n"] + 2 * out["gamma_half"],
     )
     assert out["a1"] == pytest.approx(floor, rel=1e-12)
+    assert out["cost_exponent"] == (9 if regime == "heavy" else 4)
 
 
-def test_cli_schedule_rejects_bad_delta():
-    proc = run_cli("schedule", "--model", "linear", "--n", "1000", "--delta", "0.4")
+# the keys `schedule` prints, each a field of MechanismParams or of its parts
+_PRINTED_PARAMS = (
+    "n", "epsilon", "delta_n", "delta_half", "gamma_n", "gamma_half", "tau1", "tau2",
+    "tau_theta", "regime", "alpha", "beta", "a1", "a2", "tau_threshold", "cost_exponent",
+    "posterior_samples",
+)
+
+
+def _assert_schedule_is_params_for(out, config, n):
+    params = harness.params_for(config, n)
+    want = {**vars(params), **vars(params.privacy), **vars(params.settings)}
+    for key in _PRINTED_PARAMS:
+        assert out[key] == want[key], key
+    assert out["polytope"] == params.settings.polytope.to_json()
+
+
+@pytest.mark.parametrize("flags, n", [((), 1000), (("--n", "2000"), 2000)], ids=["sweep", "flag"])
+def test_cli_schedule_prints_the_cell_parameters(tmp_path, capsys, flags, n):
+    # a Poisson config with sigma 4 covariates runs tau1 = 4 sqrt(log n); the
+    # schedule reads it from the config, not from a sigma of its own
+    payload = {
+        "population": {"d": 3, "model": "poisson",
+                       "covariates": {"kind": "subgaussian_isotropic", "sigma": 4.0}},
+        "schedule": {"delta": 0.26},
+        "sweep": [1000, 2000],
+    }
+    out = _schedule(tmp_path, capsys, payload, *flags)
+    _assert_schedule_is_params_for(out, ExperimentConfig.from_json(payload), n)
+    assert out["tau1"] == pytest.approx(4.0 * math.sqrt(math.log(n)), rel=1e-14)
+    if n == 1000:
+        assert out["a1"] == pytest.approx(84_847.45, rel=1e-6)
+
+
+def test_cli_schedule_takes_sigma_from_a_covariance(tmp_path, capsys):
+    cov = [[2.0, 0.6, 0.0], [0.6, 1.0, 0.2], [0.0, 0.2, 0.5]]
+    payload = {
+        "population": {"d": 3, "model": "linear",
+                       "covariates": {"kind": "subgaussian_cov", "cov": cov}},
+        "schedule": {"delta": 0.3},
+        "sweep": [1000],
+    }
+    out = _schedule(tmp_path, capsys, payload)
+    _assert_schedule_is_params_for(out, ExperimentConfig.from_json(payload), 1000)
+    sigma = math.sqrt(3 * np.linalg.eigvalsh(np.asarray(cov))[-1])
+    assert out["tau1"] == pytest.approx(sigma * math.sqrt(math.log(1000)), rel=1e-14)
+
+
+def test_cli_schedule_prints_the_release_sensitivities(tmp_path, capsys):
+    # heavy regime: delta = c0 d^(3/4) (log n / n)^(1/8), at n and at n // 2;
+    # c0 = 0.5 halves both
+    payload = {
+        "population": {"d": 4, "model": "linear",
+                       "covariates": {"kind": "student_t", "dof": 5.0}},
+        "regime": "heavy",
+        "schedule": {"delta": 0.12},
+        "sweep": [5001],
+    }
+    full = _schedule(tmp_path, capsys, payload)
+    _assert_schedule_is_params_for(full, ExperimentConfig.from_json(payload), 5001)
+    for key, n in (("delta_n", 5001), ("delta_half", 2500)):
+        assert full[key] == pytest.approx(4 ** 0.75 * (math.log(n) / n) ** 0.125, rel=1e-14)
+    half = _schedule(tmp_path, capsys, payload | {"schedule": {"delta": 0.12, "c0": 0.5}})
+    for key in ("delta_n", "delta_half"):
+        assert half[key] == pytest.approx(0.5 * full[key], rel=1e-15)
+
+
+def test_cli_schedule_rejects_bad_delta(tmp_path):
+    payload = {
+        "population": {"d": 1, "model": "linear"},
+        "schedule": {"delta": 0.4},
+        "sweep": [1000],
+    }
+    proc = run_cli("schedule", "--config", _write_config(tmp_path, payload))
     assert proc.returncode == 2
     assert "config error" in proc.stderr
-
-
-def test_cli_schedule_rejects_the_deleted_c_flag(capsys):
-    # --c is no prefix of --cost-lambda: the schedule verb matches whole flags only
-    with pytest.raises(SystemExit) as exc:
-        cli_main(["schedule", "--model", "linear", "--n", "1000", "--delta", "0.3", "--c", "2"])
-    assert exc.value.code == 2
-    assert "--c" in capsys.readouterr().err
 
 
 def test_cli_simulate_and_exit_codes(tmp_path):
@@ -688,6 +766,70 @@ def test_cli_rejects_unknown_config_keys(tmp_path, capsys, typo, key):
     assert not (tmp_path / "out" / "report.csv").exists()
 
 
+@pytest.mark.parametrize("change, key, value", [
+    ({"population": {"d": 2.7, "model": "linear"}}, "d", "2.7"),
+    ({"sweep": [100.9, 200.2]}, "sweep", "100.9"),
+    ({"repeats": 1.5}, "repeats", "1.5"),
+    ({"master_seed": 3.9}, "master_seed", "3.9"),
+    ({"deviation": {"trials": 2.5}}, "trials", "2.5"),
+    ({"sensitivity_trials": True}, "sensitivity_trials", "True"),
+    ({"posterior_samples": "2000"}, "posterior_samples", "'2000'"),
+], ids=["d", "sweep", "repeats", "master_seed", "deviation-trials", "bool", "string"])
+def test_cli_rejects_malformed_integers(tmp_path, capsys, change, key, value):
+    # each of these once ran, truncated: d 2, sweep [100, 200], repeats 1, ...
+    payload = {
+        "population": {"d": 2, "model": "linear"},
+        "schedule": {"delta": 0.3},
+        "sweep": [120],
+        "master_seed": 3,
+    }
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", _write_config(tmp_path, payload | change), "--out", str(out)]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert f"key {key!r}: {value} is not an integer" in err
+    assert not out.exists()
+
+
+def test_config_reads_an_integral_float_as_an_integer():
+    config = ExperimentConfig.from_json({
+        "population": {"d": 2.0, "model": "linear"}, "schedule": {"delta": 0.3},
+        "sweep": [1e3, 1e6], "posterior_samples": 1e4,
+    })
+    assert config.sweep == [1000, 1_000_000] and config.population.d == 2
+    assert type(config.posterior_samples) is int and config.posterior_samples == 10_000
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_cli_rejects_threads_below_one(tmp_path, capsys, threads):
+    payload = {"population": {"d": 2, "model": "linear"}, "schedule": {"delta": 0.3},
+               "sweep": [120]}
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", _write_config(tmp_path, payload), "--out", str(out),
+            "--threads", threads]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err == f"config error: --threads must be >= 1, got {threads}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--bins", "0"], "bins must be >= 2, got 0"),
+    (["--bins", "1"], "bins must be >= 2, got 1"),
+    (["--bins", "-3"], "bins must be >= 2, got -3"),
+    (["--corruption", "0"], "corruption must be finite and > 0, got 0.0"),
+    (["--corruption", "-1"], "corruption must be finite and > 0, got -1.0"),
+    (["--corruption", "inf"], "corruption must be finite and > 0, got inf"),
+    (["--corruption", "nan"], "corruption must be finite and > 0, got nan"),
+], ids=["bins-0", "bins-1", "bins-negative", "corruption-0", "corruption-negative",
+        "corruption-inf", "corruption-nan"])
+def test_privacy_check_rejects_vacuous_flags(capsys, flags, message):
+    # one bin holds every sample, so --bins 0 once passed a 10x corrupted release
+    argv = ["privacy-check", "--trials", "2000", "--corruption", "10", *flags]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_cli_rejects_posterior_samples_below_floor(tmp_path, capsys):
     payload = {
         "population": {"d": 2, "model": "logistic"},
@@ -710,8 +852,9 @@ def test_cli_rejects_posterior_samples_below_floor(tmp_path, capsys):
      "must be a 2x2 matrix"),
     ({"kind": "student_t", "dof": 5.0, "scale": [[1.0, 2.0], [2.0, 1.0]]}, "not positive definite"),
     ({"kind": "student_t", "dof": 5.0}, "Student-t covariates are not sub-Gaussian"),
+    ({"sigma": 2.0}, "unknown covariate kind None"),
 ], ids=["singular", "non-symmetric", "wrong-shape", "student-t-indefinite",
-        "student-t-subgaussian"])
+        "student-t-subgaussian", "no-kind"])
 def test_cli_rejects_invalid_covariance(tmp_path, capsys, covariates, message):
     payload = {
         "population": {"d": 2, "model": "linear", "covariates": covariates},
@@ -778,17 +921,18 @@ def test_cli_numerical_failure_exits_3(tmp_path, capsys, monkeypatch, verb, wher
     assert err == "numerical failure: design matrix is rank deficient\n"
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["simulate", "--config", None],
+@pytest.mark.parametrize("argv, population, message", [
+    (["simulate", "--config", None], {"model": "logistic", "tau_theta": 10.0},
      "logistic subset touches the pole of the inverse-mean derivative"),
-    (["schedule", "--model", "poisson", "--n", "1000", "--delta", "0.26", "--tau-theta", "400"],
+    (["schedule", "--config", None], {"model": "poisson", "tau_theta": 400.0},
      "poisson inverse-mean derivative unbounded on the predictor range"),
-    (["privacy-check", "--trials", "120"], "occupied bins fall below 50 samples"),
+    (["privacy-check", "--trials", "120"], {"model": "linear"},
+     "occupied bins fall below 50 samples"),
 ], ids=["simulate-polytope", "schedule-polytope", "privacy-check-mass"])
-def test_cli_config_caused_failure_exits_2(tmp_path, capsys, argv, message):
+def test_cli_config_caused_failure_exits_2(tmp_path, capsys, argv, population, message):
     payload = {
-        "population": {"d": 2, "model": "logistic", "tau_theta": 10.0},
-        "schedule": {"delta": 0.3},
+        "population": {"d": 2, **population},
+        "schedule": {"delta": 0.3 if population["model"] == "logistic" else 0.26},
         "sweep": [1000],
     }
     argv = [_write_config(tmp_path, payload) if a is None else a for a in argv]
@@ -885,13 +1029,20 @@ def test_sensitivity_verb_checks_n_as_deviate_does(tmp_path, capsys, n):
     }
     cfg = _write_config(tmp_path, payload)
     errors = []
-    for verb in ("deviate", "sensitivity"):
-        assert cli_main([verb, "--config", cfg, "--n", str(n), "--trials", "3"]) == 2
+    for argv in (["deviate", "--trials", "3"], ["sensitivity", "--trials", "3"], ["schedule"]):
+        assert cli_main([*argv, "--config", cfg, "--n", str(n)]) == 2
         errors.append(capsys.readouterr().err)
-    assert errors[0] == errors[1] == (
+    assert set(errors) == {
         f"config error: n = {n} is below 2d = 6 (d = 3): a group of the partition "
         f"would have fewer rows than d\n"
-    )
+    }
+
+
+@pytest.mark.parametrize("verb", ["deviate", "sensitivity", "schedule"])
+def test_study_verbs_need_n_or_a_sweep_point(tmp_path, capsys, verb):
+    payload = {"population": {"d": 2, "model": "linear"}, "schedule": {"delta": 0.3}}
+    assert cli_main([verb, "--config", _write_config(tmp_path, payload)]) == 2
+    assert capsys.readouterr().err == "config error: give --n or a non-empty sweep\n"
 
 
 def test_deviation_study_rejects_n_below_2d(tmp_path, capsys):

@@ -19,7 +19,6 @@ from privglm.estimators import (
 )
 from privglm.links import ModelKind, compute_link_constants, make_link_bundle
 from privglm.mechanism import (
-    CostFunction,
     MechanismParams,
     _log_gammainc,
     _logistic_terms,
@@ -30,6 +29,7 @@ from privglm.mechanism import (
     predictions,
     preset_schedule,
     posterior_mean,
+    privacy_cost,
     project_ball,
     rationality_check,
     rationality_floor,
@@ -77,19 +77,16 @@ def test_brier_concave_with_peak_at_p_property(a1, a2, p, q1, q2, lam):
 
 
 def test_cost_functions():
-    assert CostFunction("quartic")(0.5, 0.0) == pytest.approx(0.5**4)
-    assert CostFunction("quartic")(0.5, 1.0) == pytest.approx(2 * 0.5**4)
-    assert CostFunction("nonic")(0.5, 0.0) == pytest.approx(0.5**9)
-    with pytest.raises(ConfigError):
-        CostFunction("cubic")
+    assert privacy_cost(0.5, 0.0, 4) == pytest.approx(0.5**4)
+    assert privacy_cost(0.5, 1.0, 4) == pytest.approx(2 * 0.5**4)
+    assert privacy_cost(0.5, 0.0, 9) == pytest.approx(0.5**9)
     # increasing in both arguments on a grid
-    f = CostFunction("quartic")
     eps = np.linspace(0.05, 2.0, 15)
     for g in (0.0, 0.3, 0.9):
-        vals = [f(e, g) for e in eps]
+        vals = [privacy_cost(e, g, 4) for e in eps]
         assert all(a < b for a, b in zip(vals, vals[1:]))
     for e in (0.1, 0.5, 1.5):
-        vals = [f(e, g) for g in np.linspace(0.0, 1.0, 10)]
+        vals = [privacy_cost(e, g, 4) for g in np.linspace(0.0, 1.0, 10)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
@@ -116,16 +113,44 @@ def test_linear_posterior_projects_the_closed_form():
     assert np.allclose(mean, project_ball(unprojected, tau_theta), rtol=0, atol=1e-15)
 
 
+def _quad_mean_t(d, s, y, family):
+    """E[t | y] by scipy's adaptive quadrature of t times the density
+    e^(-d t^2/2) F_{d-1}(d (1 - t^2)) L(y | s t) on [-1, 1], where F is the
+    chi-square CDF with d - 1 degrees of freedom (1 when d = 1) and L the
+    logistic likelihood sigma(2 y s t) or the Poisson e^(y s t - e^(s t))."""
+    special, integrate = pytest.importorskip("scipy.special"), pytest.importorskip("scipy.integrate")
+
+    def log_density(t):
+        out = -0.5 * d * t * t
+        if d > 1:
+            out = out + np.log(special.gammainc(0.5 * (d - 1), 0.5 * d * (1.0 - t * t)))
+        if family == "logistic":
+            return out - np.log1p(np.exp(-2.0 * y * s * t))
+        return out + y * s * t - np.exp(s * t)
+
+    top = np.max(log_density(np.linspace(-1.0, 1.0, 2001)[1:-1]))
+    tol = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
+    num = integrate.quad(lambda t: t * np.exp(log_density(t) - top), -1.0, 1.0, **tol)[0]
+    den = integrate.quad(lambda t: np.exp(log_density(t) - top), -1.0, 1.0, **tol)[0]
+    return num / den
+
+
 def test_logistic_posterior_matches_quadrature():
-    tau_theta, x, y = 1.0, np.array([0.8]), 1.0
-    grid = np.linspace(-tau_theta, tau_theta, 10_001)
-    prior = np.exp(-0.5 * grid**2 / tau_theta**2)  # truncated N(0, tau^2/d), d=1
-    a = grid * x[0]
-    lik = np.exp(y * a - (np.abs(a) + np.log1p(np.exp(-2 * np.abs(a)))))
-    w = prior * lik
-    oracle = float(np.sum(grid * w) / np.sum(w))
-    est = posterior_mean(x[None, :], [y], ModelKind.logistic(), tau_theta, 1000)
-    assert est[0, 0] == pytest.approx(oracle, rel=0.02)
+    # logistic and Poisson posterior means against scipy.integrate.quad of the
+    # 1-D density of t = x . theta / (tau_theta ||x||); the midpoint rule in
+    # phi is worst at d = 1, where the density does not vanish at t = +-1
+    cases = [("logistic", ModelKind.logistic(), y) for y in (1.0, -1.0)]
+    cases += [("poisson", ModelKind.poisson(), y) for y in (0.0, 1.0, 3.0, 12.0, 50.0, 500.0)]
+    for d in (1, 2, 3, 10):
+        for family, model, y in cases:
+            for s in (0.3, 1.0, 3.0, 6.0):
+                oracle = _quad_mean_t(d, s, y, family)
+                x = np.zeros((1, d))
+                x[0, 0] = s  # tau_theta = 1, so the mean is (oracle, 0, ...)
+                for nodes, tol in ((10_000, 1e-8), (1000, 1e-6)):
+                    est = posterior_mean(x, [y], model, 1.0, nodes)[0]
+                    assert abs(est[0] - oracle) < tol, (d, family, y, s, nodes)
+                    assert np.all(est[1:] == 0.0)
 
 
 def _ball_posterior_mean(x, y, model, tau_theta, radial=80, angular=160):
@@ -256,7 +281,7 @@ def test_posterior_extreme_report_inside_ball():
 def test_posterior_sampling_floor():
     settings = EstimatorSettings(tau1=1.0, tau2=1.0, tau_theta=1.0)
     base = dict(n=100, privacy=PrivacyParams(0.5, 1.0, 1.0), settings=settings, a1=1.0,
-                a2=1.0, alpha=0.5, beta=0.5, tau_threshold=1.0)
+                a2=1.0, alpha=0.5, beta=0.5, tau_threshold=1.0, cost_exponent=4)
     MechanismParams(**base, posterior_samples=1000)
     for samples in (10, 999):
         with pytest.raises(ConfigError):
@@ -489,7 +514,7 @@ def test_rationality_at_floor_property(family, n, seed):
     s = params.settings
     X = pop.X if s.regime == "heavy" else project_ball(pop.X, s.tau1)
     out = run_mechanism(Dataset(X, pop.y_true), bundle, params, np.random.default_rng(seed))
-    assert rationality_check(out, pop.costs, params.cost_fn, params.tau_threshold) == 1.0
+    assert rationality_check(out, pop.costs, params.cost_exponent, params.tau_threshold) == 1.0
 
 
 def test_poisson_report_in_prior_tail_pays_every_agent():
@@ -534,21 +559,20 @@ def test_heavy_mechanism_uses_shrunk_covariates():
 def test_rationality_at_floor_and_negative_control():
     model, bundle, params, pop, reported = _linear_setup(n=2000, seed=12)
     out = run_mechanism(reported, bundle, params, np.random.default_rng(51))
-    frac = rationality_check(out, pop.costs, params.cost_fn, params.tau_threshold)
+    frac = rationality_check(out, pop.costs, params.cost_exponent, params.tau_threshold)
     assert frac == 1.0
 
     broke = replace(params, a1=0.0)
     out0 = run_mechanism(reported, bundle, broke, np.random.default_rng(51))
-    frac0 = rationality_check(out0, pop.costs, broke.cost_fn, broke.tau_threshold)
+    frac0 = rationality_check(out0, pop.costs, broke.cost_exponent, broke.tau_threshold)
     assert frac0 < 1.0
 
 
 def test_rationality_with_vanishing_cost_function():
     model, bundle, params, pop, reported = _linear_setup(seed=13)
-    # zero privacy cost; payments floored by the a1 floor stay >= 0
-    negligible = replace(params, cost_fn=lambda epsilon, gamma: 0.0)
-    out = run_mechanism(reported, bundle, negligible, np.random.default_rng(52))
-    frac = rationality_check(out, pop.costs, negligible.cost_fn, math.inf)
+    # agents of zero cost bear no privacy cost; payments floored by a1 stay >= 0
+    out = run_mechanism(reported, bundle, params, np.random.default_rng(52))
+    frac = rationality_check(out, np.zeros_like(pop.costs), params.cost_exponent, math.inf)
     assert frac == 1.0
 
 
@@ -556,7 +580,7 @@ def test_rationality_alignment_check():
     model, bundle, params, pop, reported = _linear_setup()
     out = run_mechanism(reported, bundle, params, np.random.default_rng(0))
     with pytest.raises(ConfigError):
-        rationality_check(out, pop.costs[:10], params.cost_fn, 1.0)
+        rationality_check(out, pop.costs[:10], params.cost_exponent, 1.0)
 
 
 def test_budget_bound_formula():
@@ -586,14 +610,14 @@ def test_schedule_values_linear():
     assert params.settings.tau2 == pytest.approx(1.585, abs=5e-4)
     assert params.alpha == pytest.approx(n**-0.9, rel=1e-12)
     assert params.a2 == pytest.approx(n**-1.2, rel=1e-12)
-    assert params.cost_fn.kind == "quartic"
+    assert params.cost_exponent == 4
     # a1 sits exactly on the rationality floor
     constants = compute_link_constants(
         make_link_bundle(ModelKind.linear(1.0)), params.settings.polytope,
         params.settings.tau1, params.settings.tau2, params.settings.tau_theta,
     )
     floor = rationality_floor(
-        params.a2, constants.m_a, params.tau_threshold, params.cost_fn,
+        params.a2, constants.m_a, params.tau_threshold, params.cost_exponent,
         params.privacy.epsilon, params.privacy.gamma_n + 2 * params.privacy.gamma_half,
     )
     assert params.a1 == pytest.approx(floor, rel=1e-12)
@@ -609,7 +633,7 @@ def test_schedule_values_heavy():
     assert params.privacy.epsilon == pytest.approx(n**-0.12, rel=1e-12)
     assert params.alpha == pytest.approx(n**-0.88, rel=1e-12)
     assert params.a2 == pytest.approx(n ** (-0.5 - 9 * 0.12), rel=1e-12)
-    assert params.cost_fn.kind == "nonic"
+    assert params.cost_exponent == 9
     assert params.settings.regime == "heavy"
 
 
@@ -644,10 +668,10 @@ def test_mechanism_params_validation():
     with pytest.raises(ConfigError):
         MechanismParams(
             n=100, privacy=PrivacyParams(0.5, 1.0, 1.0), settings=settings, a1=1.0, a2=1.0,
-            alpha=0.0, beta=0.5, tau_threshold=1.0,
+            alpha=0.0, beta=0.5, tau_threshold=1.0, cost_exponent=4,
         )
     with pytest.raises(ConfigError):
         MechanismParams(
             n=100, privacy=PrivacyParams(0.5, 1.0, 1.0), settings=settings, a1=-1.0, a2=1.0,
-            alpha=0.5, beta=0.5, tau_threshold=1.0,
+            alpha=0.5, beta=0.5, tau_threshold=1.0, cost_exponent=4,
         )

@@ -89,7 +89,7 @@ def test_one_chunk_cell_is_the_materialised_composition(name, fixed_theta):
     assert row.mse == float(diff @ diff)
     assert row.budget == out.budget
     assert row.truthful_frac == float(np.mean(pop.costs <= tau))
-    assert row.rationality_frac == rationality_check(out, pop.costs, params.cost_fn, tau)
+    assert row.rationality_frac == rationality_check(out, pop.costs, params.cost_exponent, tau)
     assert row.delta_empirical == empirical_sensitivity(
         Dataset(pop.X, pop.y_true), bundle, params.settings, 3,
         (ms, n, repeat, ARM_SENSITIVITY), replacement_sampler(spec, pop.theta_star),
