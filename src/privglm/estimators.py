@@ -261,18 +261,28 @@ def l4_shrink_rows(X: np.ndarray, tau1: float) -> np.ndarray:
     """Row-wise l4 shrinkage: cap each row's l4 norm at tau1, keep directions.
 
     A zero row stays zero. Each row reduces on its own, so a row shrinks
-    bit-identically alone and inside a batch.
+    bit-identically alone and inside a batch. The norms are taken one row
+    block of at most BLOCK_ELEMENTS terms at a time. When no row shrinks
+    the result is X itself (as a contiguous float array), so a caller that
+    writes into the result copies it first; otherwise it is a copy of X with
+    the shrunk rows scaled.
     """
     if not tau1 > 0:
         raise ConfigError("tau1 must be positive")
     X = np.ascontiguousarray(X, dtype=float)
-    X4 = X * X  # two squarings: X ** 4 calls libm pow for every element
-    X4 *= X4
-    norms = rows_inner(X4, np.ones(X.shape[1])) ** 0.25
-    scale = np.ones_like(norms)
+    ones = np.ones(X.shape[1])
+    step = max(1, BLOCK_ELEMENTS // X.shape[1])
+    norms = np.empty(X.shape[0])
+    for lo in range(0, X.shape[0], step):
+        X4 = X[lo : lo + step] * X[lo : lo + step]  # two squarings: X ** 4 calls libm pow
+        X4 *= X4
+        norms[lo : lo + step] = rows_inner(X4, ones) ** 0.25
     over = norms > tau1
-    scale[over] = tau1 / norms[over]
-    return X * scale[:, None]
+    if not over.any():
+        return X
+    out = X.copy()
+    out[over] *= (tau1 / norms[over])[:, None]
+    return out
 
 
 def sensitivity_bound_subgaussian(n: int, d: int, kappa1: float, c0: float = 1.0) -> float:

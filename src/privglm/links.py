@@ -77,12 +77,16 @@ class ModelKind:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ModelKind":
+        """The model of a config's population; `noise_std` is a linear model's key only."""
         family = obj.get("model")
-        if family == LINEAR and "noise_std" in obj:
-            return cls(family, float(obj["noise_std"]))
-        if family in FAMILIES:
+        if family not in FAMILIES:
+            raise ConfigError(f"bad model entry {obj!r}")
+        if "noise_std" not in obj:
             return cls(family)
-        raise ConfigError(f"bad model entry {obj!r}")
+        if family != LINEAR:
+            raise ConfigError(f"key 'noise_std' is the linear model's noise; the {family} model "
+                              "has none")
+        return cls(family, float(obj["noise_std"]))
 
 
 @dataclass(frozen=True)

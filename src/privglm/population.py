@@ -33,7 +33,7 @@ from typing import Callable, Iterator, Optional, Tuple, Union
 import numpy as np
 
 from .errors import ConfigError
-from .estimators import CHUNK_ROWS
+from .estimators import BLOCK_ELEMENTS, CHUNK_ROWS
 from .links import LINEAR, LOGISTIC, POISSON, ModelKind
 
 
@@ -155,18 +155,34 @@ def draw_theta_star(d: int, tau_theta: float, rng: np.random.Generator) -> np.nd
             return theta
 
 
+def _scale_rows(z: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """z @ L.T written into z, one row block of at most BLOCK_ELEMENTS terms at a time.
+
+    A row of a matrix product does not depend on the other rows, so the
+    blocks give the bits of the one-shot product while holding one block's
+    copy instead of a second n x d array.
+    """
+    step = max(1, BLOCK_ELEMENTS // z.shape[1])
+    for lo in range(0, z.shape[0], step):
+        z[lo : lo + step] = z[lo : lo + step] @ L.T
+    return z
+
+
 def _draw_covariates(spec: PopulationSpec, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n covariate rows; every scaling is applied in place to the drawn normals."""
     cov = spec.covariates
+    z = rng.standard_normal((n, spec.d))
     if isinstance(cov, SubGaussianIsotropic):
-        return rng.standard_normal((n, spec.d)) * (cov.sigma / math.sqrt(spec.d))
+        z *= cov.sigma / math.sqrt(spec.d)
+        return z
     if isinstance(cov, SubGaussianCov):
-        L = np.linalg.cholesky(np.asarray(cov.cov, dtype=float))
-        return rng.standard_normal((n, spec.d)) @ L.T
+        return _scale_rows(z, np.linalg.cholesky(np.asarray(cov.cov, dtype=float)))
     scale = cov.scale if cov.scale is not None else np.eye(spec.d) / spec.d
-    L = np.linalg.cholesky(np.asarray(scale, dtype=float))
-    z = rng.standard_normal((n, spec.d)) @ L.T
+    _scale_rows(z, np.linalg.cholesky(np.asarray(scale, dtype=float)))
     w = rng.chisquare(cov.dof, size=n)
-    return z * np.sqrt(cov.dof / w)[:, None]
+    np.divide(cov.dof, w, out=w)
+    z *= np.sqrt(w, out=w)[:, None]
+    return z
 
 
 def _draw_responses(
@@ -258,11 +274,18 @@ class PopulationStream:
         return draw_agents(self.spec, self.theta_star, rows, self._rng(c))
 
     def chunks(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        """(covariates, reports) of each chunk; fills `costs` as it goes."""
+        """(covariates, reports) of each chunk; fills `costs` as it goes.
+
+        The generator keeps no reference to a chunk it has yielded, so a
+        caller that drops its own draws the next chunk with one chunk alive.
+        """
         for c, lo, hi in self._bounds():
-            X, y, costs = self._draw(c, hi - lo)
-            self.costs[lo:hi] = costs
-            yield X, threshold_reports(y, costs, self.tau, self.spec.model)
+            yield self._reported_chunk(c, lo, hi)
+
+    def _reported_chunk(self, c: int, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
+        X, y, costs = self._draw(c, hi - lo)
+        self.costs[lo:hi] = costs
+        return X, threshold_reports(y, costs, self.tau, self.spec.model)
 
     def covariate_chunks(self) -> Iterator[np.ndarray]:
         """The covariates of each chunk again, redrawn without responses or costs."""

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -764,6 +765,32 @@ def test_cli_rejects_unknown_config_keys(tmp_path, capsys, typo, key):
     assert cli_main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert repr(key) in capsys.readouterr().err
     assert not (tmp_path / "out" / "report.csv").exists()
+
+
+@pytest.mark.parametrize("family, delta", [("logistic", 0.3), ("poisson", 0.26)])
+@pytest.mark.parametrize("verb", ["simulate", "schedule"])
+def test_cli_rejects_noise_std_of_a_glm(tmp_path, capsys, verb, family, delta):
+    # a logistic or Poisson population once accepted noise_std and dropped it
+    payload = {
+        "population": {"d": 2, "model": family},
+        "schedule": {"delta": delta},
+        "sweep": [120],
+        "master_seed": 3,
+        "posterior_samples": 1000,
+    }
+    out = tmp_path / "out"
+
+    def run(population):
+        argv = [verb, "--config", _write_config(tmp_path, payload | {"population": population})]
+        return cli_main(argv + (["--out", str(out)] if verb == "simulate" else []))
+
+    assert run(payload["population"]) == 0
+    capsys.readouterr()
+    shutil.rmtree(out, ignore_errors=True)
+    assert run(payload["population"] | {"noise_std": 5.0}) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "'noise_std'" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("change, key, value", [

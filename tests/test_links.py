@@ -42,6 +42,18 @@ def test_model_kind_json_round_trip():
         assert ModelKind.from_json(model.to_json()) == model
 
 
+def test_model_kind_noise_std_is_linear_only():
+    # a linear model reads and echoes its noise; a logistic or Poisson model
+    # has none, so a config giving one is an error that names the key
+    assert ModelKind.linear(0.7).to_json() == {"model": "linear", "noise_std": 0.7}
+    assert ModelKind.from_json({"model": "linear", "noise_std": 0.7}) == ModelKind.linear(0.7)
+    assert ModelKind.from_json({"model": "linear"}) == ModelKind.linear(1.0)
+    for family in ("logistic", "poisson"):
+        assert ModelKind.from_json({"model": family}) == ModelKind(family)
+        with pytest.raises(ConfigError, match="'noise_std'"):
+            ModelKind.from_json({"model": family, "noise_std": 5.0})
+
+
 def test_link_values_at_reference_points():
     lin = make_link_bundle(LINEAR)
     assert lin.A_prime(3.0) == 3.0

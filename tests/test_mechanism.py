@@ -531,12 +531,25 @@ def test_poisson_report_in_prior_tail_pays_every_agent():
     assert np.all(out.payments <= params.a1 + params.a2 * (m_a + m_a * m_a))
 
 
+def _recompute_predictions(reported, idx, out, bundle, params):
+    """p and q of agents idx: their design rows against the opposite release and
+    against the posterior mean given their own reports."""
+    X = reported.X[idx]
+    x_pay = design(X, bundle.model, params.settings)
+    halves = np.stack([out.theta_bar_g0, out.theta_bar_g1])
+    opposite = halves[1 - out.group_assignment[idx]]
+    means = posterior_mean(X, reported.y[idx], bundle.model, params.settings.tau_theta,
+                           params.posterior_samples)
+    return predictions(x_pay, opposite, bundle), predictions(x_pay, means, bundle)
+
+
 def test_payment_form_spot_check():
     model, bundle, params, pop, reported = _linear_setup(seed=8)
     out = run_mechanism(reported, bundle, params, np.random.default_rng(31))
     rng = np.random.default_rng(2)
     idx = rng.choice(400, size=100, replace=False)
-    direct = brier_payment(params.a1, params.a2, out.p[idx], out.q[idx])
+    p, q = _recompute_predictions(reported, idx, out, bundle, params)
+    direct = brier_payment(params.a1, params.a2, p, q)
     assert np.array_equal(direct, out.payments[idx])
 
 
@@ -551,9 +564,13 @@ def test_heavy_mechanism_uses_shrunk_covariates():
     reported = apply_strategy(pop, params.tau_threshold, model)
     out = run_mechanism(reported, bundle, params, np.random.default_rng(43))
     xs = l4_shrink_rows(reported.X, params.settings.tau1)
-    i = 5
-    opposite = out.theta_bar_g1 if out.group_assignment[i] == 0 else out.theta_bar_g0
-    assert out.p[i] == pytest.approx(float(xs[i] @ opposite), abs=1e-15)
+    assert not np.array_equal(xs[32], reported.X[32])  # agent 32's row shrinks, agent 5's not
+    idx = np.array([5, 32])
+    p, q = _recompute_predictions(reported, idx, out, bundle, params)
+    assert np.array_equal(brier_payment(params.a1, params.a2, p, q), out.payments[idx])
+    for k, i in enumerate(idx):
+        opposite = out.theta_bar_g1 if out.group_assignment[i] == 0 else out.theta_bar_g0
+        assert p[k] == pytest.approx(float(xs[i] @ opposite), abs=1e-15)
 
 
 def test_rationality_at_floor_and_negative_control():
@@ -574,6 +591,22 @@ def test_rationality_with_vanishing_cost_function():
     out = run_mechanism(reported, bundle, params, np.random.default_rng(52))
     frac = rationality_check(out, np.zeros_like(pop.costs), params.cost_exponent, math.inf)
     assert frac == 1.0
+
+
+def test_rationality_check_counts_across_row_blocks():
+    # counted one row block at a time, the fraction is the mean of one
+    # comparison over all below-threshold agents, as a Python float
+    n = 2 * estimators.BLOCK_ELEMENTS + 11
+    rng = np.random.default_rng(7)
+    costs, pay = rng.exponential(1.0, n), rng.normal(0.5, 1.0, n)
+    out = mechanism.MechanismOutcome(
+        np.zeros(2), np.zeros(2), np.zeros(2), pay, np.zeros(n, dtype=np.int8),
+        math.fsum(pay), (0.8, 0.01), (0.0, 0.0, 0.0),
+    )
+    want = np.mean((pay >= costs * privacy_cost(0.8, 0.01, 4))[costs <= 2.0])
+    got = rationality_check(out, costs, 4, 2.0)
+    assert type(got) is float
+    assert got == want and 0.0 < got < 1.0
 
 
 def test_rationality_alignment_check():

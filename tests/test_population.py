@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from privglm.errors import ConfigError
+from privglm.estimators import CHUNK_ROWS
 from privglm.links import ModelKind
 from privglm.population import (
     PopulationSpec,
@@ -14,6 +15,7 @@ from privglm.population import (
     _draw_costs,
     _draw_covariates,
     _draw_responses,
+    _scale_rows,
     coerce_response,
     covariate_sigma,
     draw_agents,
@@ -135,6 +137,31 @@ def test_student_t_fourth_moments_stable():
     with pytest.raises(ConfigError):
         PopulationSpec(n=10, d=2, model=ModelKind.linear(1.0),
                        covariates=StudentTCovariates(dof=4.0))
+
+
+def _spd(d, seed):
+    A = np.random.default_rng(seed).standard_normal((d, d))
+    return A @ A.T / d + np.eye(d)
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["eye-over-d", "full-spd"])
+@pytest.mark.parametrize("d", [2, 3, 4, 10])
+def test_block_scaling_is_the_one_shot_product(d, full):
+    # the covariates are scaled in place, one row block at a time; the digests
+    # of every Student-t and covariance cell rest on the blocks giving the bits
+    # of z @ L.T, which a BLAS that splits a product's rows differently breaks
+    m = 2 * CHUNK_ROWS + 7
+    scale = _spd(d, d) if full else np.eye(d) / d
+    L = np.linalg.cholesky(scale)
+    z = np.random.default_rng(d).standard_normal((m, d))
+    assert np.array_equal(_scale_rows(z.copy(), L), z @ L.T)
+
+    spec = PopulationSpec(n=m, d=d, model=ModelKind.linear(1.0),
+                          covariates=StudentTCovariates(5.0, scale if full else None))
+    rng = np.random.default_rng([d, 1])
+    want = rng.standard_normal((m, d)) @ L.T
+    want = want * np.sqrt(5.0 / rng.chisquare(5.0, size=m))[:, None]
+    assert np.array_equal(_draw_covariates(spec, np.random.default_rng([d, 1]), m), want)
 
 
 def test_theta_star_prior_truncation():

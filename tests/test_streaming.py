@@ -117,7 +117,7 @@ def test_streamed_cell_equals_run_on_materialised_population(name):
     reported = apply_strategy(pop, tau, config.population.model)
     whole = run_mechanism(reported, bundle, params, cell_rng(ms, n, 0, ARM_MECHANISM))
 
-    for field in ("theta_bar_full", "theta_bar_g0", "theta_bar_g1", "payments", "p", "q"):
+    for field in ("theta_bar_full", "theta_bar_g0", "theta_bar_g1", "payments"):
         assert np.array_equal(getattr(streamed, field), getattr(whole, field)), field
     assert streamed.budget == whole.budget
     assert np.array_equal(stream.costs, pop.costs)
@@ -204,11 +204,21 @@ def _traced_peak(config, n) -> int:
         tracemalloc.stop()
 
 
+# bytes per agent of the vectors a cell keeps: the int8 partition, the costs,
+# q and the payments
+PER_AGENT_BYTES = 1 + 3 * 8
+
+
 def test_cell_memory_grows_by_per_agent_vectors_only():
-    # a cell keeps per-agent vectors (partition, costs, p, q, payments) and
-    # one chunk of rows; a materialised n x d population would cost d * 8
-    # bytes per agent for each copy of the covariates
+    # a cell keeps its per-agent vectors and one chunk of rows at a time; a
+    # materialised n x d population would cost d * 8 bytes per agent for each
+    # copy of the covariates, and a second chunk alive another chunk buffer
+    d = 4
     small, large = 2 * CHUNK_ROWS, 8 * CHUNK_ROWS
-    config = cell_config("heavy", 4, large)
-    grown = _traced_peak(config, large) - _traced_peak(config, small)
-    assert grown / (large - small) <= 64
+    chunk_buffer = CHUNK_ROWS * d * 8
+    for name in ("heavy", "linear"):
+        config = cell_config(name, d, large)
+        peak = _traced_peak(config, large)
+        grown = peak - _traced_peak(config, small)
+        assert grown / (large - small) <= PER_AGENT_BYTES + 3, name
+        assert peak - PER_AGENT_BYTES * large <= 4 * chunk_buffer, name
