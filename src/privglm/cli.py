@@ -37,9 +37,7 @@ from .mechanism import prediction_bound
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="path to a JSON experiment config")
     parser.add_argument("--seed", type=int, default=None, help="override the master seed")
-    parser.add_argument("--threads", type=int, default=1, help="parallel cells")
     parser.add_argument("--out", default=None, help="override the output directory")
-    parser.add_argument("--format", choices=("csv", "json"), default=None)
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -47,7 +45,7 @@ def _load_config(args) -> ExperimentConfig:
     overrides = {}
     if args.seed is not None:
         overrides["master_seed"] = args.seed
-    if getattr(args, "out", None):
+    if args.out:
         overrides["out_dir"] = args.out
     if getattr(args, "format", None):
         overrides["fmt"] = args.format
@@ -154,6 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run a sweep from a JSON config")
     _add_common(p)
+    p.add_argument("--threads", type=int, default=1, help="parallel cells")
+    p.add_argument("--format", choices=("csv", "json"), default=None)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("deviate", help="paired deviation-gain study")

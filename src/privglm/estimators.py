@@ -51,6 +51,17 @@ COND_CAP = 1e12
 CHUNK_ROWS = 2 ** 16
 
 
+def row_blocks(rows: int, width: int = 1) -> Iterator[slice]:
+    """Slices of range(rows) into row blocks of at most BLOCK_ELEMENTS terms.
+
+    A row has `width` terms, so a block has at most BLOCK_ELEMENTS // width
+    rows, and at least one; only the last block may be shorter.
+    """
+    step = max(1, BLOCK_ELEMENTS // width)
+    for lo in range(0, rows, step):
+        yield slice(lo, min(lo + step, rows))
+
+
 def check_rows(X: np.ndarray, y: np.ndarray) -> None:
     """Covariate rows and responses must align and be finite."""
     if y.shape[0] != X.shape[0]:
@@ -170,7 +181,9 @@ def triangular_factor(
     Each row block of at most BLOCK_ELEMENTS terms is gathered straight
     from X and z, in the column-major order LAPACK takes, and factored on
     its own; `stack_factors` combines the block factors. R has d + 1
-    columns and min(m, d + 1) rows for m rows.
+    columns and min(m, d + 1) rows for m rows. A block has at least d + 1
+    rows, so each block's R is square; that floor is why the blocks are not
+    `row_blocks`, whose floor of one row would change the bits at d >= 256.
     """
     d = X.shape[1]
     m = X.shape[0] if rows is None else len(rows)
@@ -232,29 +245,15 @@ def rows_inner(A: np.ndarray, B) -> np.ndarray:
     reduce bit-identically, which the payment-recompute contract relies on.
     B may be a matrix of matching shape, a single row that broadcasts
     against the rows of A (or A a single row against the rows of B), or a
-    d-vector. Inputs taller than one row block reduce block by block, each
-    block in the same column order, so the bits do not change.
+    d-vector. For d > 1 a temporary of the output's length sits beside the
+    output, so callers pass one row block (`row_blocks`) at a time.
     """
     A = np.asarray(A, dtype=float)
     B = np.atleast_2d(np.asarray(B, dtype=float))
-    n, d = max(A.shape[0], B.shape[0]), A.shape[1]
-    step = max(1, BLOCK_ELEMENTS // d)
-    if n <= step:
-        acc = A[:, 0] * B[:, 0]
-        for j in range(1, d):
-            acc = acc + A[:, j] * B[:, j]
-        return acc
-    out = np.empty(n)
-    term = np.empty(step)
-    for lo in range(0, n, step):
-        a = A[lo : lo + step] if A.shape[0] > 1 else A
-        b = B[lo : lo + step] if B.shape[0] > 1 else B
-        acc = out[lo : lo + step]
-        t = term[: acc.shape[0]]
-        np.multiply(a[:, 0], b[:, 0], out=acc)
-        for j in range(1, d):
-            acc += np.multiply(a[:, j], b[:, j], out=t)
-    return out
+    acc = A[:, 0] * B[:, 0]
+    for j in range(1, A.shape[1]):
+        acc += A[:, j] * B[:, j]
+    return acc
 
 
 def l4_shrink_rows(X: np.ndarray, tau1: float) -> np.ndarray:
@@ -262,21 +261,20 @@ def l4_shrink_rows(X: np.ndarray, tau1: float) -> np.ndarray:
 
     A zero row stays zero. Each row reduces on its own, so a row shrinks
     bit-identically alone and inside a batch. The norms are taken one row
-    block of at most BLOCK_ELEMENTS terms at a time. When no row shrinks
-    the result is X itself (as a contiguous float array), so a caller that
-    writes into the result copies it first; otherwise it is a copy of X with
-    the shrunk rows scaled.
+    block (`row_blocks`) at a time. When no row shrinks the result is X
+    itself (as a contiguous float array), so a caller that writes into the
+    result copies it first; otherwise it is a copy of X with the shrunk rows
+    scaled.
     """
     if not tau1 > 0:
         raise ConfigError("tau1 must be positive")
     X = np.ascontiguousarray(X, dtype=float)
     ones = np.ones(X.shape[1])
-    step = max(1, BLOCK_ELEMENTS // X.shape[1])
     norms = np.empty(X.shape[0])
-    for lo in range(0, X.shape[0], step):
-        X4 = X[lo : lo + step] * X[lo : lo + step]  # two squarings: X ** 4 calls libm pow
+    for block in row_blocks(*X.shape):
+        X4 = X[block] * X[block]  # two squarings: X ** 4 calls libm pow
         X4 *= X4
-        norms[lo : lo + step] = rows_inner(X4, ones) ** 0.25
+        norms[block] = rows_inner(X4, ones) ** 0.25
     over = norms > tau1
     if not over.any():
         return X

@@ -24,13 +24,13 @@ import numpy as np
 
 from .errors import ConfigError, SingularGramError
 from .estimators import (
-    BLOCK_ELEMENTS,
     SUBGAUSSIAN,
     Dataset,
     EstimatorSettings,
     design,
     empirical_sensitivity,
     estimate,
+    row_blocks,
     rows_inner,
     solve_factor,
     working_response,
@@ -505,14 +505,13 @@ def _run_cell(config: ExperimentConfig, n: int, repeat: int) -> CellResult:
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     """Run every (n, repeat) cell; failures abort the cell, never the run."""
+    # a strictly increasing sweep gives the cells in (n, repeat) order; both branches keep it
     cells = [(n, r) for n in config.sweep for r in range(config.repeats)]
     if threads > 1 and cells:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda c: _run_cell(config, *c), cells))
+            rows = list(pool.map(lambda c: _run_cell(config, *c), cells))
     else:
-        results = [_run_cell(config, n, r) for n, r in cells]
-
-    rows = [results[i] for i in sorted(range(len(cells)), key=lambda i: cells[i])]
+        rows = [_run_cell(config, n, r) for n, r in cells]
 
     fits = {}
     for metric in ("mse", "budget"):
@@ -583,8 +582,9 @@ def estimate_deviation_gain(
     (unless the spec fixes it) and only those m agents with their costs and
     threshold-strategy reports, factors their mapped rows, and adds one noise
     vector at the half sensitivity: the one half release that pays agent 0.
-    Trials are taken in blocks of at most BLOCK_ELEMENTS factored terms,
-    block k keyed (master_seed, n, seed_tag, ARM_DEVIATION, k): one stacked
+    Trials are taken in row blocks (`row_blocks`), a trial counted as the
+    (n - n // 2)(d + 1) terms of its larger factored group, and block k is
+    keyed (master_seed, n, seed_tag, ARM_DEVIATION, k): one stacked
     QR and one stacked `solve_factor` per block, so every trial keeps its own
     rank and condition check.
 
@@ -640,11 +640,10 @@ def estimate_deviation_gain(
     q = predict([y0, *reports])
 
     d = spec_n.d
-    per_block = max(1, BLOCK_ELEMENTS // ((n - n // 2) * (d + 1)))
     p = np.empty(trials)
-    for block, lo in enumerate(range(0, trials, per_block)):
-        b = min(per_block, trials - lo)
-        rng = np.random.default_rng([ms, n, seed_tag, ARM_DEVIATION, block])
+    for k, block in enumerate(row_blocks(trials, (n - n // 2) * (d + 1))):
+        b = block.stop - block.start
+        rng = np.random.default_rng([ms, n, seed_tag, ARM_DEVIATION, k])
         sizes = np.where(rng.random(b) < (n // 2) / n, n - n // 2, n // 2)
         if spec_n.theta_star is None:
             theta_star = np.stack([draw_theta_star(d, spec_n.tau_theta, rng) for _ in range(b)])
@@ -658,7 +657,7 @@ def estimate_deviation_gain(
             )
         noise = sample_norm_exponential(d, privacy.delta_half, privacy.epsilon, rng, b)
         theta_bar = project_ball(theta_opp + noise, settings.tau_theta)
-        p[lo : lo + b] = predictions(x_pay, theta_bar, bundle)
+        p[block] = predictions(x_pay, theta_bar, bundle)
 
     mean_gains, std_errors = _gain_moments(p, q, params.a2)
     best = int(np.argmax(mean_gains))

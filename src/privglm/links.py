@@ -159,7 +159,8 @@ class LinkConstants:
 # ---------------------------------------------------------------------------
 
 def _identity(a):
-    return np.asarray(a, dtype=float).copy()
+    # no copy: its callers pass arrays of their own
+    return np.asarray(a, dtype=float)
 
 
 def _logistic_A_prime(a):

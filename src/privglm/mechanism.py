@@ -21,12 +21,13 @@ exactly into a sum of tanh terms over its positive nodes.
 first pass maps each chunk, takes each group's triangular factor of the
 chunk's rows and the agents' posterior predictions q. The release stacks
 each group's chunk factors (TSQR), gets the full-data factor by stacking the
-two halves, solves all three, adds noise and projects. The second pass maps
-each chunk's covariates again and pays each agent against the opposite
-group's release. A cell keeps 25 bytes per agent: the int8 partition, the
-costs (in the row source), q (until pass 2 has paid) and the payments. Of
-the rows it keeps one chunk at a time: each pass drops a chunk before the
-next one is drawn, and takes the posterior means, q and p in row blocks.
+two halves, solves all three, adds noise and projects. The second pass
+redraws each chunk's covariates and, one row block at a time, maps them and
+pays each agent against the opposite group's release. A cell keeps 25 bytes
+per agent: the int8 partition, the costs (in the row source), q (until pass
+2 has paid) and the payments. Of the rows it keeps one chunk at a time, and
+pass 1, which factors whole chunks, maps whole chunks; the posterior means,
+q, pass 2's design and p go one row block (`row_blocks`) at a time.
 
 Each step has one implementation in this module: `partition`,
 `release_noise` (the three noises, drawn in the order full, half 0, half 1),
@@ -52,13 +53,13 @@ import numpy as np
 
 from .errors import ConfigError
 from .estimators import (
-    BLOCK_ELEMENTS,
     HEAVY,
     EstimatorSettings,
     check_regime,
     check_responses,
     check_rows,
     design,
+    row_blocks,
     rows_inner,
     sensitivity_bound,
     solve_factor,
@@ -83,8 +84,6 @@ from .privacy import PrivacyParams, compose_account, sample_norm_exponential
 MIN_POSTERIOR_SAMPLES = 1000
 # quadrature nodes behind each logistic or Poisson posterior mean, unless a config sets them
 POSTERIOR_SAMPLES = 10_000
-# terms of one row block of the (agents x nodes) posterior table
-_BLOCK_ELEMENTS = 2 ** 15
 
 # the three releases, in the order their noise is drawn; half g is release 1 + g
 RELEASES = ("full", "half0", "half1")
@@ -277,9 +276,10 @@ def posterior_mean(
     and 0 when x = 0. Whatever x is, t has prior density e^(-d t^2/2)
     F(d (1 - t^2)) on [-1, 1], with F the chi-square CDF with d - 1 degrees
     of freedom (F = 1 when d = 1). E[t | y] is the midpoint rule in phi,
-    t = sin(phi), over `nodes` nodes, taken in row blocks of at most
-    _BLOCK_ELEMENTS terms. Every step is row-wise, so one row gives the same
-    bits alone and inside a batch.
+    t = sin(phi), over `nodes` nodes, one row block (`row_blocks`) at a time,
+    a row `nodes` wide (logistic; it has nodes // 2 terms) or 2 `nodes`
+    (Poisson, two buffers). Every step is row-wise, so one row gives the
+    same bits alone and inside a batch.
 
     A logistic report y is +1 or -1, and its likelihood is sigma(2 y s t)
     with s = tau_theta ||x||. The nodes and the prior are symmetric in t and
@@ -306,24 +306,22 @@ def posterior_mean(
     mean_t = np.empty(X.shape[0])
     if model.family == LOGISTIC:
         t, coef = _logistic_terms(d, nodes)
-        step = max(1, 2 * _BLOCK_ELEMENTS // nodes)  # a row has nodes // 2 terms
-        for lo in range(0, X.shape[0], step):
-            a = (tau_theta * norms[lo : lo + step])[:, None] * t
+        for block in row_blocks(X.shape[0], nodes):
+            a = (tau_theta * norms[block])[:, None] * t
             np.tanh(a, out=a)
             a *= coef
-            mean_t[lo : lo + step] = y[lo : lo + step] * np.sum(a, axis=1)
+            mean_t[block] = y[block] * np.sum(a, axis=1)
     else:  # Poisson
         t, log_prior = _quadrature(d, nodes)
-        step = max(1, _BLOCK_ELEMENTS // nodes)
         # in place, so one block holds two buffers of its size at a time
-        for lo in range(0, X.shape[0], step):
-            a = (tau_theta * norms[lo : lo + step])[:, None] * t
-            log_post = y[lo : lo + step, None] * a
+        for block in row_blocks(X.shape[0], 2 * nodes):
+            a = (tau_theta * norms[block])[:, None] * t
+            log_post = y[block, None] * a
             log_post -= np.exp(a, out=a)
             log_post += log_prior
             log_post -= np.max(log_post, axis=1, keepdims=True)
             w = np.exp(log_post, out=log_post)
-            mean_t[lo : lo + step] = np.sum(np.multiply(w, t, out=a), axis=1) / np.sum(w, axis=1)
+            mean_t[block] = np.sum(np.multiply(w, t, out=a), axis=1) / np.sum(w, axis=1)
     scale = np.divide(tau_theta * mean_t, norms, out=np.zeros_like(norms), where=norms > 0)
     return scale[:, None] * X
 
@@ -359,8 +357,8 @@ def run_mechanism(
     chunk factors stacked, three least-squares solves (all rows, from the two
     stacked halves; group 0; group 1), three independent noise draws (full,
     group 0, group 1) at the schedule's sensitivities and ball projections;
-    pass 2, per chunk: p = A'(x_design . opposite group's release) and the
-    Brier payment.
+    pass 2, per row block of each chunk: the design, p = A'(x_design .
+    opposite group's release) and the Brier payment.
     """
     settings, model = params.settings, bundle.model
     n, d = reported.n, reported.d
@@ -387,16 +385,17 @@ def run_mechanism(
     pay = np.empty(n)
     lo = 0
     for X in reported.covariate_chunks():
-        hi = lo + X.shape[0]
-        x_pay = design(X, model, settings)
-        del X
-        # p against the release paying group 0, then group 1's agents take theirs
-        p = predictions(x_pay, bars[opposite_release(0)], bundle)
-        np.copyto(p, predictions(x_pay, bars[opposite_release(1)], bundle),
-                  where=assign[lo:hi] == 1)
-        del x_pay  # the next chunk is drawn with this one dropped
-        pay[lo:hi] = brier_payment(params.a1, params.a2, p, q[lo:hi])
-        lo = hi
+        for block in row_blocks(*X.shape):
+            x_pay = design(X[block], model, settings)
+            rows = slice(lo + block.start, lo + block.stop)
+            # p against the release paying group 0, then group 1's agents take theirs
+            p = predictions(x_pay, bars[opposite_release(0)], bundle)
+            np.copyto(p, predictions(x_pay, bars[opposite_release(1)], bundle),
+                      where=assign[rows] == 1)
+            pay[rows] = brier_payment(params.a1, params.a2, p, q[rows])
+        lo += X.shape[0]
+        # the next chunk is drawn with this one dropped; x_pay may be a view of X
+        del X, x_pay
 
     return MechanismOutcome(
         theta_bar_full=bars[0],
@@ -413,8 +412,9 @@ def run_mechanism(
 def _first_pass(X, y, assign, q, factors, bundle: LinkBundle, params: MechanismParams) -> None:
     """One chunk of pass 1: append each group's triangular factor to `factors`, fill q.
 
-    The posterior means and q are taken one row block of at most
-    BLOCK_ELEMENTS terms at a time; both are row-wise, so the bits do not
+    The factors take the whole chunk's design, because per-block factors
+    would change the TSQR bits. The posterior means and q are taken one row
+    block (`row_blocks`) at a time; both are row-wise, so the bits do not
     depend on the blocks.
     """
     settings, model = params.settings, bundle.model
@@ -426,9 +426,7 @@ def _first_pass(X, y, assign, q, factors, bundle: LinkBundle, params: MechanismP
         rows = np.flatnonzero(assign == group)
         if rows.size:
             found.append(triangular_factor(x_pay, z, rows))
-    step = max(1, BLOCK_ELEMENTS // X.shape[1])
-    for lo in range(0, X.shape[0], step):
-        block = slice(lo, lo + step)
+    for block in row_blocks(*X.shape):
         means = posterior_mean(X[block], y[block], model, settings.tau_theta,
                                params.posterior_samples)
         q[block] = predictions(x_pay[block], means, bundle)
@@ -449,11 +447,11 @@ def rationality_check(
     unit = privacy_cost(eps_tot, gamma_tot, cost_exponent)
     below = rational = 0
     # counted one row block at a time: utility payment - cost (1 + gamma) eps^k >= 0
-    for lo in range(0, costs.shape[0], BLOCK_ELEMENTS):
-        c = costs[lo : lo + BLOCK_ELEMENTS]
+    for block in row_blocks(costs.shape[0]):
+        c = costs[block]
         mask = c <= tau
         below += np.count_nonzero(mask)
-        mask &= outcome.payments[lo : lo + BLOCK_ELEMENTS] >= c * unit
+        mask &= outcome.payments[block] >= c * unit
         rational += np.count_nonzero(mask)
     return float(rational / below) if below else 1.0
 

@@ -33,7 +33,7 @@ from typing import Callable, Iterator, Optional, Tuple, Union
 import numpy as np
 
 from .errors import ConfigError
-from .estimators import BLOCK_ELEMENTS, CHUNK_ROWS
+from .estimators import CHUNK_ROWS, row_blocks
 from .links import LINEAR, LOGISTIC, POISSON, ModelKind
 
 
@@ -156,15 +156,14 @@ def draw_theta_star(d: int, tau_theta: float, rng: np.random.Generator) -> np.nd
 
 
 def _scale_rows(z: np.ndarray, L: np.ndarray) -> np.ndarray:
-    """z @ L.T written into z, one row block of at most BLOCK_ELEMENTS terms at a time.
+    """z @ L.T written into z, one row block (`row_blocks`) at a time.
 
     A row of a matrix product does not depend on the other rows, so the
     blocks give the bits of the one-shot product while holding one block's
     copy instead of a second n x d array.
     """
-    step = max(1, BLOCK_ELEMENTS // z.shape[1])
-    for lo in range(0, z.shape[0], step):
-        z[lo : lo + step] = z[lo : lo + step] @ L.T
+    for block in row_blocks(*z.shape):
+        z[block] = z[block] @ L.T
     return z
 
 

@@ -13,6 +13,7 @@ from privglm.estimators import (
     empirical_sensitivity,
     estimate,
     l4_shrink_rows,
+    row_blocks,
     rows_inner,
     sensitivity_bound_heavy,
     sensitivity_bound_subgaussian,
@@ -199,7 +200,7 @@ def test_stacked_solve_factor_matches_per_trial():
 
 def test_rows_inner_bit_equal_to_sequential_loop():
     d = 3
-    n = 2 * (BLOCK_ELEMENTS // d) + 5  # three row blocks, the last one short
+    n = 2 * (BLOCK_ELEMENTS // d) + 5  # taller than two row blocks: one path serves any height
     rng = np.random.default_rng(32)
     A = rng.standard_normal((n, d))
     B = rng.standard_normal((n, d))
@@ -220,6 +221,18 @@ def test_rows_inner_bit_equal_to_sequential_loop():
     assert np.array_equal(rows_inner(A[:1], B), loop([A[0]] * n, B))
     assert np.array_equal(rows_inner(A[:1], B[:1]), loop(A[:1], B[:1]))
     assert np.array_equal(rows_inner(A[:7], v), loop(A[:7], [v] * 7))
+
+
+@pytest.mark.parametrize("width", [1, 3, 1000, BLOCK_ELEMENTS + 7])
+def test_row_blocks_cover_the_rows_in_order(width):
+    step = max(1, BLOCK_ELEMENTS // width)
+    for rows in (0, 1, step - 1, step, step + 1, 3 * step + 5):
+        blocks = list(row_blocks(rows, width))
+        covered = [i for block in blocks for i in range(rows)[block]]
+        assert covered == list(range(rows)), (rows, width)
+        sizes = [block.stop - block.start for block in blocks]
+        assert all(1 <= size <= step for size in sizes)
+        assert all(size == step for size in sizes[:-1])
 
 
 def test_l4_shrink_rows_matches_power_sum():

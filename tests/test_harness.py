@@ -840,6 +840,28 @@ def test_cli_rejects_threads_below_one(tmp_path, capsys, threads):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb", ["deviate", "sensitivity"])
+@pytest.mark.parametrize("flag", [["--threads", "2"], ["--format", "json"]])
+def test_study_verbs_take_no_threads_or_format(tmp_path, capsys, verb, flag):
+    payload = {"population": {"d": 2, "model": "linear"}, "schedule": {"delta": 0.3},
+               "sweep": [120]}
+    argv = [verb, "--config", _write_config(tmp_path, payload), "--trials", "2", *flag]
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_simulate_takes_threads_and_format(tmp_path, capsys):
+    payload = {"population": {"d": 2, "model": "linear"}, "schedule": {"delta": 0.3},
+               "sweep": [120]}
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", _write_config(tmp_path, payload), "--out", str(out),
+            "--threads", "2", "--format", "json"]
+    assert cli_main(argv) == 0
+    assert (out / "report.json").exists() and not (out / "report.csv").exists()
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--bins", "0"], "bins must be >= 2, got 0"),
     (["--bins", "1"], "bins must be >= 2, got 1"),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from privglm.errors import ConfigError
+from privglm.estimators import EstimatorSettings, design, working_response
 from privglm.links import (
     LinkConstants,
     ModelKind,
@@ -14,6 +15,7 @@ from privglm.links import (
     preset_polytope,
     project_polytope,
 )
+from privglm.mechanism import predictions
 
 LINEAR = ModelKind.linear(1.0)
 LOGISTIC = ModelKind.logistic()
@@ -242,3 +244,20 @@ def test_constant_dominance(model):
 def test_link_constants_require_finite():
     with pytest.raises(ConfigError, match="link constant kappa0 = inf"):
         LinkConstants(math.inf, 1.0, 1.0, 1.0, 0.0)
+
+
+def test_linear_link_results_share_no_memory_with_their_inputs():
+    # the linear A' and its inverse copy nothing, so this rests on their
+    # callers: `empirical_sensitivity` writes into z, and pass 2 writes into p
+    bundle = make_link_bundle(LINEAR)
+    rng = np.random.default_rng(7)
+    X, y = rng.standard_normal((50, 3)), rng.standard_normal(50)
+    for regime in ("subgaussian", "heavy"):
+        settings = EstimatorSettings(tau1=1e6, tau2=1e6, tau_theta=1.0, regime=regime)
+        assert not np.shares_memory(working_response(y, bundle, settings), y)
+        x_pay = design(X, LINEAR, settings)
+        for theta in (rng.standard_normal(3), rng.standard_normal((50, 3)), x_pay):
+            p = predictions(x_pay, theta, bundle)
+            assert not np.shares_memory(p, x_pay) and not np.shares_memory(p, theta)
+        for d1 in (X[:, :1], X[:1, :1]):  # one column: the product is the whole reduction
+            assert not np.shares_memory(predictions(d1, d1, bundle), d1)
