@@ -75,7 +75,9 @@ class Dataset:
     """Design matrix X (rows are covariates) and response vector y.
 
     A row source for `mechanism.run_mechanism`: `chunks` and
-    `covariate_chunks` slice the rows in chunks of CHUNK_ROWS.
+    `covariate_chunks` slice the rows in chunks of CHUNK_ROWS. The mechanism
+    writes into the chunks `chunks` yields, so they are copies: no run
+    writes X or y.
     """
 
     X: np.ndarray
@@ -98,14 +100,14 @@ class Dataset:
         return self.X.shape[1]
 
     def chunks(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        """(covariates, responses) of each chunk of CHUNK_ROWS rows, as views."""
+        """(covariates, responses) of each chunk of CHUNK_ROWS rows, as copies to write into."""
         for lo in range(0, self.n, CHUNK_ROWS):
-            yield self.X[lo : lo + CHUNK_ROWS], self.y[lo : lo + CHUNK_ROWS]
+            yield self.X[lo : lo + CHUNK_ROWS].copy(), self.y[lo : lo + CHUNK_ROWS].copy()
 
     def covariate_chunks(self) -> Iterator[np.ndarray]:
-        """The covariates of the same chunks."""
-        for X, _ in self.chunks():
-            yield X
+        """The covariates of the same chunks, as views: pass 2 only reads them."""
+        for lo in range(0, self.n, CHUNK_ROWS):
+            yield self.X[lo : lo + CHUNK_ROWS]
 
 
 def check_responses(y: np.ndarray, model: ModelKind) -> None:

@@ -482,7 +482,8 @@ def _run_cell(config: ExperimentConfig, n: int, repeat: int) -> CellResult:
 
     diff = outcome.theta_bar_full - stream.theta_star
     mse = float(diff @ diff)
-    truthful = float(np.mean(stream.costs <= tau))
+    # counted one row block at a time, as rationality_check counts: no n-byte mask
+    truthful = sum(np.count_nonzero(stream.costs[b] <= tau) for b in row_blocks(n)) / n
     eps_tot, gamma_tot = outcome.account
     return CellResult(
         n,

@@ -18,16 +18,16 @@ exactly into a sum of tanh terms over its positive nodes.
 
 `run_mechanism` walks a row source (a `Dataset`, or the harness's
 `population.PopulationStream`) in chunks of CHUNK_ROWS agents, twice. The
-first pass maps each chunk, takes each group's triangular factor of the
-chunk's rows and the agents' posterior predictions q. The release stacks
-each group's chunk factors (TSQR), gets the full-data factor by stacking the
-two halves, solves all three, adds noise and projects. The second pass
-redraws each chunk's covariates and, one row block at a time, maps them and
-pays each agent against the opposite group's release. A cell keeps 25 bytes
-per agent: the int8 partition, the costs (in the row source), q (until pass
-2 has paid) and the payments. Of the rows it keeps one chunk at a time, and
-pass 1, which factors whole chunks, maps whole chunks; the posterior means,
-q, pass 2's design and p go one row block (`row_blocks`) at a time.
+first pass takes the agents' posterior predictions q, maps each chunk in
+place and takes each group's triangular factor of the chunk's rows. The
+release stacks each group's chunk factors (TSQR), gets the full-data factor
+by stacking the two halves, solves all three, adds noise and projects. The
+second pass redraws each chunk's covariates and, one row block at a time,
+maps them and pays each agent against the opposite group's release. A cell
+keeps 17 bytes per agent: the int8 partition, the costs (in the row source)
+and q, which each agent's payment overwrites. Of the rows it keeps one chunk
+at a time, and nothing beside it: the posterior means, q, the design of
+both passes and p go one row block (`row_blocks`) at a time.
 
 Each step has one implementation in this module: `partition`,
 `release_noise` (the three noises, drawn in the order full, half 0, half 1),
@@ -330,8 +330,8 @@ def predictions(x_pay: np.ndarray, theta: np.ndarray, bundle: LinkBundle) -> np.
     """A'(x_pay . theta) for each row: the response the payment rule predicts.
 
     p takes theta = the opposite group's release, q the posterior mean given
-    the agent's own report. A single row of either side broadcasts against
-    the rows of the other.
+    the agent's own report. theta may be one row per row of x_pay, or a
+    single row of either side broadcasts against the rows of the other.
     """
     return bundle.A_prime(rows_inner(x_pay, theta))
 
@@ -352,13 +352,18 @@ def run_mechanism(
     consecutive agents and `covariate_chunks()` yielding the same covariates
     again, chunk by chunk (`Dataset` slices its rows in chunks of
     CHUNK_ROWS). Steps, in order: random equal partition; pass 1, per chunk:
-    the design and the working response, each group's triangular factor of
-    them, and q = A'(x_design . posterior mean); the release: each group's
-    chunk factors stacked, three least-squares solves (all rows, from the two
-    stacked halves; group 0; group 1), three independent noise draws (full,
-    group 0, group 1) at the schedule's sensitivities and ball projections;
-    pass 2, per row block of each chunk: the design, p = A'(x_design .
-    opposite group's release) and the Brier payment.
+    q = A'(x_design . posterior mean), the design written over the chunk's
+    rows, the working response, and each group's triangular factor of them;
+    the release: each group's chunk factors stacked, three least-squares
+    solves (all rows, from the two stacked halves; group 0; group 1), three
+    independent noise draws (full, group 0, group 1) at the schedule's
+    sensitivities and ball projections; pass 2, per row block of each chunk:
+    the design, p = A'(x_design . opposite group's release) and the Brier
+    payment, written over q.
+
+    Pass 1 writes into the chunks `chunks()` yields, so a row source yields
+    arrays of the mechanism's own (`Dataset` yields copies); pass 2 only
+    reads the covariates. `payments` is q's buffer.
     """
     settings, model = params.settings, bundle.model
     n, d = reported.n, reported.d
@@ -382,20 +387,18 @@ def run_mechanism(
     noise = release_noise(d, params.privacy, rng)
     bars = project_ball(thetas + noise, settings.tau_theta)
 
-    pay = np.empty(n)
+    # an agent's payment is the one read of its q, so it overwrites q
+    pay = q
     lo = 0
     for X in reported.covariate_chunks():
         for block in row_blocks(*X.shape):
-            x_pay = design(X[block], model, settings)
             rows = slice(lo + block.start, lo + block.stop)
-            # p against the release paying group 0, then group 1's agents take theirs
-            p = predictions(x_pay, bars[opposite_release(0)], bundle)
-            np.copyto(p, predictions(x_pay, bars[opposite_release(1)], bundle),
-                      where=assign[rows] == 1)
+            # each row's p against the release that pays its group
+            p = predictions(design(X[block], model, settings),
+                            bars[opposite_release(assign[rows])], bundle)
             pay[rows] = brier_payment(params.a1, params.a2, p, q[rows])
         lo += X.shape[0]
-        # the next chunk is drawn with this one dropped; x_pay may be a view of X
-        del X, x_pay
+        del X  # the next chunk is drawn with this one dropped
 
     return MechanismOutcome(
         theta_bar_full=bars[0],
@@ -403,33 +406,37 @@ def run_mechanism(
         theta_bar_g1=bars[2],
         payments=pay,
         group_assignment=assign,
-        budget=math.fsum(pay),
+        # a memoryview hands fsum Python floats, not numpy scalars; fsum rounds
+        # correctly, so the bits are those of the exact sum
+        budget=math.fsum(memoryview(pay)),
         account=compose_account(params.privacy),
         noise_norms=tuple(float(np.linalg.norm(v)) for v in noise),
     )
 
 
 def _first_pass(X, y, assign, q, factors, bundle: LinkBundle, params: MechanismParams) -> None:
-    """One chunk of pass 1: append each group's triangular factor to `factors`, fill q.
+    """One chunk of pass 1: fill q, map X in place, append each group's triangular factor.
 
-    The factors take the whole chunk's design, because per-block factors
-    would change the TSQR bits. The posterior means and q are taken one row
-    block (`row_blocks`) at a time; both are row-wise, so the bits do not
-    depend on the blocks.
+    One row block (`row_blocks`) at a time, the posterior means take the raw
+    rows, `design` maps the block, the mapped rows overwrite it in X, and q
+    takes them. Every step is row-wise, so the bits do not depend on the
+    blocks. The factors then take the whole mapped chunk, because per-block
+    factors would change the TSQR bits.
     """
     settings, model = params.settings, bundle.model
     check_rows(X, y)
     check_responses(y, model)
-    x_pay = design(X, model, settings)
+    for block in row_blocks(*X.shape):
+        means = posterior_mean(X[block], y[block], model, settings.tau_theta,
+                               params.posterior_samples)
+        # design refuses a heavy non-linear cell here, before working_response
+        X[block] = design(X[block], model, settings)
+        q[block] = predictions(X[block], means, bundle)
     z = working_response(y, bundle, settings)
     for group, found in enumerate(factors):
         rows = np.flatnonzero(assign == group)
         if rows.size:
-            found.append(triangular_factor(x_pay, z, rows))
-    for block in row_blocks(*X.shape):
-        means = posterior_mean(X[block], y[block], model, settings.tau_theta,
-                               params.posterior_samples)
-        q[block] = predictions(x_pay[block], means, bundle)
+            found.append(triangular_factor(X, z, rows))
 
 
 # ---------------------------------------------------------------------------

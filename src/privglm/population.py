@@ -275,8 +275,9 @@ class PopulationStream:
     def chunks(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         """(covariates, reports) of each chunk; fills `costs` as it goes.
 
-        The generator keeps no reference to a chunk it has yielded, so a
-        caller that drops its own draws the next chunk with one chunk alive.
+        The generator keeps no reference to a chunk it has yielded, so the
+        caller may write into it, and a caller that drops its own draws the
+        next chunk with one chunk alive.
         """
         for c, lo, hi in self._bounds():
             yield self._reported_chunk(c, lo, hi)

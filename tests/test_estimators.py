@@ -332,6 +332,19 @@ def test_heavy_estimate_is_linear_estimate_on_shrunk_design():
         estimate(Dataset(X, np.sign(y)), make_link_bundle(ModelKind.logistic()), heavy)
 
 
+def test_estimate_leaves_its_input_untouched():
+    rng = np.random.default_rng(17)
+    X = rng.standard_t(2.0, (300, 3)) * 3.0
+    y = X @ np.array([0.3, -0.2, 0.1]) + rng.standard_normal(300)
+    heavy = EstimatorSettings(tau1=1.7, tau2=2.5, tau_theta=1.0, regime="heavy")
+    assert not np.array_equal(l4_shrink_rows(X, 1.7), X)  # some rows shrink
+    data = Dataset(X, y)
+    X_before, y_before = data.X.copy(), data.y.copy()
+    estimate(data, LIN, heavy)
+    assert np.array_equal(data.X, X_before)
+    assert np.array_equal(data.y, y_before)
+
+
 def test_project_ball():
     theta = np.array([0.1, -0.2])
     assert np.array_equal(project_ball(theta, 1.0), theta)

@@ -18,7 +18,7 @@ import pytest
 from privglm import harness
 from privglm.cli import main as cli_main
 from privglm.errors import ConfigError
-from privglm.estimators import CHUNK_ROWS, Dataset, empirical_sensitivity
+from privglm.estimators import CHUNK_ROWS, Dataset, empirical_sensitivity, l4_shrink_rows
 from privglm.harness import (
     ARM_MECHANISM,
     ARM_POPULATION,
@@ -205,16 +205,16 @@ def _traced_peak(config, n) -> int:
 
 
 # bytes per agent of the vectors a cell keeps: the int8 partition, the costs,
-# q and the payments
-PER_AGENT_BYTES = 1 + 3 * 8
+# and q, which the payments overwrite
+PER_AGENT_BYTES = 1 + 2 * 8
 
 
 def test_cell_memory_grows_by_per_agent_vectors_only():
     # a cell keeps its per-agent vectors and one chunk of rows at a time; a
     # materialised n x d population would cost d * 8 bytes per agent for each
     # copy of the covariates, and a second chunk alive another chunk buffer;
-    # pass 2 maps and pays row block by row block, so no chunk-sized
-    # temporary or shrunk copy joins the chunk there
+    # pass 1 maps each chunk in place and pass 2 maps and pays row block by
+    # row block, so no shrunk copy or chunk-sized temporary joins the chunk
     d = 4
     small, large = 2 * CHUNK_ROWS, 8 * CHUNK_ROWS
     chunk_buffer = CHUNK_ROWS * d * 8
@@ -223,4 +223,21 @@ def test_cell_memory_grows_by_per_agent_vectors_only():
         peak = _traced_peak(config, large)
         grown = peak - _traced_peak(config, small)
         assert grown / (large - small) <= PER_AGENT_BYTES + 3, name
-        assert peak - PER_AGENT_BYTES * large <= 2.5 * chunk_buffer, name
+        assert peak - PER_AGENT_BYTES * large <= 3 * chunk_buffer, name
+
+
+def test_run_mechanism_leaves_the_dataset_untouched():
+    # pass 1 writes each chunk's l4-shrunk rows over its raw rows; a Dataset
+    # hands it copies, so the caller's arrays keep their raw rows
+    n, d = 3000, 3
+    model = ModelKind.linear(1.0)
+    params = preset_schedule(model, "heavy", n, 0.12, d=d)
+    rng = np.random.default_rng(8)
+    X = rng.standard_t(2.0, size=(n, d)) * 3.0
+    y = X @ np.full(d, 0.3) + rng.standard_normal(n)
+    assert not np.array_equal(l4_shrink_rows(X, params.settings.tau1), X)  # some rows shrink
+    data = Dataset(X, y)
+    X_before, y_before = data.X.copy(), data.y.copy()
+    run_mechanism(data, make_link_bundle(model), params, np.random.default_rng(9))
+    assert np.array_equal(data.X, X_before)
+    assert np.array_equal(data.y, y_before)
