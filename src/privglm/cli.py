@@ -22,7 +22,6 @@ from .estimators import calibrate_c0, sensitivity_bound
 from .harness import (
     ExperimentConfig,
     canonical_privacy_check,
-    check_size,
     emit_report,
     estimate_deviation_gain,
     params_for,
@@ -31,7 +30,7 @@ from .harness import (
     sensitivity_study,
 )
 from .links import compute_link_constants, make_link_bundle
-from .mechanism import prediction_bound
+from .mechanism import check_size, prediction_bound
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -98,8 +97,7 @@ def _cmd_sensitivity(args) -> int:
     config = _load_config(args)
     n = _size(args, config)
     trials = args.trials if args.trials is not None else config.sensitivity_trials
-    # the population of cell (n, 0), with the oracle keyed (master_seed, n)
-    emp = sensitivity_study(config, n, 0, trials, (config.master_seed, n))
+    emp = sensitivity_study(config, n, 0, trials)
     params = params_for(config, n)
     bundle = make_link_bundle(config.population.model)
     shape = sensitivity_bound(n, config.population.d, bundle, params.settings)

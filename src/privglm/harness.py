@@ -6,8 +6,9 @@ Every cell of a sweep derives its random streams from the tuple
 re-run in isolation and results do not depend on execution order or thread
 count. A cell's population is a `PopulationStream` of chunks of CHUNK_ROWS
 agents: chunk 0 draws from the cell's own population generator, chunk
-c >= 1 from (master_seed, n, repeat, arm, c). The `sensitivity` metric and
-verb share `sensitivity_study`, the oracle on that population, materialised.
+c >= 1 from (master_seed, n, repeat, arm, c). The studies are keyed by the
+cell too, so the `deviate` and `sensitivity` verbs, which run cell (n, 0)'s
+studies, print that cell's `eta_hat` and `delta_empirical`.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, SingularGramError
 from .estimators import (
+    REGIMES,
     SUBGAUSSIAN,
     Dataset,
     EstimatorSettings,
@@ -39,6 +41,7 @@ from .links import LINEAR, LOGISTIC, ModelKind, PolytopeSpec, make_link_bundle
 from .mechanism import (
     POSTERIOR_SAMPLES,
     MechanismParams,
+    check_size,
     predictions,
     preset_schedule,
     posterior_mean,
@@ -101,15 +104,6 @@ def _chunk_rngs(master_seed: int, n: int, repeat: int, arm: int):
     return lambda c: cell_rng(master_seed, n, repeat, arm, *((c,) if c else ()))
 
 
-def check_size(n: int, d: int) -> None:
-    """Each half of the partition of n agents needs at least d rows."""
-    if n < 2 * d:
-        raise ConfigError(
-            f"n = {n} is below 2d = {2 * d} (d = {d}): a group of the partition would "
-            f"have fewer rows than d"
-        )
-
-
 def _check_seed(seed: int) -> None:
     """Seeds key numpy's SeedSequence, which takes nonnegative integers only."""
     if seed < 0:
@@ -148,6 +142,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.sweep = [int(v) for v in self.sweep]
+        if self.regime not in REGIMES:
+            raise ConfigError(f"unknown regime {self.regime!r}: a regime is one of {list(REGIMES)}")
         if self.repeats < 1:
             raise ConfigError("repeats must be >= 1")
         if any(b <= a for a, b in zip(self.sweep, self.sweep[1:])):
@@ -239,8 +235,19 @@ def _typed(kind: type):
     return read
 
 
+def _list(value) -> list:
+    """A JSON array; an object, a string or a scalar is not one."""
+    if not isinstance(value, list):
+        raise ValueError(f"{value!r} is not an array")
+    return value
+
+
 def _array(value) -> Optional[np.ndarray]:
-    return None if value is None else np.asarray(value, dtype=float)
+    """null, or a JSON array of finite numbers or of such arrays, of one shape."""
+    if value is None:
+        return None
+    return np.asarray([_array(v) if isinstance(v, list) else _number(v) for v in _list(value)],
+                      dtype=float)
 
 
 def _fields(obj, table: dict, where: str) -> dict:
@@ -305,9 +312,9 @@ _CONFIG_KEYS = {
     "population": ("population", _population),
     "regime": ("regime", _typed(str)),
     "schedule": ("schedule", lambda obj: ScheduleSpec(**_fields(obj, _SCHEDULE_KEYS, "schedule"))),
-    "sweep": ("sweep", lambda values: [_integer(v) for v in values]),
+    "sweep": ("sweep", lambda values: [_integer(v) for v in _list(values)]),
     "repeats": ("repeats", _integer),
-    "metrics": ("metrics", tuple),
+    "metrics": ("metrics", lambda values: tuple(_typed(str)(v) for v in _list(values))),
     "out_dir": ("out_dir", _typed(str)),
     "format": ("fmt", _typed(str)),
     "master_seed": ("master_seed", _integer),
@@ -435,22 +442,23 @@ def cell_population(config: ExperimentConfig, n: int, repeat: int, tau: float) -
     )
 
 
-def sensitivity_study(config: ExperimentConfig, n: int, repeat: int, trials: int, seed) -> float:
+def sensitivity_study(config: ExperimentConfig, n: int, repeat: int, trials: int) -> float:
     """`empirical_sensitivity` on cell (n, repeat)'s population, materialised from its chunks.
 
     A trial's replacement row is a `draw_agents` row under the cell's theta*;
-    `seed` keys the trials.
+    the trials are keyed (master_seed, n, repeat, ARM_SENSITIVITY).
     """
     params = params_for(config, n)
     pop = cell_population(config, n, repeat, params.tau_threshold).population()
     bundle = make_link_bundle(config.population.model)
     return empirical_sensitivity(Dataset(pop.X, pop.y_true), bundle, params.settings, trials,
-                                 seed, replacement_sampler(config.population, pop.theta_star))
+                                 (config.master_seed, n, repeat, ARM_SENSITIVITY),
+                                 replacement_sampler(config.population, pop.theta_star))
 
 
 def _run_cell(config: ExperimentConfig, n: int, repeat: int) -> CellResult:
     ms = config.master_seed
-    seed_tag = _cell_seed(ms, n, repeat)
+    seed = _cell_seed(ms, n, repeat)
     model = config.population.model
     try:
         params = params_for(config, n)
@@ -464,20 +472,17 @@ def _run_cell(config: ExperimentConfig, n: int, repeat: int) -> CellResult:
         eta = None
         if "deviation_gain" in config.metrics:
             est = estimate_deviation_gain(
-                config, config.deviation_rule, config.deviation_trials, n=n,
-                seed_tag=repeat + 1,
+                config, config.deviation_rule, config.deviation_trials, n=n, seed_tag=repeat
             )
             eta = est.eta_hat
         delta_emp = None
         if "sensitivity" in config.metrics:
-            delta_emp = sensitivity_study(
-                config, n, repeat, config.sensitivity_trials, (ms, n, repeat, ARM_SENSITIVITY)
-            )
+            delta_emp = sensitivity_study(config, n, repeat, config.sensitivity_trials)
     except SingularGramError as exc:
         return CellResult(
             n, repeat, model.family, config.regime,
             None, None, None, None, None, None, None, None,
-            seed_tag, failed=True, error=str(exc),
+            seed, failed=True, error=str(exc),
         )
 
     diff = outcome.theta_bar_full - stream.theta_star
@@ -498,7 +503,7 @@ def _run_cell(config: ExperimentConfig, n: int, repeat: int) -> CellResult:
         delta_emp,
         eps_tot,
         gamma_tot,
-        seed_tag,
+        seed,
         theta_bar=[float(v) for v in outcome.theta_bar_full],
         noise_norms=list(outcome.noise_norms),
     )
@@ -568,14 +573,17 @@ def estimate_deviation_gain(
 ) -> DeviationGainEstimate:
     """Paired Monte-Carlo estimate of the tagged agent's gain from deviating.
 
+    `seed_tag` is the repeat of the cell whose study this is: cell
+    (n, repeat) runs it at seed_tag = repeat, and the `deviate` verb at 0.
+
     The equilibrium notion conditions on the deviating agent's own type, so
     one study fixes the tagged agent's (x, y, cost) (drawn once from the
-    population spec, independent of n so studies at different sizes share the
-    type) and redraws everyone else per trial under the threshold strategy.
-    The tagged agent's payment depends only on the opposite group's private
-    estimator, which their report cannot touch, so both reporting arms share
-    every random stream and differ in nothing but the prediction q_r of the
-    agent's own report r.
+    population spec, keyed (master_seed, seed_tag, ARM_DEVIATION) without n
+    so studies at different sizes share the type) and redraws everyone else
+    per trial under the threshold strategy. The tagged agent's payment
+    depends only on the opposite group's private estimator, which their
+    report cannot touch, so both reporting arms share every random stream and
+    differ in nothing but the prediction q_r of the agent's own report r.
 
     The agents are exchangeable, so given agent 0's group the opposite group
     is m i.i.d. agents, m = n - n // 2 when agent 0 is in group 0 (probability
@@ -644,7 +652,7 @@ def estimate_deviation_gain(
     p = np.empty(trials)
     for k, block in enumerate(row_blocks(trials, (n - n // 2) * (d + 1))):
         b = block.stop - block.start
-        rng = np.random.default_rng([ms, n, seed_tag, ARM_DEVIATION, k])
+        rng = cell_rng(ms, n, seed_tag, ARM_DEVIATION, k)
         sizes = np.where(rng.random(b) < (n // 2) / n, n - n // 2, n // 2)
         if spec_n.theta_star is None:
             theta_star = np.stack([draw_theta_star(d, spec_n.tau_theta, rng) for _ in range(b)])

@@ -107,9 +107,6 @@ class PolytopeSpec:
         if self.lower > self.upper:
             raise ConfigError(f"polytope lower {self.lower} exceeds upper {self.upper}")
 
-    def project(self, y: ArrayLike) -> np.ndarray:
-        return np.clip(np.asarray(y, dtype=float), self.lower, self.upper)
-
     def to_json(self) -> dict:
         def enc(v: float):
             if v == math.inf:
@@ -208,7 +205,7 @@ def clip_response(y: ArrayLike, tau2: float) -> np.ndarray:
 
 def project_polytope(y_clipped: ArrayLike, spec: PolytopeSpec) -> np.ndarray:
     """Nearest point of [lower, upper]; an interval clamp."""
-    return spec.project(y_clipped)
+    return np.clip(np.asarray(y_clipped, dtype=float), spec.lower, spec.upper)
 
 
 # delta ranges are closed on the left: the worked subsets for the logistic and
@@ -220,14 +217,6 @@ _PRESET_DELTA = {
 }
 
 
-def check_preset_delta(family: str, delta: float) -> None:
-    lo, hi = _PRESET_DELTA[family]
-    if not (lo <= delta < hi):
-        raise ConfigError(
-            f"delta = {delta} outside the {family} schedule range [{lo}, {hi})"
-        )
-
-
 def preset_polytope(model: ModelKind, n: int, delta: float) -> PolytopeSpec:
     """Per-model closed response-mean subset at sample size n.
 
@@ -237,7 +226,9 @@ def preset_polytope(model: ModelKind, n: int, delta: float) -> PolytopeSpec:
     """
     if n < 2:
         raise ConfigError("preset polytope requires n >= 2")
-    check_preset_delta(model.family, delta)
+    lo, hi = _PRESET_DELTA[model.family]
+    if not (lo <= delta < hi):
+        raise ConfigError(f"delta = {delta} outside the {model.family} schedule range [{lo}, {hi})")
     if model.family == LINEAR:
         return PolytopeSpec()
     if model.family == LOGISTIC:

@@ -73,7 +73,6 @@ from .links import (
     LinkBundle,
     ModelKind,
     PolytopeSpec,
-    check_preset_delta,
     compute_link_constants,
     make_link_bundle,
     preset_polytope,
@@ -159,6 +158,15 @@ class MechanismOutcome:
 # ---------------------------------------------------------------------------
 # Release: partition, sensitivities, noise, projection
 # ---------------------------------------------------------------------------
+
+def check_size(n: int, d: int) -> None:
+    """Each half of the partition of n agents needs at least d rows."""
+    if n < 2 * d:
+        raise ConfigError(
+            f"n = {n} is below 2d = {2 * d} (d = {d}): a group of the partition would "
+            f"have fewer rows than d"
+        )
+
 
 def partition(n: int, rng: np.random.Generator) -> np.ndarray:
     """Random equal split: group 1 is the last n - n // 2 entries of a permutation."""
@@ -369,8 +377,7 @@ def run_mechanism(
     n, d = reported.n, reported.d
     if n != params.n:
         raise ConfigError(f"parameters resolved at n = {params.n} cannot run {n} agents")
-    if n < 2 * d:
-        raise ConfigError(f"n = {n} leaves a group smaller than d = {d}")
+    check_size(n, d)
 
     assign = partition(n, rng)
     factors = ([], [])
@@ -546,8 +553,7 @@ def preset_schedule(
         a2 = n ** (-0.5 - 9.0 * delta)
         cost_exponent = 9
     else:
-        check_preset_delta(model.family, delta)
-        polytope = preset_polytope(model, n, delta)
+        polytope = preset_polytope(model, n, delta)  # checks delta against the model's range
         tau1 = sigma * math.sqrt(log_n)
         if model.family == LINEAR:
             tau2 = n ** ((1.0 - 3.0 * delta) / 2.0)

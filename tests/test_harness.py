@@ -28,6 +28,7 @@ from privglm.harness import (
     private_release_closure,
     report_to_dict,
     run_experiment,
+    sensitivity_study,
 )
 from privglm.links import ModelKind, make_link_bundle
 from privglm.mechanism import (
@@ -479,6 +480,53 @@ def test_sensitivity_metric_in_rows():
     assert report.rows[0].delta_empirical is not None and report.rows[0].delta_empirical >= 0
 
 
+_CELLS = {
+    # name: population, regime, delta, rule
+    "linear": ({"model": "linear"}, "subgaussian", 0.3, "grid:-1,0,1"),
+    "heavy": ({"model": "linear", "covariates": {"kind": "student_t", "dof": 5.0}}, "heavy", 0.12,
+              "grid:-1,0,1"),
+    "logistic": ({"model": "logistic"}, "subgaussian", 0.3, "grid:-1,1"),
+    "poisson": ({"model": "poisson"}, "subgaussian", 0.26, "grid:0,1,2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CELLS))
+def test_study_verbs_reproduce_the_cell_of_repeat_zero(tmp_path, capsys, name):
+    # the verbs print row (n, 0) of a report that ran both studies, and the
+    # studies at repeat 1 give row (n, 1): one key per study and cell
+    population, regime, delta, rule = _CELLS[name]
+    n = 150
+    cfg = _write_config(tmp_path, {
+        "population": {"d": 2, **population},
+        "regime": regime,
+        "schedule": {"delta": delta},
+        "sweep": [n],
+        "repeats": 2,
+        "metrics": ["accuracy", "sensitivity", "deviation_gain"],
+        "deviation": {"rule": rule, "trials": 6},
+        "sensitivity_trials": 4,
+        "master_seed": 11,
+        "posterior_samples": 1000,
+        "format": "json",
+    })
+    assert cli_main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    rows = json.loads((tmp_path / "out" / "report.json").read_text())["rows"]
+    capsys.readouterr()
+    assert [(r["n"], r["repeat"]) for r in rows] == [(n, 0), (n, 1)]
+    assert rows[0]["delta_empirical"] != rows[1]["delta_empirical"]
+
+    assert cli_main(["deviate", "--config", cfg, "--n", str(n)]) == 0
+    assert json.loads(capsys.readouterr().out)["eta_hat"] == rows[0]["eta_hat"]
+    assert cli_main(["sensitivity", "--config", cfg, "--n", str(n)]) == 0
+    assert json.loads(capsys.readouterr().out)["empirical_max"] == rows[0]["delta_empirical"]
+
+    config = ExperimentConfig.from_json(cfg)
+    est = estimate_deviation_gain(config, config.deviation_rule, config.deviation_trials, n=n,
+                                  seed_tag=1)
+    assert est.eta_hat == rows[1]["eta_hat"]
+    assert sensitivity_study(config, n, 1, config.sensitivity_trials) == rows[1]["delta_empirical"]
+
+
 @pytest.mark.parametrize("model", [ModelKind.linear(1.0), ModelKind.logistic()],
                          ids=["linear", "logistic"])
 def test_noise_norms_are_the_norms_of_the_redrawn_release_noise(tmp_path, model):
@@ -816,6 +864,45 @@ def test_cli_rejects_malformed_integers(tmp_path, capsys, change, key, value):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
     assert f"key {key!r}: {value} is not an integer" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"metrics": {"accuracy": 1, "rationality": 2}}, "key 'metrics': {'accuracy': 1, "),
+    ({"metrics": "budget"}, "key 'metrics': 'budget' is not an array"),
+    ({"metrics": ["budget", 3]}, "key 'metrics': 3 is not a str"),
+    ({"sweep": {}}, "key 'sweep': {} is not an array"),
+    ({"sweep": "120"}, "key 'sweep': '120' is not an array"),
+    ({"sweep": [], "regime": "heavyy"}, "unknown regime 'heavyy'"),
+    ({"population": {"d": 1, "model": "linear", "theta_star": True}},
+     "key 'theta_star': True is not an array"),
+    ({"population": {"d": 2, "model": "linear", "theta_star": [0.5, True]}},
+     "key 'theta_star': True is not a finite number"),
+    ({"population": {"d": 2, "model": "linear",
+                     "covariates": {"kind": "subgaussian_cov", "cov": {"0": [1, 0]}}}},
+     "key 'cov': {'0': [1, 0]} is not an array"),
+    ({"population": {"d": 2, "model": "linear",
+                     "covariates": {"kind": "student_t", "dof": 5.0, "scale": 1.0}},
+      "regime": "heavy", "schedule": {"delta": 0.12}},
+     "key 'scale': 1.0 is not an array"),
+], ids=["metrics-object", "metrics-string", "metrics-number", "sweep-object", "sweep-string",
+        "regime", "theta-star-bool", "theta-star-entry", "cov-object", "scale-number"])
+def test_cli_rejects_malformed_lists_and_unknown_regimes(tmp_path, capsys, change, message):
+    # each fails naming its key; an object's keys or a string's letters once
+    # read as the list, a boolean as theta* = [1.0], and an unknown regime
+    # with an empty sweep wrote a header-only report
+    payload = {
+        "population": {"d": 2, "model": "linear"},
+        "schedule": {"delta": 0.3},
+        "sweep": [120],
+        "master_seed": 3,
+    }
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", _write_config(tmp_path, payload | change), "--out", str(out)]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert message in err
     assert not out.exists()
 
 

@@ -372,7 +372,7 @@ def test_partition_too_small():
     model = ModelKind.linear(1.0)
     params = preset_schedule(model, "subgaussian", 5, 0.3, d=3)
     tiny = Dataset(np.random.default_rng(0).standard_normal((5, 3)), np.zeros(5))
-    with pytest.raises(ConfigError, match="n = 5 leaves a group smaller than d = 3"):
+    with pytest.raises(ConfigError, match=r"n = 5 is below 2d = 6 \(d = 3\)"):
         run_mechanism(tiny, make_link_bundle(model), params, np.random.default_rng(0))
 
 

@@ -148,11 +148,12 @@ def _sensitivity_verb(tmp_path, capsys, config, n, trials) -> float:
 
 
 def _oracle(config, n, pop, trials) -> float:
-    """The oracle on pop, keyed as the verb keys it: (master_seed, n)."""
+    """The oracle on pop, keyed as cell (n, 0) keys it: (master_seed, n, 0, ARM_SENSITIVITY)."""
     params = params_for(config, n)
     return empirical_sensitivity(
         Dataset(pop.X, pop.y_true), make_link_bundle(config.population.model), params.settings,
-        trials, (config.master_seed, n), replacement_sampler(config.population, pop.theta_star),
+        trials, (config.master_seed, n, 0, ARM_SENSITIVITY),
+        replacement_sampler(config.population, pop.theta_star),
     )
 
 
