@@ -74,10 +74,10 @@ def check_rows(X: np.ndarray, y: np.ndarray) -> None:
 class Dataset:
     """Design matrix X (rows are covariates) and response vector y.
 
-    A row source for `mechanism.run_mechanism`: `chunks` and
-    `covariate_chunks` slice the rows in chunks of CHUNK_ROWS. The mechanism
-    writes into the chunks `chunks` yields, so they are copies: no run
-    writes X or y.
+    A row source for `mechanism.run_mechanism`: `chunks` and `cost_chunks`
+    slice the rows in chunks of CHUNK_ROWS. The mechanism writes into the
+    chunks `chunks` yields, so they are copies: no run writes X or y. A
+    Dataset has no costs.
     """
 
     X: np.ndarray
@@ -104,10 +104,10 @@ class Dataset:
         for lo in range(0, self.n, CHUNK_ROWS):
             yield self.X[lo : lo + CHUNK_ROWS].copy(), self.y[lo : lo + CHUNK_ROWS].copy()
 
-    def covariate_chunks(self) -> Iterator[np.ndarray]:
-        """The covariates of the same chunks, as views: pass 2 only reads them."""
+    def cost_chunks(self) -> Iterator[Tuple[np.ndarray, None]]:
+        """The covariates of the same chunks, as views (pass 2 only reads them), and no costs."""
         for lo in range(0, self.n, CHUNK_ROWS):
-            yield self.X[lo : lo + CHUNK_ROWS]
+            yield self.X[lo : lo + CHUNK_ROWS], None
 
 
 def check_responses(y: np.ndarray, model: ModelKind) -> None:

@@ -47,7 +47,8 @@ from .mechanism import (
     posterior_mean,
     privacy_cost,
     project_ball,
-    rationality_check,
+    # no cell calls it (run_mechanism counts as it pays); benchmarks/tracing.py binds the name
+    rationality_check,  # noqa: F401
     run_mechanism,
 )
 from .population import (
@@ -463,12 +464,9 @@ def _run_cell(config: ExperimentConfig, n: int, repeat: int) -> CellResult:
     try:
         params = params_for(config, n)
         bundle = make_link_bundle(model)
-        tau = params.tau_threshold
-        stream = cell_population(config, n, repeat, tau)
+        stream = cell_population(config, n, repeat, params.tau_threshold)
         outcome = run_mechanism(stream, bundle, params, cell_rng(ms, n, repeat, ARM_MECHANISM))
-        rationality = None
-        if "rationality" in config.metrics:
-            rationality = rationality_check(outcome, stream.costs, params.cost_exponent, tau)
+        rationality = outcome.rationality_frac if "rationality" in config.metrics else None
         eta = None
         if "deviation_gain" in config.metrics:
             est = estimate_deviation_gain(
@@ -487,8 +485,6 @@ def _run_cell(config: ExperimentConfig, n: int, repeat: int) -> CellResult:
 
     diff = outcome.theta_bar_full - stream.theta_star
     mse = float(diff @ diff)
-    # counted one row block at a time, as rationality_check counts: no n-byte mask
-    truthful = sum(np.count_nonzero(stream.costs[b] <= tau) for b in row_blocks(n)) / n
     eps_tot, gamma_tot = outcome.account
     return CellResult(
         n,
@@ -497,7 +493,7 @@ def _run_cell(config: ExperimentConfig, n: int, repeat: int) -> CellResult:
         config.regime,
         mse,
         outcome.budget,
-        truthful,
+        outcome.truthful_frac,
         rationality,
         eta,
         delta_emp,

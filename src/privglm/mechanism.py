@@ -22,12 +22,13 @@ first pass takes the agents' posterior predictions q, maps each chunk in
 place and takes each group's triangular factor of the chunk's rows. The
 release stacks each group's chunk factors (TSQR), gets the full-data factor
 by stacking the two halves, solves all three, adds noise and projects. The
-second pass redraws each chunk's covariates and, one row block at a time,
-maps them and pays each agent against the opposite group's release. A cell
-keeps 17 bytes per agent: the int8 partition, the costs (in the row source)
-and q, which each agent's payment overwrites. Of the rows it keeps one chunk
-at a time, and nothing beside it: the posterior means, q, the design of
-both passes and p go one row block (`row_blocks`) at a time.
+second pass redraws each chunk's covariates and costs and, one row block at
+a time, maps the covariates, pays each agent against the opposite group's
+release and counts the truthful and rational agents (`rationality_counts`).
+A cell keeps 9 bytes per agent: the int8 partition and q, which each
+agent's payment overwrites; it keeps no costs. Of the rows it keeps one
+chunk at a time, and nothing beside it: the posterior means, q, the design
+of both passes, p and the counts go one row block (`row_blocks`) at a time.
 
 Each step has one implementation in this module: `partition`,
 `release_noise` (the three noises, drawn in the order full, half 0, half 1),
@@ -47,7 +48,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -153,6 +154,9 @@ class MechanismOutcome:
     budget: float
     account: Tuple[float, float]
     noise_norms: Tuple[float, float, float]  # each release's noise norm, in RELEASES order
+    # counted while paying, when the row source has costs (`rationality_counts`)
+    truthful_frac: Optional[float] = None
+    rationality_frac: Optional[float] = None
 
 
 # ---------------------------------------------------------------------------
@@ -357,21 +361,25 @@ def run_mechanism(
     """Execute one full mechanism run on the reports of a row source.
 
     `reported` has `n`, `d`, `chunks()` yielding (covariates, reports) of
-    consecutive agents and `covariate_chunks()` yielding the same covariates
-    again, chunk by chunk (`Dataset` slices its rows in chunks of
-    CHUNK_ROWS). Steps, in order: random equal partition; pass 1, per chunk:
-    q = A'(x_design . posterior mean), the design written over the chunk's
-    rows, the working response, and each group's triangular factor of them;
-    the release: each group's chunk factors stacked, three least-squares
-    solves (all rows, from the two stacked halves; group 0; group 1), three
-    independent noise draws (full, group 0, group 1) at the schedule's
-    sensitivities and ball projections; pass 2, per row block of each chunk:
-    the design, p = A'(x_design . opposite group's release) and the Brier
-    payment, written over q.
+    consecutive agents and `cost_chunks()` yielding the same covariates
+    again with the agents' costs, chunk by chunk (`Dataset` slices its rows
+    in chunks of CHUNK_ROWS and has no costs: None). Steps, in order: random
+    equal partition; pass 1, per chunk: q = A'(x_design . posterior mean),
+    the design written over the chunk's rows, the working response, and
+    each group's triangular factor of them; the release: each group's chunk
+    factors stacked, three least-squares solves (all rows, from the two
+    stacked halves; group 0; group 1), three independent noise draws (full,
+    group 0, group 1) at the schedule's sensitivities and ball projections;
+    pass 2, per row block of each chunk:
+    the design, p = A'(x_design . opposite group's release), the Brier
+    payment, written over q, and, given costs, the counts of
+    `rationality_counts` at the schedule's tau_threshold and cost_exponent.
 
     Pass 1 writes into the chunks `chunks()` yields, so a row source yields
     arrays of the mechanism's own (`Dataset` yields copies); pass 2 only
-    reads the covariates. `payments` is q's buffer.
+    reads the covariates and costs. `payments` is q's buffer. The outcome's
+    `truthful_frac` and `rationality_frac` are None when the row source
+    has no costs.
     """
     settings, model = params.settings, bundle.model
     n, d = reported.n, reported.d
@@ -394,18 +402,26 @@ def run_mechanism(
     noise = release_noise(d, params.privacy, rng)
     bars = project_ball(thetas + noise, settings.tau_theta)
 
+    account = compose_account(params.privacy)
+    unit = privacy_cost(*account, params.cost_exponent)
+    truthful = rational = 0
+    has_costs = False
     # an agent's payment is the one read of its q, so it overwrites q
     pay = q
     lo = 0
-    for X in reported.covariate_chunks():
+    for X, costs in reported.cost_chunks():
+        has_costs = costs is not None
         for block in row_blocks(*X.shape):
             rows = slice(lo + block.start, lo + block.stop)
             # each row's p against the release that pays its group
             p = predictions(design(X[block], model, settings),
                             bars[opposite_release(assign[rows])], bundle)
             pay[rows] = brier_payment(params.a1, params.a2, p, q[rows])
+            if has_costs:
+                t, r = rationality_counts(pay[rows], costs[block], unit, params.tau_threshold)
+                truthful, rational = truthful + t, rational + r
         lo += X.shape[0]
-        del X  # the next chunk is drawn with this one dropped
+        del X, costs  # the next chunk is drawn with this one dropped
 
     return MechanismOutcome(
         theta_bar_full=bars[0],
@@ -416,8 +432,10 @@ def run_mechanism(
         # a memoryview hands fsum Python floats, not numpy scalars; fsum rounds
         # correctly, so the bits are those of the exact sum
         budget=math.fsum(memoryview(pay)),
-        account=compose_account(params.privacy),
+        account=account,
         noise_norms=tuple(float(np.linalg.norm(v)) for v in noise),
+        truthful_frac=truthful / n if has_costs else None,
+        rationality_frac=_rational_fraction(rational, truthful) if has_costs else None,
     )
 
 
@@ -450,24 +468,46 @@ def _first_pass(X, y, assign, q, factors, bundle: LinkBundle, params: MechanismP
 # Diagnostics
 # ---------------------------------------------------------------------------
 
+def rationality_counts(
+    payments: np.ndarray, costs: np.ndarray, unit: float, tau: float
+) -> Tuple[int, int]:
+    """The agents with cost c <= tau, and those of them whose utility is nonnegative.
+
+    The utility is payment - c unit, with `unit` the per-unit privacy cost
+    (1 + gamma) eps^k of the run's account. This is the one counting rule:
+    `run_mechanism` applies it to each row block it pays, `rationality_check`
+    to each row block of a finished run.
+    """
+    mask = costs <= tau
+    truthful = np.count_nonzero(mask)
+    mask &= payments >= costs * unit
+    return truthful, np.count_nonzero(mask)
+
+
+def _rational_fraction(rational: int, truthful: int) -> float:
+    return float(rational / truthful) if truthful else 1.0
+
+
 def rationality_check(
     outcome: MechanismOutcome, costs: np.ndarray, cost_exponent: int, tau: float
 ) -> float:
-    """Fraction of below-threshold agents whose realized utility is nonnegative."""
+    """Fraction of below-threshold agents whose realized utility is nonnegative.
+
+    It counts a finished run's payments against costs given beside them, such
+    as a materialised population's, by `rationality_counts`. A run on a
+    `PopulationStream` counts the same fraction by the same rule while it
+    pays (`MechanismOutcome.rationality_frac`).
+    """
     costs = np.asarray(costs, dtype=float)
     if costs.shape[0] != outcome.payments.shape[0]:
         raise ConfigError("costs and payments must align by agent index")
-    eps_tot, gamma_tot = outcome.account
-    unit = privacy_cost(eps_tot, gamma_tot, cost_exponent)
-    below = rational = 0
-    # counted one row block at a time: utility payment - cost (1 + gamma) eps^k >= 0
+    unit = privacy_cost(*outcome.account, cost_exponent)
+    truthful = rational = 0
+    # counted one row block at a time, so no n-byte mask
     for block in row_blocks(costs.shape[0]):
-        c = costs[block]
-        mask = c <= tau
-        below += np.count_nonzero(mask)
-        mask &= outcome.payments[block] >= c * unit
-        rational += np.count_nonzero(mask)
-    return float(rational / below) if below else 1.0
+        t, r = rationality_counts(outcome.payments[block], costs[block], unit, tau)
+        truthful, rational = truthful + t, rational + r
+    return _rational_fraction(rational, truthful)
 
 
 def budget_bound(n: int, a1: float, a2: float, m_a: float) -> float:

@@ -16,9 +16,12 @@ sensitivity oracle's replacement rows call `draw_agents` directly. A
 chunk by chunk, CHUNK_ROWS agents at a time, each chunk from its own
 generator, reported under the threshold strategy (`threshold_reports`). It
 is a row source for `mechanism.run_mechanism`, which walks it twice: once
-for the reports, once more for the covariates alone, which it redraws
-because they come first in each chunk's stream. A materialised population
-is the chunk draws concatenated (`PopulationStream.population`).
+for the reports, once more for the covariates and costs. It redraws the
+covariates from the start of each chunk's stream, where they come first,
+and the costs from the generator state the first walk noted before them,
+so it keeps no per-agent vector. Every chunk's covariates are drawn into
+one buffer. A materialised population is the chunk draws copied out of
+that buffer (`PopulationStream.population`).
 
 `covariate_sigma` is the covariates' scale, the sigma of the schedule's
 sub-Gaussian clip.
@@ -167,10 +170,16 @@ def _scale_rows(z: np.ndarray, L: np.ndarray) -> np.ndarray:
     return z
 
 
-def _draw_covariates(spec: PopulationSpec, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n covariate rows; every scaling is applied in place to the drawn normals."""
+def _draw_covariates(
+    spec: PopulationSpec, rng: np.random.Generator, n: int, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """n covariate rows, in `out` if given; every scaling is applied in place to the drawn normals.
+
+    A draw into `out` gives the bits of a fresh draw and leaves rng where a
+    fresh draw leaves it.
+    """
     cov = spec.covariates
-    z = rng.standard_normal((n, spec.d))
+    z = rng.standard_normal((n, spec.d), out=out)
     if isinstance(cov, SubGaussianIsotropic):
         z *= cov.sigma / math.sqrt(spec.d)
         return z
@@ -218,12 +227,20 @@ def draw_agents(
     come in this order: every group's covariates, then their responses, then
     their costs. spec.n is not read.
     """
+    X, y = _draw_labelled(spec, theta_star, m, rng)
+    return X, y, _draw_costs(spec, X.shape[0], rng)
+
+
+def _draw_labelled(
+    spec: PopulationSpec, theta_star: np.ndarray, m: int, rng: np.random.Generator,
+    out: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The covariates (in `out` if given) and true responses of `draw_agents`, without costs."""
     theta = np.atleast_2d(theta_star)
     k, d = theta.shape
-    X = _draw_covariates(spec, rng, k * m)
+    X = _draw_covariates(spec, rng, k * m, out)
     eta = np.matmul(X.reshape(k, m, d), theta[:, :, None]).ravel()
-    y = _draw_responses(spec.model, eta, rng)
-    return X, y, _draw_costs(spec, k * m, rng)
+    return X, _draw_responses(spec.model, eta, rng)
 
 
 def generate_population(spec: PopulationSpec, rng: np.random.Generator) -> Population:
@@ -244,9 +261,12 @@ class PopulationStream:
     the spec fixes it, so a population of at most CHUNK_ROWS agents is
     exactly `generate_population(spec, population_rng(0))`.
 
-    `chunks` yields each chunk's covariates and reports and keeps the costs
-    in `costs`; `covariate_chunks` redraws the covariates alone from the
-    start of each chunk's stream. No pass keeps more than one chunk's rows.
+    `chunks` yields each chunk's covariates and reports, and notes where
+    each chunk's generator stands before its costs; `cost_chunks` then
+    redraws each chunk's covariates from the start of its stream and its
+    costs from that note. The stream keeps no per-agent vector: every chunk's
+    covariates are drawn into one buffer of at most CHUNK_ROWS rows, and it
+    holds no chunk's responses, reports or costs.
     """
 
     def __init__(self, spec: PopulationSpec, tau: float, population_rng: ChunkRng):
@@ -256,7 +276,8 @@ class PopulationStream:
         rng = population_rng(0)
         self.theta_star = _theta_star(spec, rng)
         self._chunk0_state = rng.bit_generator.state  # chunk 0's agents start here
-        self.costs = np.empty(spec.n)
+        self._cost_states = {}  # chunk -> its generator's state before its costs
+        self._buffer = np.empty((min(spec.n, CHUNK_ROWS), spec.d))
 
     def _rng(self, c: int) -> np.random.Generator:
         """Chunk c's population generator, at the start of its agents' draws."""
@@ -265,37 +286,51 @@ class PopulationStream:
             rng.bit_generator.state = self._chunk0_state
         return rng
 
-    def _bounds(self) -> Iterator[Tuple[int, int, int]]:
+    def _bounds(self) -> Iterator[Tuple[int, int]]:
+        """Each chunk's index and number of agents."""
         for c, lo in enumerate(range(0, self.n, CHUNK_ROWS)):
-            yield c, lo, min(lo + CHUNK_ROWS, self.n)
+            yield c, min(CHUNK_ROWS, self.n - lo)
 
     def _draw(self, c: int, rows: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return draw_agents(self.spec, self.theta_star, rows, self._rng(c))
+        """Chunk c's `draw_agents` draw, its covariates in the buffer."""
+        rng = self._rng(c)
+        X, y = _draw_labelled(self.spec, self.theta_star, rows, rng, self._buffer[:rows])
+        self._cost_states[c] = rng.bit_generator.state
+        return X, y, _draw_costs(self.spec, rows, rng)
 
     def chunks(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        """(covariates, reports) of each chunk; fills `costs` as it goes.
+        """(covariates, reports) of each chunk.
 
-        The generator keeps no reference to a chunk it has yielded, so the
-        caller may write into it, and a caller that drops its own draws the
-        next chunk with one chunk alive.
+        The covariates are the buffer, which the next chunk's draw overwrites,
+        so the caller may write into them until it asks for the next chunk.
         """
-        for c, lo, hi in self._bounds():
-            yield self._reported_chunk(c, lo, hi)
+        for c, rows in self._bounds():
+            yield self._reported(c, rows)
 
-    def _reported_chunk(self, c: int, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
-        X, y, costs = self._draw(c, hi - lo)
-        self.costs[lo:hi] = costs
+    def _reported(self, c: int, rows: int) -> Tuple[np.ndarray, np.ndarray]:
+        # a method of its own, so the suspended generator holds no chunk's responses or costs
+        X, y, costs = self._draw(c, rows)
         return X, threshold_reports(y, costs, self.tau, self.spec.model)
 
-    def covariate_chunks(self) -> Iterator[np.ndarray]:
-        """The covariates of each chunk again, redrawn without responses or costs."""
-        for c, lo, hi in self._bounds():
-            yield _draw_covariates(self.spec, self._rng(c), hi - lo)
+    def cost_chunks(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """(covariates, costs) of each chunk again, redrawn without the responses.
+
+        The costs start from the state `chunks` noted, so `chunks` must have
+        walked the chunks first. The covariates are the buffer, as in `chunks`.
+        """
+        for c, rows in self._bounds():
+            rng = self._rng(c)
+            X = _draw_covariates(self.spec, rng, rows, self._buffer[:rows])
+            rng.bit_generator.state = self._cost_states[c]
+            yield X, _draw_costs(self.spec, rows, rng)
 
     def population(self) -> Population:
-        """The whole population at once: the chunk draws concatenated."""
-        draws = [self._draw(c, hi - lo) for c, lo, hi in self._bounds()]
-        X, y, costs = (np.concatenate(parts) for parts in zip(*draws))
+        """The whole population at once: the chunk draws, copied out of the buffer."""
+        X, y, costs = np.empty((self.n, self.d)), np.empty(self.n), np.empty(self.n)
+        lo = 0
+        for c, rows in self._bounds():
+            X[lo : lo + rows], y[lo : lo + rows], costs[lo : lo + rows] = self._draw(c, rows)
+            lo += rows
         return Population(X, y, costs, self.theta_star)
 
 

@@ -34,7 +34,12 @@ from privglm.links import ModelKind, make_link_bundle
 from privglm.mechanism import preset_schedule, rationality_check, run_mechanism
 from privglm.population import (
     PopulationSpec,
+    PopulationStream,
     StudentTCovariates,
+    SubGaussianCov,
+    SubGaussianIsotropic,
+    _draw_covariates,
+    draw_agents,
     generate_population,
     replacement_sampler,
 )
@@ -120,7 +125,7 @@ def test_streamed_cell_equals_run_on_materialised_population(name):
     for field in ("theta_bar_full", "theta_bar_g0", "theta_bar_g1", "payments"):
         assert np.array_equal(getattr(streamed, field), getattr(whole, field)), field
     assert streamed.budget == whole.budget
-    assert np.array_equal(stream.costs, pop.costs)
+    assert np.array_equal(stream.population().costs, pop.costs)
     # the chunks are draws of their own: chunk 1 is not chunk 0 again
     assert not np.array_equal(pop.X[:5], pop.X[CHUNK_ROWS : CHUNK_ROWS + 5])
 
@@ -135,7 +140,72 @@ def test_streamed_cell_row_reads_the_stream():
                         cell_rng(config.master_seed, n, 0, ARM_MECHANISM))
     assert row.theta_bar == [float(v) for v in out.theta_bar_full]
     assert row.budget == out.budget
-    assert row.truthful_frac == float(np.mean(stream.costs <= params.tau_threshold))
+    assert row.truthful_frac == float(np.mean(stream.population().costs <= params.tau_threshold))
+
+
+@pytest.mark.parametrize("name", sorted(CELLS))
+def test_streamed_cell_counts_across_chunks(name):
+    # a streamed cell counts its truthful and rational agents while it pays,
+    # on costs redrawn chunk by chunk; the counts are those of the
+    # materialised population, whose last chunk holds 5 agents
+    n, d = 3 * CHUNK_ROWS + 5, 3
+    config = cell_config(name, d, n)
+    row = harness._run_cell(config, n, 0)
+    params = params_for(config, n)
+    tau = params.tau_threshold
+    pop = cell_population(config, n, 0, tau).population()
+    reported = apply_strategy(pop, tau, config.population.model)
+    out = run_mechanism(reported, make_link_bundle(config.population.model), params,
+                        cell_rng(config.master_seed, n, 0, ARM_MECHANISM))
+    assert out.truthful_frac is None and out.rationality_frac is None  # a Dataset has no costs
+    assert row.truthful_frac == float(np.mean(pop.costs <= tau))
+    assert row.rationality_frac == rationality_check(out, pop.costs, params.cost_exponent, tau)
+
+
+LAWS = {
+    "isotropic": SubGaussianIsotropic(1.5),
+    "cov": SubGaussianCov(np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.2], [0.0, 0.2, 0.5]])),
+    "student-t": StudentTCovariates(5.0),
+}
+
+
+@pytest.mark.parametrize("law", sorted(LAWS))
+def test_covariates_drawn_into_a_buffer_are_a_fresh_draw(law):
+    # a draw into `out` leaves the bits and the generator's state of a draw
+    # without it, so the draw after it matches too
+    spec = PopulationSpec(n=2, d=3, model=ModelKind.linear(1.0), covariates=LAWS[law])
+    m = 1001
+    fresh, into = np.random.default_rng(31), np.random.default_rng(31)
+    want = _draw_covariates(spec, fresh, m)
+    buffer = np.empty((m + 3, 3))
+    got = _draw_covariates(spec, into, m, buffer[:m])
+    assert np.shares_memory(got, buffer)
+    assert np.array_equal(got, want)
+    assert np.array_equal(into.standard_normal(4), fresh.standard_normal(4))
+
+
+@pytest.mark.parametrize("law", sorted(LAWS))
+def test_stream_population_is_copied_out_of_the_shared_buffer(law):
+    n = 2 * CHUNK_ROWS + 7
+    spec = PopulationSpec(n=n, d=3, model=ModelKind.logistic(), covariates=LAWS[law])
+
+    def chunk_rng(c):
+        return np.random.default_rng([41, c])
+
+    stream = PopulationStream(spec, 0.8, chunk_rng)
+    chunk_X = [X for X, _ in stream.chunks()]
+    assert all(np.shares_memory(X, chunk_X[0]) for X in chunk_X)  # one buffer for every chunk
+    whole = stream.population()
+    assert not np.shares_memory(whole.X, chunk_X[0])
+
+    first = generate_population(replace(spec, n=CHUNK_ROWS), chunk_rng(0))
+    draws = [(first.X, first.y_true, first.costs)] + [
+        draw_agents(spec, whole.theta_star, rows, chunk_rng(c))
+        for c, rows in ((1, CHUNK_ROWS), (2, 7))
+    ]
+    for got, parts in zip((whole.X, whole.y_true, whole.costs), zip(*draws)):
+        assert np.array_equal(got, np.concatenate(parts))
+    assert np.array_equal(whole.theta_star, first.theta_star)
 
 
 def _sensitivity_verb(tmp_path, capsys, config, n, trials) -> float:
@@ -205,9 +275,9 @@ def _traced_peak(config, n) -> int:
         tracemalloc.stop()
 
 
-# bytes per agent of the vectors a cell keeps: the int8 partition, the costs,
-# and q, which the payments overwrite
-PER_AGENT_BYTES = 1 + 2 * 8
+# bytes per agent of the vectors a cell keeps: the int8 partition and q,
+# which the payments overwrite
+PER_AGENT_BYTES = 1 + 8
 
 
 def test_cell_memory_grows_by_per_agent_vectors_only():
