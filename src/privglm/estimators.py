@@ -74,10 +74,9 @@ def check_rows(X: np.ndarray, y: np.ndarray) -> None:
 class Dataset:
     """Design matrix X (rows are covariates) and response vector y.
 
-    A row source for `mechanism.run_mechanism`: `chunks` and `cost_chunks`
-    slice the rows in chunks of CHUNK_ROWS. The mechanism writes into the
-    chunks `chunks` yields, so they are copies: no run writes X or y. A
-    Dataset has no costs.
+    A row source for `mechanism.run_mechanism`: `chunks` slices the rows in
+    chunks of CHUNK_ROWS. The mechanism writes into the chunks it yields,
+    so they are copies: no run writes X or y. A Dataset has no costs.
     """
 
     X: np.ndarray
@@ -99,15 +98,10 @@ class Dataset:
     def d(self) -> int:
         return self.X.shape[1]
 
-    def chunks(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        """(covariates, responses) of each chunk of CHUNK_ROWS rows, as copies to write into."""
+    def chunks(self) -> Iterator[Tuple[np.ndarray, np.ndarray, None]]:
+        """(covariates, responses, None) of each chunk of CHUNK_ROWS rows, as copies to write into."""
         for lo in range(0, self.n, CHUNK_ROWS):
-            yield self.X[lo : lo + CHUNK_ROWS].copy(), self.y[lo : lo + CHUNK_ROWS].copy()
-
-    def cost_chunks(self) -> Iterator[Tuple[np.ndarray, None]]:
-        """The covariates of the same chunks, as views (pass 2 only reads them), and no costs."""
-        for lo in range(0, self.n, CHUNK_ROWS):
-            yield self.X[lo : lo + CHUNK_ROWS], None
+            yield self.X[lo : lo + CHUNK_ROWS].copy(), self.y[lo : lo + CHUNK_ROWS].copy(), None
 
 
 def check_responses(y: np.ndarray, model: ModelKind) -> None:

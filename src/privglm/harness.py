@@ -47,8 +47,6 @@ from .mechanism import (
     posterior_mean,
     privacy_cost,
     project_ball,
-    # no cell calls it (run_mechanism counts as it pays); benchmarks/tracing.py binds the name
-    rationality_check,  # noqa: F401
     run_mechanism,
 )
 from .population import (

@@ -18,17 +18,17 @@ exactly into a sum of tanh terms over its positive nodes.
 
 `run_mechanism` walks a row source (a `Dataset`, or the harness's
 `population.PopulationStream`) in chunks of CHUNK_ROWS agents, twice. The
-first pass takes the agents' posterior predictions q, maps each chunk in
-place and takes each group's triangular factor of the chunk's rows. The
-release stacks each group's chunk factors (TSQR), gets the full-data factor
-by stacking the two halves, solves all three, adds noise and projects. The
-second pass redraws each chunk's covariates and costs and, one row block at
-a time, maps the covariates, pays each agent against the opposite group's
-release and counts the truthful and rational agents (`rationality_counts`).
-A cell keeps 9 bytes per agent: the int8 partition and q, which each
-agent's payment overwrites; it keeps no costs. Of the rows it keeps one
-chunk at a time, and nothing beside it: the posterior means, q, the design
-of both passes, p and the counts go one row block (`row_blocks`) at a time.
+first pass releases: it maps each chunk in place and takes each group's
+triangular factor of the chunk's rows; the release stacks each group's
+chunk factors (TSQR), gets the full-data factor by stacking the two halves,
+solves all three, adds noise and projects. The second pass pays: it walks
+the chunks again and, one row block at a time, takes the posterior means
+from the raw rows, maps the block, predicts q from the means and p from the
+opposite group's release, pays the Brier score and counts the truthful and
+rational agents (`rationality_counts`). A cell keeps 9 bytes per agent: the
+int8 partition and the payment. Of the rows it keeps one chunk at a time,
+and nothing beside it: the posterior means, the design of pass 2, p, q and
+the counts go one row block (`row_blocks`) at a time.
 
 Each step has one implementation in this module: `partition`,
 `release_noise` (the three noises, drawn in the order full, half 0, half 1),
@@ -360,26 +360,25 @@ def run_mechanism(
 ) -> MechanismOutcome:
     """Execute one full mechanism run on the reports of a row source.
 
-    `reported` has `n`, `d`, `chunks()` yielding (covariates, reports) of
-    consecutive agents and `cost_chunks()` yielding the same covariates
-    again with the agents' costs, chunk by chunk (`Dataset` slices its rows
-    in chunks of CHUNK_ROWS and has no costs: None). Steps, in order: random
-    equal partition; pass 1, per chunk: q = A'(x_design . posterior mean),
-    the design written over the chunk's rows, the working response, and
-    each group's triangular factor of them; the release: each group's chunk
-    factors stacked, three least-squares solves (all rows, from the two
-    stacked halves; group 0; group 1), three independent noise draws (full,
-    group 0, group 1) at the schedule's sensitivities and ball projections;
-    pass 2, per row block of each chunk:
-    the design, p = A'(x_design . opposite group's release), the Brier
-    payment, written over q, and, given costs, the counts of
-    `rationality_counts` at the schedule's tau_threshold and cost_exponent.
+    `reported` has `n`, `d` and `chunks()`, which yields (covariates,
+    reports, costs or None) of consecutive agents and yields the same
+    agents again on a second walk (`Dataset` slices its rows in chunks of
+    CHUNK_ROWS and has no costs). Steps, in order: random equal partition;
+    pass 1, per chunk: the design written over the chunk's rows, the working
+    response, and each group's triangular factor of them; the release: each
+    group's chunk factors stacked, three least-squares solves (all rows,
+    from the two stacked halves; group 0; group 1), three independent noise
+    draws (full, group 0, group 1) at the schedule's sensitivities and ball
+    projections; pass 2, per row block of each chunk: the posterior means
+    from the raw rows, the design, q = A'(x_design . posterior mean),
+    p = A'(x_design . opposite group's release), the Brier payment and,
+    given costs, the counts of `rationality_counts` at the schedule's
+    tau_threshold and cost_exponent.
 
     Pass 1 writes into the chunks `chunks()` yields, so a row source yields
     arrays of the mechanism's own (`Dataset` yields copies); pass 2 only
-    reads the covariates and costs. `payments` is q's buffer. The outcome's
-    `truthful_frac` and `rationality_frac` are None when the row source
-    has no costs.
+    reads them. The outcome's `truthful_frac` and `rationality_frac` are
+    None when the row source has no costs.
     """
     settings, model = params.settings, bundle.model
     n, d = reported.n, reported.d
@@ -389,12 +388,11 @@ def run_mechanism(
 
     assign = partition(n, rng)
     factors = ([], [])
-    q = np.empty(n)
     lo = 0
-    for X, y in reported.chunks():
+    for X, y, _ in reported.chunks():
         hi = lo + X.shape[0]
-        _first_pass(X, y, assign[lo:hi], q[lo:hi], factors, bundle, params)
-        del X, y  # the next chunk is drawn with this one dropped
+        _first_pass(X, y, assign[lo:hi], factors, bundle, params)
+        del X, y, _  # the next chunk is drawn with this one dropped
         lo = hi
 
     halves = [found[0] if len(found) == 1 else stack_factors(*found) for found in factors]
@@ -404,24 +402,26 @@ def run_mechanism(
 
     account = compose_account(params.privacy)
     unit = privacy_cost(*account, params.cost_exponent)
+    pay = np.empty(n)
     truthful = rational = 0
     has_costs = False
-    # an agent's payment is the one read of its q, so it overwrites q
-    pay = q
     lo = 0
-    for X, costs in reported.cost_chunks():
+    for X, y, costs in reported.chunks():
         has_costs = costs is not None
         for block in row_blocks(*X.shape):
             rows = slice(lo + block.start, lo + block.stop)
+            means = posterior_mean(X[block], y[block], model, settings.tau_theta,
+                                   params.posterior_samples)
+            x_pay = design(X[block], model, settings)
+            q = predictions(x_pay, means, bundle)
             # each row's p against the release that pays its group
-            p = predictions(design(X[block], model, settings),
-                            bars[opposite_release(assign[rows])], bundle)
-            pay[rows] = brier_payment(params.a1, params.a2, p, q[rows])
+            p = predictions(x_pay, bars[opposite_release(assign[rows])], bundle)
+            pay[rows] = brier_payment(params.a1, params.a2, p, q)
             if has_costs:
                 t, r = rationality_counts(pay[rows], costs[block], unit, params.tau_threshold)
                 truthful, rational = truthful + t, rational + r
         lo += X.shape[0]
-        del X, costs  # the next chunk is drawn with this one dropped
+        del X, y, costs  # the next chunk is drawn with this one dropped
 
     return MechanismOutcome(
         theta_bar_full=bars[0],
@@ -435,16 +435,15 @@ def run_mechanism(
         account=account,
         noise_norms=tuple(float(np.linalg.norm(v)) for v in noise),
         truthful_frac=truthful / n if has_costs else None,
-        rationality_frac=_rational_fraction(rational, truthful) if has_costs else None,
+        rationality_frac=(rational / truthful if truthful else 1.0) if has_costs else None,
     )
 
 
-def _first_pass(X, y, assign, q, factors, bundle: LinkBundle, params: MechanismParams) -> None:
-    """One chunk of pass 1: fill q, map X in place, append each group's triangular factor.
+def _first_pass(X, y, assign, factors, bundle: LinkBundle, params: MechanismParams) -> None:
+    """One chunk of pass 1: map X in place, append each group's triangular factor.
 
-    One row block (`row_blocks`) at a time, the posterior means take the raw
-    rows, `design` maps the block, the mapped rows overwrite it in X, and q
-    takes them. Every step is row-wise, so the bits do not depend on the
+    `design` maps one row block (`row_blocks`) at a time and the mapped rows
+    overwrite it in X; it works row by row, so the bits do not depend on the
     blocks. The factors then take the whole mapped chunk, because per-block
     factors would change the TSQR bits.
     """
@@ -452,11 +451,8 @@ def _first_pass(X, y, assign, q, factors, bundle: LinkBundle, params: MechanismP
     check_rows(X, y)
     check_responses(y, model)
     for block in row_blocks(*X.shape):
-        means = posterior_mean(X[block], y[block], model, settings.tau_theta,
-                               params.posterior_samples)
         # design refuses a heavy non-linear cell here, before working_response
         X[block] = design(X[block], model, settings)
-        q[block] = predictions(X[block], means, bundle)
     z = working_response(y, bundle, settings)
     for group, found in enumerate(factors):
         rows = np.flatnonzero(assign == group)
@@ -474,40 +470,14 @@ def rationality_counts(
     """The agents with cost c <= tau, and those of them whose utility is nonnegative.
 
     The utility is payment - c unit, with `unit` the per-unit privacy cost
-    (1 + gamma) eps^k of the run's account. This is the one counting rule:
-    `run_mechanism` applies it to each row block it pays, `rationality_check`
-    to each row block of a finished run.
+    (1 + gamma) eps^k of the run's account. `run_mechanism` applies it to
+    each row block it pays. The counts are Python ints, so the fractions
+    taken from them are Python floats.
     """
     mask = costs <= tau
-    truthful = np.count_nonzero(mask)
+    truthful = int(np.count_nonzero(mask))
     mask &= payments >= costs * unit
-    return truthful, np.count_nonzero(mask)
-
-
-def _rational_fraction(rational: int, truthful: int) -> float:
-    return float(rational / truthful) if truthful else 1.0
-
-
-def rationality_check(
-    outcome: MechanismOutcome, costs: np.ndarray, cost_exponent: int, tau: float
-) -> float:
-    """Fraction of below-threshold agents whose realized utility is nonnegative.
-
-    It counts a finished run's payments against costs given beside them, such
-    as a materialised population's, by `rationality_counts`. A run on a
-    `PopulationStream` counts the same fraction by the same rule while it
-    pays (`MechanismOutcome.rationality_frac`).
-    """
-    costs = np.asarray(costs, dtype=float)
-    if costs.shape[0] != outcome.payments.shape[0]:
-        raise ConfigError("costs and payments must align by agent index")
-    unit = privacy_cost(*outcome.account, cost_exponent)
-    truthful = rational = 0
-    # counted one row block at a time, so no n-byte mask
-    for block in row_blocks(costs.shape[0]):
-        t, r = rationality_counts(outcome.payments[block], costs[block], unit, tau)
-        truthful, rational = truthful + t, rational + r
-    return _rational_fraction(rational, truthful)
+    return truthful, int(np.count_nonzero(mask))
 
 
 def budget_bound(n: int, a1: float, a2: float, m_a: float) -> float:

@@ -15,11 +15,9 @@ sensitivity oracle's replacement rows call `draw_agents` directly. A
 `PopulationStream` is the population of a simulate cell: the same draw,
 chunk by chunk, CHUNK_ROWS agents at a time, each chunk from its own
 generator, reported under the threshold strategy (`threshold_reports`). It
-is a row source for `mechanism.run_mechanism`, which walks it twice: once
-for the reports, once more for the covariates and costs. It redraws the
-covariates from the start of each chunk's stream, where they come first,
-and the costs from the generator state the first walk noted before them,
-so it keeps no per-agent vector. Every chunk's covariates are drawn into
+is a row source for `mechanism.run_mechanism`, which walks it twice; each
+walk draws every chunk again from the start of the chunk's stream, so the
+stream keeps no per-agent vector. Every chunk's covariates are drawn into
 one buffer. A materialised population is the chunk draws copied out of
 that buffer (`PopulationStream.population`).
 
@@ -218,29 +216,22 @@ def _draw_costs(spec: PopulationSpec, size, rng: np.random.Generator) -> np.ndar
 
 
 def draw_agents(
-    spec: PopulationSpec, theta_star: np.ndarray, m: int, rng: np.random.Generator
+    spec: PopulationSpec, theta_star: np.ndarray, m: int, rng: np.random.Generator,
+    out: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Covariates, true responses and costs of k stacked groups of m agents.
+    """Covariates (in `out` if given), true responses and costs of k stacked groups of m agents.
 
     theta_star is k x d (a d-vector is one group); group t is rows
     [t m, (t + 1) m) and draws its responses under theta_star[t]. The draws
     come in this order: every group's covariates, then their responses, then
     their costs. spec.n is not read.
     """
-    X, y = _draw_labelled(spec, theta_star, m, rng)
-    return X, y, _draw_costs(spec, X.shape[0], rng)
-
-
-def _draw_labelled(
-    spec: PopulationSpec, theta_star: np.ndarray, m: int, rng: np.random.Generator,
-    out: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The covariates (in `out` if given) and true responses of `draw_agents`, without costs."""
     theta = np.atleast_2d(theta_star)
     k, d = theta.shape
     X = _draw_covariates(spec, rng, k * m, out)
     eta = np.matmul(X.reshape(k, m, d), theta[:, :, None]).ravel()
-    return X, _draw_responses(spec.model, eta, rng)
+    y = _draw_responses(spec.model, eta, rng)
+    return X, y, _draw_costs(spec, k * m, rng)
 
 
 def generate_population(spec: PopulationSpec, rng: np.random.Generator) -> Population:
@@ -261,12 +252,11 @@ class PopulationStream:
     the spec fixes it, so a population of at most CHUNK_ROWS agents is
     exactly `generate_population(spec, population_rng(0))`.
 
-    `chunks` yields each chunk's covariates and reports, and notes where
-    each chunk's generator stands before its costs; `cost_chunks` then
-    redraws each chunk's covariates from the start of its stream and its
-    costs from that note. The stream keeps no per-agent vector: every chunk's
-    covariates are drawn into one buffer of at most CHUNK_ROWS rows, and it
-    holds no chunk's responses, reports or costs.
+    Each walk of `chunks` draws every chunk again from the start of its
+    stream, so two walks yield the same agents bit for bit. The stream keeps
+    no per-agent vector: every chunk's covariates are drawn into one buffer
+    of at most CHUNK_ROWS rows, and it holds no chunk's responses, reports
+    or costs.
     """
 
     def __init__(self, spec: PopulationSpec, tau: float, population_rng: ChunkRng):
@@ -276,15 +266,7 @@ class PopulationStream:
         rng = population_rng(0)
         self.theta_star = _theta_star(spec, rng)
         self._chunk0_state = rng.bit_generator.state  # chunk 0's agents start here
-        self._cost_states = {}  # chunk -> its generator's state before its costs
         self._buffer = np.empty((min(spec.n, CHUNK_ROWS), spec.d))
-
-    def _rng(self, c: int) -> np.random.Generator:
-        """Chunk c's population generator, at the start of its agents' draws."""
-        rng = self._population_rng(c)
-        if c == 0:
-            rng.bit_generator.state = self._chunk0_state
-        return rng
 
     def _bounds(self) -> Iterator[Tuple[int, int]]:
         """Each chunk's index and number of agents."""
@@ -292,14 +274,14 @@ class PopulationStream:
             yield c, min(CHUNK_ROWS, self.n - lo)
 
     def _draw(self, c: int, rows: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Chunk c's `draw_agents` draw, its covariates in the buffer."""
-        rng = self._rng(c)
-        X, y = _draw_labelled(self.spec, self.theta_star, rows, rng, self._buffer[:rows])
-        self._cost_states[c] = rng.bit_generator.state
-        return X, y, _draw_costs(self.spec, rows, rng)
+        """Chunk c's `draw_agents` draw, from the start of its stream, into the buffer."""
+        rng = self._population_rng(c)
+        if c == 0:
+            rng.bit_generator.state = self._chunk0_state
+        return draw_agents(self.spec, self.theta_star, rows, rng, self._buffer[:rows])
 
-    def chunks(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        """(covariates, reports) of each chunk.
+    def chunks(self) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """(covariates, reports, costs) of each chunk.
 
         The covariates are the buffer, which the next chunk's draw overwrites,
         so the caller may write into them until it asks for the next chunk.
@@ -307,22 +289,10 @@ class PopulationStream:
         for c, rows in self._bounds():
             yield self._reported(c, rows)
 
-    def _reported(self, c: int, rows: int) -> Tuple[np.ndarray, np.ndarray]:
-        # a method of its own, so the suspended generator holds no chunk's responses or costs
+    def _reported(self, c: int, rows: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # a method of its own, so the suspended generator holds no chunk's responses
         X, y, costs = self._draw(c, rows)
-        return X, threshold_reports(y, costs, self.tau, self.spec.model)
-
-    def cost_chunks(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        """(covariates, costs) of each chunk again, redrawn without the responses.
-
-        The costs start from the state `chunks` noted, so `chunks` must have
-        walked the chunks first. The covariates are the buffer, as in `chunks`.
-        """
-        for c, rows in self._bounds():
-            rng = self._rng(c)
-            X = _draw_covariates(self.spec, rng, rows, self._buffer[:rows])
-            rng.bit_generator.state = self._cost_states[c]
-            yield X, _draw_costs(self.spec, rows, rng)
+        return X, threshold_reports(y, costs, self.tau, self.spec.model), costs
 
     def population(self) -> Population:
         """The whole population at once: the chunk draws, copied out of the buffer."""

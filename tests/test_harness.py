@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -127,6 +128,13 @@ def test_csv_schema(tmp_path):
     assert header.split(",") == list(CSV_COLUMNS)
     assert len(CSV_COLUMNS) == 13
     assert any(p.name == "report_long.csv" for p in paths)
+    # every value of a numeric column is a number, not a numpy repr such as np.float64(1.0)
+    with (tmp_path / "report.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 1 and rows[0]["truthful_frac"] and rows[0]["rationality_frac"]
+    for col in set(CSV_COLUMNS) - {"model", "regime"}:
+        if rows[0][col]:
+            float(rows[0][col])
 
 
 def test_empty_sweep_header_only(tmp_path):

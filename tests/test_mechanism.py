@@ -31,7 +31,6 @@ from privglm.mechanism import (
     posterior_mean,
     privacy_cost,
     project_ball,
-    rationality_check,
     rationality_floor,
     run_mechanism,
 )
@@ -43,6 +42,7 @@ from privglm.population import (
 )
 from privglm.privacy import PrivacyParams
 
+from rationality_oracle import rationality_fraction
 from strategy_oracle import apply_strategy
 
 
@@ -514,7 +514,7 @@ def test_rationality_at_floor_property(family, n, seed):
     s = params.settings
     X = pop.X if s.regime == "heavy" else project_ball(pop.X, s.tau1)
     out = run_mechanism(Dataset(X, pop.y_true), bundle, params, np.random.default_rng(seed))
-    assert rationality_check(out, pop.costs, params.cost_exponent, params.tau_threshold) == 1.0
+    assert rationality_fraction(out, pop.costs, params.cost_exponent, params.tau_threshold) == 1.0
 
 
 def test_poisson_report_in_prior_tail_pays_every_agent():
@@ -576,12 +576,12 @@ def test_heavy_mechanism_uses_shrunk_covariates():
 def test_rationality_at_floor_and_negative_control():
     model, bundle, params, pop, reported = _linear_setup(n=2000, seed=12)
     out = run_mechanism(reported, bundle, params, np.random.default_rng(51))
-    frac = rationality_check(out, pop.costs, params.cost_exponent, params.tau_threshold)
+    frac = rationality_fraction(out, pop.costs, params.cost_exponent, params.tau_threshold)
     assert frac == 1.0
 
     broke = replace(params, a1=0.0)
     out0 = run_mechanism(reported, bundle, broke, np.random.default_rng(51))
-    frac0 = rationality_check(out0, pop.costs, broke.cost_exponent, broke.tau_threshold)
+    frac0 = rationality_fraction(out0, pop.costs, broke.cost_exponent, broke.tau_threshold)
     assert frac0 < 1.0
 
 
@@ -589,31 +589,8 @@ def test_rationality_with_vanishing_cost_function():
     model, bundle, params, pop, reported = _linear_setup(seed=13)
     # agents of zero cost bear no privacy cost; payments floored by a1 stay >= 0
     out = run_mechanism(reported, bundle, params, np.random.default_rng(52))
-    frac = rationality_check(out, np.zeros_like(pop.costs), params.cost_exponent, math.inf)
+    frac = rationality_fraction(out, np.zeros_like(pop.costs), params.cost_exponent, math.inf)
     assert frac == 1.0
-
-
-def test_rationality_check_counts_across_row_blocks():
-    # counted one row block at a time, the fraction is the mean of one
-    # comparison over all below-threshold agents, as a Python float
-    n = 2 * estimators.BLOCK_ELEMENTS + 11
-    rng = np.random.default_rng(7)
-    costs, pay = rng.exponential(1.0, n), rng.normal(0.5, 1.0, n)
-    out = mechanism.MechanismOutcome(
-        np.zeros(2), np.zeros(2), np.zeros(2), pay, np.zeros(n, dtype=np.int8),
-        math.fsum(pay), (0.8, 0.01), (0.0, 0.0, 0.0),
-    )
-    want = np.mean((pay >= costs * privacy_cost(0.8, 0.01, 4))[costs <= 2.0])
-    got = rationality_check(out, costs, 4, 2.0)
-    assert type(got) is float
-    assert got == want and 0.0 < got < 1.0
-
-
-def test_rationality_alignment_check():
-    model, bundle, params, pop, reported = _linear_setup()
-    out = run_mechanism(reported, bundle, params, np.random.default_rng(0))
-    with pytest.raises(ConfigError):
-        rationality_check(out, pop.costs[:10], params.cost_exponent, 1.0)
 
 
 def test_budget_bound_formula():

@@ -4,13 +4,15 @@ Oracles: a cell of one chunk is the materialised composition
 generate_population -> apply_strategy -> run_mechanism, bit for bit; a cell
 of several chunks, the last one partial, gives the releases and payments of
 `run_mechanism` on its own materialised population; the `sensitivity` verb
-runs the oracle on the materialised population of cell (n, 0); and the
-memory a cell traces grows by its per-agent vectors only.
+runs the oracle on the materialised population of cell (n, 0); two walks
+of a stream yield the same agents, and a row source needs only `n`, `d`
+and `chunks()`; and the memory a cell traces grows by its per-agent
+vectors only.
 """
 
 import json
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from privglm.harness import (
     params_for,
 )
 from privglm.links import ModelKind, make_link_bundle
-from privglm.mechanism import preset_schedule, rationality_check, run_mechanism
+from privglm.mechanism import preset_schedule, run_mechanism
 from privglm.population import (
     PopulationSpec,
     PopulationStream,
@@ -44,6 +46,7 @@ from privglm.population import (
     replacement_sampler,
 )
 
+from rationality_oracle import rationality_fraction
 from strategy_oracle import apply_strategy
 
 CELLS = {
@@ -94,7 +97,7 @@ def test_one_chunk_cell_is_the_materialised_composition(name, fixed_theta):
     assert row.mse == float(diff @ diff)
     assert row.budget == out.budget
     assert row.truthful_frac == float(np.mean(pop.costs <= tau))
-    assert row.rationality_frac == rationality_check(out, pop.costs, params.cost_exponent, tau)
+    assert row.rationality_frac == rationality_fraction(out, pop.costs, params.cost_exponent, tau)
     assert row.delta_empirical == empirical_sensitivity(
         Dataset(pop.X, pop.y_true), bundle, params.settings, 3,
         (ms, n, repeat, ARM_SENSITIVITY), replacement_sampler(spec, pop.theta_star),
@@ -159,7 +162,7 @@ def test_streamed_cell_counts_across_chunks(name):
                         cell_rng(config.master_seed, n, 0, ARM_MECHANISM))
     assert out.truthful_frac is None and out.rationality_frac is None  # a Dataset has no costs
     assert row.truthful_frac == float(np.mean(pop.costs <= tau))
-    assert row.rationality_frac == rationality_check(out, pop.costs, params.cost_exponent, tau)
+    assert row.rationality_frac == rationality_fraction(out, pop.costs, params.cost_exponent, tau)
 
 
 LAWS = {
@@ -193,7 +196,7 @@ def test_stream_population_is_copied_out_of_the_shared_buffer(law):
         return np.random.default_rng([41, c])
 
     stream = PopulationStream(spec, 0.8, chunk_rng)
-    chunk_X = [X for X, _ in stream.chunks()]
+    chunk_X = [X for X, _, _ in stream.chunks()]
     assert all(np.shares_memory(X, chunk_X[0]) for X in chunk_X)  # one buffer for every chunk
     whole = stream.population()
     assert not np.shares_memory(whole.X, chunk_X[0])
@@ -206,6 +209,66 @@ def test_stream_population_is_copied_out_of_the_shared_buffer(law):
     for got, parts in zip((whole.X, whole.y_true, whole.costs), zip(*draws)):
         assert np.array_equal(got, np.concatenate(parts))
     assert np.array_equal(whole.theta_star, first.theta_star)
+
+
+@pytest.mark.parametrize("law", sorted(LAWS))
+def test_stream_walks_yield_the_same_agents(law):
+    # run_mechanism walks a row source twice: the second walk redraws every
+    # chunk, covariates, reports and costs, bit for bit
+    n = 2 * CHUNK_ROWS + 7
+    spec = PopulationSpec(n=n, d=3, model=ModelKind.logistic(), covariates=LAWS[law])
+    stream = PopulationStream(spec, 0.8, lambda c: np.random.default_rng([43, c]))
+    first = [(X.copy(), y, costs) for X, y, costs in stream.chunks()]  # X is the shared buffer
+    assert [X.shape[0] for X, _, _ in first] == [CHUNK_ROWS, CHUNK_ROWS, 7]
+    assert any(np.any(costs > 0.8) for _, _, costs in first)  # some reports are not the truth
+    for want, got in zip(first, stream.chunks(), strict=True):
+        for w, g in zip(want, got):
+            assert np.array_equal(w, g)
+
+
+class _BareRows:
+    """A row source with only what run_mechanism reads: n, d and chunks()."""
+
+    def __init__(self, X, y, costs=None):
+        self.X, self.y, self.costs = X, y, costs
+        self.n, self.d = X.shape
+
+    def chunks(self):
+        for lo in range(0, self.n, CHUNK_ROWS):
+            rows = slice(lo, lo + CHUNK_ROWS)
+            costs = None if self.costs is None else self.costs[rows]
+            yield self.X[rows].copy(), self.y[rows].copy(), costs
+
+
+def test_run_mechanism_reads_only_the_chunks_of_a_row_source():
+    n, d = CHUNK_ROWS + 5, 2
+    model = ModelKind.linear(1.0)
+    params = preset_schedule(model, "subgaussian", n, 0.3, d=d)
+    bundle = make_link_bundle(model)
+    pop = generate_population(PopulationSpec(n=n, d=d, model=model), np.random.default_rng(6))
+    bare = run_mechanism(_BareRows(pop.X, pop.y_true), bundle, params, np.random.default_rng(7))
+    data = run_mechanism(Dataset(pop.X, pop.y_true), bundle, params, np.random.default_rng(7))
+    for field in fields(data):
+        got, want = getattr(bare, field.name), getattr(data, field.name)
+        assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want, field
+
+
+def test_run_mechanism_counts_the_costs_of_a_row_source():
+    # with a1 = 0, below the rationality floor, some truthful agents lose; the
+    # counts, taken row block by row block across two chunks, give the
+    # oracle's fractions, as Python floats
+    n, d = CHUNK_ROWS + 5, 2
+    model = ModelKind.linear(1.0)
+    params = replace(preset_schedule(model, "subgaussian", n, 0.3, d=d), a1=0.0)
+    tau = params.tau_threshold
+    pop = generate_population(PopulationSpec(n=n, d=d, model=model), np.random.default_rng(8))
+    reported = apply_strategy(pop, tau, model)
+    out = run_mechanism(_BareRows(reported.X, reported.y, pop.costs), make_link_bundle(model),
+                        params, np.random.default_rng(9))
+    assert type(out.truthful_frac) is float and type(out.rationality_frac) is float
+    assert out.truthful_frac == float(np.mean(pop.costs <= tau))
+    assert out.rationality_frac == rationality_fraction(out, pop.costs, params.cost_exponent, tau)
+    assert 0.0 < out.rationality_frac < 1.0
 
 
 def _sensitivity_verb(tmp_path, capsys, config, n, trials) -> float:
@@ -275,8 +338,7 @@ def _traced_peak(config, n) -> int:
         tracemalloc.stop()
 
 
-# bytes per agent of the vectors a cell keeps: the int8 partition and q,
-# which the payments overwrite
+# bytes per agent of the vectors a cell keeps: the int8 partition and the payments
 PER_AGENT_BYTES = 1 + 8
 
 

@@ -83,6 +83,7 @@ TRACER_MISSING = [
     "privglm.cli.empirical_sensitivity",
     "privglm.cli.generate_population",
     "privglm.harness.apply_strategy",
+    "privglm.harness.rationality_check",
     "privglm.mechanism.estimate",
     "privglm.mechanism.l4_shrink_rows",
     "privglm.mechanism.privatize",
