@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
@@ -39,7 +38,6 @@ from .estimators import (
 )
 from .links import LINEAR, LOGISTIC, ModelKind, PolytopeSpec, make_link_bundle
 from .mechanism import (
-    POSTERIOR_SAMPLES,
     MechanismParams,
     check_size,
     predictions,
@@ -137,7 +135,9 @@ class ExperimentConfig:
     deviation_rule: Optional[WorstOfGrid] = WorstOfGrid((0.0,))  # None: the truthful control
     deviation_trials: int = 100
     sensitivity_trials: int = 40
-    posterior_samples: int = POSTERIOR_SAMPLES
+    # read and echoed only: no rule has a node count since the posterior means
+    # became fixed Gauss-Legendre tables; benchmark configs still write the key
+    posterior_samples: int = 10_000
 
     def __post_init__(self):
         self.sweep = [int(v) for v in self.sweep]
@@ -425,7 +425,6 @@ def params_for(config: ExperimentConfig, n: int) -> MechanismParams:
         tau_theta=pop.tau_theta,
         sigma=covariate_sigma(pop) if config.regime == SUBGAUSSIAN else 1.0,
         c0=config.schedule.c0,
-        posterior_samples=config.posterior_samples,
     )
 
 
@@ -508,6 +507,9 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentRepo
     # a strictly increasing sweep gives the cells in (n, repeat) order; both branches keep it
     cells = [(n, r) for n in config.sweep for r in range(config.repeats)]
     if threads > 1 and cells:
+        # imported here: concurrent.futures pulls in logging, and most runs use one thread
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(lambda c: _run_cell(config, *c), cells))
     else:
@@ -634,8 +636,7 @@ def estimate_deviation_gain(
         """q = A'(x_pay . posterior mean) for each report in r."""
         r = np.atleast_1d(np.asarray(r, dtype=float))
         means = posterior_mean(
-            np.repeat(type_pop.X[:1], r.shape[0], axis=0), r, model,
-            settings.tau_theta, params.posterior_samples,
+            np.repeat(type_pop.X[:1], r.shape[0], axis=0), r, model, settings.tau_theta
         )
         return predictions(x_pay, means, bundle)
 

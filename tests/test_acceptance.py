@@ -225,7 +225,6 @@ def test_criterion_06_truthfulness_trend():
             repeats=1,
             schedule=ScheduleSpec(delta=delta),
             master_seed=77,
-            posterior_samples=4000,
         )
         wins = 0
         for rep in range(100):

@@ -312,7 +312,6 @@ def test_poisson_cells_hold_at_the_covariates_sigma():
         repeats=3,
         schedule=ScheduleSpec(delta=0.26),
         master_seed=5,
-        posterior_samples=1000,
     )
     report = run_experiment(config)
     assert len(report.rows) == 6 and report.failed_cells == 0
@@ -347,7 +346,7 @@ def test_zero_a2_removes_payment_component():
 
 
 def test_deviation_gain_shrinks_with_n():
-    config = linear_config(posterior_samples=2000)
+    config = linear_config()
     rule = WorstOfGrid((-2.0, -1.0, 0.0, 1.0, 2.0))
     wins = 0
     for rep in range(10):
@@ -360,7 +359,7 @@ def test_deviation_gain_shrinks_with_n():
 def test_deviation_metric_in_rows():
     config = linear_config(
         metrics=("accuracy", "deviation_gain"), deviation_trials=5,
-        deviation_rule=WorstOfGrid((0.0,)), posterior_samples=2000,
+        deviation_rule=WorstOfGrid((0.0,)),
     )
     report = run_experiment(config)
     assert report.rows[0].eta_hat is not None
@@ -377,7 +376,7 @@ def _study_config(family, **kw):
     model, delta, _ = _STUDIES[family]
     return linear_config(
         population=PopulationSpec(n=2, d=2, model=model), schedule=ScheduleSpec(delta=delta),
-        posterior_samples=2000, **kw,
+        **kw,
     )
 
 
@@ -514,7 +513,6 @@ def test_study_verbs_reproduce_the_cell_of_repeat_zero(tmp_path, capsys, name):
         "deviation": {"rule": rule, "trials": 6},
         "sensitivity_trials": 4,
         "master_seed": 11,
-        "posterior_samples": 1000,
         "format": "json",
     })
     assert cli_main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
@@ -539,7 +537,7 @@ def test_study_verbs_reproduce_the_cell_of_repeat_zero(tmp_path, capsys, name):
                          ids=["linear", "logistic"])
 def test_noise_norms_are_the_norms_of_the_redrawn_release_noise(tmp_path, model):
     config = linear_config(population=PopulationSpec(n=2, d=2, model=model),
-                           sweep=[150, 300], repeats=2, posterior_samples=2000)
+                           sweep=[150, 300], repeats=2)
     report = run_experiment(config)
     for row in report.rows:
         # the cell's mechanism generator draws the partition, then the three noises
@@ -655,7 +653,6 @@ def test_cli_schedule_a1_is_floor_at_printed_m_a(tmp_path, capsys, model, regime
 _PRINTED_PARAMS = (
     "n", "epsilon", "delta_n", "delta_half", "gamma_n", "gamma_half", "tau1", "tau2",
     "tau_theta", "regime", "alpha", "beta", "a1", "a2", "tau_threshold", "cost_exponent",
-    "posterior_samples",
 )
 
 
@@ -832,7 +829,6 @@ def test_cli_rejects_noise_std_of_a_glm(tmp_path, capsys, verb, family, delta):
         "schedule": {"delta": delta},
         "sweep": [120],
         "master_seed": 3,
-        "posterior_samples": 1000,
     }
     out = tmp_path / "out"
 
@@ -974,19 +970,25 @@ def test_privacy_check_rejects_vacuous_flags(capsys, flags, message):
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
-def test_cli_rejects_posterior_samples_below_floor(tmp_path, capsys):
-    payload = {
-        "population": {"d": 2, "model": "logistic"},
-        "schedule": {"delta": 0.3},
-        "sweep": [200],
-        "repeats": 1,
-        "master_seed": 3,
-        "posterior_samples": 500,
-    }
-    cfg = _write_config(tmp_path, payload)
-    assert cli_main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-    assert cli_main(["deviate", "--config", cfg, "--trials", "3"]) == 2
-    assert "posterior_samples must be >= 1000" in capsys.readouterr().err
+def test_posterior_samples_changes_no_report_row(tmp_path):
+    # the key is read and echoed, but the posterior means have no node count;
+    # sigma 4 puts a few of the Poisson rows on the windowed rule
+    for family, delta, covariates in (
+        ("logistic", 0.3, {"kind": "subgaussian_isotropic", "sigma": 1.0}),
+        ("poisson", 0.26, {"kind": "subgaussian_isotropic", "sigma": 4.0}),
+    ):
+        rows = []
+        for samples in (1000, 10_000):
+            payload = {"population": {"d": 3, "model": family, "covariates": covariates},
+                       "schedule": {"delta": delta}, "sweep": [400], "master_seed": 3,
+                       "format": "json", "posterior_samples": samples}
+            out = tmp_path / f"{family}{samples}"
+            assert cli_main(["simulate", "--config", _write_config(tmp_path, payload),
+                             "--out", str(out)]) == 0
+            report = json.loads((out / "report.json").read_text())
+            assert report["config"]["posterior_samples"] == samples
+            rows.append(json.dumps(report["rows"]))
+        assert rows[0] == rows[1], family
 
 
 @pytest.mark.parametrize("covariates, message", [
@@ -1136,7 +1138,6 @@ def test_cli_trials_default_to_the_config(tmp_path, capsys, verb, key, trials):
         "schedule": {"delta": 0.3},
         "sweep": [120],
         "master_seed": 3,
-        "posterior_samples": 1000,
     }
     assert cli_main([verb, "--config", _write_config(tmp_path, payload | key)]) == 0
     assert json.loads(capsys.readouterr().out)["trials"] == trials
@@ -1240,7 +1241,6 @@ def test_cli_deviate_and_privacy_check(tmp_path):
         "sweep": [120],
         "repeats": 1,
         "master_seed": 3,
-        "posterior_samples": 2000,
     }
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(payload))

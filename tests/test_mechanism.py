@@ -21,8 +21,10 @@ from privglm.links import ModelKind, compute_link_constants, make_link_bundle
 from privglm.mechanism import (
     MechanismParams,
     _log_gammainc,
+    _gauss_legendre,
+    _logistic_half,
     _logistic_terms,
-    _quadrature,
+    _poisson_table,
     brier_payment,
     budget_bound,
     prediction_bound,
@@ -91,10 +93,10 @@ def test_cost_functions():
 
 
 def test_linear_posterior_closed_form():
-    mean = posterior_mean([[1.0]], [2.0], ModelKind.linear(1.0), 1.0, 1000)
+    mean = posterior_mean([[1.0]], [2.0], ModelKind.linear(1.0), 1.0)
     assert mean[0, 0] == pytest.approx(1.0, abs=1e-12)
     for model in (ModelKind.linear(1.0), ModelKind.logistic(), ModelKind.poisson()):
-        zero = posterior_mean(np.zeros((1, 3)), [1.0], model, 2.0, 1000)
+        zero = posterior_mean(np.zeros((1, 3)), [1.0], model, 2.0)
         assert np.array_equal(zero, np.zeros((1, 3)))
 
 
@@ -108,7 +110,7 @@ def test_linear_posterior_projects_the_closed_form():
     unprojected = coef[:, None] * X
     inside = np.linalg.norm(unprojected, axis=1) <= tau_theta
     assert 0 < np.sum(inside) < 300
-    mean = posterior_mean(X, y, ModelKind.linear(1.0), tau_theta, 1000)
+    mean = posterior_mean(X, y, ModelKind.linear(1.0), tau_theta)
     assert np.array_equal(mean[inside], unprojected[inside])
     assert np.allclose(mean, project_ball(unprojected, tau_theta), rtol=0, atol=1e-15)
 
@@ -117,7 +119,9 @@ def _quad_mean_t(d, s, y, family):
     """E[t | y] by scipy's adaptive quadrature of t times the density
     e^(-d t^2/2) F_{d-1}(d (1 - t^2)) L(y | s t) on [-1, 1], where F is the
     chi-square CDF with d - 1 degrees of freedom (1 when d = 1) and L the
-    logistic likelihood sigma(2 y s t) or the Poisson e^(y s t - e^(s t))."""
+    logistic likelihood sigma(2 y s t) or the Poisson e^(y s t - e^(s t)).
+    The interval breaks at the mode and at 10^-k on each side of it
+    (k = 1..5), so that quad finds a spike as narrow as 1e-4."""
     special, integrate = pytest.importorskip("scipy.special"), pytest.importorskip("scipy.integrate")
 
     def log_density(t):
@@ -125,11 +129,17 @@ def _quad_mean_t(d, s, y, family):
         if d > 1:
             out = out + np.log(special.gammainc(0.5 * (d - 1), 0.5 * d * (1.0 - t * t)))
         if family == "logistic":
-            return out - np.log1p(np.exp(-2.0 * y * s * t))
+            return out - np.logaddexp(0.0, -2.0 * y * s * t)
         return out + y * s * t - np.exp(s * t)
 
-    top = np.max(log_density(np.linspace(-1.0, 1.0, 2001)[1:-1]))
-    tol = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
+    grid = np.linspace(-1.0, 1.0, 20_001)[1:-1]
+    values = log_density(grid)
+    top, mode = np.max(values), grid[np.argmax(values)]
+    points = {mode} | {
+        float(np.clip(mode + side * 10.0 ** -k, -1.0 + 1e-12, 1.0 - 1e-12))
+        for k in range(1, 6) for side in (-1.0, 1.0)
+    }
+    tol = dict(epsabs=1e-14, epsrel=1e-13, limit=500, points=sorted(points))
     num = integrate.quad(lambda t: t * np.exp(log_density(t) - top), -1.0, 1.0, **tol)[0]
     den = integrate.quad(lambda t: np.exp(log_density(t) - top), -1.0, 1.0, **tol)[0]
     return num / den
@@ -137,20 +147,24 @@ def _quad_mean_t(d, s, y, family):
 
 def test_logistic_posterior_matches_quadrature():
     # logistic and Poisson posterior means against scipy.integrate.quad of the
-    # 1-D density of t = x . theta / (tau_theta ||x||); the midpoint rule in
-    # phi is worst at d = 1, where the density does not vanish at t = +-1
-    cases = [("logistic", ModelKind.logistic(), y) for y in (1.0, -1.0)]
-    cases += [("poisson", ModelKind.poisson(), y) for y in (0.0, 1.0, 3.0, 12.0, 50.0, 500.0)]
+    # 1-D density of t = x . theta / (tau_theta ||x||); the Poisson reports
+    # with s sqrt(y + 1) > POISSON_SHARP take the window rule
+    cases = [("logistic", ModelKind.logistic(), y, s) for y in (1.0, -1.0)
+             for s in (0.3, 1.0, 3.0, 6.0, 12.0, 25.0, 50.0, 100.0)]
+    cases += [("poisson", ModelKind.poisson(), y, s)
+              for y in (0.0, 1.0, 3.0, 12.0, 50.0, 500.0, 5000.0)
+              for s in (0.3, 1.0, 3.0, 6.0, 12.0, 25.0, 50.0)]
+    sharp = 0
     for d in (1, 2, 3, 10):
-        for family, model, y in cases:
-            for s in (0.3, 1.0, 3.0, 6.0):
-                oracle = _quad_mean_t(d, s, y, family)
-                x = np.zeros((1, d))
-                x[0, 0] = s  # tau_theta = 1, so the mean is (oracle, 0, ...)
-                for nodes, tol in ((10_000, 1e-8), (1000, 1e-6)):
-                    est = posterior_mean(x, [y], model, 1.0, nodes)[0]
-                    assert abs(est[0] - oracle) < tol, (d, family, y, s, nodes)
-                    assert np.all(est[1:] == 0.0)
+        for family, model, y, s in cases:
+            oracle = _quad_mean_t(d, s, y, family)
+            x = np.zeros((1, d))
+            x[0, 0] = s  # tau_theta = 1, so the mean is (oracle, 0, ...)
+            est = posterior_mean(x, [y], model, 1.0)[0]
+            assert abs(est[0] - oracle) < 1e-9, (d, family, y, s)
+            assert np.all(est[1:] == 0.0)
+            sharp += family == "poisson" and s * math.sqrt(y + 1.0) > mechanism.POISSON_SHARP
+    assert 0 < sharp < 4 * 49
 
 
 def _ball_posterior_mean(x, y, model, tau_theta, radial=80, angular=160):
@@ -190,7 +204,7 @@ def test_posterior_mean_matches_ball_integral(d):
         for model, y in cases:
             x = 1.3 * rng.standard_normal(d)
             oracle = _ball_posterior_mean(x, y, model, tau_theta)
-            est = posterior_mean(x[None, :], [y], model, tau_theta, 1000)[0]
+            est = posterior_mean(x[None, :], [y], model, tau_theta)[0]
             assert np.max(np.abs(est - oracle)) < 1e-9
 
 
@@ -202,23 +216,38 @@ def test_log_gammainc_matches_scipy():
         assert np.max(np.abs(np.exp(_log_gammainc(a, z)) - gammainc(a, z))) < 1e-14
 
 
+@pytest.mark.parametrize("m", [1, 2, 5, 48, 192, 256])
+def test_gauss_legendre_matches_numpy(m):
+    x, w = _gauss_legendre(m)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(m)
+    assert np.max(np.abs(x - ref_x)) < 1e-14 and np.max(np.abs(w - ref_w)) < 1e-14
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    # exact for every monomial of degree up to 2m - 1
+    for k in range(2 * m):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(np.sum(w * x ** k) - exact) < 1e-14, k
+
+
 def test_quadrature_table_is_cached_and_read_only():
-    t, log_prior = _quadrature(3, 1000)
-    assert _quadrature(3, 1000)[0] is t
-    assert not t.flags.writeable and not log_prior.flags.writeable
-    with pytest.raises(ValueError):
-        log_prior[0] = 0.0
-    t_pos, coef = _logistic_terms(3, 1000)
-    assert _logistic_terms(3, 1000)[1] is coef
-    assert not t_pos.flags.writeable and not coef.flags.writeable
-    with pytest.raises(ValueError):
-        coef[0] = 0.0
+    for table in (_gauss_legendre, _logistic_terms, _poisson_table):
+        arrays = table(48 if table is _gauss_legendre else 3)
+        assert table(48 if table is _gauss_legendre else 3)[1] is arrays[1]
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+    t, _ = _logistic_terms(3)
+    assert t.size == mechanism.LOGISTIC_NODES and np.all((t > 0) & (t < 1))
+    assert np.array_equal(t, _logistic_half(3)[0])
+    assert _poisson_table(3)[0].size == mechanism.POISSON_NODES
 
 
-def _log_sum_exp_mean_t(s, y, d, nodes):
-    """E[t | y, s] by the log-sum-exp midpoint loop over all `nodes` nodes
-    that the folded logistic rule replaced."""
-    t, log_prior = _quadrature(d, nodes)
+def _log_sum_exp_mean_t(s, y, d):
+    """E[t | y, s] by the log-sum-exp loop over the whole mirrored logistic
+    table, the nodes -t_k and t_k of `_logistic_half`, that the fold replaces."""
+    t_half, log_half = _logistic_half(d)
+    t = np.concatenate([-t_half[::-1], t_half])
+    log_weight = np.concatenate([log_half[::-1], log_half])
     a = s[:, None] * t
     log_post = y[:, None] * a
     # minus log(e^a + e^-a) = -(|a| + log1p(e^(-2|a|))), without overflow
@@ -226,7 +255,7 @@ def _log_sum_exp_mean_t(s, y, d, nodes):
     log_post -= a
     a *= -2.0
     log_post -= np.log1p(np.exp(a, out=a), out=a)
-    log_post += log_prior
+    log_post += log_weight
     log_post -= np.max(log_post, axis=1, keepdims=True)
     w = np.exp(log_post, out=log_post)
     return np.sum(np.multiply(w, t, out=a), axis=1) / np.sum(w, axis=1)
@@ -234,24 +263,22 @@ def _log_sum_exp_mean_t(s, y, d, nodes):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 10])
 def test_folded_logistic_rule_matches_log_sum_exp_loop(d):
-    # an odd node count puts a node at t = 0, which the fold counts half
     s = np.array([0.0, 1e-8, 1e-3, 0.3, 1.0, 3.0, 50.0, 1e3])
     X = np.zeros((s.size, d))
     X[:, 0] = s
-    for nodes in (1000, 1001, 10_000):
-        for sign in (1.0, -1.0):
-            y = np.full(s.size, sign)
-            est = posterior_mean(X, y, ModelKind.logistic(), 1.0, nodes)
-            oracle = _log_sum_exp_mean_t(s, y, d, nodes)
-            assert np.max(np.abs(est[:, 0] - oracle)) < 1e-14
-            assert np.all(est[:, 1:] == 0.0)
+    for sign in (1.0, -1.0):
+        y = np.full(s.size, sign)
+        est = posterior_mean(X, y, ModelKind.logistic(), 1.0)
+        oracle = _log_sum_exp_mean_t(s, y, d)
+        assert np.max(np.abs(est[:, 0] - oracle)) < 1e-14
+        assert np.all(est[:, 1:] == 0.0)
 
 
 def test_logistic_posterior_is_antisymmetric_in_the_report():
     X = np.random.default_rng(5).standard_normal((100, 3))
     ones = np.ones(100)
-    up = posterior_mean(X, ones, ModelKind.logistic(), 1.0, 10_000)
-    assert np.array_equal(posterior_mean(X, -ones, ModelKind.logistic(), 1.0, 10_000), -up)
+    up = posterior_mean(X, ones, ModelKind.logistic(), 1.0)
+    assert np.array_equal(posterior_mean(X, -ones, ModelKind.logistic(), 1.0), -up)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 10])
@@ -266,29 +293,45 @@ def test_logistic_posterior_first_order_at_tiny_norm(d):
     x = np.zeros((1, d))
     x[0, 0] = s
     for y in (1.0, -1.0):
-        mean = posterior_mean(x, [y], ModelKind.logistic(), 1.0, 10_000)
+        mean = posterior_mean(x, [y], ModelKind.logistic(), 1.0)
         assert mean[0, 0] == pytest.approx(y * s * second_moment, rel=1e-6)
 
 
 def test_posterior_extreme_report_inside_ball():
     # the likelihood of a report of 500 peaks at x . theta = log 500, far
     # outside the ball, so the mean sits finite just inside the boundary
-    mean = posterior_mean([[1.0]], [500.0], ModelKind.poisson(), 1.0, 1000)
+    mean = posterior_mean([[1.0]], [500.0], ModelKind.poisson(), 1.0)
     assert np.all(np.isfinite(mean))
     assert 0.99 < np.linalg.norm(mean) < 1.0
 
 
-def test_posterior_sampling_floor():
-    settings = EstimatorSettings(tau1=1.0, tau2=1.0, tau_theta=1.0)
-    base = dict(n=100, privacy=PrivacyParams(0.5, 1.0, 1.0), settings=settings, a1=1.0,
-                a2=1.0, alpha=0.5, beta=0.5, tau_threshold=1.0, cost_exponent=4)
-    MechanismParams(**base, posterior_samples=1000)
-    for samples in (10, 999):
-        with pytest.raises(ConfigError):
-            MechanismParams(**base, posterior_samples=samples)
-    with pytest.raises(ConfigError):
-        preset_schedule(ModelKind.logistic(), "subgaussian", 1000, 0.3, d=2,
-                        posterior_samples=500)
+def _midpoint_mean_t_d3(s, y, nodes=40_001):
+    """E[t | y, s] of a Poisson report at d = 3 by the midpoint rule in phi,
+    t = sin(phi). At d = 3 the prior of t is e^(-3 t^2/2) (1 - e^(-3 (1 - t^2)/2)),
+    the chi-square CDF with 2 degrees of freedom in closed form."""
+    phi = (np.arange(nodes) + 0.5) * (math.pi / nodes) - 0.5 * math.pi
+    t, c = np.sin(phi), np.cos(phi)
+    log_prior = np.log(c) - 1.5 * t * t + np.log(-np.expm1(-1.5 * c * c))
+    out = np.empty(s.size)
+    for lo in range(0, s.size, 16):
+        a = s[lo : lo + 16, None] * t
+        log_post = y[lo : lo + 16, None] * a - np.exp(a) + log_prior
+        w = np.exp(log_post - np.max(log_post, axis=1, keepdims=True))
+        out[lo : lo + 16] = np.sum(w * t, axis=1) / np.sum(w, axis=1)
+    return out
+
+
+def test_poisson_posterior_of_a_wide_cell_matches_a_fine_midpoint_rule():
+    # sigma = 4 covariates: a few percent of the rows take the window rule
+    spec = PopulationSpec(n=1000, d=3, model=ModelKind.poisson(),
+                          covariates=SubGaussianIsotropic(4.0))
+    pop = generate_population(spec, np.random.default_rng(41))
+    s = np.linalg.norm(pop.X, axis=1)
+    sharp = s * np.sqrt(pop.y_true + 1.0) > mechanism.POISSON_SHARP
+    assert 0.02 < np.mean(sharp) < 0.2
+    est = posterior_mean(pop.X, pop.y_true, ModelKind.poisson(), 1.0)
+    mean_t = np.sum(est * pop.X, axis=1) / s
+    assert np.max(np.abs(mean_t - _midpoint_mean_t_d3(s, pop.y_true))) < 1e-8
 
 
 def _linear_setup(n=400, d=2, seed=0, delta=0.3):
@@ -403,10 +446,7 @@ def _recompute_payment(reported, i, out, bundle, params):
     """Agent i's payment from its own row and index and the opposite release alone."""
     opposite = out.theta_bar_g1 if out.group_assignment[i] == 0 else out.theta_bar_g0
     X = reported.X[i : i + 1]
-    mean = posterior_mean(
-        X, reported.y[i : i + 1], bundle.model, params.settings.tau_theta,
-        params.posterior_samples,
-    )
+    mean = posterior_mean(X, reported.y[i : i + 1], bundle.model, params.settings.tau_theta)
     x_pay = design(X, bundle.model, params.settings)
     p, q = predictions(x_pay, opposite, bundle), predictions(x_pay, mean, bundle)
     return brier_payment(params.a1, params.a2, p, q)[0]
@@ -423,7 +463,7 @@ def test_group_blinding_recompute_linear():
 def test_group_blinding_recompute_quadrature():
     model = ModelKind.logistic()
     bundle = make_link_bundle(model)
-    params = preset_schedule(model, "subgaussian", 60, 0.3, d=2, posterior_samples=2000)
+    params = preset_schedule(model, "subgaussian", 60, 0.3, d=2)
     pop = generate_population(
         PopulationSpec(n=60, d=2, model=model), np.random.default_rng(21)
     )
@@ -444,7 +484,7 @@ _PROPERTY_CASES = {
 
 def _property_case(family, n, seed):
     model, regime, delta, covariates = _PROPERTY_CASES[family]
-    params = preset_schedule(model, regime, n, delta, d=2, posterior_samples=1000)
+    params = preset_schedule(model, regime, n, delta, d=2)
     spec = PopulationSpec(n=n, d=2, model=model, covariates=covariates)
     pop = generate_population(spec, np.random.default_rng([seed, 0]))
     return make_link_bundle(model), params, pop
@@ -538,8 +578,7 @@ def _recompute_predictions(reported, idx, out, bundle, params):
     x_pay = design(X, bundle.model, params.settings)
     halves = np.stack([out.theta_bar_g0, out.theta_bar_g1])
     opposite = halves[1 - out.group_assignment[idx]]
-    means = posterior_mean(X, reported.y[idx], bundle.model, params.settings.tau_theta,
-                           params.posterior_samples)
+    means = posterior_mean(X, reported.y[idx], bundle.model, params.settings.tau_theta)
     return predictions(x_pay, opposite, bundle), predictions(x_pay, means, bundle)
 
 

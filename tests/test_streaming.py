@@ -65,7 +65,7 @@ def cell_config(name, d, n, **kw):
     defaults = dict(
         population=spec, regime=regime, sweep=[n], repeats=1,
         schedule=ScheduleSpec(delta=delta), metrics=("accuracy", "budget", "rationality"),
-        master_seed=2718, posterior_samples=1000,
+        master_seed=2718,
     )
     defaults.update(kw)
     return ExperimentConfig(**defaults)
@@ -320,7 +320,7 @@ def test_sensitivity_verb_keeps_its_one_chunk_draw(tmp_path, capsys, name):
 def test_run_mechanism_checks_the_responses_of_every_chunk():
     n = CHUNK_ROWS + 3
     model = ModelKind.logistic()
-    params = preset_schedule(model, "subgaussian", n, 0.3, d=2, posterior_samples=1000)
+    params = preset_schedule(model, "subgaussian", n, 0.3, d=2)
     y = np.ones(n)
     y[-1] = 0.5  # the last agent of the partial second chunk
     data = Dataset(np.random.default_rng(0).standard_normal((n, 2)), y)

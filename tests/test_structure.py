@@ -3,8 +3,11 @@
 import ast
 import importlib.util
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -104,7 +107,6 @@ def test_benchmark_tracer_runs_every_verb(tmp_path, capsys):
         "sweep": [120],
         "metrics": ["accuracy", "budget", "rationality", "sensitivity", "deviation_gain"],
         "master_seed": 3,
-        "posterior_samples": 1000,
         "deviation": {"trials": 3},
         "sensitivity_trials": 3,
     }))
@@ -126,3 +128,24 @@ def test_benchmark_tracer_runs_every_verb(tmp_path, capsys):
     assert metrics["population.agents_drawn"] > 0
     assert metrics["estimators.empirical_sensitivity.ms_per_trial"] > 0
     assert sorted(tracer.missing) == TRACER_MISSING
+
+
+def test_a_run_imports_no_thread_pool_or_polynomial_module():
+    # concurrent.futures (and logging with it) loads only for --threads > 1, and
+    # the Gauss-Legendre tables come from a recurrence, not numpy.polynomial
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import privglm.cli\n"
+        "from privglm.links import ModelKind\n"
+        "from privglm.mechanism import posterior_mean\n"
+        "X = np.array([[0.5, -1.0, 2.0], [3.0, 1.0, 4.0]])\n"
+        "posterior_mean(X, [1.0, -1.0], ModelKind.logistic(), 1.0)\n"
+        "posterior_mean(X, [2.0, 400.0], ModelKind.poisson(), 1.0)\n"
+        "print(sorted(m for m in ('concurrent.futures', 'numpy.polynomial') if m in sys.modules))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "[]", out.stdout + out.stderr
