@@ -838,18 +838,20 @@ def report_to_dict(report: ExperimentReport) -> dict:
 # ---------------------------------------------------------------------------
 
 def private_release_closure(bundle, settings, epsilon: float, delta: float, corruption: float = 1.0):
-    """One estimator released `trials` times with the mechanism's own steps:
-    estimate, norm-exponential noise at sensitivity `delta`, ball projection.
+    """A MechanismClosure: one estimator released once per row of the buffer
+    it is given, with the mechanism's own steps: estimate, norm-exponential
+    noise at sensitivity `delta`, ball projection, each in that buffer.
 
     `corruption` divides the noise scale; anything above 1 deliberately breaks
     the privacy claim and serves as a negative control.
     """
 
-    def build(dataset, rng: np.random.Generator, trials: int) -> np.ndarray:
+    def build(dataset, rng: np.random.Generator, out: np.ndarray) -> None:
+        # all in `out`: at 4e5 trials each extra trials x d buffer shows in peak RSS
         theta = estimate(dataset, bundle, settings)
-        v = sample_norm_exponential(dataset.d, delta / corruption, epsilon, rng, trials)
-        v += theta  # in place: at 4e5 trials each extra trials x d buffer shows in peak RSS
-        return project_ball(v, settings.tau_theta)
+        sample_norm_exponential(dataset.d, delta / corruption, epsilon, rng, len(out), out=out)
+        out += theta
+        project_ball(out, settings.tau_theta, out=out)
 
     return build
 

@@ -202,17 +202,27 @@ def release_noise(d: int, privacy: PrivacyParams, rng: np.random.Generator) -> n
     ])
 
 
-def project_ball(theta: np.ndarray, tau_theta: float) -> np.ndarray:
+def project_ball(
+    theta: np.ndarray, tau_theta: float, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Euclidean projection of each row of theta onto the ball of radius tau_theta.
 
-    theta may also be a single vector. Norms go through `rows_inner`, so a
-    row projects bit-identically alone and inside a batch.
+    theta may also be a single vector. Norms go through `rows_inner`, one
+    row block (`row_blocks`) at a time, so a row projects bit-identically
+    alone and inside a batch. The projection goes to a copy of theta, or to
+    `out`, a float array of theta's shape that may be theta itself.
     """
-    out = np.atleast_2d(np.array(theta, dtype=float))
-    norms = np.sqrt(rows_inner(out, out))
-    over = norms > tau_theta
-    out[over] *= (tau_theta / norms[over])[:, None]
-    return out.reshape(np.shape(theta))
+    if out is None:
+        out = np.array(theta, dtype=float)
+    elif out is not theta:
+        out[...] = theta
+    rows = np.atleast_2d(out)
+    for block in row_blocks(*rows.shape):
+        part = rows[block]
+        norms = np.sqrt(rows_inner(part, part))
+        over = norms > tau_theta
+        part[over] *= (tau_theta / norms[over])[:, None]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .errors import ConfigError
+from .estimators import row_blocks
 
 @dataclass(frozen=True)
 class PrivacyParams:
@@ -59,23 +60,42 @@ def compose_account(params: PrivacyParams) -> Tuple[float, float]:
 
 
 def sample_norm_exponential(
-    d: int, delta: float, epsilon: float, rng: np.random.Generator, count: int
+    d: int, delta: float, epsilon: float, rng: np.random.Generator, count: int,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Draw `count` vectors v = r * u, r ~ Gamma(d, delta/epsilon), u uniform on the sphere."""
+    """Draw `count` vectors v = r * u, r ~ Gamma(d, delta/epsilon), u uniform on the sphere.
+
+    The vectors go to `out`, a C-contiguous (count, d) float array, when it
+    is given, and to a new array otherwise; the array is returned. The radii
+    are drawn into its last `count` slots and the directions one row block
+    (`row_blocks`) at a time, so the draw allocates nothing else of length
+    `count`. The generator serves the radii, then the directions in row
+    order, as one whole draw of each would: the same bits with `out` as
+    without, and the generator left in the same state.
+    """
     if d < 1:
         raise ConfigError("dimension must be >= 1")
     if count < 1:
         raise ConfigError("count must be >= 1")
     if not (delta > 0 and epsilon > 0):
         raise ConfigError("delta and epsilon must be positive")
-    r = rng.gamma(shape=d, scale=delta / epsilon, size=count)
-    u = rng.standard_normal((count, d))
-    norms = np.sqrt(np.sum(u * u, axis=1))
-    while np.any(norms == 0.0):  # probability-zero event, possible in floats
-        bad = norms == 0.0
-        u[bad] = rng.standard_normal((int(bad.sum()), d))
+    if out is not None and (out.shape != (count, d) or not out.flags.c_contiguous):
+        raise ValueError(f"out must be a C-contiguous ({count}, {d}) array")
+    v = np.empty((count, d)) if out is None else out
+    # row block k writes only slots below the radii of the rows after it
+    r = v.reshape(-1)[(d - 1) * count:]
+    rng.standard_gamma(d, out=r)
+    r *= delta / epsilon  # Generator.gamma(d, delta / epsilon), bit for bit
+    for block in row_blocks(count, d):
+        u = rng.standard_normal((block.stop - block.start, d))
         norms = np.sqrt(np.sum(u * u, axis=1))
-    return u * (r / norms)[:, None]
+        while np.any(norms == 0.0):  # probability-zero event, redrawn within its block
+            bad = norms == 0.0
+            u[bad] = rng.standard_normal((int(bad.sum()), d))
+            norms = np.sqrt(np.sum(u * u, axis=1))
+        u *= (r[block] / norms)[:, None]
+        v[block] = u
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +140,10 @@ class RatioReport:
         return self.bins_estimable > 0 and self.fraction_within >= threshold
 
 
-MechanismClosure = Callable[[object, np.random.Generator, int], np.ndarray]
+MechanismClosure = Callable[[object, np.random.Generator, np.ndarray], None]
+"""`build(dataset, rng, out)` releases the mechanism on `dataset` once per row
+of `out`, a C-contiguous (trials, d) float array with d the dataset's column
+count, and writes each public output into its row; it returns nothing."""
 
 
 def _bin_ids(samples: np.ndarray, edges_per_dim) -> np.ndarray:
@@ -143,12 +166,19 @@ def empirical_privacy_ratio(
 ) -> RatioReport:
     """Histogram two output distributions and compare per-bin ratios to e^bound.
 
-    `build(dataset, rng, trials)` must return a (trials, d) array of public
-    outputs, d <= 2. The two datasets may differ in at most one row. Binning
-    is by pooled-sample quantiles so occupied bins carry comparable mass; a
-    bin is estimable when both histograms put at least _MIN_COUNT samples in
-    it, and a bin passes when its Wilson intervals are consistent with the
-    e^bound ratio in both directions.
+    `build` (a MechanismClosure) fills a (trials, d) array with public
+    outputs, d <= 2 the datasets' column count. The two datasets may differ
+    in at most one row. Binning is by pooled-sample quantiles so occupied
+    bins carry comparable mass; a bin is estimable when both histograms put
+    at least _MIN_COUNT samples in it, and a bin passes when its Wilson
+    intervals are consistent with the e^bound ratio in both directions.
+    Edges that collapse to a single cell are a ConfigError: that cell holds
+    every sample of both outputs, so its ratio is 1 whatever the release.
+
+    Both outputs share one pooled (2, trials, d) buffer, filled for data_a
+    and then for data_b. Beside it the check holds one column's scratch copy
+    (2 trials doubles) for the quantiles, and counts the bins one row block
+    (`row_blocks`) at a time.
     """
     if trials < 2 * _MIN_COUNT:
         raise ConfigError("trials too small for the estimability floor")
@@ -158,27 +188,35 @@ def empirical_privacy_ratio(
     n_diff = _rows_differing(data_a, data_b)
     if n_diff > 1:
         raise ConfigError(f"datasets differ in {n_diff} rows; at most one allowed")
-
-    rng_a, rng_b = rng.spawn(2)
-    out_a = np.atleast_2d(np.asarray(build(data_a, rng_a, trials), dtype=float))
-    out_b = np.atleast_2d(np.asarray(build(data_b, rng_b, trials), dtype=float))
-    if out_a.shape != (trials, out_a.shape[1]) or out_a.shape != out_b.shape:
-        raise ConfigError("mechanism closure returned outputs of unexpected shape")
-    d = out_a.shape[1]
+    d = np.shape(data_a.X)[1]
     if d > 2:
         raise ConfigError("ratio check supports outputs of dimension <= 2")
 
-    pooled = np.concatenate([out_a, out_b], axis=0)
+    pooled = np.empty((2, trials, d))
+    for data, arm_rng, out in zip((data_a, data_b), rng.spawn(2), pooled):
+        build(data, arm_rng, out)
+
     edges_per_dim = []
     for j in range(d):
-        edges = np.unique(np.quantile(pooled[:, j], np.linspace(0.0, 1.0, bins + 1)))
+        # flatten copies, so the in-place partition leaves the pooled buffer as it is
+        edges = np.unique(np.quantile(
+            pooled[:, :, j].flatten(), np.linspace(0.0, 1.0, bins + 1), overwrite_input=True
+        ))
         if len(edges) < 2:
             edges = np.array([edges[0] - 0.5, edges[0] + 0.5])
         edges_per_dim.append(edges)
 
     n_cells = int(np.prod([len(e) - 1 for e in edges_per_dim]))
-    counts_a = np.bincount(_bin_ids(out_a, edges_per_dim), minlength=n_cells)
-    counts_b = np.bincount(_bin_ids(out_b, edges_per_dim), minlength=n_cells)
+    if n_cells < 2:
+        raise ConfigError(
+            "the pooled quantile edges collapse to a single cell, whose ratio is 1 "
+            "whatever the release"
+        )
+    counts = np.zeros((2, n_cells), dtype=np.int64)
+    for arm, out in enumerate(pooled):
+        for block in row_blocks(trials, d):
+            counts[arm] += np.bincount(_bin_ids(out[block], edges_per_dim), minlength=n_cells)
+    counts_a, counts_b = counts
 
     occupied = (counts_a + counts_b) > 0
     thin = occupied & ((counts_a < _MIN_COUNT) | (counts_b < _MIN_COUNT))

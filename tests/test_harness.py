@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,7 @@ from privglm.population import (
     covariate_sigma,
 )
 from privglm.privacy import empirical_privacy_ratio
+from ratio_oracle import ratio_report
 
 
 def linear_config(**kw):
@@ -597,6 +599,42 @@ def test_ratio_check_on_shared_release(family, d, bins):
     assert verdicts == [True, False]
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("d, bins", [(1, 30), (2, 8)])
+def test_ratio_check_matches_the_oracle(d, bins, seed):
+    # the pooled, row-blocked check reports what the straightforward one does
+    bundle, settings, data_a, data_b = _neighbour_pair("logistic", d)
+    gap = float(np.linalg.norm(estimate(data_a, bundle, settings) - estimate(data_b, bundle, settings)))
+    for corruption in (1.0, 10.0):
+        build = private_release_closure(bundle, settings, 0.5, 2.0 * gap, corruption)
+        args = (build, data_a, data_b, 100_000, bins)
+        assert empirical_privacy_ratio(
+            *args, np.random.default_rng([seed, d]), epsilon_bound=1.0
+        ) == ratio_report(*args, np.random.default_rng([seed, d]), 1.0)
+
+
+@pytest.mark.parametrize("corruption", [1.0, 10.0])
+@pytest.mark.parametrize("seed", [0, 11])
+def test_canonical_check_matches_the_oracle(monkeypatch, seed, corruption):
+    report = canonical_privacy_check(corruption=corruption, seed=seed)
+    monkeypatch.setattr(harness, "empirical_privacy_ratio", ratio_report)
+    assert canonical_privacy_check(corruption=corruption, seed=seed) == report
+
+
+def test_canonical_check_holds_four_doubles_per_trial():
+    # at d = 1 the pooled outputs (2 doubles a trial) and one column's scratch
+    # copy (2 more), and nothing else of the trials' length
+    trials = 200_000
+    canonical_privacy_check(trials=1000, bins=10)  # the first call imports numpy.ma, about 1 MB
+    tracemalloc.start()
+    try:
+        canonical_privacy_check(trials=trials)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * trials + 2 ** 20, f"traced peak {peak / 2 ** 20:.2f} MiB"
+
+
 def run_cli(*args):
     # the child imports privglm from where this process found it
     path = [str(Path(privglm.__file__).parents[1]), os.environ.get("PYTHONPATH")]
@@ -968,6 +1006,19 @@ def test_privacy_check_rejects_vacuous_flags(capsys, flags, message):
     argv = ["privacy-check", "--trials", "2000", "--corruption", "10", *flags]
     assert cli_main(argv) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_privacy_check_refuses_a_binning_of_one_cell(capsys):
+    # at epsilon 1e-300 the squared noise norms overflow, the ball projection
+    # sends every release to 0, and the one pooled value makes one cell, whose
+    # ratio is 1 whatever the release
+    argv = ["privacy-check", "--trials", "2000", "--bins", "10", "--epsilon", "1e-300"]
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert cli_main(argv) == 2
+    assert capsys.readouterr().err == (
+        "config error: the pooled quantile edges collapse to a single cell, "
+        "whose ratio is 1 whatever the release\n"
+    )
 
 
 def test_posterior_samples_changes_no_report_row(tmp_path):

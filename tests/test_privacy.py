@@ -11,6 +11,7 @@ from privglm.privacy import (
     sample_norm_exponential,
     wilson_interval,
 )
+from ratio_oracle import ratio_report
 
 
 def test_params_validation():
@@ -41,6 +42,30 @@ def test_sampler_moments():
     # E[v] = 0 within a 4 sigma band per coordinate
     band = 4 * mags.std() / np.sqrt(len(mags))
     assert np.all(np.abs(v.mean(axis=0)) < band)
+
+
+@pytest.mark.parametrize("count", [1, 7, 400_000])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sampler_out_gives_the_bits_of_a_fresh_draw(d, count):
+    fresh_rng, out_rng, plain_rng = (np.random.default_rng([d, count]) for _ in range(3))
+    fresh = sample_norm_exponential(d, 0.3, 0.7, fresh_rng, count)
+    out = np.full((count, d), np.nan)
+    assert sample_norm_exponential(d, 0.3, 0.7, out_rng, count, out=out) is out
+    assert np.array_equal(out, fresh)
+    assert out_rng.bit_generator.state == fresh_rng.bit_generator.state
+    # the draw written out whole: radii, directions, then u * (r / |u|)
+    r = plain_rng.gamma(shape=d, scale=0.3 / 0.7, size=count)
+    u = plain_rng.standard_normal((count, d))
+    assert np.array_equal(fresh, u * (r / np.sqrt(np.sum(u * u, axis=1)))[:, None])
+    assert plain_rng.bit_generator.state == fresh_rng.bit_generator.state
+
+
+def test_sampler_refuses_an_out_it_cannot_fill_in_place():
+    # the radii go through a flat view of out, which a strided array would not give
+    rng = np.random.default_rng(0)
+    for out in (np.empty((2, 7)).T, np.empty((7, 3))):
+        with pytest.raises(ValueError, match=r"C-contiguous \(7, 2\)"):
+            sample_norm_exponential(2, 0.3, 0.7, rng, 7, out=out)
 
 
 def test_radial_law_matches_gamma():
@@ -96,9 +121,9 @@ class _Pair:
 
 
 def _laplace_build(center, scale):
-    def build(dataset, rng, trials):
+    def build(dataset, rng, out):
         shift = center + float(dataset.y[0])
-        return (shift + rng.laplace(0.0, scale, size=trials))[:, None]
+        out[:, 0] = shift + rng.laplace(0.0, scale, size=len(out))
 
     return build
 
@@ -150,3 +175,22 @@ def test_insufficient_mass_raises():
             _laplace_build(0.0, 0.5), a, b, trials=20_000, bins=20,
             rng=np.random.default_rng(1), epsilon_bound=1.0,
         )
+
+
+def _two_atom_build(dataset, rng, out):
+    # +1000 with probability 0.9 on a dataset whose first response is positive, else 0.1
+    p_high = 0.9 if dataset.y[0] > 0 else 0.1
+    out[:, 0] = np.where(rng.random(len(out)) < p_high, 1000.0, -1000.0)
+
+
+def test_edges_collapsed_to_one_cell_raise():
+    # the true log ratio is log 9, yet the pooled edges are {-1000, 1000}: one
+    # cell, whose ratio is 1, so the straightforward check passes a bound of 0.1
+    a = _Pair(np.ones((3, 1)), np.array([1.0, 0.0, 0.0]))
+    b = _Pair(np.ones((3, 1)), np.array([-1.0, 0.0, 0.0]))
+    args = (_two_atom_build, a, b, 2000, 10)
+    vacuous = ratio_report(*args, np.random.default_rng(4), 0.1)
+    assert vacuous.bins_total == 1 and vacuous.passed()
+    with pytest.raises(ConfigError, match="collapse to a single cell"):
+        empirical_privacy_ratio(*args, rng=np.random.default_rng(4), epsilon_bound=0.1)
+
