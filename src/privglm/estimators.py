@@ -1,4 +1,4 @@
-"""Closed-form estimator, its covariate and response maps, and sensitivity bounds.
+"""Closed-form estimator, its covariate and response maps, and its sensitivity bound.
 
 One estimator serves both regimes. It composes four pieces:
 
@@ -28,6 +28,8 @@ import numpy as np
 from .errors import ConfigError, SingularGramError
 from .links import (
     LINEAR,
+    LOGISTIC,
+    POISSON,
     LinkBundle,
     ModelKind,
     PolytopeSpec,
@@ -106,10 +108,10 @@ class Dataset:
 
 def check_responses(y: np.ndarray, model: ModelKind) -> None:
     """Validate responses against the model's response set."""
-    if model.family == "logistic":
+    if model.family == LOGISTIC:
         if not np.all(np.isin(y, (-1.0, 1.0))):
             raise ConfigError("logistic responses must lie in {-1, +1}")
-    elif model.family == "poisson":
+    elif model.family == POISSON:
         if np.any(y < 0) or np.any(y != np.floor(y)):
             raise ConfigError("poisson responses must be nonnegative integers")
 
@@ -279,30 +281,22 @@ def l4_shrink_rows(X: np.ndarray, tau1: float) -> np.ndarray:
     return out
 
 
-def sensitivity_bound_subgaussian(n: int, d: int, kappa1: float, c0: float = 1.0) -> float:
-    """C0 * kappa1 * sqrt(d log n / n)."""
-    if n < 2:
-        raise ConfigError("sensitivity bound requires n >= 2")
-    return c0 * kappa1 * math.sqrt(d * math.log(n) / n)
-
-
-def sensitivity_bound_heavy(n: int, d: int, c0: float = 1.0) -> float:
-    """C0 * d^(3/4) * (log n / n)^(1/8)."""
-    if n < 2:
-        raise ConfigError("sensitivity bound requires n >= 2")
-    return c0 * d ** 0.75 * (math.log(n) / n) ** 0.125
-
-
 def sensitivity_bound(
     n: int, d: int, bundle: LinkBundle, settings: EstimatorSettings, c0: float = 1.0
 ) -> float:
-    """The regime's one-replacement l2 sensitivity bound at size n."""
+    """The regime's one-replacement l2 sensitivity bound at size n.
+
+    heavy         C0 d^(3/4) (log n / n)^(1/8)
+    sub-Gaussian  C0 kappa1 sqrt(d log n / n), kappa1 the link constant
+    """
+    if n < 2:
+        raise ConfigError("sensitivity bound requires n >= 2")
     if settings.regime == HEAVY:
-        return sensitivity_bound_heavy(n, d, c0)
+        return c0 * d ** 0.75 * (math.log(n) / n) ** 0.125
     kappa1 = compute_link_constants(
         bundle, settings.polytope, settings.tau1, settings.tau2, settings.tau_theta
     ).kappa1
-    return sensitivity_bound_subgaussian(n, d, kappa1, c0)
+    return c0 * kappa1 * math.sqrt(d * math.log(n) / n)
 
 
 # factor by which a calibrated bound exceeds the observed worst case

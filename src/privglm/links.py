@@ -10,6 +10,7 @@ linear predictors to response means:
 Because A' is only onto the interior of the response-mean set, the estimator
 first clips responses to [-tau2, tau2] and then projects them onto a closed
 subset of that interior (an interval here), so that (A')^-1 stays defined.
+`mechanism.preset_schedule` sets each model's subset at n.
 
 A `LinkBundle` holds two functions of a model on arrays: A' (the payment
 rule's predictions) and (A')^-1 (the estimator's working response). The
@@ -208,37 +209,6 @@ def project_polytope(y_clipped: ArrayLike, spec: PolytopeSpec) -> np.ndarray:
     return np.clip(np.asarray(y_clipped, dtype=float), spec.lower, spec.upper)
 
 
-# delta ranges are closed on the left: the worked subsets for the logistic and
-# Poisson models sit exactly at delta = 1/4.
-_PRESET_DELTA = {
-    LINEAR: (0.25, 1.0 / 3.0),
-    LOGISTIC: (0.25, 0.5),
-    POISSON: (0.25, 1.0 / 3.0),
-}
-
-
-def preset_polytope(model: ModelKind, n: int, delta: float) -> PolytopeSpec:
-    """Per-model closed response-mean subset at sample size n.
-
-    linear    (-inf, inf)
-    logistic  [-1 + 2 n^-delta, 1 - 2 n^-delta]
-    poisson   [n^-delta, inf)
-    """
-    if n < 2:
-        raise ConfigError("preset polytope requires n >= 2")
-    lo, hi = _PRESET_DELTA[model.family]
-    if not (lo <= delta < hi):
-        raise ConfigError(f"delta = {delta} outside the {model.family} schedule range [{lo}, {hi})")
-    if model.family == LINEAR:
-        return PolytopeSpec()
-    if model.family == LOGISTIC:
-        eps = 2.0 * n ** (-delta)
-        if eps >= 1.0:
-            raise ConfigError(f"n = {n} too small for logistic subset at delta = {delta}")
-        return PolytopeSpec(-1.0 + eps, 1.0 - eps)
-    return PolytopeSpec(n ** (-delta), math.inf)
-
-
 # ---------------------------------------------------------------------------
 # Link constants via endpoint analysis
 # ---------------------------------------------------------------------------
@@ -286,14 +256,19 @@ def compute_link_constants(
         return LinkConstants(kappa0, kappa1, kappa2, m_a, eps_mbar)
 
     if family == LOGISTIC:
-        m = max(math.tanh(T), abs(lo), abs(hi))
-        if m >= 1.0:
+        edge = max(abs(lo), abs(hi))
+        if edge >= 1.0:
             raise ConfigError(
                 "logistic subset touches the pole of the inverse-mean derivative at |y| = 1"
             )
-        kappa0 = 1.0 / (1.0 - m * m)
-        if max(abs(ilo), abs(ihi)) >= 1.0:
-            raise ConfigError("logistic subset reaches |y| = 1 inside the clip range")
+        # [(A')^-1]'(y) = 1 / (1 - y^2) is cosh(T)^2 at y = tanh(T), finite
+        # where 1 - tanh(T)^2 rounds to 0 (T above 19.06); LinkConstants
+        # refuses the inf it becomes above T = 355.6
+        try:
+            cosh_t = math.cosh(T)
+        except OverflowError:
+            cosh_t = math.inf
+        kappa0 = max(cosh_t * cosh_t, 1.0 / (1.0 - edge * edge))
         kappa1 = max(abs(math.atanh(ilo)), abs(math.atanh(ihi)))
         kappa2 = 1.0
         m_a = math.tanh(T)

@@ -76,12 +76,12 @@ from .estimators import (
 from .links import (
     LINEAR,
     LOGISTIC,
+    POISSON,
     LinkBundle,
     ModelKind,
     PolytopeSpec,
     compute_link_constants,
     make_link_bundle,
-    preset_polytope,
 )
 from .population import tau_alpha_beta_bound
 from .privacy import PrivacyParams, compose_account, sample_norm_exponential
@@ -209,8 +209,10 @@ def project_ball(
 
     theta may also be a single vector. Norms go through `rows_inner`, one
     row block (`row_blocks`) at a time, so a row projects bit-identically
-    alone and inside a batch. The projection goes to a copy of theta, or to
-    `out`, a float array of theta's shape that may be theta itself.
+    alone and inside a batch. A row whose squared norm overflows is
+    projected as the row divided by its largest |entry|, so it lands on the
+    sphere, not at 0. The projection goes to a copy of theta, or to `out`,
+    a float array of theta's shape that may be theta itself.
     """
     if out is None:
         out = np.array(theta, dtype=float)
@@ -219,8 +221,17 @@ def project_ball(
     rows = np.atleast_2d(out)
     for block in row_blocks(*rows.shape):
         part = rows[block]
-        norms = np.sqrt(rows_inner(part, part))
+        with np.errstate(over="ignore"):
+            norms = np.sqrt(rows_inner(part, part))
         over = norms > tau_theta
+        huge = np.isinf(norms)
+        if huge.any():
+            # the row over its largest |entry|: the same direction, a norm in [1, sqrt(d)]
+            big = np.max(np.abs(part[huge]), axis=1)
+            unit = part[huge] / big[:, None]
+            radius = np.minimum(big, tau_theta / np.sqrt(rows_inner(unit, unit)))
+            part[huge] = unit * radius[:, None]
+            over &= ~huge
         part[over] *= (tau_theta / norms[over])[:, None]
     return out
 
@@ -643,7 +654,14 @@ def rationality_floor(
 # Parameter schedules
 # ---------------------------------------------------------------------------
 
-_HEAVY_DELTA = (1.0 / 9.0, 1.0 / 8.0)
+# delta range of each schedule, closed on the left: the worked logistic and
+# Poisson subsets sit exactly at delta = 1/4
+_DELTA_RANGE = {
+    LINEAR: (0.25, 1.0 / 3.0),
+    LOGISTIC: (0.25, 0.5),
+    POISSON: (0.25, 1.0 / 3.0),
+    HEAVY: (1.0 / 9.0, 1.0 / 8.0),
+}
 
 
 def preset_schedule(
@@ -660,26 +678,29 @@ def preset_schedule(
 ) -> MechanismParams:
     """Fill every mechanism knob from the per-model parameter schedules at size n.
 
-    Every value is a function of n, delta and the population: the exponents
-    follow the per-model schedules, every hidden Theta(.) constant is 1, and
+    The schedules are linear, logistic and Poisson (sub-Gaussian regime) and
+    heavy. Every value is a function of n, delta and the population: the
+    exponents follow the schedule, every hidden Theta(.) constant is 1, and
     `sigma` is the covariates' scale (`population.covariate_sigma`), which
-    sets the sub-Gaussian clip tau1 = sigma sqrt(log n). beta = 1/n, as is
-    gamma_n. a1 is set exactly to the individual-rationality floor, with the
-    threshold taken from the closed-form bound (1/lambda) log(1/(alpha beta)).
-    The release sensitivities are the regime's bound, scaled by c0, at n (the
-    full-data release) and at n // 2 (each half release). With n >= 4 and
-    delta in the schedule's range, alpha, beta, gamma_n and gamma_half all
-    lie below 1.
+    sets the sub-Gaussian clip tau1 = sigma sqrt(log n). The response subset
+    is [-1 + 2 n^-delta, 1 - 2 n^-delta] (logistic), [n^-delta, inf)
+    (Poisson), else the whole line. beta = 1/n, as is gamma_n. a1 is set
+    exactly to the individual-rationality floor, with the threshold taken
+    from the closed-form bound (1/lambda) log(1/(alpha beta)). The release
+    sensitivities are the regime's bound, scaled by c0, at n (the full-data
+    release) and at n // 2 (each half release). With n >= 4 and delta in
+    the schedule's range, alpha, beta, gamma_n and gamma_half all lie below 1.
     """
     if n < 4:
         raise ConfigError("schedule requires n >= 4")
     check_regime(model, regime)
+    schedule = HEAVY if regime == HEAVY else model.family
+    lo, hi = _DELTA_RANGE[schedule]
+    if not (lo <= delta < hi):
+        raise ConfigError(f"delta = {delta} outside the {schedule} schedule range [{lo}, {hi})")
     log_n = math.log(n)
-    if regime == HEAVY:
-        lo, hi = _HEAVY_DELTA
-        if not (lo <= delta < hi):
-            raise ConfigError(f"delta = {delta} outside the heavy schedule range [{lo}, {hi})")
-        polytope = PolytopeSpec()
+    polytope = PolytopeSpec()
+    if schedule == HEAVY:
         tau1 = (n / log_n) ** 0.25
         tau2 = (n / log_n) ** 0.125
         epsilon = n ** (-delta)
@@ -687,20 +708,24 @@ def preset_schedule(
         a2 = n ** (-0.5 - 9.0 * delta)
         cost_exponent = 9
     else:
-        polytope = preset_polytope(model, n, delta)  # checks delta against the model's range
         tau1 = sigma * math.sqrt(log_n)
-        if model.family == LINEAR:
+        if schedule == LINEAR:
             tau2 = n ** ((1.0 - 3.0 * delta) / 2.0)
             epsilon = n ** (-delta)
             a2 = n ** (-4.0 * delta)
-        elif model.family == LOGISTIC:
+        elif schedule == LOGISTIC:
             tau2 = 1.0
             epsilon = n ** (-delta)
             a2 = n ** (-4.0 * delta)
+            edge = 2.0 * n ** (-delta)
+            if edge >= 1.0:
+                raise ConfigError(f"n = {n} too small for logistic subset at delta = {delta}")
+            polytope = PolytopeSpec(-1.0 + edge, 1.0 - edge)
         else:
             tau2 = n ** 0.25
             epsilon = n ** (-3.0 * delta)
             a2 = n ** (-6.0 * delta)
+            polytope = PolytopeSpec(n ** (-delta), math.inf)
         alpha = n ** (-3.0 * delta)
         cost_exponent = 4
 

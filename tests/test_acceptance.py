@@ -18,8 +18,7 @@ from privglm.estimators import (
     calibrate_c0,
     empirical_sensitivity,
     estimate,
-    sensitivity_bound_heavy,
-    sensitivity_bound_subgaussian,
+    sensitivity_bound,
 )
 from privglm.harness import (
     ExperimentConfig,
@@ -78,15 +77,8 @@ def _empirical_max(regime: str, n: int, seed: int, trials: int = 40, d: int = 3)
 
 
 def _shape(regime: str, n: int, d: int = 3) -> float:
-    if regime == "heavy":
-        return sensitivity_bound_heavy(n, d, 1.0)
-    params = preset_schedule(LINEAR, "subgaussian", n, 0.3, d=d)
-    bundle = make_link_bundle(LINEAR)
-    constants = compute_link_constants(
-        bundle, params.settings.polytope, params.settings.tau1,
-        params.settings.tau2, params.settings.tau_theta,
-    )
-    return sensitivity_bound_subgaussian(n, d, constants.kappa1, 1.0)
+    params = preset_schedule(LINEAR, regime, n, 0.12 if regime == "heavy" else 0.3, d=d)
+    return sensitivity_bound(n, d, make_link_bundle(LINEAR), params.settings, 1.0)
 
 
 def _pilot_c0(regime: str, n: int, pilots: int = 12, seed0: int = 10_000) -> float:

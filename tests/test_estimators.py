@@ -15,14 +15,13 @@ from privglm.estimators import (
     l4_shrink_rows,
     row_blocks,
     rows_inner,
-    sensitivity_bound_heavy,
-    sensitivity_bound_subgaussian,
+    sensitivity_bound,
     solve_factor,
     stack_factors,
     triangular_factor,
 )
-from privglm.links import ModelKind, PolytopeSpec, make_link_bundle, preset_polytope
-from privglm.mechanism import project_ball
+from privglm.links import ModelKind, PolytopeSpec, make_link_bundle
+from privglm.mechanism import preset_schedule, project_ball
 
 LIN = make_link_bundle(ModelKind.linear(1.0))
 
@@ -69,7 +68,7 @@ def test_poisson_all_zero_responses():
         tau1=5.0,
         tau2=10.0,
         tau_theta=5.0,
-        polytope=preset_polytope(ModelKind.poisson(), n, 0.25),
+        polytope=preset_schedule(ModelKind.poisson(), "subgaussian", n, 0.25, 3).settings.polytope,
         regime="subgaussian",
     )
     est = estimate(data, bundle, settings)
@@ -356,6 +355,27 @@ def test_project_ball():
     assert np.all(np.linalg.norm(batch, axis=1) <= 1.0 + 1e-12)
 
 
+def test_project_ball_puts_rows_whose_square_overflows_on_the_sphere():
+    assert np.array_equal(project_ball(np.array([[1e200, 0.0]]), 1.0), [[1.0, 0.0]])
+    assert np.array_equal(project_ball(np.array([-1e300]), 1e3), [-1e3])
+    # four row blocks at d = 3, every hundredth row beyond 1e154 in norm
+    rng = np.random.default_rng(16)
+    rows = rng.standard_normal((BLOCK_ELEMENTS + 7, 3)) * 2
+    rows[::100] *= 10.0 ** rng.uniform(155, 300, (len(rows[::100]), 1))
+    got = project_ball(rows, 1.0)  # with no overflow warning: the suite makes warnings errors
+    finite = np.ones(len(rows), dtype=bool)
+    finite[::100] = False
+    # a row whose squared norm is finite keeps the bits of the plain rule
+    norms = np.sqrt(rows_inner(rows[finite], rows[finite]))
+    plain = rows[finite] * np.where(norms > 1.0, 1.0 / norms, 1.0)[:, None]
+    assert np.array_equal(got[finite], plain)
+    oracle = np.array([r / math.hypot(*r) for r in rows[~finite]])
+    assert np.allclose(got[~finite], oracle, rtol=1e-15, atol=0)
+    # a radius beyond 1e154 keeps such a row inside the ball
+    wide = np.array([1e160, -1e160])
+    assert np.allclose(project_ball(wide, 1e170), wide, rtol=1e-15, atol=0)
+
+
 def test_project_ball_nonexpansive():
     rng = np.random.default_rng(15)
     for _ in range(1000):
@@ -366,23 +386,32 @@ def test_project_ball_nonexpansive():
 
 
 def test_sensitivity_bound_subgaussian_values():
-    b = sensitivity_bound_subgaussian(10**4, 4, 1.0, 1.0)
+    # the identity link's kappa1 is tau2 on the unbounded subset
+    def bound(n, tau2=1.0):
+        return sensitivity_bound(n, 4, LIN, EstimatorSettings(1.0, tau2, 1.0))
+
+    b = bound(10**4)
     assert b == pytest.approx(math.sqrt(4 * math.log(10**4) / 10**4), rel=1e-12)
     assert b == pytest.approx(0.0607, abs=5e-5)
-    doubled = sensitivity_bound_subgaussian(10**4, 4, 2.0, 1.0)
-    assert doubled == pytest.approx(2 * b, rel=1e-12)
-    vals = [sensitivity_bound_subgaussian(n, 4, 1.0, 1.0) for n in range(3, 400)]
+    assert bound(10**4, tau2=2.0) == pytest.approx(2 * b, rel=1e-12)
+    vals = [bound(n) for n in range(3, 400)]
     assert all(a > b2 for a, b2 in zip(vals, vals[1:]))
+    with pytest.raises(ConfigError, match="requires n >= 2"):
+        bound(1)
 
 
 def test_sensitivity_bound_heavy_values():
-    b = sensitivity_bound_heavy(10**4, 1, 1.0)
+    heavy = EstimatorSettings(1.0, 1.0, 1.0, regime="heavy")
+    b = sensitivity_bound(10**4, 1, LIN, heavy)
     assert b == pytest.approx((math.log(10**4) / 10**4) ** 0.125, rel=1e-12)
     assert b == pytest.approx(0.417, abs=5e-4)
-    ratio = sensitivity_bound_heavy(10**4, 16, 1.0) / b
+    ratio = sensitivity_bound(10**4, 16, LIN, heavy) / b
     assert ratio == pytest.approx(8.0, rel=1e-12)
-    vals = [sensitivity_bound_heavy(n, 2, 1.0) for n in range(3, 400)]
+    assert sensitivity_bound(10**4, 1, LIN, heavy, c0=2.5) == pytest.approx(2.5 * b, rel=1e-12)
+    vals = [sensitivity_bound(n, 2, LIN, heavy) for n in range(3, 400)]
     assert all(a > b2 for a, b2 in zip(vals, vals[1:]))
+    with pytest.raises(ConfigError, match="requires n >= 2"):
+        sensitivity_bound(1, 2, LIN, heavy)
 
 
 def test_empirical_sensitivity_zero_variance():

@@ -1009,12 +1009,12 @@ def test_privacy_check_rejects_vacuous_flags(capsys, flags, message):
 
 
 def test_privacy_check_refuses_a_binning_of_one_cell(capsys):
-    # at epsilon 1e-300 the squared noise norms overflow, the ball projection
-    # sends every release to 0, and the one pooled value makes one cell, whose
-    # ratio is 1 whatever the release
+    # at epsilon 1e-300 the noise norms pass 1e299, whose squares overflow
+    # (silently: the suite makes warnings errors); the ball projection sends
+    # every d = 1 release to -tau_theta or +tau_theta, and the quantile edges
+    # of those two values make one cell, whose ratio is 1 whatever the release
     argv = ["privacy-check", "--trials", "2000", "--bins", "10", "--epsilon", "1e-300"]
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        assert cli_main(argv) == 2
+    assert cli_main(argv) == 2
     assert capsys.readouterr().err == (
         "config error: the pooled quantile edges collapse to a single cell, "
         "whose ratio is 1 whatever the release\n"
@@ -1119,23 +1119,45 @@ def test_cli_numerical_failure_exits_3(tmp_path, capsys, monkeypatch, verb, wher
 
 
 @pytest.mark.parametrize("argv, population, message", [
-    (["simulate", "--config", None], {"model": "logistic", "tau_theta": 10.0},
-     "logistic subset touches the pole of the inverse-mean derivative"),
+    (["simulate", "--config", None], {"model": "logistic"},
+     "n = 16 too small for logistic subset at delta = 0.25"),
     (["schedule", "--config", None], {"model": "poisson", "tau_theta": 400.0},
      "poisson inverse-mean derivative unbounded on the predictor range"),
     (["privacy-check", "--trials", "120"], {"model": "linear"},
      "occupied bins fall below 50 samples"),
 ], ids=["simulate-polytope", "schedule-polytope", "privacy-check-mass"])
 def test_cli_config_caused_failure_exits_2(tmp_path, capsys, argv, population, message):
+    # 2 n^-delta = 1 at n = 16 and delta = 1/4: the logistic subset is empty
+    logistic = population["model"] == "logistic"
     payload = {
         "population": {"d": 2, **population},
-        "schedule": {"delta": 0.3 if population["model"] == "logistic" else 0.26},
-        "sweep": [1000],
+        "schedule": {"delta": 0.25 if logistic else 0.26},
+        "sweep": [16 if logistic else 1000],
     }
     argv = [_write_config(tmp_path, payload) if a is None else a for a in argv]
     assert cli_main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err and err.count("\n") == 1
+
+
+def test_cli_runs_a_logistic_cell_whose_predictor_range_rounds_tanh_to_one(tmp_path, capsys):
+    # tau_theta tau1 = 6 sqrt(log 10^5) = 20.4, where tanh rounds to 1: kappa0 is
+    # cosh(20.4)^2 = 1.3e17 and m_A is 1, so the schedule resolves and the cell runs
+    payload = {
+        "population": {"d": 3, "model": "logistic",
+                       "covariates": {"kind": "subgaussian_isotropic", "sigma": 6.0}},
+        "schedule": {"delta": 0.3}, "sweep": [1000, 100_000], "repeats": 1,
+        "metrics": ["rationality"], "master_seed": 1, "format": "json",
+    }
+    cfg = _write_config(tmp_path, payload)
+    assert cli_main(["schedule", "--config", cfg, "--n", "100000"]) == 0
+    constants = json.loads(capsys.readouterr().out)["constants"]
+    assert constants["kappa0"] == pytest.approx(math.cosh(6.0 * math.sqrt(math.log(1e5))) ** 2)
+    assert constants["m_a"] == 1.0
+    assert cli_main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    rows = json.loads((tmp_path / "out" / "report.json").read_text())["rows"]
+    assert [row["n"] for row in rows] == [1000, 100_000]
+    assert all(math.isfinite(row["mse"]) and row["rationality_frac"] == 1.0 for row in rows)
 
 
 def _deviate_argv(tmp_path, rule, where):

@@ -12,7 +12,6 @@ from privglm.links import (
     clip_response,
     compute_link_constants,
     make_link_bundle,
-    preset_polytope,
     project_polytope,
 )
 from privglm.mechanism import predictions
@@ -125,44 +124,12 @@ def test_clip_rejects_bad_tau():
         clip_response(1.0, 0.0)
 
 
-def test_project_polytope_presets():
-    spec_logi = preset_polytope(LOGISTIC, 10**4, 0.25)
-    assert spec_logi.lower == pytest.approx(-0.8, abs=1e-12)
-    assert spec_logi.upper == pytest.approx(0.8, abs=1e-12)
-    # hand evaluation of the shrink-toward-zero form y (1 - 2 n^-delta)
-    assert project_polytope(1.0, spec_logi) == pytest.approx(0.8, abs=1e-12)
-    assert project_polytope(-1.0, spec_logi) == pytest.approx(-0.8, abs=1e-12)
-
-    spec_poi = preset_polytope(POISSON, 10**4, 0.25)
-    assert spec_poi.lower == pytest.approx(0.1, abs=1e-12)
-    assert math.isinf(spec_poi.upper)
-    assert project_polytope(0.0, spec_poi) == pytest.approx(0.1, abs=1e-12)
-    assert project_polytope(3.0, spec_poi) == 3.0
-
-    spec_lin = preset_polytope(LINEAR, 500, 0.3)
-    grid = np.linspace(-40, 40, 101)
-    assert np.array_equal(project_polytope(grid, spec_lin), grid)
-
-
 def test_project_polytope_idempotent():
     rng = np.random.default_rng(5)
     spec = PolytopeSpec(-0.4, 1.7)
     y = rng.standard_normal(500) * 3
     once = project_polytope(y, spec)
     assert np.array_equal(project_polytope(once, spec), once)
-
-
-def test_preset_delta_validation():
-    preset_polytope(LINEAR, 100, 0.25)  # left endpoint admitted
-    with pytest.raises(ConfigError):
-        preset_polytope(LINEAR, 100, 1.0 / 3.0)
-    with pytest.raises(ConfigError):
-        preset_polytope(POISSON, 100, 0.34)
-    preset_polytope(LOGISTIC, 100, 0.45)
-    with pytest.raises(ConfigError):
-        preset_polytope(LOGISTIC, 100, 0.5)
-    with pytest.raises(ConfigError):
-        preset_polytope(LINEAR, 1, 0.3)
 
 
 def test_polytope_spec_validation_and_json():
@@ -196,6 +163,26 @@ def test_logistic_constants():
     assert c.kappa0 == pytest.approx(1.0 / (1.0 - m * m), rel=1e-12)
     assert c.kappa2 == 1.0
     assert c.m_a == pytest.approx(math.tanh(3.0), rel=1e-12)
+
+
+def test_logistic_kappa0_is_cosh_squared_on_wide_predictor_ranges():
+    # [(A')^-1]'(tanh T) = 1 / (1 - tanh(T)^2) = cosh(T)^2; the subset term is
+    # 1 / (1 - 0.8^2) = 2.78, so cosh(T)^2 is the maximum from T = 1.1 on
+    bundle = make_link_bundle(LOGISTIC)
+    subset = PolytopeSpec(-0.8, 0.8)
+    for T in np.linspace(0.05, 5.0, 34):
+        m = max(math.tanh(T), 0.8)
+        c = compute_link_constants(bundle, subset, tau1=T, tau2=1.0, tau_theta=1.0)
+        assert c.kappa0 == pytest.approx(1.0 / (1.0 - m * m), rel=1e-9)
+    # tanh(T) rounds to 1 above T = 19.06, where 1 / (1 - tanh(T)^2) divides by 0
+    for T in (20.0, 100.0):
+        c = compute_link_constants(bundle, subset, tau1=T / 2.0, tau2=1.0, tau_theta=2.0)
+        assert c.kappa0 == pytest.approx(math.exp(2.0 * T) / 4.0, rel=1e-12)
+        assert c.m_a == 1.0
+    # cosh(T)^2 overflows above T = 355.6, and cosh(T) itself above T = 710.47
+    for T in (400.0, 1000.0):
+        with pytest.raises(ConfigError, match="link constant kappa0 = inf"):
+            compute_link_constants(bundle, subset, tau1=T, tau2=1.0, tau_theta=1.0)
 
 
 def test_poisson_constants():

@@ -17,7 +17,7 @@ from privglm.estimators import (
     rows_inner,
     sensitivity_bound,
 )
-from privglm.links import ModelKind, compute_link_constants, make_link_bundle
+from privglm.links import ModelKind, compute_link_constants, make_link_bundle, project_polytope
 from privglm.mechanism import (
     MechanismParams,
     _log_gammainc,
@@ -684,6 +684,28 @@ def test_schedule_values_heavy():
     assert params.a2 == pytest.approx(n ** (-0.5 - 9 * 0.12), rel=1e-12)
     assert params.cost_exponent == 9
     assert params.settings.regime == "heavy"
+
+
+@pytest.mark.parametrize("family, regime, lo, hi, subset", [
+    ("linear", "subgaussian", 0.25, 1.0 / 3.0, (-math.inf, math.inf)),
+    ("logistic", "subgaussian", 0.25, 0.5, (-0.8, 0.8)),
+    ("poisson", "subgaussian", 0.25, 1.0 / 3.0, (0.1, math.inf)),
+    ("linear", "heavy", 1.0 / 9.0, 1.0 / 8.0, (-math.inf, math.inf)),
+], ids=["linear", "logistic", "poisson", "heavy"])
+def test_schedule_delta_range_and_subset(family, regime, lo, hi, subset):
+    # each delta range is closed on the left, open on the right; the subsets
+    # at n = 10^4 and the left endpoint (1/4 but for the heavy regime's 1/9)
+    # are -1 + 2 n^-delta, 1 - 2 n^-delta (logistic) and n^-delta (Poisson),
+    # and responses project onto them by clamping
+    model = ModelKind(family)
+    name = "heavy" if regime == "heavy" else family
+    preset_schedule(model, regime, 100, lo, d=2)
+    with pytest.raises(ConfigError, match=f"outside the {name} schedule range"):
+        preset_schedule(model, regime, 100, hi, d=2)
+    polytope = preset_schedule(model, regime, 10**4, lo, d=2).settings.polytope
+    assert (polytope.lower, polytope.upper) == pytest.approx(subset, abs=1e-12)
+    y = np.array([-1.0, 0.0, 1.0, 3.0])
+    assert project_polytope(y, polytope) == pytest.approx(np.clip(y, *subset), abs=1e-12)
 
 
 def test_schedule_delta_validation():
