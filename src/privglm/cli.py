@@ -29,8 +29,7 @@ from .harness import (
     run_experiment,
     sensitivity_study,
 )
-from .links import compute_link_constants, make_link_bundle
-from .mechanism import check_size, prediction_bound
+from .mechanism import check_size
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -99,8 +98,7 @@ def _cmd_sensitivity(args) -> int:
     trials = args.trials if args.trials is not None else config.sensitivity_trials
     emp = sensitivity_study(config, n, 0, trials)
     params = params_for(config, n)
-    bundle = make_link_bundle(config.population.model)
-    shape = sensitivity_bound(n, config.population.d, bundle, params.settings)
+    shape = sensitivity_bound(n, config.population.d, config.regime, params.constants.kappa1)
     print(
         json.dumps(
             {
@@ -130,16 +128,12 @@ def _cmd_schedule(args) -> int:
     config = ExperimentConfig.from_json(args.config)
     params = params_for(config, _size(args, config))
     settings = params.settings
-    constants = compute_link_constants(
-        make_link_bundle(config.population.model), settings.polytope, settings.tau1,
-        settings.tau2, settings.tau_theta,
-    )
-    # every MechanismParams field, with privacy's and settings' flattened into it
-    out = {k: v for k, v in vars(params).items() if k not in ("privacy", "settings")}
+    # each knob of MechanismParams, with privacy's and settings' flattened into
+    # them; the link constants and m_A go under "constants", the bundle nowhere
+    nested = ("privacy", "settings", "bundle", "constants", "m_a")
+    out = {k: v for k, v in vars(params).items() if k not in nested}
     out |= vars(params.privacy) | vars(settings) | {"polytope": settings.polytope.to_json()}
-    out["constants"] = dataclasses.asdict(constants) | {
-        "m_a": prediction_bound(config.population.model, settings, config.population.d),
-    }
+    out["constants"] = dataclasses.asdict(params.constants) | {"m_a": params.m_a}
     print(json.dumps(out, indent=2))
     return 0
 

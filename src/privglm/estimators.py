@@ -34,7 +34,6 @@ from .links import (
     ModelKind,
     PolytopeSpec,
     clip_response,
-    compute_link_constants,
     project_polytope,
 )
 
@@ -281,21 +280,18 @@ def l4_shrink_rows(X: np.ndarray, tau1: float) -> np.ndarray:
     return out
 
 
-def sensitivity_bound(
-    n: int, d: int, bundle: LinkBundle, settings: EstimatorSettings, c0: float = 1.0
-) -> float:
+def sensitivity_bound(n: int, d: int, regime: str, kappa1: float, c0: float = 1.0) -> float:
     """The regime's one-replacement l2 sensitivity bound at size n.
 
     heavy         C0 d^(3/4) (log n / n)^(1/8)
     sub-Gaussian  C0 kappa1 sqrt(d log n / n), kappa1 the link constant
+
+    kappa1 is a number: the schedule's `MechanismParams.constants.kappa1`.
     """
     if n < 2:
         raise ConfigError("sensitivity bound requires n >= 2")
-    if settings.regime == HEAVY:
+    if regime == HEAVY:
         return c0 * d ** 0.75 * (math.log(n) / n) ** 0.125
-    kappa1 = compute_link_constants(
-        bundle, settings.polytope, settings.tau1, settings.tau2, settings.tau_theta
-    ).kappa1
     return c0 * kappa1 * math.sqrt(d * math.log(n) / n)
 
 

@@ -448,8 +448,7 @@ def sensitivity_study(config: ExperimentConfig, n: int, repeat: int, trials: int
     """
     params = params_for(config, n)
     pop = cell_population(config, n, repeat, params.tau_threshold).population()
-    bundle = make_link_bundle(config.population.model)
-    return empirical_sensitivity(Dataset(pop.X, pop.y_true), bundle, params.settings, trials,
+    return empirical_sensitivity(Dataset(pop.X, pop.y_true), params.bundle, params.settings, trials,
                                  (config.master_seed, n, repeat, ARM_SENSITIVITY),
                                  replacement_sampler(config.population, pop.theta_star))
 
@@ -460,9 +459,8 @@ def _run_cell(config: ExperimentConfig, n: int, repeat: int) -> CellResult:
     model = config.population.model
     try:
         params = params_for(config, n)
-        bundle = make_link_bundle(model)
         stream = cell_population(config, n, repeat, params.tau_threshold)
-        outcome = run_mechanism(stream, bundle, params, cell_rng(ms, n, repeat, ARM_MECHANISM))
+        outcome = run_mechanism(stream, params, cell_rng(ms, n, repeat, ARM_MECHANISM))
         rationality = outcome.rationality_frac if "rationality" in config.metrics else None
         eta = None
         if "deviation_gain" in config.metrics:
@@ -613,9 +611,8 @@ def estimate_deviation_gain(
         raise ConfigError("trials must be >= 1")
     ms = config.master_seed
     model = config.population.model
-    bundle = make_link_bundle(model)
     params = params_for(config, n)
-    settings = params.settings
+    settings, bundle = params.settings, params.bundle
     spec_n = replace(config.population, n=n)
     privacy = params.privacy
     eps_tot, gamma_tot = compose_account(privacy)

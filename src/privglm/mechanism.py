@@ -46,6 +46,8 @@ check releases one estimator many times.
 `preset_schedule` is the one source of a run's parameters. It resolves every
 one of them at the n it is given, the release sensitivities included: the
 regime's bound at n for the full-data release and at n // 2 for each half.
+The parameters carry the model's link bundle, its constants and m_A, so a
+run cannot pair one model's parameters with another model's links.
 """
 
 from __future__ import annotations
@@ -78,6 +80,7 @@ from .links import (
     LOGISTIC,
     POISSON,
     LinkBundle,
+    LinkConstants,
     ModelKind,
     PolytopeSpec,
     compute_link_constants,
@@ -128,9 +131,12 @@ class MechanismParams:
     `n` is the population size the knobs were resolved at; `run_mechanism`
     refuses reports of any other size. `tau_threshold` is the cost threshold
     of the strategy the schedule assumes, and `cost_exponent` the k of the
-    privacy cost (1 + gamma) eps^k. No knob sets the posterior means: they
-    are the linear closed form, or Gauss-Legendre rules of fixed size whose
-    error is at most 1e-12 for s = tau_theta ||x|| <= 50 (`posterior_mean`).
+    privacy cost (1 + gamma) eps^k. `bundle` is the model's links, `constants`
+    their worst-case magnitudes at the schedule's subset and clip levels,
+    and `m_a` bounds every prediction |p| and |q| of the payment rule. No
+    knob sets the posterior means: they are the linear closed form, or
+    Gauss-Legendre rules of fixed size whose error is at most 1e-12 for
+    s = tau_theta ||x|| <= 50 (`posterior_mean`).
     """
 
     n: int
@@ -142,6 +148,9 @@ class MechanismParams:
     beta: float
     tau_threshold: float
     cost_exponent: int
+    bundle: LinkBundle
+    constants: LinkConstants
+    m_a: float
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0 and 0.0 < self.beta < 1.0):
@@ -491,7 +500,6 @@ def predictions(x_pay: np.ndarray, theta: np.ndarray, bundle: LinkBundle) -> np.
 
 def run_mechanism(
     reported,
-    bundle: LinkBundle,
     params: MechanismParams,
     rng: np.random.Generator,
 ) -> MechanismOutcome:
@@ -510,14 +518,15 @@ def run_mechanism(
     from the raw rows, the design, q = A'(x_design . posterior mean),
     p = A'(x_design . opposite group's release), the Brier payment and,
     given costs, the counts of `rationality_counts` at the schedule's
-    tau_threshold and cost_exponent.
+    tau_threshold and cost_exponent. The links are the parameters' own
+    (`params.bundle`).
 
     Pass 1 writes into the chunks `chunks()` yields, so a row source yields
     arrays of the mechanism's own (`Dataset` yields copies); pass 2 only
     reads them. The outcome's `truthful_frac` and `rationality_frac` are
     None when the row source has no costs.
     """
-    settings, model = params.settings, bundle.model
+    settings, bundle, model = params.settings, params.bundle, params.bundle.model
     n, d = reported.n, reported.d
     if n != params.n:
         raise ConfigError(f"parameters resolved at n = {params.n} cannot run {n} agents")
@@ -528,7 +537,7 @@ def run_mechanism(
     lo = 0
     for X, y, _ in reported.chunks():
         hi = lo + X.shape[0]
-        _first_pass(X, y, assign[lo:hi], factors, bundle, params)
+        _first_pass(X, y, assign[lo:hi], factors, params)
         del X, y, _  # the next chunk is drawn with this one dropped
         lo = hi
 
@@ -575,7 +584,7 @@ def run_mechanism(
     )
 
 
-def _first_pass(X, y, assign, factors, bundle: LinkBundle, params: MechanismParams) -> None:
+def _first_pass(X, y, assign, factors, params: MechanismParams) -> None:
     """One chunk of pass 1: map X in place, append each group's triangular factor.
 
     `design` maps one row block (`row_blocks`) at a time and the mapped rows
@@ -583,7 +592,7 @@ def _first_pass(X, y, assign, factors, bundle: LinkBundle, params: MechanismPara
     blocks. The factors then take the whole mapped chunk, because per-block
     factors would change the TSQR bits.
     """
-    settings, model = params.settings, bundle.model
+    settings, bundle, model = params.settings, params.bundle, params.bundle.model
     check_rows(X, y)
     check_responses(y, model)
     for block in row_blocks(*X.shape):
@@ -623,30 +632,16 @@ def budget_bound(n: int, a1: float, a2: float, m_a: float) -> float:
     return n * (a1 + a2 * (m_a + m_a * m_a))
 
 
-def prediction_bound(model: ModelKind, settings: EstimatorSettings, d: int) -> float:
-    """The regime's m_A: a bound on every prediction |p| and |q| of the payment rule.
-
-    In the heavy regime the design is l4-shrunk and A' is the identity, so
-    |x . theta| <= ||x||_2 tau_theta <= d^(1/4) ||x||_4 tau_theta
-    <= d^(1/4) tau1 tau_theta. Otherwise it is the link constant m_A.
-    """
-    if settings.regime == HEAVY:
-        return d ** 0.25 * settings.tau1 * settings.tau_theta
-    return compute_link_constants(
-        make_link_bundle(model), settings.polytope, settings.tau1, settings.tau2,
-        settings.tau_theta,
-    ).m_a
-
-
 def rationality_floor(
     a2: float, m_a: float, tau_threshold: float, cost_exponent: int,
-    epsilon: float, gamma_total: float,
+    account: Tuple[float, float],
 ) -> float:
     """Smallest a1 making below-threshold participation individually rational.
 
-    m_a bounds every prediction |p| and |q| the payment rule can make.
+    m_a bounds every prediction |p| and |q| the payment rule can make, and
+    `account` is the run's total (epsilon, gamma) (`privacy.compose_account`).
     """
-    cost = privacy_cost(2.0 * epsilon, gamma_total, cost_exponent)
+    cost = privacy_cost(*account, cost_exponent)
     return a2 * (m_a + 3.0 * m_a * m_a) + tau_threshold * cost
 
 
@@ -690,6 +685,7 @@ def preset_schedule(
     sensitivities are the regime's bound, scaled by c0, at n (the full-data
     release) and at n // 2 (each half release). With n >= 4 and delta in
     the schedule's range, alpha, beta, gamma_n and gamma_half all lie below 1.
+    The link bundle and its constants are resolved once, in every schedule.
     """
     if n < 4:
         raise ConfigError("schedule requires n >= 4")
@@ -733,26 +729,31 @@ def preset_schedule(
     # the o(1) failure probability of each release's privacy claim
     gamma_n = n ** (-1.0)
     gamma_half = (n // 2) ** (-1.0)
-    gamma_total = gamma_n + 2.0 * gamma_half
 
     settings = EstimatorSettings(
         tau1=tau1, tau2=tau2, tau_theta=tau_theta, polytope=polytope, regime=regime
     )
     tau_thr = tau_alpha_beta_bound(alpha, beta, cost_lambda)
-    m_a = prediction_bound(model, settings, d)
-    a1 = rationality_floor(a2, m_a, tau_thr, cost_exponent, epsilon, gamma_total)
     bundle = make_link_bundle(model)
-    delta_n = sensitivity_bound(n, d, bundle, settings, c0)
-    delta_half = sensitivity_bound(n // 2, d, bundle, settings, c0)
+    constants = compute_link_constants(bundle, polytope, tau1, tau2, tau_theta)
+    # the heavy design is l4-shrunk and A' is the identity, so
+    # |x . theta| <= ||x||_2 tau_theta <= d^(1/4) ||x||_4 tau_theta <= d^(1/4) tau1 tau_theta
+    m_a = d ** 0.25 * tau1 * tau_theta if schedule == HEAVY else constants.m_a
+    delta_n = sensitivity_bound(n, d, regime, constants.kappa1, c0)
+    delta_half = sensitivity_bound(n // 2, d, regime, constants.kappa1, c0)
+    privacy = PrivacyParams(epsilon, delta_n, delta_half, gamma_n, gamma_half)
 
     return MechanismParams(
         n=n,
-        privacy=PrivacyParams(epsilon, delta_n, delta_half, gamma_n, gamma_half),
+        privacy=privacy,
         settings=settings,
-        a1=a1,
+        a1=rationality_floor(a2, m_a, tau_thr, cost_exponent, compose_account(privacy)),
         a2=a2,
         alpha=alpha,
         beta=beta,
         tau_threshold=tau_thr,
         cost_exponent=cost_exponent,
+        bundle=bundle,
+        constants=constants,
+        m_a=m_a,
     )

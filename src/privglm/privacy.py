@@ -174,6 +174,8 @@ def empirical_privacy_ratio(
     intervals are consistent with the e^bound ratio in both directions.
     Edges that collapse to a single cell are a ConfigError: that cell holds
     every sample of both outputs, so its ratio is 1 whatever the release.
+    So are more cells (bins ** d) than trials, refused before `build` runs,
+    so every allocation of the check stays O(trials d).
 
     Both outputs share one pooled (2, trials, d) buffer, filled for data_a
     and then for data_b. Beside it the check holds one column's scratch copy
@@ -191,6 +193,9 @@ def empirical_privacy_ratio(
     d = np.shape(data_a.X)[1]
     if d > 2:
         raise ConfigError("ratio check supports outputs of dimension <= 2")
+    if bins ** d > trials:
+        raise ConfigError(f"bins ** d = {bins} ** {d} cells exceed the {trials} trials: "
+                          "a cell would average under one sample of either output")
 
     pooled = np.empty((2, trials, d))
     for data, arm_rng, out in zip((data_a, data_b), rng.spawn(2), pooled):

@@ -78,7 +78,7 @@ def _empirical_max(regime: str, n: int, seed: int, trials: int = 40, d: int = 3)
 
 def _shape(regime: str, n: int, d: int = 3) -> float:
     params = preset_schedule(LINEAR, regime, n, 0.12 if regime == "heavy" else 0.3, d=d)
-    return sensitivity_bound(n, d, make_link_bundle(LINEAR), params.settings, 1.0)
+    return sensitivity_bound(n, d, regime, params.constants.kappa1, 1.0)
 
 
 def _pilot_c0(regime: str, n: int, pilots: int = 12, seed0: int = 10_000) -> float:
@@ -230,14 +230,13 @@ def test_criterion_06_truthfulness_trend():
 
 def test_criterion_07_rationality():
     model = LINEAR
-    bundle = make_link_bundle(model)
     perfect = 0
     for seed in range(100):
         params = preset_schedule(model, "subgaussian", 2000, 0.3, d=3)
         spec = PopulationSpec(n=2000, d=3, model=model)
         pop = generate_population(spec, np.random.default_rng([seed, 1]))
         reported = apply_strategy(pop, params.tau_threshold, model)
-        outcome = run_mechanism(reported, bundle, params, np.random.default_rng([seed, 3]))
+        outcome = run_mechanism(reported, params, np.random.default_rng([seed, 3]))
         frac = rationality_fraction(outcome, pop.costs, params.cost_exponent, params.tau_threshold)
         perfect += frac == 1.0
     assert _verdict("7 rationality at the a1 floor", perfect >= 99, f"{perfect}/100 runs all-rational")

@@ -20,7 +20,7 @@ from privglm.estimators import (
     stack_factors,
     triangular_factor,
 )
-from privglm.links import ModelKind, PolytopeSpec, make_link_bundle
+from privglm.links import ModelKind, PolytopeSpec, compute_link_constants, make_link_bundle
 from privglm.mechanism import preset_schedule, project_ball
 
 LIN = make_link_bundle(ModelKind.linear(1.0))
@@ -388,7 +388,8 @@ def test_project_ball_nonexpansive():
 def test_sensitivity_bound_subgaussian_values():
     # the identity link's kappa1 is tau2 on the unbounded subset
     def bound(n, tau2=1.0):
-        return sensitivity_bound(n, 4, LIN, EstimatorSettings(1.0, tau2, 1.0))
+        kappa1 = compute_link_constants(LIN, PolytopeSpec(), 1.0, tau2, 1.0).kappa1
+        return sensitivity_bound(n, 4, "subgaussian", kappa1)
 
     b = bound(10**4)
     assert b == pytest.approx(math.sqrt(4 * math.log(10**4) / 10**4), rel=1e-12)
@@ -401,17 +402,21 @@ def test_sensitivity_bound_subgaussian_values():
 
 
 def test_sensitivity_bound_heavy_values():
-    heavy = EstimatorSettings(1.0, 1.0, 1.0, regime="heavy")
-    b = sensitivity_bound(10**4, 1, LIN, heavy)
+    # the heavy bound does not read kappa1
+    def bound(n, d, c0=1.0, kappa1=1.0):
+        return sensitivity_bound(n, d, "heavy", kappa1, c0)
+
+    b = bound(10**4, 1)
     assert b == pytest.approx((math.log(10**4) / 10**4) ** 0.125, rel=1e-12)
     assert b == pytest.approx(0.417, abs=5e-4)
-    ratio = sensitivity_bound(10**4, 16, LIN, heavy) / b
+    assert bound(10**4, 1, kappa1=7.0) == b
+    ratio = bound(10**4, 16) / b
     assert ratio == pytest.approx(8.0, rel=1e-12)
-    assert sensitivity_bound(10**4, 1, LIN, heavy, c0=2.5) == pytest.approx(2.5 * b, rel=1e-12)
-    vals = [sensitivity_bound(n, 2, LIN, heavy) for n in range(3, 400)]
+    assert bound(10**4, 1, c0=2.5) == pytest.approx(2.5 * b, rel=1e-12)
+    vals = [bound(n, 2) for n in range(3, 400)]
     assert all(a > b2 for a, b2 in zip(vals, vals[1:]))
     with pytest.raises(ConfigError, match="requires n >= 2"):
-        sensitivity_bound(1, 2, LIN, heavy)
+        bound(1, 2)
 
 
 def test_empirical_sensitivity_zero_variance():

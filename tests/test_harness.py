@@ -37,7 +37,6 @@ from privglm.mechanism import (
     brier_payment,
     budget_bound,
     partition,
-    prediction_bound,
     preset_schedule,
     rationality_floor,
     release_noise,
@@ -319,9 +318,8 @@ def test_poisson_cells_hold_at_the_covariates_sigma():
     assert len(report.rows) == 6 and report.failed_cells == 0
     for row in report.rows:
         params = harness.params_for(config, row.n)
-        m_a = prediction_bound(config.population.model, params.settings, 2)
         assert row.rationality_frac == 1.0
-        assert row.budget <= budget_bound(row.n, params.a1, params.a2, m_a)
+        assert row.budget <= budget_bound(row.n, params.a1, params.a2, params.m_a)
 
 def test_truthful_deviation_gain_is_zero():
     config = linear_config()
@@ -681,7 +679,7 @@ def test_cli_schedule_a1_is_floor_at_printed_m_a(tmp_path, capsys, model, regime
         assert printed == pytest.approx(m_a, rel=1e-12)
     floor = rationality_floor(
         out["a2"], printed, out["tau_threshold"], out["cost_exponent"],
-        out["epsilon"], out["gamma_n"] + 2 * out["gamma_half"],
+        (2 * out["epsilon"], out["gamma_n"] + 2 * out["gamma_half"]),
     )
     assert out["a1"] == pytest.approx(floor, rel=1e-12)
     assert out["cost_exponent"] == (9 if regime == "heavy" else 4)
@@ -695,11 +693,34 @@ _PRINTED_PARAMS = (
 
 
 def _assert_schedule_is_params_for(out, config, n):
+    # params_for alone: its knobs, the polytope and its constants with m_A;
+    # the bundle and the new fields never show at the top level
     params = harness.params_for(config, n)
     want = {**vars(params), **vars(params.privacy), **vars(params.settings)}
+    assert set(out) == {*_PRINTED_PARAMS, "polytope", "constants"}
     for key in _PRINTED_PARAMS:
         assert out[key] == want[key], key
     assert out["polytope"] == params.settings.polytope.to_json()
+    assert out["constants"] == dataclasses.asdict(params.constants) | {"m_a": params.m_a}
+
+
+@pytest.mark.parametrize("population, regime, delta, n", [
+    ({"model": "linear"}, "subgaussian", 0.3, 10_000),
+    ({"model": "logistic", "covariates": {"kind": "subgaussian_isotropic", "sigma": 6.0}},
+     "subgaussian", 0.3, 100_000),
+    ({"model": "poisson", "covariates": {"kind": "subgaussian_isotropic", "sigma": 4.0}},
+     "subgaussian", 0.26, 1000),
+    ({"model": "linear", "covariates": {"kind": "student_t", "dof": 5.0}}, "heavy", 0.12, 5001),
+], ids=["linear", "logistic", "poisson", "heavy"])
+def test_cli_schedule_prints_params_for_alone(tmp_path, capsys, population, regime, delta, n):
+    payload = {
+        "population": {"d": 4, **population},
+        "regime": regime,
+        "schedule": {"delta": delta},
+        "sweep": [n],
+    }
+    out = _schedule(tmp_path, capsys, payload)
+    _assert_schedule_is_params_for(out, ExperimentConfig.from_json(payload), n)
 
 
 @pytest.mark.parametrize("flags, n", [((), 1000), (("--n", "2000"), 2000)], ids=["sweep", "flag"])
@@ -1018,6 +1039,16 @@ def test_privacy_check_refuses_a_binning_of_one_cell(capsys):
     assert capsys.readouterr().err == (
         "config error: the pooled quantile edges collapse to a single cell, "
         "whose ratio is 1 whatever the release\n"
+    )
+
+
+def test_privacy_check_refuses_more_bins_than_trials(capsys):
+    # 2001 quantile cells over 2000 trials average under one sample each
+    argv = ["privacy-check", "--trials", "2000", "--bins", "2001"]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err == (
+        "config error: bins ** d = 2001 ** 1 cells exceed the 2000 trials: "
+        "a cell would average under one sample of either output\n"
     )
 
 

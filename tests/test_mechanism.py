@@ -1,4 +1,6 @@
+import importlib
 import math
+import pkgutil
 from dataclasses import replace
 
 import hypothesis
@@ -7,8 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import privglm
 from privglm.errors import ConfigError
-from privglm import estimators, mechanism
+from privglm import estimators, links, mechanism
 from privglm.estimators import (
     Dataset,
     EstimatorSettings,
@@ -17,7 +20,7 @@ from privglm.estimators import (
     rows_inner,
     sensitivity_bound,
 )
-from privglm.links import ModelKind, compute_link_constants, make_link_bundle, project_polytope
+from privglm.links import LinkConstants, ModelKind, make_link_bundle, project_polytope
 from privglm.mechanism import (
     MechanismParams,
     _log_gammainc,
@@ -27,7 +30,6 @@ from privglm.mechanism import (
     _poisson_table,
     brier_payment,
     budget_bound,
-    prediction_bound,
     predictions,
     preset_schedule,
     posterior_mean,
@@ -347,7 +349,7 @@ def _linear_setup(n=400, d=2, seed=0, delta=0.3):
 
 def test_run_mechanism_contracts():
     model, bundle, params, pop, reported = _linear_setup()
-    out = run_mechanism(reported, bundle, params, np.random.default_rng(3))
+    out = run_mechanism(reported, params, np.random.default_rng(3))
     tau_theta = params.settings.tau_theta
     for theta in (out.theta_bar_full, out.theta_bar_g0, out.theta_bar_g1):
         assert np.linalg.norm(theta) <= tau_theta + 1e-12
@@ -364,8 +366,8 @@ def test_run_mechanism_contracts():
 
 def test_run_mechanism_deterministic():
     model, bundle, params, pop, reported = _linear_setup(seed=5)
-    a = run_mechanism(reported, bundle, params, np.random.default_rng(9))
-    b = run_mechanism(reported, bundle, params, np.random.default_rng(9))
+    a = run_mechanism(reported, params, np.random.default_rng(9))
+    b = run_mechanism(reported, params, np.random.default_rng(9))
     assert np.array_equal(a.theta_bar_full, b.theta_bar_full)
     assert np.array_equal(a.payments, b.payments)
     assert a.budget == b.budget
@@ -403,7 +405,7 @@ def test_run_mechanism_reads_each_row_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", traced_svd)
     monkeypatch.setattr(estimators, "stack_factors", traced_stack)
     monkeypatch.setattr(mechanism, "stack_factors", traced_stack)
-    out = run_mechanism(reported, bundle, params, np.random.default_rng(3))
+    out = run_mechanism(reported, params, np.random.default_rng(3))
     assert sum(qr_rows) == n
     # per half: two blocks in the full chunk, one in the partial chunk if it has rows there
     tail = out.group_assignment[estimators.CHUNK_ROWS:]
@@ -416,16 +418,16 @@ def test_partition_too_small():
     params = preset_schedule(model, "subgaussian", 5, 0.3, d=3)
     tiny = Dataset(np.random.default_rng(0).standard_normal((5, 3)), np.zeros(5))
     with pytest.raises(ConfigError, match=r"n = 5 is below 2d = 6 \(d = 3\)"):
-        run_mechanism(tiny, make_link_bundle(model), params, np.random.default_rng(0))
+        run_mechanism(tiny, params, np.random.default_rng(0))
 
 
 def test_heavy_regime_requires_linear_model():
     params = preset_schedule(ModelKind.linear(1.0), "heavy", 400, 0.12, d=2)
-    bundle = make_link_bundle(ModelKind.logistic())
+    params = replace(params, bundle=make_link_bundle(ModelKind.logistic()))
     data = Dataset(np.random.default_rng(0).standard_normal((400, 2)),
                    np.where(np.random.default_rng(1).random(400) < 0.5, 1.0, -1.0))
     with pytest.raises(ConfigError, match="heavy regime is defined for the linear model only"):
-        run_mechanism(data, bundle, params, np.random.default_rng(0))
+        run_mechanism(data, params, np.random.default_rng(0))
 
 
 def test_run_mechanism_rejects_params_of_another_n():
@@ -437,9 +439,9 @@ def test_run_mechanism_rejects_params_of_another_n():
     assert params.privacy.delta_n == pytest.approx(0.0975, abs=5e-4)
     assert preset_schedule(model, "subgaussian", 400, 0.3, d=2).privacy.delta_n == pytest.approx(
         0.2335, abs=5e-4)
-    _, bundle, _, _, reported = _linear_setup(n=400)
+    _, _, _, _, reported = _linear_setup(n=400)
     with pytest.raises(ConfigError, match="resolved at n = 4000 cannot run 400 agents"):
-        run_mechanism(reported, bundle, params, np.random.default_rng(0))
+        run_mechanism(reported, params, np.random.default_rng(0))
 
 
 def _recompute_payment(reported, i, out, bundle, params):
@@ -454,7 +456,7 @@ def _recompute_payment(reported, i, out, bundle, params):
 
 def test_group_blinding_recompute_linear():
     model, bundle, params, pop, reported = _linear_setup(seed=6)
-    out = run_mechanism(reported, bundle, params, np.random.default_rng(11))
+    out = run_mechanism(reported, params, np.random.default_rng(11))
     rng = np.random.default_rng(1)
     for i in rng.choice(400, size=30, replace=False):
         assert _recompute_payment(reported, int(i), out, bundle, params) == out.payments[i]
@@ -468,7 +470,7 @@ def test_group_blinding_recompute_quadrature():
         PopulationSpec(n=60, d=2, model=model), np.random.default_rng(21)
     )
     reported = apply_strategy(pop, params.tau_threshold, model)
-    out = run_mechanism(reported, bundle, params, np.random.default_rng(23))
+    out = run_mechanism(reported, params, np.random.default_rng(23))
     for i in (0, 7, 31, 59):
         assert _recompute_payment(reported, i, out, bundle, params) == out.payments[i]
 
@@ -487,7 +489,7 @@ def _property_case(family, n, seed):
     params = preset_schedule(model, regime, n, delta, d=2)
     spec = PopulationSpec(n=n, d=2, model=model, covariates=covariates)
     pop = generate_population(spec, np.random.default_rng([seed, 0]))
-    return make_link_bundle(model), params, pop
+    return params, pop
 
 
 @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
@@ -501,7 +503,7 @@ def _property_case(family, n, seed):
 def test_group_blinding_property(family, n, agent, report, seed):
     # changing agent i's report, with the mechanism's stream fixed, leaves the
     # payment of every other agent in i's group bit-identical
-    bundle, params, pop = _property_case(family, n, seed)
+    params, pop = _property_case(family, n, seed)
     i = agent % n
     y = pop.y_true.copy()
     if family == "logistic":
@@ -510,8 +512,8 @@ def test_group_blinding_property(family, n, agent, report, seed):
         y[i] = float(report)
     else:
         y[i] += report - 1.5
-    base = run_mechanism(Dataset(pop.X, pop.y_true), bundle, params, np.random.default_rng(seed))
-    moved = run_mechanism(Dataset(pop.X, y), bundle, params, np.random.default_rng(seed))
+    base = run_mechanism(Dataset(pop.X, pop.y_true), params, np.random.default_rng(seed))
+    moved = run_mechanism(Dataset(pop.X, y), params, np.random.default_rng(seed))
     assert np.array_equal(base.group_assignment, moved.group_assignment)
     peers = base.group_assignment == base.group_assignment[i]
     peers[i] = False
@@ -529,11 +531,11 @@ def test_payment_and_budget_bounds_property(family, n, seed):
     # budget by budget_bound. The heavy design holds |x . theta| <= m_A by
     # construction; the sub-Gaussian bound holds on the event ||x|| <= tau1,
     # so there the covariates are projected onto that ball.
-    bundle, params, pop = _property_case(family, n, seed)
+    params, pop = _property_case(family, n, seed)
     s = params.settings
     X = pop.X if s.regime == "heavy" else project_ball(pop.X, s.tau1)
-    m_a = prediction_bound(bundle.model, s, 2)
-    out = run_mechanism(Dataset(X, pop.y_true), bundle, params, np.random.default_rng(seed))
+    m_a = params.m_a
+    out = run_mechanism(Dataset(X, pop.y_true), params, np.random.default_rng(seed))
     cap = params.a1 + params.a2 * (m_a + m_a * m_a)
     assert np.all(out.payments <= cap * (1 + 1e-12))
     assert out.budget <= budget_bound(n, params.a1, params.a2, m_a) * (1 + 1e-12)
@@ -550,22 +552,22 @@ def test_rationality_at_floor_property(family, n, seed):
     # a2 (m_A + 3 m_A^2) and the largest privacy cost tau F(2 eps, gamma) of a
     # below-threshold agent; on the event ||x|| <= tau1 (projected, as above)
     # every such agent has nonnegative utility
-    bundle, params, pop = _property_case(family, n, seed)
+    params, pop = _property_case(family, n, seed)
     s = params.settings
     X = pop.X if s.regime == "heavy" else project_ball(pop.X, s.tau1)
-    out = run_mechanism(Dataset(X, pop.y_true), bundle, params, np.random.default_rng(seed))
+    out = run_mechanism(Dataset(X, pop.y_true), params, np.random.default_rng(seed))
     assert rationality_fraction(out, pop.costs, params.cost_exponent, params.tau_threshold) == 1.0
 
 
 def test_poisson_report_in_prior_tail_pays_every_agent():
     # one agent reports 12, which the prior finds very unlikely; every agent
     # is still paid, within the payment bound
-    bundle, params, pop = _property_case("poisson", 55, 94792)
+    params, pop = _property_case("poisson", 55, 94792)
     s = params.settings
     assert pop.y_true.max() == 12.0
     X = project_ball(pop.X, s.tau1)
-    out = run_mechanism(Dataset(X, pop.y_true), bundle, params, np.random.default_rng(94792))
-    m_a = prediction_bound(bundle.model, s, 2)
+    out = run_mechanism(Dataset(X, pop.y_true), params, np.random.default_rng(94792))
+    m_a = params.m_a
     assert out.payments.shape == (55,)
     assert np.all(np.isfinite(out.payments))
     assert np.all(out.payments <= params.a1 + params.a2 * (m_a + m_a * m_a))
@@ -584,7 +586,7 @@ def _recompute_predictions(reported, idx, out, bundle, params):
 
 def test_payment_form_spot_check():
     model, bundle, params, pop, reported = _linear_setup(seed=8)
-    out = run_mechanism(reported, bundle, params, np.random.default_rng(31))
+    out = run_mechanism(reported, params, np.random.default_rng(31))
     rng = np.random.default_rng(2)
     idx = rng.choice(400, size=100, replace=False)
     p, q = _recompute_predictions(reported, idx, out, bundle, params)
@@ -601,7 +603,7 @@ def test_heavy_mechanism_uses_shrunk_covariates():
         np.random.default_rng(41),
     )
     reported = apply_strategy(pop, params.tau_threshold, model)
-    out = run_mechanism(reported, bundle, params, np.random.default_rng(43))
+    out = run_mechanism(reported, params, np.random.default_rng(43))
     xs = l4_shrink_rows(reported.X, params.settings.tau1)
     assert not np.array_equal(xs[32], reported.X[32])  # agent 32's row shrinks, agent 5's not
     idx = np.array([5, 32])
@@ -614,12 +616,12 @@ def test_heavy_mechanism_uses_shrunk_covariates():
 
 def test_rationality_at_floor_and_negative_control():
     model, bundle, params, pop, reported = _linear_setup(n=2000, seed=12)
-    out = run_mechanism(reported, bundle, params, np.random.default_rng(51))
+    out = run_mechanism(reported, params, np.random.default_rng(51))
     frac = rationality_fraction(out, pop.costs, params.cost_exponent, params.tau_threshold)
     assert frac == 1.0
 
     broke = replace(params, a1=0.0)
-    out0 = run_mechanism(reported, bundle, broke, np.random.default_rng(51))
+    out0 = run_mechanism(reported, broke, np.random.default_rng(51))
     frac0 = rationality_fraction(out0, pop.costs, broke.cost_exponent, broke.tau_threshold)
     assert frac0 < 1.0
 
@@ -627,7 +629,7 @@ def test_rationality_at_floor_and_negative_control():
 def test_rationality_with_vanishing_cost_function():
     model, bundle, params, pop, reported = _linear_setup(seed=13)
     # agents of zero cost bear no privacy cost; payments floored by a1 stay >= 0
-    out = run_mechanism(reported, bundle, params, np.random.default_rng(52))
+    out = run_mechanism(reported, params, np.random.default_rng(52))
     frac = rationality_fraction(out, np.zeros_like(pop.costs), params.cost_exponent, math.inf)
     assert frac == 1.0
 
@@ -642,12 +644,8 @@ def test_budget_bound_formula():
 
 def test_realized_budget_below_bound():
     model, bundle, params, pop, reported = _linear_setup(n=600, seed=14)
-    out = run_mechanism(reported, bundle, params, np.random.default_rng(61))
-    constants = compute_link_constants(
-        bundle, params.settings.polytope, params.settings.tau1,
-        params.settings.tau2, params.settings.tau_theta,
-    )
-    assert out.budget <= budget_bound(600, params.a1, params.a2, constants.m_a)
+    out = run_mechanism(reported, params, np.random.default_rng(61))
+    assert out.budget <= budget_bound(600, params.a1, params.a2, params.m_a)
 
 
 def test_schedule_values_linear():
@@ -661,13 +659,9 @@ def test_schedule_values_linear():
     assert params.a2 == pytest.approx(n**-1.2, rel=1e-12)
     assert params.cost_exponent == 4
     # a1 sits exactly on the rationality floor
-    constants = compute_link_constants(
-        make_link_bundle(ModelKind.linear(1.0)), params.settings.polytope,
-        params.settings.tau1, params.settings.tau2, params.settings.tau_theta,
-    )
     floor = rationality_floor(
-        params.a2, constants.m_a, params.tau_threshold, params.cost_exponent,
-        params.privacy.epsilon, params.privacy.gamma_n + 2 * params.privacy.gamma_half,
+        params.a2, params.m_a, params.tau_threshold, params.cost_exponent,
+        (2 * params.privacy.epsilon, params.privacy.gamma_n + 2 * params.privacy.gamma_half),
     )
     assert params.a1 == pytest.approx(floor, rel=1e-12)
     assert params.a1 >= floor - 1e-15
@@ -708,6 +702,45 @@ def test_schedule_delta_range_and_subset(family, regime, lo, hi, subset):
     assert project_polytope(y, polytope) == pytest.approx(np.clip(y, *subset), abs=1e-12)
 
 
+_SCHEDULES = {
+    "linear": (ModelKind.linear(1.0), "subgaussian", 0.3),
+    "logistic": (ModelKind.logistic(), "subgaussian", 0.3),
+    "poisson": (ModelKind.poisson(), "subgaussian", 0.26),
+    "heavy": (ModelKind.linear(1.0), "heavy", 0.12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SCHEDULES))
+def test_schedule_resolves_the_links_once(monkeypatch, name):
+    # one make_link_bundle and one compute_link_constants per schedule, whichever
+    # privglm module binds the names; the parameters carry what they resolved
+    model, regime, delta = _SCHEDULES[name]
+    modules = [importlib.import_module(f"privglm.{m.name}")
+               for m in pkgutil.iter_modules(privglm.__path__)]
+    calls = []
+    for fn in (links.compute_link_constants, links.make_link_bundle):
+        def counted(*args, _fn=fn):
+            calls.append(_fn.__name__)
+            return _fn(*args)
+
+        for module in modules:
+            if getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counted)
+    n, d = 10**4, 3
+    params = preset_schedule(model, regime, n, delta, d=d)
+    assert sorted(calls) == ["compute_link_constants", "make_link_bundle"]
+    monkeypatch.undo()
+    s = params.settings
+    assert params.bundle == make_link_bundle(model)
+    assert params.constants == links.compute_link_constants(
+        params.bundle, s.polytope, s.tau1, s.tau2, s.tau_theta
+    )
+    if regime == "heavy":
+        assert params.m_a == d ** 0.25 * s.tau1 * s.tau_theta
+    else:
+        assert params.m_a == params.constants.m_a
+
+
 def test_schedule_delta_validation():
     preset_schedule(ModelKind.logistic(), "subgaussian", 1000, 0.45, d=2)
     with pytest.raises(ConfigError):
@@ -725,24 +758,25 @@ def test_schedule_delta_validation():
 def test_schedule_resolves_release_sensitivities():
     # the full release's sensitivity is the regime's bound at n, each half's at n // 2
     model = ModelKind.linear(1.0)
-    bundle = make_link_bundle(model)
     for regime, n, delta, c0 in (
         ("subgaussian", 500, 0.3, 1.0), ("subgaussian", 501, 0.3, 2.5), ("heavy", 777, 0.12, 0.4),
     ):
         params = preset_schedule(model, regime, n, delta, d=2, c0=c0)
         for size, got in ((n, params.privacy.delta_n), (n // 2, params.privacy.delta_half)):
-            assert got == sensitivity_bound(size, 2, bundle, params.settings, c0)
+            assert got == sensitivity_bound(size, 2, regime, params.constants.kappa1, c0)
 
 
 def test_mechanism_params_validation():
     settings = EstimatorSettings(tau1=1.0, tau2=1.0, tau_theta=1.0)
+    links = dict(bundle=make_link_bundle(ModelKind.linear(1.0)),
+                 constants=LinkConstants(1.0, 1.0, 1.0, 1.0, 0.0), m_a=1.0)
     with pytest.raises(ConfigError):
         MechanismParams(
             n=100, privacy=PrivacyParams(0.5, 1.0, 1.0), settings=settings, a1=1.0, a2=1.0,
-            alpha=0.0, beta=0.5, tau_threshold=1.0, cost_exponent=4,
+            alpha=0.0, beta=0.5, tau_threshold=1.0, cost_exponent=4, **links,
         )
     with pytest.raises(ConfigError):
         MechanismParams(
             n=100, privacy=PrivacyParams(0.5, 1.0, 1.0), settings=settings, a1=-1.0, a2=1.0,
-            alpha=0.5, beta=0.5, tau_threshold=1.0, cost_exponent=4,
+            alpha=0.5, beta=0.5, tau_threshold=1.0, cost_exponent=4, **links,
         )

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -175,6 +177,31 @@ def test_insufficient_mass_raises():
             _laplace_build(0.0, 0.5), a, b, trials=20_000, bins=20,
             rng=np.random.default_rng(1), epsilon_bound=1.0,
         )
+
+
+@pytest.mark.parametrize("d, bins", [(1, 2001), (2, 45), (1, 10**9)])
+def test_more_cells_than_trials_are_refused_before_any_build(d, bins):
+    # bins ** d cells over 2000 trials: each cell would average under one sample
+    # of either output, so the check could only end in the thin-bin refusal; it
+    # refuses first, before it builds or allocates anything of length bins
+    builds = []
+
+    def build(dataset, rng, out):
+        builds.append(len(out))
+        out[:] = rng.laplace(size=out.shape)
+
+    a = _Pair(np.ones((3, d)), np.zeros(3))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=rf"bins \*\* d = {bins} \*\* {d} cells exceed "
+                                              r"the 2000 trials"):
+            empirical_privacy_ratio(build, a, a, trials=2000, bins=bins,
+                                    rng=np.random.default_rng(0), epsilon_bound=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert builds == []
+    assert peak < 2 ** 20
 
 
 def _two_atom_build(dataset, rng, out):

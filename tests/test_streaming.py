@@ -89,7 +89,7 @@ def test_one_chunk_cell_is_the_materialised_composition(name, fixed_theta):
     spec = replace(config.population, n=n)
     pop = generate_population(spec, cell_rng(ms, n, repeat, ARM_POPULATION))
     reported = apply_strategy(pop, tau, config.population.model)
-    out = run_mechanism(reported, bundle, params, cell_rng(ms, n, repeat, ARM_MECHANISM))
+    out = run_mechanism(reported, params, cell_rng(ms, n, repeat, ARM_MECHANISM))
     diff = out.theta_bar_full - pop.theta_star
     assert not row.failed
     assert row.theta_bar == [float(v) for v in out.theta_bar_full]
@@ -116,14 +116,13 @@ def test_streamed_cell_equals_run_on_materialised_population(name):
     config = cell_config(name, d, n)
     ms = config.master_seed
     params = params_for(config, n)
-    bundle = make_link_bundle(config.population.model)
     tau = params.tau_threshold
 
     stream = cell_population(config, n, 0, tau)
-    streamed = run_mechanism(stream, bundle, params, cell_rng(ms, n, 0, ARM_MECHANISM))
+    streamed = run_mechanism(stream, params, cell_rng(ms, n, 0, ARM_MECHANISM))
     pop = stream.population()
     reported = apply_strategy(pop, tau, config.population.model)
-    whole = run_mechanism(reported, bundle, params, cell_rng(ms, n, 0, ARM_MECHANISM))
+    whole = run_mechanism(reported, params, cell_rng(ms, n, 0, ARM_MECHANISM))
 
     for field in ("theta_bar_full", "theta_bar_g0", "theta_bar_g1", "payments"):
         assert np.array_equal(getattr(streamed, field), getattr(whole, field)), field
@@ -139,8 +138,7 @@ def test_streamed_cell_row_reads_the_stream():
     row = harness._run_cell(config, n, 0)
     params = params_for(config, n)
     stream = cell_population(config, n, 0, params.tau_threshold)
-    out = run_mechanism(stream, make_link_bundle(config.population.model), params,
-                        cell_rng(config.master_seed, n, 0, ARM_MECHANISM))
+    out = run_mechanism(stream, params, cell_rng(config.master_seed, n, 0, ARM_MECHANISM))
     assert row.theta_bar == [float(v) for v in out.theta_bar_full]
     assert row.budget == out.budget
     assert row.truthful_frac == float(np.mean(stream.population().costs <= params.tau_threshold))
@@ -158,8 +156,7 @@ def test_streamed_cell_counts_across_chunks(name):
     tau = params.tau_threshold
     pop = cell_population(config, n, 0, tau).population()
     reported = apply_strategy(pop, tau, config.population.model)
-    out = run_mechanism(reported, make_link_bundle(config.population.model), params,
-                        cell_rng(config.master_seed, n, 0, ARM_MECHANISM))
+    out = run_mechanism(reported, params, cell_rng(config.master_seed, n, 0, ARM_MECHANISM))
     assert out.truthful_frac is None and out.rationality_frac is None  # a Dataset has no costs
     assert row.truthful_frac == float(np.mean(pop.costs <= tau))
     assert row.rationality_frac == rationality_fraction(out, pop.costs, params.cost_exponent, tau)
@@ -244,10 +241,9 @@ def test_run_mechanism_reads_only_the_chunks_of_a_row_source():
     n, d = CHUNK_ROWS + 5, 2
     model = ModelKind.linear(1.0)
     params = preset_schedule(model, "subgaussian", n, 0.3, d=d)
-    bundle = make_link_bundle(model)
     pop = generate_population(PopulationSpec(n=n, d=d, model=model), np.random.default_rng(6))
-    bare = run_mechanism(_BareRows(pop.X, pop.y_true), bundle, params, np.random.default_rng(7))
-    data = run_mechanism(Dataset(pop.X, pop.y_true), bundle, params, np.random.default_rng(7))
+    bare = run_mechanism(_BareRows(pop.X, pop.y_true), params, np.random.default_rng(7))
+    data = run_mechanism(Dataset(pop.X, pop.y_true), params, np.random.default_rng(7))
     for field in fields(data):
         got, want = getattr(bare, field.name), getattr(data, field.name)
         assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want, field
@@ -263,8 +259,8 @@ def test_run_mechanism_counts_the_costs_of_a_row_source():
     tau = params.tau_threshold
     pop = generate_population(PopulationSpec(n=n, d=d, model=model), np.random.default_rng(8))
     reported = apply_strategy(pop, tau, model)
-    out = run_mechanism(_BareRows(reported.X, reported.y, pop.costs), make_link_bundle(model),
-                        params, np.random.default_rng(9))
+    out = run_mechanism(_BareRows(reported.X, reported.y, pop.costs), params,
+                        np.random.default_rng(9))
     assert type(out.truthful_frac) is float and type(out.rationality_frac) is float
     assert out.truthful_frac == float(np.mean(pop.costs <= tau))
     assert out.rationality_frac == rationality_fraction(out, pop.costs, params.cost_exponent, tau)
@@ -325,7 +321,7 @@ def test_run_mechanism_checks_the_responses_of_every_chunk():
     y[-1] = 0.5  # the last agent of the partial second chunk
     data = Dataset(np.random.default_rng(0).standard_normal((n, 2)), y)
     with pytest.raises(ConfigError, match="logistic responses must lie in"):
-        run_mechanism(data, make_link_bundle(model), params, np.random.default_rng(1))
+        run_mechanism(data, params, np.random.default_rng(1))
 
 
 def _traced_peak(config, n) -> int:
@@ -371,6 +367,6 @@ def test_run_mechanism_leaves_the_dataset_untouched():
     assert not np.array_equal(l4_shrink_rows(X, params.settings.tau1), X)  # some rows shrink
     data = Dataset(X, y)
     X_before, y_before = data.X.copy(), data.y.copy()
-    run_mechanism(data, make_link_bundle(model), params, np.random.default_rng(9))
+    run_mechanism(data, params, np.random.default_rng(9))
     assert np.array_equal(data.X, X_before)
     assert np.array_equal(data.y, y_before)

@@ -83,8 +83,10 @@ TRACING = Path(__file__).parents[1] / "benchmarks" / "tracing.py"
 # bindings the benchmark's tracer looks for and the package no longer has;
 # their per-layer metrics read 0
 TRACER_MISSING = [
+    "privglm.cli.compute_link_constants",
     "privglm.cli.empirical_sensitivity",
     "privglm.cli.generate_population",
+    "privglm.cli.make_link_bundle",
     "privglm.harness.apply_strategy",
     "privglm.harness.rationality_check",
     "privglm.mechanism.estimate",
