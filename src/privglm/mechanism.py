@@ -30,10 +30,14 @@ solves all three, adds noise and projects. The second pass pays: it walks
 the chunks again and, one row block at a time, takes the posterior means
 from the raw rows, maps the block, predicts q from the means and p from the
 opposite group's release, pays the Brier score and counts the truthful and
-rational agents (`rationality_counts`). A cell keeps 9 bytes per agent: the
-int8 partition and the payment. Of the rows it keeps one chunk at a time,
-and nothing beside it: the posterior means, the design of pass 2, p, q and
-the counts go one row block (`row_blocks`) at a time.
+rational agents (`rationality_counts`). Each block's payments are summed
+into the budget as they are paid, by `math.fsum`, which rounds the exact sum
+once, so the budget has the bits of one sum over every payment. A cell keeps
+1 byte per agent: the int8 partition. While the partition is drawn, the
+shuffled index beside it takes the bytes of the narrowest unsigned type that
+holds n - 1 (4 from n = 65,537 to 2^32). Of the rows it keeps one chunk at a time, and
+nothing beside it: the posterior means, the design of pass 2, p, q, the
+payments and the counts go one row block (`row_blocks`) at a time.
 
 Each step has one implementation in this module: `partition`,
 `release_noise` (the three noises, drawn in the order full, half 0, half 1),
@@ -53,6 +57,7 @@ run cannot pair one model's parameters with another model's links.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -155,6 +160,12 @@ class MechanismParams:
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0 and 0.0 < self.beta < 1.0):
             raise ConfigError("alpha and beta must lie in (0, 1)")
+        if not all(math.isfinite(v) for v in (self.a1, self.a2, self.m_a)):
+            # a1 takes m_A^2, which overflows once m_A is above about 1.34e154
+            raise ConfigError(
+                f"payment parameters must be finite: a1 = {self.a1}, a2 = {self.a2}, "
+                f"m_A = {self.m_a}"
+            )
         if self.a1 < 0 or self.a2 < 0:
             raise ConfigError("payment parameters must be nonnegative")
 
@@ -164,9 +175,8 @@ class MechanismOutcome:
     theta_bar_full: np.ndarray
     theta_bar_g0: np.ndarray
     theta_bar_g1: np.ndarray
-    payments: np.ndarray
     group_assignment: np.ndarray
-    budget: float
+    budget: float  # the sum of the payments, which the outcome does not keep
     account: Tuple[float, float]
     noise_norms: Tuple[float, float, float]  # each release's noise norm, in RELEASES order
     # counted while paying, when the row source has costs (`rationality_counts`)
@@ -188,8 +198,15 @@ def check_size(n: int, d: int) -> None:
 
 
 def partition(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Random equal split: group 1 is the last n - n // 2 entries of a permutation."""
-    perm = rng.permutation(n)
+    """Random equal split: group 1 is the last n - n // 2 entries of a permutation.
+
+    The permutation shuffles an index of the narrowest unsigned type that holds
+    n - 1. `rng.shuffle` draws the same swaps whatever the dtype, so it is the
+    permutation `rng.permutation(n)` gives, with the generator left in the same
+    state, at 1, 2 or 4 bytes per agent instead of 8 for n up to 2^32.
+    """
+    perm = np.arange(n, dtype=np.min_scalar_type(n - 1))
+    rng.shuffle(perm)
     assign = np.zeros(n, dtype=np.int8)
     assign[perm[n // 2 :]] = 1
     return assign
@@ -523,10 +540,11 @@ def run_mechanism(
 
     Pass 1 writes into the chunks `chunks()` yields, so a row source yields
     arrays of the mechanism's own (`Dataset` yields copies); pass 2 only
-    reads them. The outcome's `truthful_frac` and `rationality_frac` are
-    None when the row source has no costs.
+    reads them. The budget is summed block by block as pass 2 pays; no
+    payment outlives its block. The outcome's `truthful_frac` and
+    `rationality_frac` are None when the row source has no costs.
     """
-    settings, bundle, model = params.settings, params.bundle, params.bundle.model
+    settings = params.settings
     n, d = reported.n, reported.d
     if n != params.n:
         raise ConfigError(f"parameters resolved at n = {params.n} cannot run {n} agents")
@@ -535,10 +553,11 @@ def run_mechanism(
     assign = partition(n, rng)
     factors = ([], [])
     lo = 0
-    for X, y, _ in reported.chunks():
+    for X, y, costs in reported.chunks():
         hi = lo + X.shape[0]
         _first_pass(X, y, assign[lo:hi], factors, params)
-        del X, y, _  # the next chunk is drawn with this one dropped
+        has_costs = costs is not None
+        del X, y, costs  # the next chunk is drawn with this one dropped
         lo = hi
 
     halves = [found[0] if len(found) == 1 else stack_factors(*found) for found in factors]
@@ -548,35 +567,19 @@ def run_mechanism(
 
     account = compose_account(params.privacy)
     unit = privacy_cost(*account, params.cost_exponent)
-    pay = np.empty(n)
-    truthful = rational = 0
-    has_costs = False
-    lo = 0
-    for X, y, costs in reported.chunks():
-        has_costs = costs is not None
-        for block in row_blocks(*X.shape):
-            rows = slice(lo + block.start, lo + block.stop)
-            means = posterior_mean(X[block], y[block], model, settings.tau_theta)
-            x_pay = design(X[block], model, settings)
-            q = predictions(x_pay, means, bundle)
-            # each row's p against the release that pays its group
-            p = predictions(x_pay, bars[opposite_release(assign[rows])], bundle)
-            pay[rows] = brier_payment(params.a1, params.a2, p, q)
-            if has_costs:
-                t, r = rationality_counts(pay[rows], costs[block], unit, params.tau_threshold)
-                truthful, rational = truthful + t, rational + r
-        lo += X.shape[0]
-        del X, y, costs  # the next chunk is drawn with this one dropped
+    counts = [0, 0]
+    paid = _second_pass(reported, assign, bars, params, unit, counts)
+    # each block's memoryview hands fsum Python floats, not numpy scalars; fsum
+    # rounds the exact sum once, so block by block it gives the bits of one sum
+    budget = math.fsum(itertools.chain.from_iterable(paid))
+    truthful, rational = counts
 
     return MechanismOutcome(
         theta_bar_full=bars[0],
         theta_bar_g0=bars[1],
         theta_bar_g1=bars[2],
-        payments=pay,
         group_assignment=assign,
-        # a memoryview hands fsum Python floats, not numpy scalars; fsum rounds
-        # correctly, so the bits are those of the exact sum
-        budget=math.fsum(memoryview(pay)),
+        budget=budget,
         account=account,
         noise_norms=tuple(float(np.linalg.norm(v)) for v in noise),
         truthful_frac=truthful / n if has_costs else None,
@@ -603,6 +606,34 @@ def _first_pass(X, y, assign, factors, params: MechanismParams) -> None:
         rows = np.flatnonzero(assign == group)
         if rows.size:
             found.append(triangular_factor(X, z, rows))
+
+
+def _second_pass(reported, assign, bars, params: MechanismParams, unit: float, counts):
+    """Pass 2: pay each row block of each chunk and yield a memoryview of its payments.
+
+    Per block: the posterior means from the raw rows, the design, q and p
+    (`predictions`) and the Brier payment. Given costs, the block's
+    `rationality_counts` at `unit`, the per-unit privacy cost, are added to
+    counts = [truthful, rational] before the block is yielded.
+    """
+    settings, bundle, model = params.settings, params.bundle, params.bundle.model
+    lo = 0
+    for X, y, costs in reported.chunks():
+        for block in row_blocks(*X.shape):
+            means = posterior_mean(X[block], y[block], model, settings.tau_theta)
+            x_pay = design(X[block], model, settings)
+            q = predictions(x_pay, means, bundle)
+            # each row's p against the release that pays its group
+            groups = assign[lo + block.start : lo + block.stop]
+            p = predictions(x_pay, bars[opposite_release(groups)], bundle)
+            pay = brier_payment(params.a1, params.a2, p, q)
+            if costs is not None:
+                t, r = rationality_counts(pay, costs[block], unit, params.tau_threshold)
+                counts[0] += t
+                counts[1] += r
+            yield memoryview(pay)
+        lo += X.shape[0]
+        del X, y, costs  # the next chunk is drawn with this one dropped
 
 
 # ---------------------------------------------------------------------------

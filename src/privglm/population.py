@@ -87,6 +87,13 @@ class PopulationSpec:
             raise ConfigError("population needs n >= 1 and d >= 1")
         if not self.tau_theta > 0:
             raise ConfigError("tau_theta must be positive")
+        tau = float(self.tau_theta)
+        if not math.isfinite(tau * tau):
+            # draw_theta_star accepts a draw whose squared norm is at most tau_theta^2
+            raise ConfigError(
+                f"tau_theta = {self.tau_theta:g} is too large: its square overflows "
+                f"(tau_theta must be below about 1.34e154)"
+            )
         if not self.cost_lambda > 0:
             raise ConfigError("cost_lambda must be positive")
         if isinstance(self.covariates, StudentTCovariates) and not self.covariates.dof > 4:
@@ -148,11 +155,18 @@ class Population:
 
 
 def draw_theta_star(d: int, tau_theta: float, rng: np.random.Generator) -> np.ndarray:
-    """Rejection-sample N(0, (tau_theta^2/d) I) truncated to the tau_theta ball."""
+    """Rejection-sample N(0, (tau_theta^2/d) I) truncated to the tau_theta ball.
+
+    A draw whose squared norm overflows reads a norm of inf and is rejected;
+    one is accepted whenever tau_theta^2 is finite, which `PopulationSpec`
+    requires.
+    """
     scale = tau_theta / math.sqrt(d)
     while True:
         theta = rng.standard_normal(d) * scale
-        if np.linalg.norm(theta) <= tau_theta:
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(theta)
+        if norm <= tau_theta:
             return theta
 
 

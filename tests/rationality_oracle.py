@@ -1,27 +1,26 @@
 """Rationality of a finished mechanism run, counted in plain numpy.
 
-The mechanism, streaming and acceptance tests check a run's payments, and
-the `rationality_frac` a cell counts while it pays, against this fraction
-over the agents' costs; it shares no code with `mechanism.rationality_counts`.
-No verb or cell uses it.
+The mechanism, streaming and acceptance tests check a run's payments
+(`payment_oracle.paid`), and the `rationality_frac` a cell counts while it
+pays, against this fraction over the agents' costs; it shares no code with
+`mechanism.rationality_counts`. No verb or cell uses it.
 """
 
 import numpy as np
 
-from privglm.mechanism import MechanismOutcome
-
 
 def rationality_fraction(
-    outcome: MechanismOutcome, costs: np.ndarray, cost_exponent: int, tau: float
+    payments: np.ndarray, account, costs: np.ndarray, cost_exponent: int, tau: float
 ) -> float:
     """Fraction of the agents with cost <= tau whose payment covers cost x unit; 1.0 if none.
 
-    The unit is the per-unit privacy cost (1 + gamma) eps^k of the run's account.
+    The unit is the per-unit privacy cost (1 + gamma) eps^k of the run's
+    (epsilon, gamma) `account`.
     """
-    epsilon, gamma = outcome.account
+    epsilon, gamma = account
     unit = (1.0 + gamma) * epsilon ** cost_exponent
     costs = np.asarray(costs, dtype=float)
     below = costs <= tau
     if not below.any():
         return 1.0
-    return float(np.mean(outcome.payments[below] >= costs[below] * unit))
+    return float(np.mean(payments[below] >= costs[below] * unit))

@@ -46,6 +46,7 @@ from privglm.population import (
 )
 from privglm.privacy import sample_norm_exponential
 
+from payment_oracle import paid
 from rationality_oracle import rationality_fraction
 from strategy_oracle import apply_strategy
 from threshold_oracle import tau_alpha_beta_monte_carlo
@@ -237,7 +238,8 @@ def test_criterion_07_rationality():
         pop = generate_population(spec, np.random.default_rng([seed, 1]))
         reported = apply_strategy(pop, params.tau_threshold, model)
         outcome = run_mechanism(reported, params, np.random.default_rng([seed, 3]))
-        frac = rationality_fraction(outcome, pop.costs, params.cost_exponent, params.tau_threshold)
+        frac = rationality_fraction(paid(reported, outcome, params), outcome.account, pop.costs,
+                                    params.cost_exponent, params.tau_threshold)
         perfect += frac == 1.0
     assert _verdict("7 rationality at the a1 floor", perfect >= 99, f"{perfect}/100 runs all-rational")
 

@@ -633,12 +633,13 @@ def test_canonical_check_holds_four_doubles_per_trial():
     assert peak <= 4 * 8 * trials + 2 ** 20, f"traced peak {peak / 2 ** 20:.2f} MiB"
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     # the child imports privglm from where this process found it
     path = [str(Path(privglm.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     return subprocess.run(
-        [sys.executable, "-m", "privglm.cli", *args], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "privglm.cli", *args], capture_output=True, text=True, env=env,
+        timeout=timeout,
     )
 
 
@@ -1169,6 +1170,41 @@ def test_cli_config_caused_failure_exits_2(tmp_path, capsys, argv, population, m
     assert cli_main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err and err.count("\n") == 1
+
+
+def _huge_tau_theta(name, tau_theta):
+    """A config at n = 1000 whose m_A^2 overflows: linear at d = 2, or heavy at d = 3."""
+    heavy = name == "heavy"
+    return {
+        "population": {"d": 3 if heavy else 2, "model": "linear", "tau_theta": tau_theta},
+        "regime": "heavy" if heavy else "subgaussian",
+        "schedule": {"delta": 0.12 if heavy else 0.3},
+        "sweep": [1000],
+    }
+
+
+@pytest.mark.parametrize("name, tau_theta, message", [
+    ("linear", 1e300, "tau_theta = 1e+300 is too large: its square overflows"),
+    ("heavy", 1e307, "tau_theta = 1e+307 is too large: its square overflows"),
+    # tau_theta^2 is finite here, but a1 takes m_A^2 = (4.6e154)^2
+    ("heavy", 1e154, "payment parameters must be finite: a1 = inf"),
+], ids=["linear-1e300", "heavy-1e307", "heavy-1e154"])
+def test_cli_schedule_refuses_a_non_finite_a1(tmp_path, capsys, name, tau_theta, message):
+    # schedule once printed "a1": Infinity, which is not strict JSON, and exited 0
+    path = _write_config(tmp_path, _huge_tau_theta(name, tau_theta))
+    assert cli_main(["schedule", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error:") and message in captured.err
+
+
+def test_cli_simulate_refuses_a_tau_theta_whose_square_overflows(tmp_path):
+    # the draw of theta* once looped forever: its norm read inf, so no draw was accepted
+    path = _write_config(tmp_path, _huge_tau_theta("linear", 1e300))
+    proc = run_cli("simulate", "--config", path, "--out", str(tmp_path / "out"), timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "its square overflows" in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_runs_a_logistic_cell_whose_predictor_range_rounds_tanh_to_one(tmp_path, capsys):

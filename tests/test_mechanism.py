@@ -46,6 +46,7 @@ from privglm.population import (
 )
 from privglm.privacy import PrivacyParams
 
+from payment_oracle import paid, recomputed_predictions
 from rationality_oracle import rationality_fraction
 from strategy_oracle import apply_strategy
 
@@ -353,9 +354,9 @@ def test_run_mechanism_contracts():
     tau_theta = params.settings.tau_theta
     for theta in (out.theta_bar_full, out.theta_bar_g0, out.theta_bar_g1):
         assert np.linalg.norm(theta) <= tau_theta + 1e-12
-    assert out.payments.shape == (400,)
-    assert out.budget == math.fsum(out.payments)
-    assert math.fsum(out.payments[np.random.default_rng(0).permutation(400)]) == out.budget
+    payments = paid(reported, out, params)
+    assert payments.shape == (400,)
+    assert math.fsum(payments[np.random.default_rng(0).permutation(400)]) == out.budget
     assert sorted(np.unique(out.group_assignment)) == [0, 1]
     assert np.sum(out.group_assignment == 0) == 200
     assert out.account == (2 * params.privacy.epsilon, pytest.approx(
@@ -369,7 +370,6 @@ def test_run_mechanism_deterministic():
     a = run_mechanism(reported, params, np.random.default_rng(9))
     b = run_mechanism(reported, params, np.random.default_rng(9))
     assert np.array_equal(a.theta_bar_full, b.theta_bar_full)
-    assert np.array_equal(a.payments, b.payments)
     assert a.budget == b.budget
     assert np.array_equal(a.group_assignment, b.group_assignment)
 
@@ -457,9 +457,10 @@ def _recompute_payment(reported, i, out, bundle, params):
 def test_group_blinding_recompute_linear():
     model, bundle, params, pop, reported = _linear_setup(seed=6)
     out = run_mechanism(reported, params, np.random.default_rng(11))
+    payments = paid(reported, out, params)
     rng = np.random.default_rng(1)
     for i in rng.choice(400, size=30, replace=False):
-        assert _recompute_payment(reported, int(i), out, bundle, params) == out.payments[i]
+        assert _recompute_payment(reported, int(i), out, bundle, params) == payments[i]
 
 
 def test_group_blinding_recompute_quadrature():
@@ -471,8 +472,9 @@ def test_group_blinding_recompute_quadrature():
     )
     reported = apply_strategy(pop, params.tau_threshold, model)
     out = run_mechanism(reported, params, np.random.default_rng(23))
+    payments = paid(reported, out, params)
     for i in (0, 7, 31, 59):
-        assert _recompute_payment(reported, i, out, bundle, params) == out.payments[i]
+        assert _recompute_payment(reported, i, out, bundle, params) == payments[i]
 
 
 # family -> (model, regime, schedule delta, covariates)
@@ -512,12 +514,13 @@ def test_group_blinding_property(family, n, agent, report, seed):
         y[i] = float(report)
     else:
         y[i] += report - 1.5
-    base = run_mechanism(Dataset(pop.X, pop.y_true), params, np.random.default_rng(seed))
-    moved = run_mechanism(Dataset(pop.X, y), params, np.random.default_rng(seed))
+    truthful, deviated = Dataset(pop.X, pop.y_true), Dataset(pop.X, y)
+    base = run_mechanism(truthful, params, np.random.default_rng(seed))
+    moved = run_mechanism(deviated, params, np.random.default_rng(seed))
     assert np.array_equal(base.group_assignment, moved.group_assignment)
     peers = base.group_assignment == base.group_assignment[i]
     peers[i] = False
-    assert np.array_equal(base.payments[peers], moved.payments[peers])
+    assert np.array_equal(paid(truthful, base, params)[peers], paid(deviated, moved, params)[peers])
 
 
 @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
@@ -535,9 +538,10 @@ def test_payment_and_budget_bounds_property(family, n, seed):
     s = params.settings
     X = pop.X if s.regime == "heavy" else project_ball(pop.X, s.tau1)
     m_a = params.m_a
-    out = run_mechanism(Dataset(X, pop.y_true), params, np.random.default_rng(seed))
+    data = Dataset(X, pop.y_true)
+    out = run_mechanism(data, params, np.random.default_rng(seed))
     cap = params.a1 + params.a2 * (m_a + m_a * m_a)
-    assert np.all(out.payments <= cap * (1 + 1e-12))
+    assert np.all(paid(data, out, params) <= cap * (1 + 1e-12))
     assert out.budget <= budget_bound(n, params.a1, params.a2, m_a) * (1 + 1e-12)
 
 
@@ -555,8 +559,12 @@ def test_rationality_at_floor_property(family, n, seed):
     params, pop = _property_case(family, n, seed)
     s = params.settings
     X = pop.X if s.regime == "heavy" else project_ball(pop.X, s.tau1)
-    out = run_mechanism(Dataset(X, pop.y_true), params, np.random.default_rng(seed))
-    assert rationality_fraction(out, pop.costs, params.cost_exponent, params.tau_threshold) == 1.0
+    data = Dataset(X, pop.y_true)
+    out = run_mechanism(data, params, np.random.default_rng(seed))
+    payments = paid(data, out, params)
+    frac = rationality_fraction(
+        payments, out.account, pop.costs, params.cost_exponent, params.tau_threshold)
+    assert frac == 1.0
 
 
 def test_poisson_report_in_prior_tail_pays_every_agent():
@@ -565,23 +573,13 @@ def test_poisson_report_in_prior_tail_pays_every_agent():
     params, pop = _property_case("poisson", 55, 94792)
     s = params.settings
     assert pop.y_true.max() == 12.0
-    X = project_ball(pop.X, s.tau1)
-    out = run_mechanism(Dataset(X, pop.y_true), params, np.random.default_rng(94792))
+    data = Dataset(project_ball(pop.X, s.tau1), pop.y_true)
+    out = run_mechanism(data, params, np.random.default_rng(94792))
     m_a = params.m_a
-    assert out.payments.shape == (55,)
-    assert np.all(np.isfinite(out.payments))
-    assert np.all(out.payments <= params.a1 + params.a2 * (m_a + m_a * m_a))
-
-
-def _recompute_predictions(reported, idx, out, bundle, params):
-    """p and q of agents idx: their design rows against the opposite release and
-    against the posterior mean given their own reports."""
-    X = reported.X[idx]
-    x_pay = design(X, bundle.model, params.settings)
-    halves = np.stack([out.theta_bar_g0, out.theta_bar_g1])
-    opposite = halves[1 - out.group_assignment[idx]]
-    means = posterior_mean(X, reported.y[idx], bundle.model, params.settings.tau_theta)
-    return predictions(x_pay, opposite, bundle), predictions(x_pay, means, bundle)
+    payments = paid(data, out, params)
+    assert payments.shape == (55,)
+    assert np.all(np.isfinite(payments))
+    assert np.all(payments <= params.a1 + params.a2 * (m_a + m_a * m_a))
 
 
 def test_payment_form_spot_check():
@@ -589,9 +587,9 @@ def test_payment_form_spot_check():
     out = run_mechanism(reported, params, np.random.default_rng(31))
     rng = np.random.default_rng(2)
     idx = rng.choice(400, size=100, replace=False)
-    p, q = _recompute_predictions(reported, idx, out, bundle, params)
+    p, q = recomputed_predictions(reported, idx, out, params)
     direct = brier_payment(params.a1, params.a2, p, q)
-    assert np.array_equal(direct, out.payments[idx])
+    assert np.array_equal(direct, paid(reported, out, params)[idx])
 
 
 def test_heavy_mechanism_uses_shrunk_covariates():
@@ -607,8 +605,8 @@ def test_heavy_mechanism_uses_shrunk_covariates():
     xs = l4_shrink_rows(reported.X, params.settings.tau1)
     assert not np.array_equal(xs[32], reported.X[32])  # agent 32's row shrinks, agent 5's not
     idx = np.array([5, 32])
-    p, q = _recompute_predictions(reported, idx, out, bundle, params)
-    assert np.array_equal(brier_payment(params.a1, params.a2, p, q), out.payments[idx])
+    p, q = recomputed_predictions(reported, idx, out, params)
+    assert np.array_equal(brier_payment(params.a1, params.a2, p, q), paid(reported, out, params)[idx])
     for k, i in enumerate(idx):
         opposite = out.theta_bar_g1 if out.group_assignment[i] == 0 else out.theta_bar_g0
         assert p[k] == pytest.approx(float(xs[i] @ opposite), abs=1e-15)
@@ -617,12 +615,14 @@ def test_heavy_mechanism_uses_shrunk_covariates():
 def test_rationality_at_floor_and_negative_control():
     model, bundle, params, pop, reported = _linear_setup(n=2000, seed=12)
     out = run_mechanism(reported, params, np.random.default_rng(51))
-    frac = rationality_fraction(out, pop.costs, params.cost_exponent, params.tau_threshold)
+    frac = rationality_fraction(paid(reported, out, params), out.account, pop.costs,
+                                params.cost_exponent, params.tau_threshold)
     assert frac == 1.0
 
     broke = replace(params, a1=0.0)
     out0 = run_mechanism(reported, broke, np.random.default_rng(51))
-    frac0 = rationality_fraction(out0, pop.costs, broke.cost_exponent, broke.tau_threshold)
+    frac0 = rationality_fraction(paid(reported, out0, broke), out0.account, pop.costs,
+                                 broke.cost_exponent, broke.tau_threshold)
     assert frac0 < 1.0
 
 
@@ -630,7 +630,8 @@ def test_rationality_with_vanishing_cost_function():
     model, bundle, params, pop, reported = _linear_setup(seed=13)
     # agents of zero cost bear no privacy cost; payments floored by a1 stay >= 0
     out = run_mechanism(reported, params, np.random.default_rng(52))
-    frac = rationality_fraction(out, np.zeros_like(pop.costs), params.cost_exponent, math.inf)
+    frac = rationality_fraction(paid(reported, out, params), out.account,
+                                np.zeros_like(pop.costs), params.cost_exponent, math.inf)
     assert frac == 1.0
 
 
@@ -780,3 +781,20 @@ def test_mechanism_params_validation():
             n=100, privacy=PrivacyParams(0.5, 1.0, 1.0), settings=settings, a1=-1.0, a2=1.0,
             alpha=0.5, beta=0.5, tau_threshold=1.0, cost_exponent=4, **links,
         )
+
+
+@pytest.mark.parametrize("field, value", [
+    ("a1", math.inf), ("a2", math.inf), ("m_a", math.inf), ("a1", math.nan), ("m_a", math.nan),
+])
+def test_mechanism_params_refuse_non_finite_payment_parameters(field, value):
+    params = preset_schedule(ModelKind.linear(1.0), "subgaussian", 1000, 0.3, d=2)
+    with pytest.raises(ConfigError, match="payment parameters must be finite"):
+        replace(params, **{field: value})
+
+
+@pytest.mark.parametrize("regime, delta", [("subgaussian", 0.3), ("heavy", 0.12)])
+def test_schedule_refuses_an_overflowing_rationality_floor(regime, delta):
+    # tau_theta^2 = 1e308 is finite, but m_A > 1.34e154 at n = 1000, d = 3, so
+    # the m_A^2 of a1 = rationality_floor overflows to inf
+    with pytest.raises(ConfigError, match=r"payment parameters must be finite: a1 = inf"):
+        preset_schedule(ModelKind.linear(1.0), regime, 1000, delta, d=3, tau_theta=1e154)

@@ -307,3 +307,20 @@ def test_replacement_sampler_determinism():
     x2, y2 = draw(np.random.default_rng(9))
     assert np.array_equal(x1, x2) and y1 == y2
 
+
+@pytest.mark.parametrize("tau_theta", [1.35e154, 1e300, math.inf])
+def test_population_refuses_a_tau_theta_whose_square_overflows(tau_theta):
+    with pytest.raises(ConfigError, match="its square overflows"):
+        PopulationSpec(n=10, d=2, model=ModelKind.linear(1.0), tau_theta=tau_theta)
+
+
+@pytest.mark.parametrize("d", [1, 2, 10])
+def test_draw_theta_star_ends_at_the_largest_tau_theta(d):
+    # tau_theta^2 is finite just below 1.34e154; a draw whose squared norm
+    # overflows is rejected without a warning, and an accepted draw lies in the ball
+    tau_theta = 1.34e154
+    assert math.isfinite(tau_theta * tau_theta)
+    PopulationSpec(n=10, d=d, model=ModelKind.linear(1.0), tau_theta=tau_theta)
+    rng = np.random.default_rng(d)
+    for _ in range(20):
+        assert np.linalg.norm(draw_theta_star(d, tau_theta, rng) / tau_theta) <= 1.0 + 1e-15

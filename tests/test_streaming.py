@@ -2,8 +2,9 @@
 
 Oracles: a cell of one chunk is the materialised composition
 generate_population -> apply_strategy -> run_mechanism, bit for bit; a cell
-of several chunks, the last one partial, gives the releases and payments of
-`run_mechanism` on its own materialised population; the `sensitivity` verb
+of several chunks, the last one partial, gives the releases and budget of
+`run_mechanism` on its own materialised population, and its budget is the
+exact sum of every payment recomputed in one batch; the `sensitivity` verb
 runs the oracle on the materialised population of cell (n, 0); two walks
 of a stream yield the same agents, and a row source needs only `n`, `d`
 and `chunks()`; and the memory a cell traces grows by its per-agent
@@ -11,6 +12,7 @@ vectors only.
 """
 
 import json
+import math
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -46,6 +48,7 @@ from privglm.population import (
     replacement_sampler,
 )
 
+from payment_oracle import paid
 from rationality_oracle import rationality_fraction
 from strategy_oracle import apply_strategy
 
@@ -55,10 +58,12 @@ CELLS = {
     "heavy": (ModelKind.linear(1.0), "heavy", 0.12, StudentTCovariates(5.0)),
     "logistic": (ModelKind.logistic(), "subgaussian", 0.3, None),
 }
+# the four schedules: CELLS and the Poisson one
+SCHEDULES = {**CELLS, "poisson": (ModelKind.poisson(), "subgaussian", 0.26, None)}
 
 
 def cell_config(name, d, n, **kw):
-    model, regime, delta, covariates = CELLS[name]
+    model, regime, delta, covariates = SCHEDULES[name]
     spec = PopulationSpec(n=2, d=d, model=model)
     if covariates is not None:
         spec = replace(spec, covariates=covariates)
@@ -97,7 +102,8 @@ def test_one_chunk_cell_is_the_materialised_composition(name, fixed_theta):
     assert row.mse == float(diff @ diff)
     assert row.budget == out.budget
     assert row.truthful_frac == float(np.mean(pop.costs <= tau))
-    assert row.rationality_frac == rationality_fraction(out, pop.costs, params.cost_exponent, tau)
+    assert row.rationality_frac == rationality_fraction(
+        paid(reported, out, params), out.account, pop.costs, params.cost_exponent, tau)
     assert row.delta_empirical == empirical_sensitivity(
         Dataset(pop.X, pop.y_true), bundle, params.settings, 3,
         (ms, n, repeat, ARM_SENSITIVITY), replacement_sampler(spec, pop.theta_star),
@@ -124,7 +130,7 @@ def test_streamed_cell_equals_run_on_materialised_population(name):
     reported = apply_strategy(pop, tau, config.population.model)
     whole = run_mechanism(reported, params, cell_rng(ms, n, 0, ARM_MECHANISM))
 
-    for field in ("theta_bar_full", "theta_bar_g0", "theta_bar_g1", "payments"):
+    for field in ("theta_bar_full", "theta_bar_g0", "theta_bar_g1", "group_assignment"):
         assert np.array_equal(getattr(streamed, field), getattr(whole, field)), field
     assert streamed.budget == whole.budget
     assert np.array_equal(stream.population().costs, pop.costs)
@@ -159,7 +165,31 @@ def test_streamed_cell_counts_across_chunks(name):
     out = run_mechanism(reported, params, cell_rng(config.master_seed, n, 0, ARM_MECHANISM))
     assert out.truthful_frac is None and out.rationality_frac is None  # a Dataset has no costs
     assert row.truthful_frac == float(np.mean(pop.costs <= tau))
-    assert row.rationality_frac == rationality_fraction(out, pop.costs, params.cost_exponent, tau)
+    assert row.rationality_frac == rationality_fraction(
+        paid(reported, out, params), out.account, pop.costs, params.cost_exponent, tau)
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULES))
+def test_streamed_budget_is_the_exact_sum_of_every_payment(name):
+    # pass 2 adds each row block's payments to the budget as it pays them and
+    # keeps none; over two full chunks and a partial one of 5 agents, the
+    # budget and the counts are those of every agent's payment recomputed in
+    # one batch from the materialised population. a1 = 0, below the
+    # rationality floor, so that the rationality count reads the payments
+    n, d = 2 * CHUNK_ROWS + 5, 3
+    config = cell_config(name, d, n)
+    params = replace(params_for(config, n), a1=0.0)
+    tau = params.tau_threshold
+    stream = cell_population(config, n, 0, tau)
+    out = run_mechanism(stream, params, cell_rng(config.master_seed, n, 0, ARM_MECHANISM))
+    pop = stream.population()
+    payments = paid(apply_strategy(pop, tau, config.population.model), out, params)
+    assert math.fsum(payments) == out.budget
+    assert math.fsum(payments[np.random.default_rng(1).permutation(n)]) == out.budget
+    assert out.truthful_frac == float(np.mean(pop.costs <= tau))
+    assert out.rationality_frac == rationality_fraction(
+        payments, out.account, pop.costs, params.cost_exponent, tau)
+    assert 0.0 < out.rationality_frac < 1.0
 
 
 LAWS = {
@@ -263,7 +293,8 @@ def test_run_mechanism_counts_the_costs_of_a_row_source():
                         np.random.default_rng(9))
     assert type(out.truthful_frac) is float and type(out.rationality_frac) is float
     assert out.truthful_frac == float(np.mean(pop.costs <= tau))
-    assert out.rationality_frac == rationality_fraction(out, pop.costs, params.cost_exponent, tau)
+    assert out.rationality_frac == rationality_fraction(
+        paid(reported, out, params), out.account, pop.costs, params.cost_exponent, tau)
     assert 0.0 < out.rationality_frac < 1.0
 
 
@@ -334,8 +365,11 @@ def _traced_peak(config, n) -> int:
         tracemalloc.stop()
 
 
-# bytes per agent of the vectors a cell keeps: the int8 partition and the payments
-PER_AGENT_BYTES = 1 + 8
+# bytes per agent of the vectors a cell keeps: the int8 partition; the
+# index `partition` shuffles (uint32 at these n) lives only while the
+# partition is drawn, before any chunk of rows, and the payments live one
+# row block at a time
+PER_AGENT_BYTES = 1
 
 
 def test_cell_memory_grows_by_per_agent_vectors_only():
