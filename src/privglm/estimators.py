@@ -165,9 +165,10 @@ def stack_factors(*factors: np.ndarray) -> np.ndarray:
     """Triangular factor of the union of the row sets behind `factors` (TSQR).
 
     [Q1 R1; Q2 R2] = diag(Q1, Q2) [R1; R2], so the R of the stacked factors
-    is an R of the stacked rows.
+    is an R of the stacked rows. The factors may carry the same leading
+    stack axes (..., rows, d + 1); each stack entry is combined on its own.
     """
-    return np.linalg.qr(np.vstack(factors), mode="r")
+    return np.linalg.qr(np.concatenate(factors, axis=-2), mode="r")
 
 
 def triangular_factor(
@@ -181,17 +182,26 @@ def triangular_factor(
     columns and min(m, d + 1) rows for m rows. A block has at least d + 1
     rows, so each block's R is square; that floor is why the blocks are not
     `row_blocks`, whose floor of one row would change the bits at d >= 256.
+
+    X (..., m, d) and z (..., m) may carry leading stack axes: each stack
+    entry is blocked as a lone [X | z] would be, and its R is the lone R
+    bit for bit, because every block keeps its rows. `rows` index the m axis.
     """
-    d = X.shape[1]
-    m = X.shape[0] if rows is None else len(rows)
+    *stack, m, d = X.shape
+    if rows is not None:
+        m = len(rows)
     step = max(d + 1, BLOCK_ELEMENTS // (d + 1))
     factors = []
     for lo in range(0, m, step):
-        take = slice(lo, lo + step) if rows is None else rows[lo : lo + step]
-        block = np.empty((d + 1, min(step, m - lo)))
-        block[:d] = X[take].T
-        block[d] = z[take]
-        factors.append(np.linalg.qr(block.T, mode="r"))
+        if rows is None:
+            X_rows, z_rows = X[..., lo : lo + step, :], z[..., lo : lo + step]
+        else:  # np.take gathers rows about twice as fast as an index array does
+            take = rows[lo : lo + step]
+            X_rows, z_rows = np.take(X, take, axis=-2), np.take(z, take, axis=-1)
+        block = np.empty((*stack, d + 1, z_rows.shape[-1]))
+        block[..., :d, :] = np.swapaxes(X_rows, -1, -2)
+        block[..., d, :] = z_rows
+        factors.append(np.linalg.qr(np.swapaxes(block, -1, -2), mode="r"))
     return factors[0] if len(factors) == 1 else stack_factors(*factors)
 
 
@@ -328,28 +338,43 @@ def empirical_sensitivity(
     randomness from (seed..., t), so results do not depend on execution
     order. `seed` may be an int or a tuple of ints. `design` and
     `working_response` work row by row, so mapping the base rows once and
-    each replacement on its own gives the rows of the replaced dataset.
+    the replacements on their own gives the rows of the replaced datasets.
+
+    The trials are solved in blocks (`row_blocks`, a trial counted as the
+    n (d + 1) terms of its mapped rows). Each trial of a block writes its
+    mapped replacement into its own copy of the mapped rows, and the block
+    takes one stacked `triangular_factor` and one stacked `solve_factor`;
+    the copies are made once and get their base rows back after each block.
+    The stacked factor keeps each trial's row blocks, so every shift has
+    the bits of a lone re-solve. A rank-deficient or over-cap trial raises
+    for its block.
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     entropy = [int(v) for v in (seed if isinstance(seed, (tuple, list)) else (seed,))]
-    # the rows are mapped once, into arrays of our own: a trial overwrites
-    # one row with its mapped replacement, solves, and puts the row back
-    X = np.array(design(data.X, bundle.model, settings))
+    X = design(data.X, bundle.model, settings)
     z = working_response(data.y, bundle, settings)
     base = solve_factor(triangular_factor(X, z))
+    n, d = X.shape
+    blocks = list(row_blocks(trials, n * (d + 1)))
+    # one copy of the mapped rows per trial of a block, made once: a block
+    # writes its replacements into the copies and puts the base rows back
+    copies = blocks[0].stop - blocks[0].start
+    Xs, zs = np.repeat(X[None], copies, axis=0), np.repeat(z[None], copies, axis=0)
     worst = 0.0
-    for t in range(trials):
-        rng = np.random.default_rng(entropy + [t])
-        i = int(rng.integers(data.n))
-        x_new, y_new = draw_replacement(rng)
-        x_new, y_new = np.asarray(x_new, dtype=float), float(y_new)
-        if not (np.all(np.isfinite(x_new)) and math.isfinite(y_new)):
+    for block in blocks:
+        b = block.stop - block.start
+        rows, x_new, y_new = np.empty(b, dtype=np.intp), np.empty((b, d)), np.empty(b)
+        for k, t in enumerate(range(block.start, block.stop)):
+            rng = np.random.default_rng(entropy + [t])
+            rows[k] = rng.integers(n)
+            x_new[k], y_new[k] = draw_replacement(rng)
+        if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(y_new))):
             raise ConfigError("replacement row contains non-finite entries")
-        x_i, z_i = X[i].copy(), z[i]
-        X[i] = design(x_new[None, :], bundle.model, settings)[0]
-        z[i] = working_response(np.array([y_new]), bundle, settings)[0]
-        shifted = solve_factor(triangular_factor(X, z))
-        X[i], z[i] = x_i, z_i
-        worst = max(worst, float(np.linalg.norm(base - shifted)))
+        trial = np.arange(b)
+        Xs[trial, rows] = design(x_new, bundle.model, settings)
+        zs[trial, rows] = working_response(y_new, bundle, settings)
+        for shifted in solve_factor(triangular_factor(Xs[:b], zs[:b])):
+            worst = max(worst, float(np.linalg.norm(base - shifted)))
+        Xs[trial, rows], zs[trial, rows] = X[rows], z[rows]
     return worst

@@ -587,9 +587,9 @@ def estimate_deviation_gain(
     vector at the half sensitivity: the one half release that pays agent 0.
     Trials are taken in row blocks (`row_blocks`), a trial counted as the
     (n - n // 2)(d + 1) terms of its larger factored group, and block k is
-    keyed (master_seed, n, seed_tag, ARM_DEVIATION, k): one stacked
-    QR and one stacked `solve_factor` per block, so every trial keeps its own
-    rank and condition check.
+    keyed (master_seed, n, seed_tag, ARM_DEVIATION, k): one batched theta*
+    draw (`draw_theta_star`), one stacked QR and one stacked `solve_factor`
+    per block, so every trial keeps its own rank and condition check.
 
     The Brier payment is linear in p, so a trial needs only the scalar
     p_t = A'(x_pay . theta_bar_opp,t). The paired gain of report r over the
@@ -647,7 +647,7 @@ def estimate_deviation_gain(
         rng = cell_rng(ms, n, seed_tag, ARM_DEVIATION, k)
         sizes = np.where(rng.random(b) < (n // 2) / n, n - n // 2, n // 2)
         if spec_n.theta_star is None:
-            theta_star = np.stack([draw_theta_star(d, spec_n.tau_theta, rng) for _ in range(b)])
+            theta_star = draw_theta_star(d, spec_n.tau_theta, rng, b)
         else:
             theta_star = np.broadcast_to(spec_n.theta_star, (b, d))
         theta_opp = np.empty((b, d))

@@ -81,6 +81,9 @@ class PopulationSpec:
     tau_theta: float = 1.0
     theta_star: Optional[np.ndarray] = None  # None draws from the truncated prior
     cost_lambda: float = 1.0
+    # Cholesky factor of the covariates' covariance or scale matrix, None for
+    # the isotropic law; factored once here, read by every covariate draw
+    covariate_factor: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1 or self.d < 1:
@@ -98,10 +101,7 @@ class PopulationSpec:
             raise ConfigError("cost_lambda must be positive")
         if isinstance(self.covariates, StudentTCovariates) and not self.covariates.dof > 4:
             raise ConfigError("Student-t covariates need dof > 4 for finite fourth moments")
-        if isinstance(self.covariates, SubGaussianCov):
-            _check_spd("subgaussian_cov.cov", self.covariates.cov, self.d)
-        if isinstance(self.covariates, StudentTCovariates) and self.covariates.scale is not None:
-            _check_spd("student_t.scale", self.covariates.scale, self.d)
+        self.covariate_factor = _covariate_factor(self.covariates, self.d)
         if self.theta_star is not None:
             self.theta_star = np.asarray(self.theta_star, dtype=float).ravel()
             if self.theta_star.shape[0] != self.d:
@@ -110,8 +110,9 @@ class PopulationSpec:
                 raise ConfigError("theta_star must lie in the tau_theta ball")
 
 
-def _check_spd(name: str, matrix, d: int) -> None:
-    """A covariance or scale matrix must be d x d, symmetric and positive definite."""
+def _check_spd(name: str, matrix, d: int) -> np.ndarray:
+    """Cholesky factor of a covariance or scale matrix, which must be d x d,
+    symmetric and positive definite."""
     M = np.asarray(matrix, dtype=float)
     if M.shape != (d, d):
         raise ConfigError(f"{name} must be a {d}x{d} matrix, got shape {M.shape}")
@@ -120,9 +121,21 @@ def _check_spd(name: str, matrix, d: int) -> None:
     if np.any(np.abs(M - M.T) > 1e-12 * np.max(np.abs(M))):
         raise ConfigError(f"{name} is not symmetric")
     try:
-        np.linalg.cholesky(M)
+        return np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
         raise ConfigError(f"{name} is not positive definite") from None
+
+
+def _covariate_factor(cov: CovariateSpec, d: int) -> Optional[np.ndarray]:
+    """Cholesky factor L of the law's covariance or scale matrix (I/d when a
+    Student-t law gives no scale), checked; None for the isotropic law."""
+    if isinstance(cov, SubGaussianIsotropic):
+        return None
+    if isinstance(cov, SubGaussianCov):
+        return _check_spd("subgaussian_cov.cov", cov.cov, d)
+    if cov.scale is None:
+        return np.linalg.cholesky(np.eye(d) / d)
+    return _check_spd("student_t.scale", cov.scale, d)
 
 
 def covariate_sigma(spec: PopulationSpec) -> float:
@@ -154,20 +167,30 @@ class Population:
     theta_star: np.ndarray
 
 
-def draw_theta_star(d: int, tau_theta: float, rng: np.random.Generator) -> np.ndarray:
-    """Rejection-sample N(0, (tau_theta^2/d) I) truncated to the tau_theta ball.
+def draw_theta_star(d: int, tau_theta: float, rng: np.random.Generator, k: int = 1) -> np.ndarray:
+    """k draws (a k x d array) of N(0, (tau_theta^2/d) I) truncated to the tau_theta ball.
 
-    A draw whose squared norm overflows reads a norm of inf and is rejected;
-    one is accepted whenever tau_theta^2 is finite, which `PopulationSpec`
-    requires.
+    Each round draws one d-vector for every row still missing, in one
+    `standard_normal` call, and accepts the draws in row order; the accepted
+    draws fill the rows in that order. So the rows, and the generator's
+    state after them, are those of k draws one after the other, each
+    redrawing until it lands in the ball. A draw's norm is taken as
+    `np.linalg.norm` takes it (the square root of its dot product with
+    itself), so each draw is accepted as a lone draw would be. A draw whose
+    squared norm overflows reads a norm of inf and is rejected; one is
+    accepted whenever tau_theta^2 is finite, which `PopulationSpec` requires.
     """
     scale = tau_theta / math.sqrt(d)
-    while True:
-        theta = rng.standard_normal(d) * scale
+    theta = np.empty((k, d))
+    filled = 0
+    while filled < k:
+        draws = rng.standard_normal((k - filled, d)) * scale
         with np.errstate(over="ignore"):
-            norm = np.linalg.norm(theta)
-        if norm <= tau_theta:
-            return theta
+            norms = np.sqrt(np.matmul(draws[:, None, :], draws[:, :, None])[:, 0, 0])
+        accepted = draws[norms <= tau_theta]
+        theta[filled : filled + len(accepted)] = accepted
+        filled += len(accepted)
+    return theta
 
 
 def _scale_rows(z: np.ndarray, L: np.ndarray) -> np.ndarray:
@@ -195,10 +218,9 @@ def _draw_covariates(
     if isinstance(cov, SubGaussianIsotropic):
         z *= cov.sigma / math.sqrt(spec.d)
         return z
+    _scale_rows(z, spec.covariate_factor)
     if isinstance(cov, SubGaussianCov):
-        return _scale_rows(z, np.linalg.cholesky(np.asarray(cov.cov, dtype=float)))
-    scale = cov.scale if cov.scale is not None else np.eye(spec.d) / spec.d
-    _scale_rows(z, np.linalg.cholesky(np.asarray(scale, dtype=float)))
+        return z
     w = rng.chisquare(cov.dof, size=n)
     np.divide(cov.dof, w, out=w)
     z *= np.sqrt(w, out=w)[:, None]
@@ -221,7 +243,7 @@ def _theta_star(spec: PopulationSpec, rng: np.random.Generator) -> np.ndarray:
     """The spec's theta*, or a draw from the truncated prior when it fixes none."""
     if spec.theta_star is not None:
         return spec.theta_star.copy()
-    return draw_theta_star(spec.d, spec.tau_theta, rng)
+    return draw_theta_star(spec.d, spec.tau_theta, rng)[0]
 
 
 def _draw_costs(spec: PopulationSpec, size, rng: np.random.Generator) -> np.ndarray:

@@ -178,9 +178,13 @@ def empirical_privacy_ratio(
     so every allocation of the check stays O(trials d).
 
     Both outputs share one pooled (2, trials, d) buffer, filled for data_a
-    and then for data_b. Beside it the check holds one column's scratch copy
-    (2 trials doubles) for the quantiles, and counts the bins one row block
-    (`row_blocks`) at a time.
+    and then for data_b. At d = 1 each arm is then sorted in place, which
+    leaves every count as it is and makes the bin search run over sorted
+    keys; at d = 2 the rows stay in the order `build` wrote them. Beside the
+    buffer the check holds one column's scratch copy (2 trials doubles),
+    sorted, for the quantiles, and counts the bins one row block
+    (`row_blocks`) at a time. A sample equal to an interior edge counts in
+    the bin above it.
     """
     if trials < 2 * _MIN_COUNT:
         raise ConfigError("trials too small for the estimability floor")
@@ -200,13 +204,20 @@ def empirical_privacy_ratio(
     pooled = np.empty((2, trials, d))
     for data, arm_rng, out in zip((data_a, data_b), rng.spawn(2), pooled):
         build(data, arm_rng, out)
+    if d == 1:
+        # each arm in ascending order, in place, so the bin search runs over sorted keys
+        pooled[..., 0].sort(axis=1)
 
     edges_per_dim = []
     for j in range(d):
-        # flatten copies, so the in-place partition leaves the pooled buffer as it is
+        # flatten copies, so sorting it leaves the pooled buffer as it is; the
+        # quantiles are order statistics, the same bits sorted or not
+        column = pooled[:, :, j].flatten()
+        column.sort()
         edges = np.unique(np.quantile(
-            pooled[:, :, j].flatten(), np.linspace(0.0, 1.0, bins + 1), overwrite_input=True
+            column, np.linspace(0.0, 1.0, bins + 1), overwrite_input=True
         ))
+        del column  # freed before the binning, so the two are never held at once
         if len(edges) < 2:
             edges = np.array([edges[0] - 0.5, edges[0] + 0.5])
         edges_per_dim.append(edges)

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -22,6 +23,14 @@ from privglm.estimators import (
 )
 from privglm.links import ModelKind, PolytopeSpec, compute_link_constants, make_link_bundle
 from privglm.mechanism import preset_schedule, project_ball
+from privglm.population import (
+    PopulationSpec,
+    StudentTCovariates,
+    generate_population,
+    replacement_sampler,
+)
+
+from sensitivity_oracle import empirical_sensitivity as per_trial_sensitivity
 
 LIN = make_link_bundle(ModelKind.linear(1.0))
 
@@ -462,6 +471,51 @@ def test_empirical_sensitivity_deterministic_given_seed():
     a = empirical_sensitivity(data, LIN, settings, 25, 99, draw)
     b = empirical_sensitivity(data, LIN, settings, 25, 99, draw)
     assert a == b
+
+
+# (model, regime, delta, covariates) of the oracle cases
+_SENSITIVITY_LAWS = {
+    "linear": (ModelKind.linear(1.0), "subgaussian", 0.3, None),
+    "heavy": (ModelKind.linear(1.0), "heavy", 0.12, StudentTCovariates(5.0)),
+    "logistic": (ModelKind.logistic(), "subgaussian", 0.3, None),
+}
+_FACTOR_STEP = BLOCK_ELEMENTS // 4  # rows of one factor block at d = 3
+
+
+@functools.lru_cache(maxsize=None)
+def _sensitivity_case(law, n):
+    model, regime, delta, cov = _SENSITIVITY_LAWS[law]
+    spec = PopulationSpec(n=n, d=3, model=model, **({"covariates": cov} if cov else {}))
+    pop = generate_population(spec, np.random.default_rng([n, 3]))
+    params = preset_schedule(model, regime, n, delta, d=3)
+    return (Dataset(pop.X, pop.y_true), params.bundle, params.settings,
+            replacement_sampler(spec, pop.theta_star))
+
+
+@pytest.mark.parametrize("trials", [1, 7, 40, 43])
+@pytest.mark.parametrize("n", [2000, _FACTOR_STEP, _FACTOR_STEP + 1, 2 * _FACTOR_STEP + 5])
+@pytest.mark.parametrize("law", sorted(_SENSITIVITY_LAWS))
+def test_empirical_sensitivity_is_the_per_trial_loop(law, n, trials):
+    # the stacked blocks of trials give the lone re-solves' maximum bit for
+    # bit, on either side of the factor's row-block limit; at n = 2000 a
+    # trial block holds 8 trials, so 43 trials end on a block of 3
+    data, bundle, settings, draw = _sensitivity_case(law, n)
+    args = (data, bundle, settings, trials, (5, n), draw)
+    got = empirical_sensitivity(*args)
+    assert got > 0.0
+    assert got == per_trial_sensitivity(*args)
+
+
+def test_stacked_triangular_factor_is_each_lone_factor():
+    # every stack entry is blocked as a lone [X | z] is, so its R has the lone bits
+    rng = np.random.default_rng(8)
+    for m, d in ((7, 2), (BLOCK_ELEMENTS // 3 + 5, 2), (BLOCK_ELEMENTS // 4 * 2 + 1, 3)):
+        X, z = rng.standard_normal((3, m, d)), rng.standard_normal((3, m))
+        rows = np.sort(rng.choice(m, size=m // 2 + d, replace=False))
+        for take in (None, rows):
+            R = triangular_factor(X, z, take)
+            for k in range(3):
+                assert np.array_equal(R[k], triangular_factor(X[k], z[k], take))
 
 
 def test_permutation_invariance():

@@ -276,7 +276,7 @@ def test_draw_agents_is_covariates_then_responses_then_costs(name, d, k):
     # computed before the draws were one function
     spec = PopulationSpec(n=2, d=d, model=MODELS[name], covariates=StudentTCovariates(5.0))
     m, rng = 1000, np.random.default_rng([d, k])
-    theta = np.stack([draw_theta_star(d, 1.0, rng) for _ in range(k)])
+    theta = draw_theta_star(d, 1.0, rng, k)
     X, y, costs = draw_agents(spec, theta, m, np.random.default_rng(7))
 
     rng = np.random.default_rng(7)
@@ -312,6 +312,31 @@ def test_replacement_sampler_determinism():
 def test_population_refuses_a_tau_theta_whose_square_overflows(tau_theta):
     with pytest.raises(ConfigError, match="its square overflows"):
         PopulationSpec(n=10, d=2, model=ModelKind.linear(1.0), tau_theta=tau_theta)
+
+
+def _theta_star_loop(d, tau_theta, rng):
+    # one draw of the per-trial rejection loop that the batched draw replaces
+    scale = tau_theta / math.sqrt(d)
+    while True:
+        theta = rng.standard_normal(d) * scale
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(theta)
+        if norm <= tau_theta:
+            return theta
+
+
+@pytest.mark.parametrize("tau_theta", [1.0, 1e154])
+@pytest.mark.parametrize("k", [1, 7, 1000])
+@pytest.mark.parametrize("d", [1, 2, 3, 10, 33])
+def test_batched_theta_star_draw_is_the_per_trial_loop(d, k, tau_theta):
+    # the rows and the generator's final state are those of k lone draws; at
+    # tau_theta = 1e154 some squared norms overflow, and d = 33 runs past the
+    # unrolled part of a BLAS dot product
+    rng, loop_rng = np.random.default_rng([d, k]), np.random.default_rng([d, k])
+    got = draw_theta_star(d, tau_theta, rng, k)
+    want = np.stack([_theta_star_loop(d, tau_theta, loop_rng) for _ in range(k)])
+    assert got.shape == (k, d) and np.array_equal(got, want)
+    assert rng.bit_generator.state == loop_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("d", [1, 2, 10])

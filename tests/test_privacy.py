@@ -221,3 +221,42 @@ def test_edges_collapsed_to_one_cell_raise():
     with pytest.raises(ConfigError, match="collapse to a single cell"):
         empirical_privacy_ratio(*args, rng=np.random.default_rng(4), epsilon_bound=0.1)
 
+
+
+def _five_value_build(dataset, rng, out):
+    # every coordinate on {0, 1, 2, 3, 4}, drawn in place; the larger values
+    # are likelier on a dataset whose first response is positive
+    rng.random(out=out)
+    if dataset.y[0] > 0:
+        np.sqrt(out, out=out)
+    np.multiply(out, 5.0, out=out)
+    np.floor(out, out=out)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("d, bins", [(1, 10), (2, 10)])
+def test_releases_on_the_bin_edges_are_binned_as_the_oracle_bins_them(d, bins, seed):
+    # the pooled quantile edges are release values themselves, so most samples
+    # sit on an edge and count in the bin above it, sorted or not
+    a = _Pair(np.ones((3, d)), np.array([1.0, 0.0, 0.0]))
+    b = _Pair(np.ones((3, d)), np.array([-1.0, 0.0, 0.0]))
+    args = (_five_value_build, a, b, 20_000, bins)
+    report = empirical_privacy_ratio(*args, rng=np.random.default_rng(seed), epsilon_bound=1.0)
+    assert report == ratio_report(*args, np.random.default_rng(seed), 1.0)
+    assert report.bins_total == 4 ** d and report.bins_estimable >= 4 ** d - 1
+
+
+def test_two_dimensional_check_holds_six_doubles_per_trial():
+    # the pooled outputs (2 d doubles a trial) and one column's scratch copy
+    # (2 more), and nothing else of the trials' length
+    trials, d = 100_000, 2
+    a = _Pair(np.ones((3, d)), np.array([1.0, 0.0, 0.0]))
+    b = _Pair(np.ones((3, d)), np.array([-1.0, 0.0, 0.0]))
+    tracemalloc.start()
+    try:
+        empirical_privacy_ratio(_five_value_build, a, b, trials, 10,
+                                rng=np.random.default_rng(3), epsilon_bound=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (2 * d + 2) * 8 * trials + 2 ** 20, f"traced peak {peak / 2 ** 20:.2f} MiB"
