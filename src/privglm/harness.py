@@ -868,6 +868,9 @@ def canonical_privacy_check(
     epsilon/2 while a corruption of 10 pushes it to 5 epsilon.
     """
     _check_seed(seed)
+    # an infinite epsilon releases the estimate without noise: two point masses
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ConfigError(f"epsilon must be finite and > 0, got {epsilon}")
     if not (math.isfinite(corruption) and corruption > 0):
         raise ConfigError(f"corruption must be finite and > 0, got {corruption}")
     n, tau2 = 60, 2.0

@@ -155,6 +155,53 @@ def _bin_ids(samples: np.ndarray, edges_per_dim) -> np.ndarray:
     return ids
 
 
+def merged_quantiles(arms: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """`np.quantile(arms.ravel(), q)` of a (2, T) array whose rows ascend, bit for bit
+    up to the sign of a zero.
+
+    The pooled quantile at q interpolates numpy's "linear" rule (Hyndman and
+    Fan's definition 7) between the pooled order statistics of ranks
+    floor((2T - 1) q) and the rank above it, clipped to 2T - 1. Each order
+    statistic is found by a bisection, vectorised over the ranks, over how
+    many of the smallest pooled samples come from the first row, so nothing
+    of length T is allocated. A NaN sample makes every quantile NaN, as in
+    `np.quantile`.
+    """
+    a, b = arms
+    if np.isnan(a[-1]) or np.isnan(b[-1]):  # NaN sorts last
+        return np.full(len(q), np.nan)
+    virtual = (arms.size - 1) * q
+    lower = np.floor(virtual)
+    gamma = virtual - lower
+    rank = lower.astype(np.intp)
+    left = _order_statistics(a, b, rank)
+    right = _order_statistics(a, b, np.minimum(rank + 1, arms.size - 1))
+    diff = right - left
+    return np.where(gamma >= 0.5, right - diff * (1 - gamma), left + diff * gamma)
+
+
+def _order_statistics(a: np.ndarray, b: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """The pooled samples of 0-based `rank` in the ascending arrays a and b.
+
+    The smallest k + 1 pooled samples are a[:i] and b[:k + 1 - i] for the
+    least i in [max(0, k + 1 - len(b)), min(k + 1, len(a))] with i at the
+    top of that range or a[i] >= b[k - i]; the test is monotone in i, so a
+    bisection finds it. The sample of rank k is the larger of a[i - 1] and
+    b[k - i], whichever exist.
+    """
+    lo = np.maximum(rank + 1 - len(b), 0)
+    hi = np.minimum(rank + 1, len(a))
+    while np.any(lo < hi):
+        open_ = lo < hi  # a closed range keeps its bounds; its indices are only clipped
+        mid = (lo + hi) // 2
+        enough = a[np.minimum(mid, len(a) - 1)] >= b[np.clip(rank - mid, 0, len(b) - 1)]
+        hi = np.where(open_ & enough, mid, hi)
+        lo = np.where(open_ & ~enough, mid + 1, lo)
+    from_a = np.where(lo > 0, a[np.maximum(lo - 1, 0)], -np.inf)
+    from_b = np.where(lo <= rank, b[np.clip(rank - lo, 0, len(b) - 1)], -np.inf)
+    return np.maximum(from_a, from_b)
+
+
 def empirical_privacy_ratio(
     build: MechanismClosure,
     data_a,
@@ -178,13 +225,14 @@ def empirical_privacy_ratio(
     so every allocation of the check stays O(trials d).
 
     Both outputs share one pooled (2, trials, d) buffer, filled for data_a
-    and then for data_b. At d = 1 each arm is then sorted in place, which
-    leaves every count as it is and makes the bin search run over sorted
-    keys; at d = 2 the rows stay in the order `build` wrote them. Beside the
-    buffer the check holds one column's scratch copy (2 trials doubles),
-    sorted, for the quantiles, and counts the bins one row block
-    (`row_blocks`) at a time. A sample equal to an interior edge counts in
-    the bin above it.
+    and then for data_b. At d = 1 each arm is then sorted in place, the
+    edges are order statistics of the two sorted arms (`merged_quantiles`)
+    and an arm's count in a bin is a difference of edge searches in it, so
+    the check holds the pooled buffer and nothing else of the trials'
+    length. At d = 2 the rows stay in the order `build` wrote them; the
+    check sorts one column's scratch copy (2 trials doubles) at a time for
+    its quantiles and counts the bins one row block (`row_blocks`) at a
+    time. A sample equal to an interior edge counts in the bin above it.
     """
     if trials < 2 * _MIN_COUNT:
         raise ConfigError("trials too small for the estimability floor")
@@ -204,20 +252,20 @@ def empirical_privacy_ratio(
     pooled = np.empty((2, trials, d))
     for data, arm_rng, out in zip((data_a, data_b), rng.spawn(2), pooled):
         build(data, arm_rng, out)
-    if d == 1:
-        # each arm in ascending order, in place, so the bin search runs over sorted keys
-        pooled[..., 0].sort(axis=1)
 
+    q = np.linspace(0.0, 1.0, bins + 1)
+    if d == 1:
+        arms = pooled[..., 0]
+        arms.sort(axis=1)  # each arm ascending, in place
+        quantiles = [merged_quantiles(arms, q)]
+    else:
+        # one column's sorted scratch copy at a time; the quantiles are order
+        # statistics, the same bits sorted or not
+        quantiles = (np.quantile(np.sort(pooled[:, :, j], axis=None), q, overwrite_input=True)
+                     for j in range(d))
     edges_per_dim = []
-    for j in range(d):
-        # flatten copies, so sorting it leaves the pooled buffer as it is; the
-        # quantiles are order statistics, the same bits sorted or not
-        column = pooled[:, :, j].flatten()
-        column.sort()
-        edges = np.unique(np.quantile(
-            column, np.linspace(0.0, 1.0, bins + 1), overwrite_input=True
-        ))
-        del column  # freed before the binning, so the two are never held at once
+    for values in quantiles:
+        edges = np.unique(values)
         if len(edges) < 2:
             edges = np.array([edges[0] - 0.5, edges[0] + 0.5])
         edges_per_dim.append(edges)
@@ -228,10 +276,16 @@ def empirical_privacy_ratio(
             "the pooled quantile edges collapse to a single cell, whose ratio is 1 "
             "whatever the release"
         )
-    counts = np.zeros((2, n_cells), dtype=np.int64)
-    for arm, out in enumerate(pooled):
-        for block in row_blocks(trials, d):
-            counts[arm] += np.bincount(_bin_ids(out[block], edges_per_dim), minlength=n_cells)
+    if d == 1:
+        # bin c of an arm holds its samples below interior edge c less those below edge c - 1
+        below = [np.searchsorted(arm, edges_per_dim[0][1:-1], side="left") for arm in arms]
+        counts = np.diff(below, axis=1, prepend=0, append=trials)
+    else:
+        counts = np.zeros((2, n_cells), dtype=np.int64)
+        for arm, out in enumerate(pooled):
+            for block in row_blocks(trials, d):
+                counts[arm] += np.bincount(_bin_ids(out[block], edges_per_dim),
+                                           minlength=n_cells)
     counts_a, counts_b = counts
 
     occupied = (counts_a + counts_b) > 0

@@ -619,18 +619,20 @@ def test_canonical_check_matches_the_oracle(monkeypatch, seed, corruption):
     assert canonical_privacy_check(corruption=corruption, seed=seed) == report
 
 
-def test_canonical_check_holds_four_doubles_per_trial():
-    # at d = 1 the pooled outputs (2 doubles a trial) and one column's scratch
-    # copy (2 more), and nothing else of the trials' length
-    trials = 200_000
+def test_canonical_check_holds_two_doubles_per_trial():
+    # at d = 1 the pooled outputs (2 doubles a trial) and nothing else of the
+    # trials' length: the sampler's block temporaries are the same at both sizes
     canonical_privacy_check(trials=1000, bins=10)  # the first call imports numpy.ma, about 1 MB
-    tracemalloc.start()
-    try:
-        canonical_privacy_check(trials=trials)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * 8 * trials + 2 ** 20, f"traced peak {peak / 2 ** 20:.2f} MiB"
+    peaks = []
+    for trials in (200_000, 400_000):
+        tracemalloc.start()
+        try:
+            canonical_privacy_check(trials=trials)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    growth = peaks[1] - peaks[0]
+    assert growth <= 2 * 8 * 200_000 + 2 ** 18, f"traced peak grew {growth / 2 ** 20:.2f} MiB"
 
 
 def run_cli(*args, timeout=None):
@@ -1021,8 +1023,13 @@ def test_simulate_takes_threads_and_format(tmp_path, capsys):
     (["--corruption", "-1"], "corruption must be finite and > 0, got -1.0"),
     (["--corruption", "inf"], "corruption must be finite and > 0, got inf"),
     (["--corruption", "nan"], "corruption must be finite and > 0, got nan"),
+    (["--epsilon", "inf"], "epsilon must be finite and > 0, got inf"),
+    (["--epsilon", "nan"], "epsilon must be finite and > 0, got nan"),
+    (["--epsilon", "0"], "epsilon must be finite and > 0, got 0.0"),
+    (["--epsilon", "-1"], "epsilon must be finite and > 0, got -1.0"),
 ], ids=["bins-0", "bins-1", "bins-negative", "corruption-0", "corruption-negative",
-        "corruption-inf", "corruption-nan"])
+        "corruption-inf", "corruption-nan", "epsilon-inf", "epsilon-nan", "epsilon-0",
+        "epsilon-negative"])
 def test_privacy_check_rejects_vacuous_flags(capsys, flags, message):
     # one bin holds every sample, so --bins 0 once passed a 10x corrupted release
     argv = ["privacy-check", "--trials", "2000", "--corruption", "10", *flags]

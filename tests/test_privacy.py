@@ -10,6 +10,7 @@ from privglm.privacy import (
     PrivacyParams,
     compose_account,
     empirical_privacy_ratio,
+    merged_quantiles,
     sample_norm_exponential,
     wilson_interval,
 )
@@ -221,6 +222,32 @@ def test_edges_collapsed_to_one_cell_raise():
     with pytest.raises(ConfigError, match="collapse to a single cell"):
         empirical_privacy_ratio(*args, rng=np.random.default_rng(4), epsilon_bound=0.1)
 
+
+
+_ARM_PAIRS = {
+    # values on {0, ..., 6}: ties within each arm and across the two
+    "ties": lambda rng, t: rng.integers(0, 7, (2, t)).astype(float),
+    "identical": lambda rng, t: np.tile(rng.normal(size=t), (2, 1)),
+    "one-constant": lambda rng, t: np.stack([np.full(t, 0.25), rng.normal(size=t)]),
+    "disjoint-low-first": lambda rng, t: rng.normal(size=(2, t)) + [[0.0], [50.0]],
+    "disjoint-high-first": lambda rng, t: rng.normal(size=(2, t)) + [[50.0], [0.0]],
+    "nan": lambda rng, t: np.where(np.arange(t) == t // 2, np.nan, rng.normal(size=(2, t))),
+}
+
+
+@pytest.mark.parametrize("trials", [100, 101, 65_537])
+@pytest.mark.parametrize("case", sorted(_ARM_PAIRS))
+def test_d1_edges_are_the_pooled_quantiles_bit_for_bit(case, trials):
+    # the d = 1 edges come from rank selection in the two sorted arms; numpy's
+    # quantiles of the concatenated arms are the oracle
+    arms = _ARM_PAIRS[case](np.random.default_rng(trials), trials)
+    arms.sort(axis=1)
+    for bins in (2, 3, 30, 997):
+        q = np.linspace(0.0, 1.0, bins + 1)
+        got = np.unique(merged_quantiles(arms, q))
+        want = np.unique(np.quantile(np.concatenate(arms), q))
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64),
+                                      err_msg=f"bins={bins}")
 
 
 def _five_value_build(dataset, rng, out):
