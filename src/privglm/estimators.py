@@ -167,7 +167,10 @@ def stack_factors(*factors: np.ndarray) -> np.ndarray:
     [Q1 R1; Q2 R2] = diag(Q1, Q2) [R1; R2], so the R of the stacked factors
     is an R of the stacked rows. The factors may carry the same leading
     stack axes (..., rows, d + 1); each stack entry is combined on its own.
+    A lone factor is returned as it is.
     """
+    if len(factors) == 1:
+        return factors[0]
     return np.linalg.qr(np.concatenate(factors, axis=-2), mode="r")
 
 
@@ -202,7 +205,7 @@ def triangular_factor(
         block[..., :d, :] = np.swapaxes(X_rows, -1, -2)
         block[..., d, :] = z_rows
         factors.append(np.linalg.qr(np.swapaxes(block, -1, -2), mode="r"))
-    return factors[0] if len(factors) == 1 else stack_factors(*factors)
+    return stack_factors(*factors)
 
 
 def solve_factor(R: np.ndarray) -> np.ndarray:

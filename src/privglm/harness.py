@@ -34,6 +34,7 @@ from .estimators import (
     row_blocks,
     rows_inner,
     solve_factor,
+    triangular_factor,
     working_response,
 )
 from .links import LINEAR, LOGISTIC, ModelKind, PolytopeSpec, make_link_bundle
@@ -588,8 +589,8 @@ def estimate_deviation_gain(
     Trials are taken in row blocks (`row_blocks`), a trial counted as the
     (n - n // 2)(d + 1) terms of its larger factored group, and block k is
     keyed (master_seed, n, seed_tag, ARM_DEVIATION, k): one batched theta*
-    draw (`draw_theta_star`), one stacked QR and one stacked `solve_factor`
-    per block, so every trial keeps its own rank and condition check.
+    draw (`draw_theta_star`), one stacked `triangular_factor` and one stacked
+    `solve_factor` per block, so every trial keeps its own rank and condition check.
 
     The Brier payment is linear in p, so a trial needs only the scalar
     p_t = A'(x_pay . theta_bar_opp,t). The paired gain of report r over the
@@ -680,15 +681,15 @@ def _solve_opposite_groups(spec, theta_star, m, tau, bundle, settings, rng) -> n
 
     Group t draws m agents under theta_star[t] (`draw_agents`) and reports
     under the threshold strategy at tau; its rows are mapped as the
-    mechanism maps them and factored with the other groups' in one stacked QR.
+    mechanism maps them and factored with the other groups' by `triangular_factor`.
     """
     k, d = theta_star.shape
     X, y, costs = draw_agents(spec, theta_star, m, rng)
     reported = threshold_reports(y, costs, tau, spec.model)
-    stack = np.empty((k, m, d + 1))
-    stack[..., :d] = design(X, spec.model, settings).reshape(k, m, d)
-    stack[..., d] = working_response(reported, bundle, settings).reshape(k, m)
-    return solve_factor(np.linalg.qr(stack, mode="r"))
+    return solve_factor(triangular_factor(
+        design(X, spec.model, settings).reshape(k, m, d),
+        working_response(reported, bundle, settings).reshape(k, m),
+    ))
 
 
 def _gain_moments(p: np.ndarray, q: np.ndarray, a2: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -844,7 +845,7 @@ def private_release_closure(bundle, settings, epsilon: float, delta: float, corr
     """
 
     def build(dataset, rng: np.random.Generator, out: np.ndarray) -> None:
-        # all in `out`: at 4e5 trials each extra trials x d buffer shows in peak RSS
+        # all in `out`: at 4e5 trials each extra trials buffer shows in peak RSS
         theta = estimate(dataset, bundle, settings)
         sample_norm_exponential(dataset.d, delta / corruption, epsilon, rng, len(out), out=out)
         out += theta

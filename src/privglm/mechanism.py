@@ -560,7 +560,7 @@ def run_mechanism(
         del X, y, costs  # the next chunk is drawn with this one dropped
         lo = hi
 
-    halves = [found[0] if len(found) == 1 else stack_factors(*found) for found in factors]
+    halves = [stack_factors(*found) for found in factors]
     thetas = np.stack([solve_factor(R) for R in (stack_factors(*halves), *halves)])
     noise = release_noise(d, params.privacy, rng)
     bars = project_ball(thetas + noise, settings.tau_theta)

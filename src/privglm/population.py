@@ -48,6 +48,10 @@ class SubGaussianIsotropic:
 
     sigma: float = 1.0
 
+    def __post_init__(self):
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ConfigError(f"subgaussian_isotropic sigma must be finite and > 0, got {self.sigma}")
+
 
 @dataclass(frozen=True, eq=False)
 class SubGaussianCov:

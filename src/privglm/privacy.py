@@ -141,23 +141,14 @@ class RatioReport:
 
 
 MechanismClosure = Callable[[object, np.random.Generator, np.ndarray], None]
-"""`build(dataset, rng, out)` releases the mechanism on `dataset` once per row
-of `out`, a C-contiguous (trials, d) float array with d the dataset's column
-count, and writes each public output into its row; it returns nothing."""
-
-
-def _bin_ids(samples: np.ndarray, edges_per_dim) -> np.ndarray:
-    ids = np.zeros(samples.shape[0], dtype=np.int64)
-    for j, edges in enumerate(edges_per_dim):
-        # interior edges only; values outside land in the first/last bin
-        idx = np.searchsorted(edges[1:-1], samples[:, j], side="right")
-        ids = ids * (len(edges) - 1) + idx
-    return ids
+"""`build(dataset, rng, out)` releases the mechanism on a one-column dataset
+once per row of `out`, a C-contiguous (trials, 1) float array, and writes
+each public output into its row; it returns nothing."""
 
 
 def merged_quantiles(arms: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """`np.quantile(arms.ravel(), q)` of a (2, T) array whose rows ascend, bit for bit
-    up to the sign of a zero.
+    """numpy's `quantile(arms.ravel(), q)` of a (2, T) array whose rows ascend, bit
+    for bit up to the sign of a zero.
 
     The pooled quantile at q interpolates numpy's "linear" rule (Hyndman and
     Fan's definition 7) between the pooled order statistics of ranks
@@ -165,7 +156,7 @@ def merged_quantiles(arms: np.ndarray, q: np.ndarray) -> np.ndarray:
     statistic is found by a bisection, vectorised over the ranks, over how
     many of the smallest pooled samples come from the first row, so nothing
     of length T is allocated. A NaN sample makes every quantile NaN, as in
-    `np.quantile`.
+    numpy's.
     """
     a, b = arms
     if np.isnan(a[-1]) or np.isnan(b[-1]):  # NaN sorts last
@@ -213,26 +204,23 @@ def empirical_privacy_ratio(
 ) -> RatioReport:
     """Histogram two output distributions and compare per-bin ratios to e^bound.
 
-    `build` (a MechanismClosure) fills a (trials, d) array with public
-    outputs, d <= 2 the datasets' column count. The two datasets may differ
-    in at most one row. Binning is by pooled-sample quantiles so occupied
-    bins carry comparable mass; a bin is estimable when both histograms put
-    at least _MIN_COUNT samples in it, and a bin passes when its Wilson
-    intervals are consistent with the e^bound ratio in both directions.
-    Edges that collapse to a single cell are a ConfigError: that cell holds
-    every sample of both outputs, so its ratio is 1 whatever the release.
-    So are more cells (bins ** d) than trials, refused before `build` runs,
-    so every allocation of the check stays O(trials d).
+    `build` (a MechanismClosure) fills a (trials, 1) array with public
+    outputs; the datasets have one column and differ in at most one row.
+    Binning is by pooled-sample quantiles so occupied bins carry comparable
+    mass; a bin is estimable when both histograms put at least _MIN_COUNT
+    samples in it, and a bin passes when its Wilson intervals are consistent
+    with the e^bound ratio in both directions. Edges that collapse to a
+    single cell are a ConfigError: that cell holds every sample of both
+    outputs, so its ratio is 1 whatever the release. So are more bins than
+    trials, refused before `build` runs, so every allocation of the check
+    stays O(trials).
 
-    Both outputs share one pooled (2, trials, d) buffer, filled for data_a
-    and then for data_b. At d = 1 each arm is then sorted in place, the
-    edges are order statistics of the two sorted arms (`merged_quantiles`)
-    and an arm's count in a bin is a difference of edge searches in it, so
-    the check holds the pooled buffer and nothing else of the trials'
-    length. At d = 2 the rows stay in the order `build` wrote them; the
-    check sorts one column's scratch copy (2 trials doubles) at a time for
-    its quantiles and counts the bins one row block (`row_blocks`) at a
-    time. A sample equal to an interior edge counts in the bin above it.
+    Both outputs share one pooled (2, trials) buffer, filled for data_a and
+    then for data_b. Each arm is then sorted in place, the edges are order
+    statistics of the two sorted arms (`merged_quantiles`) and an arm's
+    count in a bin is a difference of edge searches in it, so the check
+    holds the pooled buffer and nothing else of the trials' length. A sample
+    equal to an interior edge counts in the bin above it.
     """
     if trials < 2 * _MIN_COUNT:
         raise ConfigError("trials too small for the estimability floor")
@@ -243,65 +231,37 @@ def empirical_privacy_ratio(
     if n_diff > 1:
         raise ConfigError(f"datasets differ in {n_diff} rows; at most one allowed")
     d = np.shape(data_a.X)[1]
-    if d > 2:
-        raise ConfigError("ratio check supports outputs of dimension <= 2")
-    if bins ** d > trials:
-        raise ConfigError(f"bins ** d = {bins} ** {d} cells exceed the {trials} trials: "
+    if d != 1:
+        raise ConfigError(f"the ratio check takes one-column datasets, got {d} columns")
+    if bins > trials:
+        raise ConfigError(f"bins = {bins} cells exceed the {trials} trials: "
                           "a cell would average under one sample of either output")
 
-    pooled = np.empty((2, trials, d))
-    for data, arm_rng, out in zip((data_a, data_b), rng.spawn(2), pooled):
-        build(data, arm_rng, out)
+    arms = np.empty((2, trials))
+    for data, arm_rng, arm in zip((data_a, data_b), rng.spawn(2), arms):
+        build(data, arm_rng, arm[:, None])
+    arms.sort(axis=1)  # each arm ascending, in place
 
-    q = np.linspace(0.0, 1.0, bins + 1)
-    if d == 1:
-        arms = pooled[..., 0]
-        arms.sort(axis=1)  # each arm ascending, in place
-        quantiles = [merged_quantiles(arms, q)]
-    else:
-        # one column's sorted scratch copy at a time; the quantiles are order
-        # statistics, the same bits sorted or not
-        quantiles = (np.quantile(np.sort(pooled[:, :, j], axis=None), q, overwrite_input=True)
-                     for j in range(d))
-    edges_per_dim = []
-    for values in quantiles:
-        edges = np.unique(values)
-        if len(edges) < 2:
-            edges = np.array([edges[0] - 0.5, edges[0] + 0.5])
-        edges_per_dim.append(edges)
-
-    n_cells = int(np.prod([len(e) - 1 for e in edges_per_dim]))
-    if n_cells < 2:
+    edges = np.unique(merged_quantiles(arms, np.linspace(0.0, 1.0, bins + 1)))
+    if len(edges) < 3:
         raise ConfigError(
             "the pooled quantile edges collapse to a single cell, whose ratio is 1 "
             "whatever the release"
         )
-    if d == 1:
-        # bin c of an arm holds its samples below interior edge c less those below edge c - 1
-        below = [np.searchsorted(arm, edges_per_dim[0][1:-1], side="left") for arm in arms]
-        counts = np.diff(below, axis=1, prepend=0, append=trials)
-    else:
-        counts = np.zeros((2, n_cells), dtype=np.int64)
-        for arm, out in enumerate(pooled):
-            for block in row_blocks(trials, d):
-                counts[arm] += np.bincount(_bin_ids(out[block], edges_per_dim),
-                                           minlength=n_cells)
-    counts_a, counts_b = counts
+    # bin c of an arm holds its samples below interior edge c less those below edge c - 1
+    below = [np.searchsorted(arm, edges[1:-1], side="left") for arm in arms]
+    counts_a, counts_b = np.diff(below, axis=1, prepend=0, append=trials)
 
     occupied = (counts_a + counts_b) > 0
     thin = occupied & ((counts_a < _MIN_COUNT) | (counts_b < _MIN_COUNT))
     n_occ = int(occupied.sum())
-    if n_occ == 0:
-        raise ConfigError("no occupied bins")
     if thin.sum() > 0.20 * n_occ:
         raise ConfigError(
             f"{int(thin.sum())} of {n_occ} occupied bins fall below {_MIN_COUNT} samples"
         )
     estimable = occupied & ~thin
 
-    ka = counts_a[estimable].astype(float)
-    kb = counts_b[estimable].astype(float)
-    log_ratio = np.log(ka / kb)  # both >= _MIN_COUNT > 0 here
+    log_ratio = np.log(counts_a[estimable] / counts_b[estimable])  # both >= _MIN_COUNT > 0 here
     bounds = np.array([wilson_interval(int(k), trials) for k in counts_a[estimable]])
     lo_a, hi_a = bounds[:, 0], bounds[:, 1]
     bounds = np.array([wilson_interval(int(k), trials) for k in counts_b[estimable]])
@@ -313,7 +273,7 @@ def empirical_privacy_ratio(
     n_est = int(estimable.sum())
     return RatioReport(
         trials=trials,
-        bins_total=n_cells,
+        bins_total=len(edges) - 1,
         bins_estimable=n_est,
         fraction_within=float(np.mean(ok)) if n_est else 0.0,
         max_abs_log_ratio=float(np.max(np.abs(log_ratio))) if n_est else 0.0,

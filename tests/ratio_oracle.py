@@ -1,12 +1,12 @@
 """The histogram ratio check in its straightforward form.
 
-Each arm's outputs go to an array of their own, the two are stacked with
-`concatenate`, each column's pooled quantiles give the edges, and one
-`bincount` over all of an arm's bin ids gives its histogram. The privacy
-tests require `privacy.empirical_privacy_ratio`, which pools both arms in one
-buffer and counts one row block at a time, to return this report field for
-field. It shares only `RatioReport`, `wilson_interval` and the two rng
-streams' derivation with the package; no verb or cell uses it.
+Each arm's outputs go to an array of their own, the pooled quantiles of the
+two `concatenate`d give the edges, and one `bincount` over each unsorted
+arm's bin ids gives its histogram. The privacy tests require
+`privacy.empirical_privacy_ratio`, which pools both arms in one buffer,
+sorts them in place and selects the quantiles by rank, to return this report
+field for field. It shares only `RatioReport`, `wilson_interval` and the two
+rng streams' derivation with the package; no verb or cell uses it.
 """
 
 import numpy as np
@@ -18,30 +18,20 @@ MIN_COUNT = 50
 
 def ratio_report(build, data_a, data_b, trials, bins, rng, epsilon_bound) -> RatioReport:
     """The report of the ratio check on outputs the closure `build` writes."""
-    d = np.shape(data_a.X)[1]
     rng_a, rng_b = rng.spawn(2)
-    out_a, out_b = np.empty((trials, d)), np.empty((trials, d))
+    out_a, out_b = np.empty((trials, 1)), np.empty((trials, 1))
     build(data_a, rng_a, out_a)
     build(data_b, rng_b, out_b)
+    out_a, out_b = out_a[:, 0], out_b[:, 0]
 
-    pooled = np.concatenate([out_a, out_b], axis=0)
-    edges_per_dim = []
-    for j in range(d):
-        edges = np.unique(np.quantile(pooled[:, j], np.linspace(0.0, 1.0, bins + 1)))
-        if len(edges) < 2:
-            edges = np.array([edges[0] - 0.5, edges[0] + 0.5])
-        edges_per_dim.append(edges)
-
-    def bin_ids(samples):
-        ids = np.zeros(samples.shape[0], dtype=np.int64)
-        for j, edges in enumerate(edges_per_dim):
-            idx = np.searchsorted(edges[1:-1], samples[:, j], side="right")
-            ids = ids * (len(edges) - 1) + idx
-        return ids
-
-    n_cells = int(np.prod([len(e) - 1 for e in edges_per_dim]))
-    counts_a = np.bincount(bin_ids(out_a), minlength=n_cells)
-    counts_b = np.bincount(bin_ids(out_b), minlength=n_cells)
+    pooled = np.concatenate([out_a, out_b])
+    edges = np.unique(np.quantile(pooled, np.linspace(0.0, 1.0, bins + 1)))
+    if len(edges) < 2:
+        edges = np.array([edges[0] - 0.5, edges[0] + 0.5])
+    n_cells = len(edges) - 1
+    # interior edges only; values outside land in the first/last bin
+    counts_a = np.bincount(np.searchsorted(edges[1:-1], out_a, side="right"), minlength=n_cells)
+    counts_b = np.bincount(np.searchsorted(edges[1:-1], out_b, side="right"), minlength=n_cells)
 
     occupied = (counts_a + counts_b) > 0
     estimable = occupied & (counts_a >= MIN_COUNT) & (counts_b >= MIN_COUNT)

@@ -45,6 +45,13 @@ def test_covariate_sigma_of_each_kind():
     with pytest.raises(ConfigError, match="not sub-Gaussian"):
         sigma(StudentTCovariates(5.0))
 
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+def test_isotropic_sigma_must_be_finite_and_positive(sigma):
+    with pytest.raises(ConfigError, match="subgaussian_isotropic sigma must be finite and > 0"):
+        SubGaussianIsotropic(sigma)
+
+
 def test_zero_noise_linear_is_exact():
     pop, _ = make_pop(ModelKind.linear(0.0), n=200, d=3, seed=1)
     assert np.array_equal(pop.y_true, pop.X @ pop.theta_star)

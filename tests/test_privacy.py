@@ -180,9 +180,9 @@ def test_insufficient_mass_raises():
         )
 
 
-@pytest.mark.parametrize("d, bins", [(1, 2001), (2, 45), (1, 10**9)])
+@pytest.mark.parametrize("d, bins", [(1, 2001), (1, 10**9)])
 def test_more_cells_than_trials_are_refused_before_any_build(d, bins):
-    # bins ** d cells over 2000 trials: each cell would average under one sample
+    # bins cells over 2000 trials: each cell would average under one sample
     # of either output, so the check could only end in the thin-bin refusal; it
     # refuses first, before it builds or allocates anything of length bins
     builds = []
@@ -194,8 +194,7 @@ def test_more_cells_than_trials_are_refused_before_any_build(d, bins):
     a = _Pair(np.ones((3, d)), np.zeros(3))
     tracemalloc.start()
     try:
-        with pytest.raises(ConfigError, match=rf"bins \*\* d = {bins} \*\* {d} cells exceed "
-                                              r"the 2000 trials"):
+        with pytest.raises(ConfigError, match=rf"bins = {bins} cells exceed the 2000 trials"):
             empirical_privacy_ratio(build, a, a, trials=2000, bins=bins,
                                     rng=np.random.default_rng(0), epsilon_bound=1.0)
         peak = tracemalloc.get_traced_memory()[1]
@@ -203,6 +202,19 @@ def test_more_cells_than_trials_are_refused_before_any_build(d, bins):
         tracemalloc.stop()
     assert builds == []
     assert peak < 2 ** 20
+
+
+def test_two_column_datasets_are_refused_before_any_build():
+    builds = []
+
+    def build(dataset, rng, out):
+        builds.append(len(out))
+
+    a = _Pair(np.ones((3, 2)), np.zeros(3))
+    with pytest.raises(ConfigError, match="one-column datasets, got 2 columns"):
+        empirical_privacy_ratio(build, a, a, trials=2000, bins=10,
+                                rng=np.random.default_rng(0), epsilon_bound=1.0)
+    assert builds == []
 
 
 def _two_atom_build(dataset, rng, out):
@@ -261,7 +273,7 @@ def _five_value_build(dataset, rng, out):
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("d, bins", [(1, 10), (2, 10)])
+@pytest.mark.parametrize("d, bins", [(1, 10)])
 def test_releases_on_the_bin_edges_are_binned_as_the_oracle_bins_them(d, bins, seed):
     # the pooled quantile edges are release values themselves, so most samples
     # sit on an edge and count in the bin above it, sorted or not
@@ -271,19 +283,3 @@ def test_releases_on_the_bin_edges_are_binned_as_the_oracle_bins_them(d, bins, s
     report = empirical_privacy_ratio(*args, rng=np.random.default_rng(seed), epsilon_bound=1.0)
     assert report == ratio_report(*args, np.random.default_rng(seed), 1.0)
     assert report.bins_total == 4 ** d and report.bins_estimable >= 4 ** d - 1
-
-
-def test_two_dimensional_check_holds_six_doubles_per_trial():
-    # the pooled outputs (2 d doubles a trial) and one column's scratch copy
-    # (2 more), and nothing else of the trials' length
-    trials, d = 100_000, 2
-    a = _Pair(np.ones((3, d)), np.array([1.0, 0.0, 0.0]))
-    b = _Pair(np.ones((3, d)), np.array([-1.0, 0.0, 0.0]))
-    tracemalloc.start()
-    try:
-        empirical_privacy_ratio(_five_value_build, a, b, trials, 10,
-                                rng=np.random.default_rng(3), epsilon_bound=1.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= (2 * d + 2) * 8 * trials + 2 ** 20, f"traced peak {peak / 2 ** 20:.2f} MiB"

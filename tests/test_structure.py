@@ -37,6 +37,18 @@ def test_no_module_imports_a_private_name_of_another():
     assert not found, "\n".join(found)
 
 
+def test_only_the_estimators_module_calls_qr():
+    # every least-squares factor goes through estimators.triangular_factor and
+    # stack_factors, so the blocking and the bits have one owner
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Call) and ast.unparse(node.func) == "np.linalg.qr"
+                    and path.name != "estimators.py"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, "\n".join(found)
+
+
 README = Path(__file__).parents[1] / "README.md"
 
 
