@@ -204,6 +204,7 @@ def triangular_factor(
         block = np.empty((*stack, d + 1, z_rows.shape[-1]))
         block[..., :d, :] = np.swapaxes(X_rows, -1, -2)
         block[..., d, :] = z_rows
+        del X_rows, z_rows  # a gathered copy is dead here, and qr copies block again
         factors.append(np.linalg.qr(np.swapaxes(block, -1, -2), mode="r"))
     return stack_factors(*factors)
 

@@ -148,8 +148,8 @@ class ExperimentConfig:
             raise ConfigError("repeats must be >= 1")
         if any(b <= a for a, b in zip(self.sweep, self.sweep[1:])):
             raise ConfigError("sweep must be strictly increasing")
-        if self.sweep:  # an empty sweep produces a header-only report
-            check_size(self.sweep[0], self.population.d)
+        for n in self.sweep:
+            check_size(n, self.population.d)
         if min(self.deviation_trials, self.sensitivity_trials) < 1:
             raise ConfigError(f"trials must be >= 1, got deviation.trials {self.deviation_trials}"
                               f" and sensitivity_trials {self.sensitivity_trials}")

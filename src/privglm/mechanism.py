@@ -33,11 +33,11 @@ opposite group's release, pays the Brier score and counts the truthful and
 rational agents (`rationality_counts`). Each block's payments are summed
 into the budget as they are paid, by `math.fsum`, which rounds the exact sum
 once, so the budget has the bits of one sum over every payment. A cell keeps
-1 byte per agent: the int8 partition. While the partition is drawn, the
-shuffled index beside it takes the bytes of the narrowest unsigned type that
-holds n - 1 (4 from n = 65,537 to 2^32). Of the rows it keeps one chunk at a time, and
-nothing beside it: the posterior means, the design of pass 2, p, q, the
-payments and the counts go one row block (`row_blocks`) at a time.
+no per-agent vector: the partition is one count per chunk and a key, and
+each pass re-creates a chunk's labels (`Partition.labels`) when it reaches
+the chunk. Of the rows it keeps one chunk at a time, and nothing beside it:
+the posterior means, the design of pass 2, p, q, the payments and the
+counts go one row block (`row_blocks`) at a time.
 
 Each step has one implementation in this module: `partition`,
 `release_noise` (the three noises, drawn in the order full, half 0, half 1),
@@ -66,6 +66,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .estimators import (
+    CHUNK_ROWS,
     HEAVY,
     EstimatorSettings,
     check_regime,
@@ -104,6 +105,10 @@ WINDOW_PANEL = 48  # nodes on each side of the mode in that window
 
 # the three releases, in the order their noise is drawn; half g is release 1 + g
 RELEASES = ("full", "half0", "half1")
+
+# largest n a run takes: numpy's hypergeometric, which draws the partition,
+# takes fewer than 10^9 agents of either group
+MAX_AGENTS = 2 * (10 ** 9 - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +177,17 @@ class MechanismParams:
 
 @dataclass
 class MechanismOutcome:
+    """The releases of one run, its partition and what pass 2 counted and summed.
+
+    The outcome keeps no per-agent vector: `group_assignment` is the
+    `Partition`, whose `labels(c)` give chunk c's groups, and pass 2 adds
+    each payment to the budget and drops it.
+    """
+
     theta_bar_full: np.ndarray
     theta_bar_g0: np.ndarray
     theta_bar_g1: np.ndarray
-    group_assignment: np.ndarray
+    group_assignment: Partition
     budget: float  # the sum of the payments, which the outcome does not keep
     account: Tuple[float, float]
     noise_norms: Tuple[float, float, float]  # each release's noise norm, in RELEASES order
@@ -189,27 +201,68 @@ class MechanismOutcome:
 # ---------------------------------------------------------------------------
 
 def check_size(n: int, d: int) -> None:
-    """Each half of the partition of n agents needs at least d rows."""
+    """Each half of the partition of n agents needs at least d rows, and fewer than 10^9.
+
+    `partition` draws each chunk's share with numpy's hypergeometric, which
+    refuses 10^9 or more agents of either group; group 1 holds n - n // 2.
+    """
     if n < 2 * d:
         raise ConfigError(
             f"n = {n} is below 2d = {2 * d} (d = {d}): a group of the partition would "
             f"have fewer rows than d"
         )
+    if n > MAX_AGENTS:
+        raise ConfigError(
+            f"n = {n} is above {MAX_AGENTS}: a group of the partition would hold 10^9 "
+            f"agents or more, which numpy's hypergeometric draw refuses"
+        )
 
 
-def partition(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Random equal split: group 1 is the last n - n // 2 entries of a permutation.
+@dataclass(frozen=True)
+class Partition:
+    """A random equal split of n agents, kept as one count per chunk and a key.
 
-    The permutation shuffles an index of the narrowest unsigned type that holds
-    n - 1. `rng.shuffle` draws the same swaps whatever the dtype, so it is the
-    permutation `rng.permutation(n)` gives, with the generator left in the same
-    state, at 1, 2 or 4 bytes per agent instead of 8 for n up to 2^32.
+    Chunk c holds agents [c chunk_rows, (c + 1) chunk_rows), as a row source
+    yields them. `ones[c]` of them are in group 1, and `labels(c)` re-creates
+    which from a generator keyed by (key, c), so no per-agent array outlives
+    its chunk.
     """
-    perm = np.arange(n, dtype=np.min_scalar_type(n - 1))
-    rng.shuffle(perm)
-    assign = np.zeros(n, dtype=np.int8)
-    assign[perm[n // 2 :]] = 1
-    return assign
+
+    n: int
+    chunk_rows: int
+    ones: Tuple[int, ...]
+    key: int
+
+    def labels(self, c: int) -> np.ndarray:
+        """Chunk c's int8 group labels: 1 on a uniform subset of ones[c] of its rows."""
+        rows = min(self.chunk_rows, self.n - c * self.chunk_rows)
+        labels = np.zeros(rows, dtype=np.int8)
+        # a uniform subset (a partial Fisher-Yates at chunk sizes), at about a
+        # fifth of the cost of a shuffle of the labels
+        picked = np.random.default_rng([self.key, c]).choice(
+            rows, self.ones[c], replace=False, shuffle=False)
+        labels[picked] = 1
+        return labels
+
+
+def partition(n: int, rng: np.random.Generator) -> Partition:
+    """Random equal split of n agents into chunks of CHUNK_ROWS: group 0 keeps n // 2.
+
+    Draws from rng, in chunk order, each chunk's number of group-1 agents,
+    hypergeometric among the agents left, then the key of the arrangements.
+    The counts are the chunks' margins under the uniform law over balanced
+    partitions, and given them each chunk's arrangement is uniform, so the
+    split is uniform over all balanced partitions.
+    """
+    ones_left, zeros_left = n - n // 2, n // 2
+    ones = []
+    for lo in range(0, n, CHUNK_ROWS):
+        rows = min(CHUNK_ROWS, n - lo)
+        k = int(rng.hypergeometric(ones_left, zeros_left, rows))
+        ones.append(k)
+        ones_left -= k
+        zeros_left -= rows - k
+    return Partition(n, CHUNK_ROWS, tuple(ones), int(rng.integers(2 ** 63)))
 
 
 def opposite_release(group):
@@ -523,25 +576,28 @@ def run_mechanism(
     """Execute one full mechanism run on the reports of a row source.
 
     `reported` has `n`, `d` and `chunks()`, which yields (covariates,
-    reports, costs or None) of consecutive agents and yields the same
-    agents again on a second walk (`Dataset` slices its rows in chunks of
-    CHUNK_ROWS and has no costs). Steps, in order: random equal partition;
-    pass 1, per chunk: the design written over the chunk's rows, the working
-    response, and each group's triangular factor of them; the release: each
-    group's chunk factors stacked, three least-squares solves (all rows,
-    from the two stacked halves; group 0; group 1), three independent noise
-    draws (full, group 0, group 1) at the schedule's sensitivities and ball
-    projections; pass 2, per row block of each chunk: the posterior means
-    from the raw rows, the design, q = A'(x_design . posterior mean),
-    p = A'(x_design . opposite group's release), the Brier payment and,
-    given costs, the counts of `rationality_counts` at the schedule's
-    tau_threshold and cost_exponent. The links are the parameters' own
+    reports, costs or None) of consecutive chunks of CHUNK_ROWS agents, the
+    last one partial, and yields the same agents again on a second walk
+    (`Dataset` slices its rows so and has no costs). Steps, in order: random
+    equal partition (`partition`: the chunks' counts, then the key); pass 1,
+    per chunk: the chunk's labels, the design written over the chunk's rows,
+    the working response, and each group's triangular factor of them; the
+    release: each group's chunk factors stacked, three least-squares solves
+    (all rows, from the two stacked halves; group 0; group 1), three
+    independent noise draws (full, group 0, group 1) at the schedule's
+    sensitivities and ball projections; pass 2, per chunk: its labels
+    again, and per row block the posterior means from the raw rows, the
+    design, q = A'(x_design . posterior mean), p = A'(x_design . opposite
+    group's release), the Brier payment and, given costs, the counts of
+    `rationality_counts` at the schedule's tau_threshold and cost_exponent. The links are the parameters' own
     (`params.bundle`).
 
     Pass 1 writes into the chunks `chunks()` yields, so a row source yields
     arrays of the mechanism's own (`Dataset` yields copies); pass 2 only
-    reads them. The budget is summed block by block as pass 2 pays; no
-    payment outlives its block. The outcome's `truthful_frac` and
+    reads them. Pass 1 reads of the costs only whether there are any, and
+    drops them before it factors. The budget is summed block by block as
+    pass 2 pays; no payment outlives its block, and no label its chunk. The
+    outcome keeps the `Partition`, not an n-vector. Its `truthful_frac` and
     `rationality_frac` are None when the row source has no costs.
     """
     settings = params.settings
@@ -550,15 +606,15 @@ def run_mechanism(
         raise ConfigError(f"parameters resolved at n = {params.n} cannot run {n} agents")
     check_size(n, d)
 
-    assign = partition(n, rng)
+    part = partition(n, rng)
     factors = ([], [])
-    lo = 0
+    c = 0  # a counter, not enumerate, whose cached result tuple would keep a chunk alive
     for X, y, costs in reported.chunks():
-        hi = lo + X.shape[0]
-        _first_pass(X, y, assign[lo:hi], factors, params)
         has_costs = costs is not None
-        del X, y, costs  # the next chunk is drawn with this one dropped
-        lo = hi
+        del costs  # pass 1 reads no cost
+        _first_pass(X, y, part.labels(c), factors, params)
+        del X, y  # the next chunk is drawn with this one dropped
+        c += 1
 
     halves = [stack_factors(*found) for found in factors]
     thetas = np.stack([solve_factor(R) for R in (stack_factors(*halves), *halves)])
@@ -568,7 +624,7 @@ def run_mechanism(
     account = compose_account(params.privacy)
     unit = privacy_cost(*account, params.cost_exponent)
     counts = [0, 0]
-    paid = _second_pass(reported, assign, bars, params, unit, counts)
+    paid = _second_pass(reported, part, bars, params, unit, counts)
     # each block's memoryview hands fsum Python floats, not numpy scalars; fsum
     # rounds the exact sum once, so block by block it gives the bits of one sum
     budget = math.fsum(itertools.chain.from_iterable(paid))
@@ -578,7 +634,7 @@ def run_mechanism(
         theta_bar_full=bars[0],
         theta_bar_g0=bars[1],
         theta_bar_g1=bars[2],
-        group_assignment=assign,
+        group_assignment=part,
         budget=budget,
         account=account,
         noise_norms=tuple(float(np.linalg.norm(v)) for v in noise),
@@ -587,7 +643,7 @@ def run_mechanism(
     )
 
 
-def _first_pass(X, y, assign, factors, params: MechanismParams) -> None:
+def _first_pass(X, y, labels, factors, params: MechanismParams) -> None:
     """One chunk of pass 1: map X in place, append each group's triangular factor.
 
     `design` maps one row block (`row_blocks`) at a time and the mapped rows
@@ -596,6 +652,8 @@ def _first_pass(X, y, assign, factors, params: MechanismParams) -> None:
     factors would change the TSQR bits.
     """
     settings, bundle, model = params.settings, params.bundle, params.bundle.model
+    if labels.size != X.shape[0]:
+        raise ValueError(f"a chunk of {X.shape[0]} rows where the partition has {labels.size}")
     check_rows(X, y)
     check_responses(y, model)
     for block in row_blocks(*X.shape):
@@ -603,12 +661,12 @@ def _first_pass(X, y, assign, factors, params: MechanismParams) -> None:
         X[block] = design(X[block], model, settings)
     z = working_response(y, bundle, settings)
     for group, found in enumerate(factors):
-        rows = np.flatnonzero(assign == group)
+        rows = np.flatnonzero(labels == group)
         if rows.size:
             found.append(triangular_factor(X, z, rows))
 
 
-def _second_pass(reported, assign, bars, params: MechanismParams, unit: float, counts):
+def _second_pass(reported, part, bars, params: MechanismParams, unit: float, counts):
     """Pass 2: pay each row block of each chunk and yield a memoryview of its payments.
 
     Per block: the posterior means from the raw rows, the design, q and p
@@ -617,23 +675,23 @@ def _second_pass(reported, assign, bars, params: MechanismParams, unit: float, c
     counts = [truthful, rational] before the block is yielded.
     """
     settings, bundle, model = params.settings, params.bundle, params.bundle.model
-    lo = 0
+    c = 0
     for X, y, costs in reported.chunks():
+        labels = part.labels(c)
         for block in row_blocks(*X.shape):
             means = posterior_mean(X[block], y[block], model, settings.tau_theta)
             x_pay = design(X[block], model, settings)
             q = predictions(x_pay, means, bundle)
             # each row's p against the release that pays its group
-            groups = assign[lo + block.start : lo + block.stop]
-            p = predictions(x_pay, bars[opposite_release(groups)], bundle)
+            p = predictions(x_pay, bars[opposite_release(labels[block])], bundle)
             pay = brier_payment(params.a1, params.a2, p, q)
             if costs is not None:
                 t, r = rationality_counts(pay, costs[block], unit, params.tau_threshold)
                 counts[0] += t
                 counts[1] += r
             yield memoryview(pay)
-        lo += X.shape[0]
         del X, y, costs  # the next chunk is drawn with this one dropped
+        c += 1
 
 
 # ---------------------------------------------------------------------------

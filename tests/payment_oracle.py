@@ -3,11 +3,12 @@
 A run keeps no per-agent payment: pass 2 sums each row block's payments
 into the budget and drops them. The mechanism, streaming and acceptance
 tests recompute the payments here, from the materialised reports and the
-outcome's releases and partition, with the mechanism's own posterior means,
-design, predictions and Brier rule applied to all rows at once. Each of
-those steps is row-wise, so a row's payment has the same bits alone, in
-this batch and in the mechanism's row block; `paid` ties the batch to the
-run by its budget, bit for bit. No verb or cell uses this helper.
+outcome's releases and partition (`groups`), with the mechanism's own
+posterior means, design, predictions and Brier rule applied to all rows at
+once. Each of those steps is row-wise, so a row's payment has the same
+bits alone, in this batch and in the mechanism's row block; `paid` ties the
+batch to the run by its budget, bit for bit. No verb or cell uses this
+helper.
 """
 
 import math
@@ -18,10 +19,16 @@ from privglm.estimators import Dataset, design
 from privglm.mechanism import (
     MechanismOutcome,
     MechanismParams,
+    Partition,
     brier_payment,
     posterior_mean,
     predictions,
 )
+
+
+def groups(part: Partition) -> np.ndarray:
+    """Every agent's group: the partition's chunk labels, concatenated."""
+    return np.concatenate([part.labels(c) for c in range(len(part.ones))])
 
 
 def recomputed_predictions(reported: Dataset, idx, out: MechanismOutcome, params: MechanismParams):
@@ -31,7 +38,7 @@ def recomputed_predictions(reported: Dataset, idx, out: MechanismOutcome, params
     X = reported.X[idx]
     x_pay = design(X, bundle.model, params.settings)
     halves = np.stack([out.theta_bar_g0, out.theta_bar_g1])
-    opposite = halves[1 - out.group_assignment[idx]]
+    opposite = halves[1 - groups(out.group_assignment)[idx]]
     means = posterior_mean(X, reported.y[idx], bundle.model, params.settings.tau_theta)
     return predictions(x_pay, opposite, bundle), predictions(x_pay, means, bundle)
 

@@ -1396,6 +1396,25 @@ def test_deviation_study_rejects_n_below_2d(tmp_path, capsys):
                    "would have fewer rows than d\n")
 
 
+def test_verbs_refuse_an_n_the_partition_cannot_draw(tmp_path, capsys):
+    # numpy's hypergeometric, which draws the partition, refuses a group of
+    # 10^9 agents or more; the study verbs' --n, schedule's --n and a simulate
+    # sweep point above the largest n it draws exit 2 before any work
+    n = 2_000_000_000
+    payload = {"population": {"d": 2, "model": "linear"}, "schedule": {"delta": 0.3},
+               "sweep": [100]}
+    cfg = _write_config(tmp_path, payload)
+    message = (f"config error: n = {n} is above 1999999998: a group of the partition would "
+               f"hold 10^9 agents or more, which numpy's hypergeometric draw refuses\n")
+    for argv in (["deviate", "--trials", "3"], ["sensitivity", "--trials", "3"], ["schedule"]):
+        assert cli_main([*argv, "--config", cfg, "--n", str(n)]) == 2
+        assert capsys.readouterr().err == message
+    sweep = _write_config(tmp_path, payload | {"sweep": [100, n]})
+    assert cli_main(["simulate", "--config", sweep, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "out").exists()
+
+
 def test_readme_config_block_reads_back():
     # the README's config example is a valid config, and its echo gives back
     # every key it shows (out_dir is never echoed; the rule's numbers come

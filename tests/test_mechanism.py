@@ -1,6 +1,8 @@
 import importlib
+import itertools
 import math
 import pkgutil
+from collections import Counter
 from dataclasses import replace
 
 import hypothesis
@@ -22,6 +24,7 @@ from privglm.estimators import (
 )
 from privglm.links import LinkConstants, ModelKind, make_link_bundle, project_polytope
 from privglm.mechanism import (
+    MAX_AGENTS,
     MechanismParams,
     _log_gammainc,
     _gauss_legendre,
@@ -30,6 +33,8 @@ from privglm.mechanism import (
     _poisson_table,
     brier_payment,
     budget_bound,
+    check_size,
+    partition,
     predictions,
     preset_schedule,
     posterior_mean,
@@ -46,7 +51,7 @@ from privglm.population import (
 )
 from privglm.privacy import PrivacyParams
 
-from payment_oracle import paid, recomputed_predictions
+from payment_oracle import groups, paid, recomputed_predictions
 from rationality_oracle import rationality_fraction
 from strategy_oracle import apply_strategy
 
@@ -357,8 +362,8 @@ def test_run_mechanism_contracts():
     payments = paid(reported, out, params)
     assert payments.shape == (400,)
     assert math.fsum(payments[np.random.default_rng(0).permutation(400)]) == out.budget
-    assert sorted(np.unique(out.group_assignment)) == [0, 1]
-    assert np.sum(out.group_assignment == 0) == 200
+    assert sorted(np.unique(groups(out.group_assignment))) == [0, 1]
+    assert np.sum(groups(out.group_assignment) == 0) == 200
     assert out.account == (2 * params.privacy.epsilon, pytest.approx(
         params.privacy.gamma_n + 2 * params.privacy.gamma_half))
     assert len(out.noise_norms) == 3
@@ -371,7 +376,7 @@ def test_run_mechanism_deterministic():
     b = run_mechanism(reported, params, np.random.default_rng(9))
     assert np.array_equal(a.theta_bar_full, b.theta_bar_full)
     assert a.budget == b.budget
-    assert np.array_equal(a.group_assignment, b.group_assignment)
+    assert np.array_equal(groups(a.group_assignment), groups(b.group_assignment))
 
 
 def test_run_mechanism_reads_each_row_once(monkeypatch):
@@ -408,7 +413,7 @@ def test_run_mechanism_reads_each_row_once(monkeypatch):
     out = run_mechanism(reported, params, np.random.default_rng(3))
     assert sum(qr_rows) == n
     # per half: two blocks in the full chunk, one in the partial chunk if it has rows there
-    tail = out.group_assignment[estimators.CHUNK_ROWS:]
+    tail = out.group_assignment.labels(1)
     assert len(qr_rows) == 4 + sum(np.any(tail == group) for group in (0, 1))
     assert svd_shapes == [(d, d)] * 3
 
@@ -419,6 +424,45 @@ def test_partition_too_small():
     tiny = Dataset(np.random.default_rng(0).standard_normal((5, 3)), np.zeros(5))
     with pytest.raises(ConfigError, match=r"n = 5 is below 2d = 6 \(d = 3\)"):
         run_mechanism(tiny, params, np.random.default_rng(0))
+
+
+def test_partition_draws_every_balanced_split_uniformly(monkeypatch):
+    # in chunks of 2 rows, n = 6 takes three chunks: the hypergeometric counts
+    # and each chunk's keyed arrangement together give each of the C(6, 3) = 20
+    # balanced partitions probability 1/20
+    monkeypatch.setattr(mechanism, "CHUNK_ROWS", 2)
+    rng = np.random.default_rng(2024)
+    seen = Counter(groups(partition(6, rng)).tobytes() for _ in range(20_000))
+    splits = {np.isin(np.arange(6), ones).astype(np.int8).tobytes()
+              for ones in itertools.combinations(range(6), 3)}
+    assert set(seen) == splits
+    chisquare = pytest.importorskip("scipy.stats").chisquare
+    assert chisquare(list(seen.values())).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("n", [2, 7, 65_536, 65_537, 2 * estimators.CHUNK_ROWS + 5])
+def test_partition_group_sizes_are_exact(n):
+    part = partition(n, np.random.default_rng(n))
+    chunks = range(-(-n // estimators.CHUNK_ROWS))
+    assert len(part.ones) == len(chunks)
+    assert [np.count_nonzero(part.labels(c)) for c in chunks] == list(part.ones)
+    labels = groups(part)
+    assert labels.size == n and np.count_nonzero(labels == 0) == n // 2
+    # labels(c) re-creates chunk c's labels, bit for bit
+    assert np.array_equal(groups(part), labels)
+
+
+def test_check_size_admits_each_n_the_hypergeometric_draw_takes():
+    # group 1 holds n - n // 2 agents, and numpy's hypergeometric refuses 10^9
+    # or more of either group: MAX_AGENTS is the largest n it draws
+    check_size(MAX_AGENTS, 2)
+    half = MAX_AGENTS // 2  # each group of MAX_AGENTS agents
+    rng = np.random.default_rng(0)
+    rng.hypergeometric(half, half, estimators.CHUNK_ROWS)
+    with pytest.raises(ValueError, match="less than 1000000000"):
+        rng.hypergeometric(half + 1, half, estimators.CHUNK_ROWS)  # group 1 of MAX_AGENTS + 1
+    with pytest.raises(ConfigError, match=f"n = {MAX_AGENTS + 1} is above {MAX_AGENTS}"):
+        check_size(MAX_AGENTS + 1, 2)
 
 
 def test_heavy_regime_requires_linear_model():
@@ -446,7 +490,7 @@ def test_run_mechanism_rejects_params_of_another_n():
 
 def _recompute_payment(reported, i, out, bundle, params):
     """Agent i's payment from its own row and index and the opposite release alone."""
-    opposite = out.theta_bar_g1 if out.group_assignment[i] == 0 else out.theta_bar_g0
+    opposite = out.theta_bar_g1 if groups(out.group_assignment)[i] == 0 else out.theta_bar_g0
     X = reported.X[i : i + 1]
     mean = posterior_mean(X, reported.y[i : i + 1], bundle.model, params.settings.tau_theta)
     x_pay = design(X, bundle.model, params.settings)
@@ -517,8 +561,9 @@ def test_group_blinding_property(family, n, agent, report, seed):
     truthful, deviated = Dataset(pop.X, pop.y_true), Dataset(pop.X, y)
     base = run_mechanism(truthful, params, np.random.default_rng(seed))
     moved = run_mechanism(deviated, params, np.random.default_rng(seed))
-    assert np.array_equal(base.group_assignment, moved.group_assignment)
-    peers = base.group_assignment == base.group_assignment[i]
+    assigned = groups(base.group_assignment)
+    assert np.array_equal(groups(moved.group_assignment), assigned)
+    peers = assigned == assigned[i]
     peers[i] = False
     assert np.array_equal(paid(truthful, base, params)[peers], paid(deviated, moved, params)[peers])
 
@@ -608,7 +653,7 @@ def test_heavy_mechanism_uses_shrunk_covariates():
     p, q = recomputed_predictions(reported, idx, out, params)
     assert np.array_equal(brier_payment(params.a1, params.a2, p, q), paid(reported, out, params)[idx])
     for k, i in enumerate(idx):
-        opposite = out.theta_bar_g1 if out.group_assignment[i] == 0 else out.theta_bar_g0
+        opposite = out.theta_bar_g1 if groups(out.group_assignment)[i] == 0 else out.theta_bar_g0
         assert p[k] == pytest.approx(float(xs[i] @ opposite), abs=1e-15)
 
 

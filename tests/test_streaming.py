@@ -7,8 +7,8 @@ of several chunks, the last one partial, gives the releases and budget of
 exact sum of every payment recomputed in one batch; the `sensitivity` verb
 runs the oracle on the materialised population of cell (n, 0); two walks
 of a stream yield the same agents, and a row source needs only `n`, `d`
-and `chunks()`; and the memory a cell traces grows by its per-agent
-vectors only.
+and `chunks()`; and the memory a cell traces does not grow with n: it keeps
+no per-agent vector.
 """
 
 import json
@@ -48,7 +48,7 @@ from privglm.population import (
     replacement_sampler,
 )
 
-from payment_oracle import paid
+from payment_oracle import groups, paid
 from rationality_oracle import rationality_fraction
 from strategy_oracle import apply_strategy
 
@@ -130,8 +130,9 @@ def test_streamed_cell_equals_run_on_materialised_population(name):
     reported = apply_strategy(pop, tau, config.population.model)
     whole = run_mechanism(reported, params, cell_rng(ms, n, 0, ARM_MECHANISM))
 
-    for field in ("theta_bar_full", "theta_bar_g0", "theta_bar_g1", "group_assignment"):
+    for field in ("theta_bar_full", "theta_bar_g0", "theta_bar_g1"):
         assert np.array_equal(getattr(streamed, field), getattr(whole, field)), field
+    assert np.array_equal(groups(streamed.group_assignment), groups(whole.group_assignment))
     assert streamed.budget == whole.budget
     assert np.array_equal(stream.population().costs, pop.costs)
     # the chunks are draws of their own: chunk 1 is not chunk 0 again
@@ -174,7 +175,8 @@ def test_streamed_budget_is_the_exact_sum_of_every_payment(name):
     # pass 2 adds each row block's payments to the budget as it pays them and
     # keeps none; over two full chunks and a partial one of 5 agents, the
     # budget and the counts are those of every agent's payment recomputed in
-    # one batch from the materialised population. a1 = 0, below the
+    # one batch from the materialised population and the partition's chunk
+    # labels concatenated, so both passes saw those labels. a1 = 0, below the
     # rationality floor, so that the rationality count reads the payments
     n, d = 2 * CHUNK_ROWS + 5, 3
     config = cell_config(name, d, n)
@@ -279,6 +281,22 @@ def test_run_mechanism_reads_only_the_chunks_of_a_row_source():
         assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want, field
 
 
+def test_run_mechanism_refuses_chunks_the_partition_does_not_have():
+    # the partition holds its labels per chunk of CHUNK_ROWS agents, so a row
+    # source whose chunks are smaller would be paired with the wrong labels
+    class HalfChunks(_BareRows):
+        def chunks(self):
+            for lo in range(0, self.n, 50):
+                yield self.X[lo : lo + 50].copy(), self.y[lo : lo + 50].copy(), None
+
+    n, d = 100, 2
+    model = ModelKind.linear(1.0)
+    params = preset_schedule(model, "subgaussian", n, 0.3, d=d)
+    pop = generate_population(PopulationSpec(n=n, d=d, model=model), np.random.default_rng(6))
+    with pytest.raises(ValueError, match="a chunk of 50 rows where the partition has 100"):
+        run_mechanism(HalfChunks(pop.X, pop.y_true), params, np.random.default_rng(7))
+
+
 def test_run_mechanism_counts_the_costs_of_a_row_source():
     # with a1 = 0, below the rationality floor, some truthful agents lose; the
     # counts, taken row block by row block across two chunks, give the
@@ -365,15 +383,14 @@ def _traced_peak(config, n) -> int:
         tracemalloc.stop()
 
 
-# bytes per agent of the vectors a cell keeps: the int8 partition; the
-# index `partition` shuffles (uint32 at these n) lives only while the
-# partition is drawn, before any chunk of rows, and the payments live one
-# row block at a time
-PER_AGENT_BYTES = 1
+# bytes per agent of the vectors a cell keeps: none. The partition is one
+# count per chunk and a key, each chunk's labels live while the chunk does,
+# and the payments live one row block at a time
+PER_AGENT_BYTES = 0
 
 
 def test_cell_memory_grows_by_per_agent_vectors_only():
-    # a cell keeps its per-agent vectors and one chunk of rows at a time; a
+    # a cell keeps no per-agent vector and one chunk of rows at a time; a
     # materialised n x d population would cost d * 8 bytes per agent for each
     # copy of the covariates, and a second chunk alive another chunk buffer;
     # pass 1 maps each chunk in place and pass 2 maps and pays row block by
@@ -385,7 +402,9 @@ def test_cell_memory_grows_by_per_agent_vectors_only():
         config = cell_config(name, d, large)
         peak = _traced_peak(config, large)
         grown = peak - _traced_peak(config, small)
-        assert grown / (large - small) <= PER_AGENT_BYTES + 3, name
+        # what grows with the chunks, their factors and counts, stays below
+        # the bytes of one chunk's int8 labels
+        assert grown < CHUNK_ROWS, name
         assert peak - PER_AGENT_BYTES * large <= 3 * chunk_buffer, name
 
 
