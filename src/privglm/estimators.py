@@ -19,6 +19,7 @@ degenerate design raises instead of silently amplifying noise.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Tuple
@@ -52,6 +53,12 @@ COND_CAP = 1e12
 CHUNK_ROWS = 2 ** 16
 
 
+def chunk_slice(n: int, c: int) -> slice:
+    """The agents of chunk c of n: CHUNK_ROWS of them, fewer in the last chunk."""
+    lo = c * CHUNK_ROWS
+    return slice(lo, min(lo + CHUNK_ROWS, n))
+
+
 def row_blocks(rows: int, width: int = 1) -> Iterator[slice]:
     """Slices of range(rows) into row blocks of at most BLOCK_ELEMENTS terms.
 
@@ -75,9 +82,8 @@ def check_rows(X: np.ndarray, y: np.ndarray) -> None:
 class Dataset:
     """Design matrix X (rows are covariates) and response vector y.
 
-    A row source for `mechanism.run_mechanism`: `chunks` slices the rows in
-    chunks of CHUNK_ROWS. The mechanism writes into the chunks it yields,
-    so they are copies: no run writes X or y. A Dataset has no costs.
+    The rows `estimate`, `empirical_sensitivity` and the privacy ratio check
+    solve on.
     """
 
     X: np.ndarray
@@ -98,11 +104,6 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.X.shape[1]
-
-    def chunks(self) -> Iterator[Tuple[np.ndarray, np.ndarray, None]]:
-        """(covariates, responses, None) of each chunk of CHUNK_ROWS rows, as copies to write into."""
-        for lo in range(0, self.n, CHUNK_ROWS):
-            yield self.X[lo : lo + CHUNK_ROWS].copy(), self.y[lo : lo + CHUNK_ROWS].copy(), None
 
 
 def check_responses(y: np.ndarray, model: ModelKind) -> None:
@@ -348,7 +349,9 @@ def empirical_sensitivity(
     n (d + 1) terms of its mapped rows). Each trial of a block writes its
     mapped replacement into its own copy of the mapped rows, and the block
     takes one stacked `triangular_factor` and one stacked `solve_factor`;
-    the copies are made once and get their base rows back after each block.
+    the copies are made once, one per trial of the first block, and get
+    their base rows back after each block. The blocks are taken one at a
+    time, so a run holds nothing per trial beyond its block.
     The stacked factor keeps each trial's row blocks, so every shift has
     the bits of a lone re-solve. A rank-deficient or over-cap trial raises
     for its block.
@@ -360,13 +363,14 @@ def empirical_sensitivity(
     z = working_response(data.y, bundle, settings)
     base = solve_factor(triangular_factor(X, z))
     n, d = X.shape
-    blocks = list(row_blocks(trials, n * (d + 1)))
-    # one copy of the mapped rows per trial of a block, made once: a block
-    # writes its replacements into the copies and puts the base rows back
-    copies = blocks[0].stop - blocks[0].start
+    blocks = row_blocks(trials, n * (d + 1))
+    first = next(blocks)
+    # one copy of the mapped rows per trial of the first, largest block: a
+    # block writes its replacements into the copies and puts the base rows back
+    copies = first.stop - first.start
     Xs, zs = np.repeat(X[None], copies, axis=0), np.repeat(z[None], copies, axis=0)
     worst = 0.0
-    for block in blocks:
+    for block in itertools.chain([first], blocks):
         b = block.stop - block.start
         rows, x_new, y_new = np.empty(b, dtype=np.intp), np.empty((b, d)), np.empty(b)
         for k, t in enumerate(range(block.start, block.stop)):

@@ -57,6 +57,10 @@ class ModelKind:
             raise ConfigError(f"unknown model family {self.family!r}; expected one of {FAMILIES}")
         if self.family == LINEAR and not self.noise_std >= 0:
             raise ConfigError("linear model requires noise_std >= 0")
+        if self.family == LINEAR and not math.isfinite(float(self.noise_std) * self.noise_std):
+            # the linear posterior mean takes noise_std^2
+            raise ConfigError(f"noise_std = {self.noise_std:g} is too large: its square "
+                              f"overflows (noise_std must be below about 1.34e154)")
 
     @classmethod
     def linear(cls, noise_std: float = 1.0) -> "ModelKind":

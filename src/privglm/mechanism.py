@@ -21,23 +21,24 @@ Poisson row takes a 256-node table, or, when its posterior is sharp, two
 d = 1, 2, 3 and 10 the largest error is 1e-14 (logistic, s = tau_theta ||x||
 <= 100) and 1e-12 (Poisson, s <= 50 and y <= 5000); see `posterior_mean`.
 
-`run_mechanism` walks a row source (a `Dataset`, or the harness's
-`population.PopulationStream`) in chunks of CHUNK_ROWS agents, twice. The
-first pass releases: it maps each chunk in place and takes each group's
-triangular factor of the chunk's rows; the release stacks each group's
-chunk factors (TSQR), gets the full-data factor by stacking the two halves,
-solves all three, adds noise and projects. The second pass pays: it walks
-the chunks again and, one row block at a time, takes the posterior means
-from the raw rows, maps the block, predicts q from the means and p from the
-opposite group's release, pays the Brier score and counts the truthful and
-rational agents (`rationality_counts`). Each block's payments are summed
-into the budget as they are paid, by `math.fsum`, which rounds the exact sum
-once, so the budget has the bits of one sum over every payment. A cell keeps
-no per-agent vector: the partition is one count per chunk and a key, and
-each pass re-creates a chunk's labels (`Partition.labels`) when it reaches
-the chunk. Of the rows it keeps one chunk at a time, and nothing beside it:
-the posterior means, the design of pass 2, p, q, the payments and the
-counts go one row block (`row_blocks`) at a time.
+`run_mechanism` reads a row source (the harness's
+`population.PopulationStream`) chunk by chunk (`estimators.chunk_slice`),
+twice. The first pass releases: it maps each chunk in place and takes each
+group's triangular factor of the chunk's rows; the release stacks each
+group's chunk factors (TSQR), gets the full-data factor by stacking the two
+halves, solves all three, adds noise and projects. The second pass pays: it
+reads the chunks again and, one row block at a time, takes the posterior
+means from the raw rows, maps the block, predicts q from the means and p
+from the opposite group's release, pays the Brier score and counts the
+truthful and rational agents (`rationality_counts`). Each block's payments
+are summed into the budget as they are paid, by `math.fsum`, which rounds
+the exact sum once, so the budget has the bits of one sum over every
+payment. A cell keeps no per-agent vector: the partition is one count per
+chunk and a key, and each pass re-creates a chunk's labels
+(`Partition.labels`) when it reaches the chunk. Of the rows it keeps one
+chunk at a time, and nothing beside it: the posterior means, the design of
+pass 2, p, q, the payments and the counts go one row block (`row_blocks`)
+at a time.
 
 Each step has one implementation in this module: `partition`,
 `release_noise` (the three noises, drawn in the order full, half 0, half 1),
@@ -66,12 +67,12 @@ import numpy as np
 
 from .errors import ConfigError
 from .estimators import (
-    CHUNK_ROWS,
     HEAVY,
     EstimatorSettings,
     check_regime,
     check_responses,
     check_rows,
+    chunk_slice,
     design,
     row_blocks,
     rows_inner,
@@ -181,7 +182,8 @@ class MechanismOutcome:
 
     The outcome keeps no per-agent vector: `group_assignment` is the
     `Partition`, whose `labels(c)` give chunk c's groups, and pass 2 adds
-    each payment to the budget and drops it.
+    each payment to the budget and drops it. The two fractions are counted
+    while paying (`rationality_counts`).
     """
 
     theta_bar_full: np.ndarray
@@ -191,9 +193,8 @@ class MechanismOutcome:
     budget: float  # the sum of the payments, which the outcome does not keep
     account: Tuple[float, float]
     noise_norms: Tuple[float, float, float]  # each release's noise norm, in RELEASES order
-    # counted while paying, when the row source has costs (`rationality_counts`)
-    truthful_frac: Optional[float] = None
-    rationality_frac: Optional[float] = None
+    truthful_frac: float
+    rationality_frac: float
 
 
 # ---------------------------------------------------------------------------
@@ -222,47 +223,48 @@ def check_size(n: int, d: int) -> None:
 class Partition:
     """A random equal split of n agents, kept as one count per chunk and a key.
 
-    Chunk c holds agents [c chunk_rows, (c + 1) chunk_rows), as a row source
-    yields them. `ones[c]` of them are in group 1, and `labels(c)` re-creates
+    Chunk c holds agents `chunk_slice(n, c)`, as a row source's `chunk(c)`
+    gives them. `ones[c]` of them are in group 1, and `labels(c)` re-creates
     which from a generator keyed by (key, c), so no per-agent array outlives
     its chunk.
     """
 
     n: int
-    chunk_rows: int
     ones: Tuple[int, ...]
     key: int
 
     def labels(self, c: int) -> np.ndarray:
         """Chunk c's int8 group labels: 1 on a uniform subset of ones[c] of its rows."""
-        rows = min(self.chunk_rows, self.n - c * self.chunk_rows)
-        labels = np.zeros(rows, dtype=np.int8)
+        rows = chunk_slice(self.n, c)
+        labels = np.zeros(rows.stop - rows.start, dtype=np.int8)
         # a uniform subset (a partial Fisher-Yates at chunk sizes), at about a
         # fifth of the cost of a shuffle of the labels
         picked = np.random.default_rng([self.key, c]).choice(
-            rows, self.ones[c], replace=False, shuffle=False)
+            labels.size, self.ones[c], replace=False, shuffle=False)
         labels[picked] = 1
         return labels
 
 
 def partition(n: int, rng: np.random.Generator) -> Partition:
-    """Random equal split of n agents into chunks of CHUNK_ROWS: group 0 keeps n // 2.
+    """Random equal split of n agents, chunk by chunk (`chunk_slice`): group 0 keeps n // 2.
 
-    Draws from rng, in chunk order, each chunk's number of group-1 agents,
-    hypergeometric among the agents left, then the key of the arrangements.
-    The counts are the chunks' margins under the uniform law over balanced
-    partitions, and given them each chunk's arrangement is uniform, so the
-    split is uniform over all balanced partitions.
+    Draws from rng, in chunk order until every agent is placed, each chunk's
+    number of group-1 agents, hypergeometric among the agents left, then the
+    key of the arrangements. The counts are the chunks' margins under the
+    uniform law over balanced partitions, and given them each chunk's
+    arrangement is uniform, so the split is uniform over all balanced
+    partitions.
     """
     ones_left, zeros_left = n - n // 2, n // 2
     ones = []
-    for lo in range(0, n, CHUNK_ROWS):
-        rows = min(CHUNK_ROWS, n - lo)
-        k = int(rng.hypergeometric(ones_left, zeros_left, rows))
+    while ones_left + zeros_left:
+        rows = chunk_slice(n, len(ones))
+        size = rows.stop - rows.start
+        k = int(rng.hypergeometric(ones_left, zeros_left, size))
         ones.append(k)
         ones_left -= k
-        zeros_left -= rows - k
-    return Partition(n, CHUNK_ROWS, tuple(ones), int(rng.integers(2 ** 63)))
+        zeros_left -= size - k
+    return Partition(n, tuple(ones), int(rng.integers(2 ** 63)))
 
 
 def opposite_release(group):
@@ -575,30 +577,27 @@ def run_mechanism(
 ) -> MechanismOutcome:
     """Execute one full mechanism run on the reports of a row source.
 
-    `reported` has `n`, `d` and `chunks()`, which yields (covariates,
-    reports, costs or None) of consecutive chunks of CHUNK_ROWS agents, the
-    last one partial, and yields the same agents again on a second walk
-    (`Dataset` slices its rows so and has no costs). Steps, in order: random
-    equal partition (`partition`: the chunks' counts, then the key); pass 1,
-    per chunk: the chunk's labels, the design written over the chunk's rows,
-    the working response, and each group's triangular factor of them; the
-    release: each group's chunk factors stacked, three least-squares solves
-    (all rows, from the two stacked halves; group 0; group 1), three
-    independent noise draws (full, group 0, group 1) at the schedule's
-    sensitivities and ball projections; pass 2, per chunk: its labels
-    again, and per row block the posterior means from the raw rows, the
-    design, q = A'(x_design . posterior mean), p = A'(x_design . opposite
-    group's release), the Brier payment and, given costs, the counts of
-    `rationality_counts` at the schedule's tau_threshold and cost_exponent. The links are the parameters' own
-    (`params.bundle`).
+    `reported` has `n`, `d` and `chunk(c)`, which gives (covariates,
+    reports, costs) of the agents `chunk_slice(n, c)`, the same agents at
+    every read. Steps, in order: random equal partition (`partition`: the
+    chunks' counts, then the key); pass 1, per chunk: the chunk's labels,
+    the design written over the chunk's rows, the working response, and each
+    group's triangular factor of them; the release: each group's chunk
+    factors stacked, three least-squares solves (all rows, from the two
+    stacked halves; group 0; group 1), three independent noise draws (full,
+    group 0, group 1) at the schedule's sensitivities and ball projections;
+    pass 2, per chunk: its labels again, and per row block the posterior
+    means from the raw rows, the design, q = A'(x_design . posterior mean),
+    p = A'(x_design . opposite group's release), the Brier payment and the
+    counts of `rationality_counts` at the schedule's tau_threshold and
+    cost_exponent. The links are the parameters' own (`params.bundle`).
 
-    Pass 1 writes into the chunks `chunks()` yields, so a row source yields
-    arrays of the mechanism's own (`Dataset` yields copies); pass 2 only
-    reads them. Pass 1 reads of the costs only whether there are any, and
-    drops them before it factors. The budget is summed block by block as
-    pass 2 pays; no payment outlives its block, and no label its chunk. The
-    outcome keeps the `Partition`, not an n-vector. Its `truthful_frac` and
-    `rationality_frac` are None when the row source has no costs.
+    Pass 1 writes into the covariates `chunk(c)` gives, so a row source
+    gives arrays of the mechanism's own; pass 2 only reads them. Pass 1
+    takes no chunk's costs, and each pass reads chunk c + 1 once chunk c's
+    rows are dropped. The budget is summed block by block as pass 2 pays;
+    no payment outlives its block, and no label its chunk. The outcome
+    keeps the `Partition`, not an n-vector.
     """
     settings = params.settings
     n, d = reported.n, reported.d
@@ -607,14 +606,11 @@ def run_mechanism(
     check_size(n, d)
 
     part = partition(n, rng)
+    chunks = range(len(part.ones))
     factors = ([], [])
-    c = 0  # a counter, not enumerate, whose cached result tuple would keep a chunk alive
-    for X, y, costs in reported.chunks():
-        has_costs = costs is not None
-        del costs  # pass 1 reads no cost
-        _first_pass(X, y, part.labels(c), factors, params)
-        del X, y  # the next chunk is drawn with this one dropped
-        c += 1
+    for c in chunks:
+        # pass 1 reads no cost: a chunk's costs are dropped before it is factored
+        _first_pass(*reported.chunk(c)[:2], part.labels(c), factors, params)
 
     halves = [stack_factors(*found) for found in factors]
     thetas = np.stack([solve_factor(R) for R in (stack_factors(*halves), *halves)])
@@ -624,7 +620,10 @@ def run_mechanism(
     account = compose_account(params.privacy)
     unit = privacy_cost(*account, params.cost_exponent)
     counts = [0, 0]
-    paid = _second_pass(reported, part, bars, params, unit, counts)
+    paid = itertools.chain.from_iterable(
+        _second_pass(*reported.chunk(c), part.labels(c), bars, params, unit, counts)
+        for c in chunks
+    )
     # each block's memoryview hands fsum Python floats, not numpy scalars; fsum
     # rounds the exact sum once, so block by block it gives the bits of one sum
     budget = math.fsum(itertools.chain.from_iterable(paid))
@@ -638,8 +637,8 @@ def run_mechanism(
         budget=budget,
         account=account,
         noise_norms=tuple(float(np.linalg.norm(v)) for v in noise),
-        truthful_frac=truthful / n if has_costs else None,
-        rationality_frac=(rational / truthful if truthful else 1.0) if has_costs else None,
+        truthful_frac=truthful / n,
+        rationality_frac=rational / truthful if truthful else 1.0,
     )
 
 
@@ -666,32 +665,26 @@ def _first_pass(X, y, labels, factors, params: MechanismParams) -> None:
             found.append(triangular_factor(X, z, rows))
 
 
-def _second_pass(reported, part, bars, params: MechanismParams, unit: float, counts):
-    """Pass 2: pay each row block of each chunk and yield a memoryview of its payments.
+def _second_pass(X, y, costs, labels, bars, params: MechanismParams, unit: float, counts):
+    """One chunk of pass 2: yield a memoryview of each row block's payments.
 
     Per block: the posterior means from the raw rows, the design, q and p
-    (`predictions`) and the Brier payment. Given costs, the block's
-    `rationality_counts` at `unit`, the per-unit privacy cost, are added to
-    counts = [truthful, rational] before the block is yielded.
+    (`predictions`) and the Brier payment. The block's `rationality_counts`
+    at `unit`, the per-unit privacy cost, are added to counts = [truthful,
+    rational] before the block is yielded.
     """
     settings, bundle, model = params.settings, params.bundle, params.bundle.model
-    c = 0
-    for X, y, costs in reported.chunks():
-        labels = part.labels(c)
-        for block in row_blocks(*X.shape):
-            means = posterior_mean(X[block], y[block], model, settings.tau_theta)
-            x_pay = design(X[block], model, settings)
-            q = predictions(x_pay, means, bundle)
-            # each row's p against the release that pays its group
-            p = predictions(x_pay, bars[opposite_release(labels[block])], bundle)
-            pay = brier_payment(params.a1, params.a2, p, q)
-            if costs is not None:
-                t, r = rationality_counts(pay, costs[block], unit, params.tau_threshold)
-                counts[0] += t
-                counts[1] += r
-            yield memoryview(pay)
-        del X, y, costs  # the next chunk is drawn with this one dropped
-        c += 1
+    for block in row_blocks(*X.shape):
+        means = posterior_mean(X[block], y[block], model, settings.tau_theta)
+        x_pay = design(X[block], model, settings)
+        q = predictions(x_pay, means, bundle)
+        # each row's p against the release that pays its group
+        p = predictions(x_pay, bars[opposite_release(labels[block])], bundle)
+        pay = brier_payment(params.a1, params.a2, p, q)
+        t, r = rationality_counts(pay, costs[block], unit, params.tau_threshold)
+        counts[0] += t
+        counts[1] += r
+        yield memoryview(pay)
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,12 @@ under its own theta*, as covariates, then responses, then costs.
 group of spec.n agents; the deviation study's opposite groups and the
 sensitivity oracle's replacement rows call `draw_agents` directly. A
 `PopulationStream` is the population of a simulate cell: the same draw,
-chunk by chunk, CHUNK_ROWS agents at a time, each chunk from its own
-generator, reported under the threshold strategy (`threshold_reports`). It
-is a row source for `mechanism.run_mechanism`, which walks it twice; each
-walk draws every chunk again from the start of the chunk's stream, so the
-stream keeps no per-agent vector. Every chunk's covariates are drawn into
-one buffer. A materialised population is the chunk draws copied out of
-that buffer (`PopulationStream.population`).
+chunk by chunk, each chunk from its own generator, reported under the
+threshold strategy (`threshold_reports`). It is a row source for
+`mechanism.run_mechanism`: `chunk(c)` draws chunk c again from the start of
+its stream whenever it is read, so the stream keeps no per-agent vector. A
+materialised population is the chunk draws copied out of the stream's
+buffer (`PopulationStream.population`).
 
 `covariate_sigma` is the covariates' scale, the sigma of the schedule's
 sub-Gaussian clip.
@@ -29,12 +28,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
 from .errors import ConfigError
-from .estimators import CHUNK_ROWS, row_blocks
+from .estimators import CHUNK_ROWS, chunk_slice, row_blocks
 from .links import LINEAR, LOGISTIC, POISSON, ModelKind
 
 
@@ -107,9 +106,10 @@ class PopulationSpec:
             raise ConfigError("Student-t covariates need dof > 4 for finite fourth moments")
         self.covariate_factor = _covariate_factor(self.covariates, self.d)
         if self.theta_star is not None:
-            self.theta_star = np.asarray(self.theta_star, dtype=float).ravel()
-            if self.theta_star.shape[0] != self.d:
-                raise ConfigError("theta_star dimension mismatch")
+            self.theta_star = np.asarray(self.theta_star, dtype=float)
+            if self.theta_star.shape != (self.d,):
+                raise ConfigError(f"theta_star must be a flat list of d = {self.d} numbers, "
+                                  f"got shape {self.theta_star.shape}")
             if np.linalg.norm(self.theta_star) > self.tau_theta + 1e-12:
                 raise ConfigError("theta_star must lie in the tau_theta ball")
 
@@ -286,17 +286,16 @@ ChunkRng = Callable[[int], np.random.Generator]
 class PopulationStream:
     """A cell's spec.n agents, drawn in chunks and reported under the threshold strategy at tau.
 
-    A row source for `mechanism.run_mechanism`. Chunk c holds agents
-    [c CHUNK_ROWS, (c + 1) CHUNK_ROWS) and draws them with `draw_agents`
-    from population_rng(c). Chunk 0's generator draws theta* first, unless
-    the spec fixes it, so a population of at most CHUNK_ROWS agents is
-    exactly `generate_population(spec, population_rng(0))`.
+    A row source for `mechanism.run_mechanism`: `chunk(c)` draws the agents
+    `estimators.chunk_slice(n, c)` with `draw_agents` from
+    population_rng(c). Chunk 0's generator draws theta* first, unless the
+    spec fixes it, so a population of at most CHUNK_ROWS agents is exactly
+    `generate_population(spec, population_rng(0))`.
 
-    Each walk of `chunks` draws every chunk again from the start of its
-    stream, so two walks yield the same agents bit for bit. The stream keeps
-    no per-agent vector: every chunk's covariates are drawn into one buffer
-    of at most CHUNK_ROWS rows, and it holds no chunk's responses, reports
-    or costs.
+    Each read of a chunk draws it again from the start of its stream, so
+    any two reads give the same agents bit for bit, in any order. The stream
+    keeps no per-agent vector: every chunk's covariates are drawn into one
+    buffer of at most CHUNK_ROWS rows.
     """
 
     def __init__(self, spec: PopulationSpec, tau: float, population_rng: ChunkRng):
@@ -306,41 +305,32 @@ class PopulationStream:
         rng = population_rng(0)
         self.theta_star = _theta_star(spec, rng)
         self._chunk0_state = rng.bit_generator.state  # chunk 0's agents start here
-        self._buffer = np.empty((min(spec.n, CHUNK_ROWS), spec.d))
+        self._buffer = np.empty((chunk_slice(spec.n, 0).stop, spec.d))  # chunk 0 is the largest
 
-    def _bounds(self) -> Iterator[Tuple[int, int]]:
-        """Each chunk's index and number of agents."""
-        for c, lo in enumerate(range(0, self.n, CHUNK_ROWS)):
-            yield c, min(CHUNK_ROWS, self.n - lo)
-
-    def _draw(self, c: int, rows: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _draw(self, c: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Chunk c's `draw_agents` draw, from the start of its stream, into the buffer."""
+        rows = chunk_slice(self.n, c)
+        size = rows.stop - rows.start
         rng = self._population_rng(c)
         if c == 0:
             rng.bit_generator.state = self._chunk0_state
-        return draw_agents(self.spec, self.theta_star, rows, rng, self._buffer[:rows])
+        return draw_agents(self.spec, self.theta_star, size, rng, self._buffer[:size])
 
-    def chunks(self) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """(covariates, reports, costs) of each chunk.
+    def chunk(self, c: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(covariates, reports, costs) of chunk c.
 
-        The covariates are the buffer, which the next chunk's draw overwrites,
-        so the caller may write into them until it asks for the next chunk.
+        The covariates are the buffer, which the next chunk's draw
+        overwrites, so the caller may write into them until it draws again.
         """
-        for c, rows in self._bounds():
-            yield self._reported(c, rows)
-
-    def _reported(self, c: int, rows: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # a method of its own, so the suspended generator holds no chunk's responses
-        X, y, costs = self._draw(c, rows)
+        X, y, costs = self._draw(c)
         return X, threshold_reports(y, costs, self.tau, self.spec.model), costs
 
     def population(self) -> Population:
         """The whole population at once: the chunk draws, copied out of the buffer."""
         X, y, costs = np.empty((self.n, self.d)), np.empty(self.n), np.empty(self.n)
-        lo = 0
-        for c, rows in self._bounds():
-            X[lo : lo + rows], y[lo : lo + rows], costs[lo : lo + rows] = self._draw(c, rows)
-            lo += rows
+        for c in range(-(-self.n // CHUNK_ROWS)):
+            rows = chunk_slice(self.n, c)
+            X[rows], y[rows], costs[rows] = self._draw(c)
         return Population(X, y, costs, self.theta_star)
 
 

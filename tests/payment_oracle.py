@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from privglm.estimators import Dataset, design
+from privglm.estimators import design
 from privglm.mechanism import (
     MechanismOutcome,
     MechanismParams,
@@ -25,13 +25,15 @@ from privglm.mechanism import (
     predictions,
 )
 
+from strategy_oracle import Reports
+
 
 def groups(part: Partition) -> np.ndarray:
     """Every agent's group: the partition's chunk labels, concatenated."""
     return np.concatenate([part.labels(c) for c in range(len(part.ones))])
 
 
-def recomputed_predictions(reported: Dataset, idx, out: MechanismOutcome, params: MechanismParams):
+def recomputed_predictions(reported: Reports, idx, out: MechanismOutcome, params: MechanismParams):
     """p and q of agents idx: their design rows against the opposite release and
     against the posterior mean given their own reports."""
     bundle = params.bundle
@@ -43,7 +45,7 @@ def recomputed_predictions(reported: Dataset, idx, out: MechanismOutcome, params
     return predictions(x_pay, opposite, bundle), predictions(x_pay, means, bundle)
 
 
-def paid(reported: Dataset, out: MechanismOutcome, params: MechanismParams) -> np.ndarray:
+def paid(reported: Reports, out: MechanismOutcome, params: MechanismParams) -> np.ndarray:
     """Every agent's payment in the run `out` of `reported` under `params`.
 
     Asserts that their exact sum is the run's budget, so the payments are

@@ -1,16 +1,23 @@
 import functools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import privglm
 from privglm.errors import ConfigError, SingularGramError
 from privglm.estimators import (
     BLOCK_ELEMENTS,
+    CHUNK_ROWS,
     COND_CAP,
     Dataset,
     EstimatorSettings,
     check_responses,
+    chunk_slice,
     empirical_sensitivity,
     estimate,
     l4_shrink_rows,
@@ -241,6 +248,16 @@ def test_row_blocks_cover_the_rows_in_order(width):
         sizes = [block.stop - block.start for block in blocks]
         assert all(1 <= size <= step for size in sizes)
         assert all(size == step for size in sizes[:-1])
+
+
+@pytest.mark.parametrize("n", [1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 3 * CHUNK_ROWS + 5])
+def test_chunk_slices_tile_the_agents(n):
+    # every chunk but the last holds CHUNK_ROWS agents, and the chunks cover
+    # range(n) once, in order
+    chunks = [chunk_slice(n, c) for c in range(math.ceil(n / CHUNK_ROWS))]
+    assert [i for rows in chunks for i in range(n)[rows]] == list(range(n))
+    sizes = [rows.stop - rows.start for rows in chunks]
+    assert all(size == CHUNK_ROWS for size in sizes[:-1]) and 1 <= sizes[-1] <= CHUNK_ROWS
 
 
 def test_l4_shrink_rows_matches_power_sum():
@@ -504,6 +521,41 @@ def test_empirical_sensitivity_is_the_per_trial_loop(law, n, trials):
     got = empirical_sensitivity(*args)
     assert got > 0.0
     assert got == per_trial_sensitivity(*args)
+
+
+_LAZY_BLOCKS = """
+import resource
+import numpy as np
+from privglm.estimators import Dataset, EstimatorSettings, empirical_sensitivity
+from privglm.links import ModelKind, make_link_bundle
+
+class Sentinel(Exception):
+    pass
+
+def draw(rng):
+    raise Sentinel
+
+rng = np.random.default_rng(0)
+data = Dataset(rng.standard_normal((2000, 3)), rng.standard_normal(2000))
+args = (data, make_link_bundle(ModelKind.linear(1.0)), EstimatorSettings(1.0, 1.0, 1.0))
+resource.setrlimit(resource.RLIMIT_AS, (2 * 10 ** 9, 2 * 10 ** 9))
+try:
+    empirical_sensitivity(*args, 10 ** 12, 0, draw)
+except Sentinel:
+    print("first trial drawn")
+"""
+
+
+def test_empirical_sensitivity_walks_its_trial_blocks_lazily():
+    # at n = 2000 and d = 3 a trial block holds 8 trials; listing the blocks
+    # of 10^12 trials before the first one would take about 1.25e11 slices,
+    # a MemoryError under the 2 GB address-space cap the child sets itself
+    path = [str(Path(privglm.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    proc = subprocess.run([sys.executable, "-c", _LAZY_BLOCKS], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "first trial drawn\n"
 
 
 def test_stacked_triangular_factor_is_each_lone_factor():

@@ -1235,6 +1235,27 @@ def test_cli_simulate_refuses_a_tau_theta_whose_square_overflows(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("verb", ["simulate", "deviate", "sensitivity", "schedule"])
+@pytest.mark.parametrize("population, message", [
+    ({"noise_std": 1e300}, "noise_std = 1e+300 is too large: its square overflows"),
+    ({"noise_std": 1e200}, "noise_std = 1e+200 is too large: its square overflows"),
+    ({"theta_star": [[0.1, 0.2]]}, "theta_star must be a flat list of d = 2 numbers, got shape (1, 2)"),
+    ({"theta_star": [[[0.1, 0.2]]]}, "got shape (1, 1, 2)"),
+], ids=["noise-1e300", "noise-1e200", "theta-nested", "theta-nested-twice"])
+def test_cli_refuses_a_population_it_cannot_run(tmp_path, capsys, verb, population, message):
+    # simulate and deviate once crashed (exit 1) on OverflowError from noise_std^2
+    # in the linear posterior mean, and a nested theta_star was flattened and run
+    payload = {"population": {"d": 2, "model": "linear", **population},
+               "schedule": {"delta": 0.3}, "sweep": [400]}
+    argv = [verb, "--config", _write_config(tmp_path, payload)]
+    if verb == "simulate":
+        argv += ["--out", str(tmp_path / "out")]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("sigma", [0.0, -1.0])
 @pytest.mark.parametrize("regime", ["subgaussian", "heavy"])
 def test_cli_refuses_an_isotropic_sigma_not_above_zero(tmp_path, capsys, regime, sigma):

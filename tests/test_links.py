@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -53,6 +54,14 @@ def test_model_kind_noise_std_is_linear_only():
         assert ModelKind.from_json({"model": family}) == ModelKind(family)
         with pytest.raises(ConfigError, match="'noise_std'"):
             ModelKind.from_json({"model": family, "noise_std": 5.0})
+
+
+@pytest.mark.parametrize("noise_std", [1.35e154, 1e200, 1e300, math.inf])
+def test_linear_model_refuses_a_noise_std_whose_square_overflows(noise_std):
+    # the linear posterior mean takes noise_std^2, which once raised OverflowError
+    with pytest.raises(ConfigError, match=re.escape(f"noise_std = {noise_std:g} is too large")):
+        ModelKind.linear(noise_std)
+    assert ModelKind.linear(1e154).noise_std == 1e154  # its square, 1e308, is finite
 
 
 def test_link_values_at_reference_points():

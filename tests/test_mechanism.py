@@ -15,7 +15,6 @@ import privglm
 from privglm.errors import ConfigError
 from privglm import estimators, links, mechanism
 from privglm.estimators import (
-    Dataset,
     EstimatorSettings,
     design,
     l4_shrink_rows,
@@ -53,7 +52,7 @@ from privglm.privacy import PrivacyParams
 
 from payment_oracle import groups, paid, recomputed_predictions
 from rationality_oracle import rationality_fraction
-from strategy_oracle import apply_strategy
+from strategy_oracle import Reports, apply_strategy
 
 
 def test_brier_reference_value():
@@ -421,7 +420,7 @@ def test_run_mechanism_reads_each_row_once(monkeypatch):
 def test_partition_too_small():
     model = ModelKind.linear(1.0)
     params = preset_schedule(model, "subgaussian", 5, 0.3, d=3)
-    tiny = Dataset(np.random.default_rng(0).standard_normal((5, 3)), np.zeros(5))
+    tiny = Reports(np.random.default_rng(0).standard_normal((5, 3)), np.zeros(5), np.zeros(5))
     with pytest.raises(ConfigError, match=r"n = 5 is below 2d = 6 \(d = 3\)"):
         run_mechanism(tiny, params, np.random.default_rng(0))
 
@@ -430,7 +429,7 @@ def test_partition_draws_every_balanced_split_uniformly(monkeypatch):
     # in chunks of 2 rows, n = 6 takes three chunks: the hypergeometric counts
     # and each chunk's keyed arrangement together give each of the C(6, 3) = 20
     # balanced partitions probability 1/20
-    monkeypatch.setattr(mechanism, "CHUNK_ROWS", 2)
+    monkeypatch.setattr(estimators, "CHUNK_ROWS", 2)
     rng = np.random.default_rng(2024)
     seen = Counter(groups(partition(6, rng)).tobytes() for _ in range(20_000))
     splits = {np.isin(np.arange(6), ones).astype(np.int8).tobytes()
@@ -468,8 +467,8 @@ def test_check_size_admits_each_n_the_hypergeometric_draw_takes():
 def test_heavy_regime_requires_linear_model():
     params = preset_schedule(ModelKind.linear(1.0), "heavy", 400, 0.12, d=2)
     params = replace(params, bundle=make_link_bundle(ModelKind.logistic()))
-    data = Dataset(np.random.default_rng(0).standard_normal((400, 2)),
-                   np.where(np.random.default_rng(1).random(400) < 0.5, 1.0, -1.0))
+    data = Reports(np.random.default_rng(0).standard_normal((400, 2)),
+                   np.where(np.random.default_rng(1).random(400) < 0.5, 1.0, -1.0), np.zeros(400))
     with pytest.raises(ConfigError, match="heavy regime is defined for the linear model only"):
         run_mechanism(data, params, np.random.default_rng(0))
 
@@ -558,7 +557,7 @@ def test_group_blinding_property(family, n, agent, report, seed):
         y[i] = float(report)
     else:
         y[i] += report - 1.5
-    truthful, deviated = Dataset(pop.X, pop.y_true), Dataset(pop.X, y)
+    truthful, deviated = Reports(pop.X, pop.y_true, pop.costs), Reports(pop.X, y, pop.costs)
     base = run_mechanism(truthful, params, np.random.default_rng(seed))
     moved = run_mechanism(deviated, params, np.random.default_rng(seed))
     assigned = groups(base.group_assignment)
@@ -583,7 +582,7 @@ def test_payment_and_budget_bounds_property(family, n, seed):
     s = params.settings
     X = pop.X if s.regime == "heavy" else project_ball(pop.X, s.tau1)
     m_a = params.m_a
-    data = Dataset(X, pop.y_true)
+    data = Reports(X, pop.y_true, pop.costs)
     out = run_mechanism(data, params, np.random.default_rng(seed))
     cap = params.a1 + params.a2 * (m_a + m_a * m_a)
     assert np.all(paid(data, out, params) <= cap * (1 + 1e-12))
@@ -604,7 +603,7 @@ def test_rationality_at_floor_property(family, n, seed):
     params, pop = _property_case(family, n, seed)
     s = params.settings
     X = pop.X if s.regime == "heavy" else project_ball(pop.X, s.tau1)
-    data = Dataset(X, pop.y_true)
+    data = Reports(X, pop.y_true, pop.costs)
     out = run_mechanism(data, params, np.random.default_rng(seed))
     payments = paid(data, out, params)
     frac = rationality_fraction(
@@ -618,7 +617,7 @@ def test_poisson_report_in_prior_tail_pays_every_agent():
     params, pop = _property_case("poisson", 55, 94792)
     s = params.settings
     assert pop.y_true.max() == 12.0
-    data = Dataset(project_ball(pop.X, s.tau1), pop.y_true)
+    data = Reports(project_ball(pop.X, s.tau1), pop.y_true, pop.costs)
     out = run_mechanism(data, params, np.random.default_rng(94792))
     m_a = params.m_a
     payments = paid(data, out, params)

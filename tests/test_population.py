@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -319,6 +320,15 @@ def test_replacement_sampler_determinism():
 def test_population_refuses_a_tau_theta_whose_square_overflows(tau_theta):
     with pytest.raises(ConfigError, match="its square overflows"):
         PopulationSpec(n=10, d=2, model=ModelKind.linear(1.0), tau_theta=tau_theta)
+
+
+@pytest.mark.parametrize("theta_star, shape", [
+    ([[0.1, 0.2]], "(1, 2)"), ([[[0.1, 0.2]]], "(1, 1, 2)"), ([0.1, 0.2, 0.3], "(3,)"),
+])
+def test_population_refuses_a_theta_star_that_is_not_d_numbers(theta_star, shape):
+    # a theta_star of any shape was once flattened and accepted
+    with pytest.raises(ConfigError, match=re.escape(f"flat list of d = 2 numbers, got shape {shape}")):
+        PopulationSpec(n=10, d=2, model=ModelKind.linear(1.0), theta_star=theta_star)
 
 
 def _theta_star_loop(d, tau_theta, rng):

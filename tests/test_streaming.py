@@ -5,16 +5,17 @@ generate_population -> apply_strategy -> run_mechanism, bit for bit; a cell
 of several chunks, the last one partial, gives the releases and budget of
 `run_mechanism` on its own materialised population, and its budget is the
 exact sum of every payment recomputed in one batch; the `sensitivity` verb
-runs the oracle on the materialised population of cell (n, 0); two walks
-of a stream yield the same agents, and a row source needs only `n`, `d`
-and `chunks()`; and the memory a cell traces does not grow with n: it keeps
-no per-agent vector.
+runs the oracle on the materialised population of cell (n, 0); two reads
+of a stream's chunk give the same agents, in any order, and a row source
+needs only `n`, `d` and `chunk(c)`; and the memory a cell traces does not
+grow with n: it keeps no per-agent vector.
 """
 
 import json
 import math
 import tracemalloc
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -48,9 +49,9 @@ from privglm.population import (
     replacement_sampler,
 )
 
-from payment_oracle import groups, paid
+from payment_oracle import paid
 from rationality_oracle import rationality_fraction
-from strategy_oracle import apply_strategy
+from strategy_oracle import Reports, apply_strategy
 
 CELLS = {
     # name: (model, regime, delta, covariates)
@@ -74,6 +75,13 @@ def cell_config(name, d, n, **kw):
     )
     defaults.update(kw)
     return ExperimentConfig(**defaults)
+
+
+def _assert_same_outcome(got, want):
+    """Every field of two mechanism outcomes is equal, the partition's by its counts and key."""
+    for field in fields(want):
+        g, w = getattr(got, field.name), getattr(want, field.name)
+        assert np.array_equal(g, w) if isinstance(w, np.ndarray) else g == w, field.name
 
 
 @pytest.mark.parametrize("fixed_theta", [False, True], ids=["drawn-theta", "fixed-theta"])
@@ -130,10 +138,7 @@ def test_streamed_cell_equals_run_on_materialised_population(name):
     reported = apply_strategy(pop, tau, config.population.model)
     whole = run_mechanism(reported, params, cell_rng(ms, n, 0, ARM_MECHANISM))
 
-    for field in ("theta_bar_full", "theta_bar_g0", "theta_bar_g1"):
-        assert np.array_equal(getattr(streamed, field), getattr(whole, field)), field
-    assert np.array_equal(groups(streamed.group_assignment), groups(whole.group_assignment))
-    assert streamed.budget == whole.budget
+    _assert_same_outcome(streamed, whole)
     assert np.array_equal(stream.population().costs, pop.costs)
     # the chunks are draws of their own: chunk 1 is not chunk 0 again
     assert not np.array_equal(pop.X[:5], pop.X[CHUNK_ROWS : CHUNK_ROWS + 5])
@@ -164,7 +169,7 @@ def test_streamed_cell_counts_across_chunks(name):
     pop = cell_population(config, n, 0, tau).population()
     reported = apply_strategy(pop, tau, config.population.model)
     out = run_mechanism(reported, params, cell_rng(config.master_seed, n, 0, ARM_MECHANISM))
-    assert out.truthful_frac is None and out.rationality_frac is None  # a Dataset has no costs
+    assert (row.truthful_frac, row.rationality_frac) == (out.truthful_frac, out.rationality_frac)
     assert row.truthful_frac == float(np.mean(pop.costs <= tau))
     assert row.rationality_frac == rationality_fraction(
         paid(reported, out, params), out.account, pop.costs, params.cost_exponent, tau)
@@ -225,7 +230,7 @@ def test_stream_population_is_copied_out_of_the_shared_buffer(law):
         return np.random.default_rng([41, c])
 
     stream = PopulationStream(spec, 0.8, chunk_rng)
-    chunk_X = [X for X, _, _ in stream.chunks()]
+    chunk_X = [stream.chunk(c)[0] for c in range(3)]
     assert all(np.shares_memory(X, chunk_X[0]) for X in chunk_X)  # one buffer for every chunk
     whole = stream.population()
     assert not np.shares_memory(whole.X, chunk_X[0])
@@ -240,33 +245,38 @@ def test_stream_population_is_copied_out_of_the_shared_buffer(law):
     assert np.array_equal(whole.theta_star, first.theta_star)
 
 
+def _forward_walk(stream, chunks):
+    """Every chunk of a stream read in order, the covariates copied out of the shared buffer."""
+    return [(X.copy(), y, costs) for X, y, costs in map(stream.chunk, range(chunks))]
+
+
 @pytest.mark.parametrize("law", sorted(LAWS))
 def test_stream_walks_yield_the_same_agents(law):
-    # run_mechanism walks a row source twice: the second walk redraws every
-    # chunk, covariates, reports and costs, bit for bit
+    # run_mechanism reads a row source's chunks twice: the second read redraws
+    # every chunk, covariates, reports and costs, bit for bit
     n = 2 * CHUNK_ROWS + 7
     spec = PopulationSpec(n=n, d=3, model=ModelKind.logistic(), covariates=LAWS[law])
     stream = PopulationStream(spec, 0.8, lambda c: np.random.default_rng([43, c]))
-    first = [(X.copy(), y, costs) for X, y, costs in stream.chunks()]  # X is the shared buffer
+    first = _forward_walk(stream, 3)
     assert [X.shape[0] for X, _, _ in first] == [CHUNK_ROWS, CHUNK_ROWS, 7]
     assert any(np.any(costs > 0.8) for _, _, costs in first)  # some reports are not the truth
-    for want, got in zip(first, stream.chunks(), strict=True):
+    for want, got in zip(first, _forward_walk(stream, 3), strict=True):
         for w, g in zip(want, got):
             assert np.array_equal(w, g)
 
 
-class _BareRows:
-    """A row source with only what run_mechanism reads: n, d and chunks()."""
-
-    def __init__(self, X, y, costs=None):
-        self.X, self.y, self.costs = X, y, costs
-        self.n, self.d = X.shape
-
-    def chunks(self):
-        for lo in range(0, self.n, CHUNK_ROWS):
-            rows = slice(lo, lo + CHUNK_ROWS)
-            costs = None if self.costs is None else self.costs[rows]
-            yield self.X[rows].copy(), self.y[rows].copy(), costs
+@pytest.mark.parametrize("law", ["isotropic", "student-t"])
+def test_stream_chunks_read_out_of_order_are_a_forward_walk(law):
+    # chunk(c) draws chunk c from the start of its own stream, so reads out of
+    # order and repeated give the agents of a forward walk; chunk 0 restarts
+    # at the state after theta*
+    n = 2 * CHUNK_ROWS + 7
+    spec = PopulationSpec(n=n, d=3, model=ModelKind.linear(1.0), covariates=LAWS[law])
+    want = _forward_walk(PopulationStream(spec, 0.8, lambda c: np.random.default_rng([47, c])), 3)
+    stream = PopulationStream(spec, 0.8, lambda c: np.random.default_rng([47, c]))
+    for c in (2, 0, 1, 0):
+        for w, g in zip(want[c], stream.chunk(c), strict=True):
+            assert np.array_equal(w, g), c
 
 
 def test_run_mechanism_reads_only_the_chunks_of_a_row_source():
@@ -274,27 +284,24 @@ def test_run_mechanism_reads_only_the_chunks_of_a_row_source():
     model = ModelKind.linear(1.0)
     params = preset_schedule(model, "subgaussian", n, 0.3, d=d)
     pop = generate_population(PopulationSpec(n=n, d=d, model=model), np.random.default_rng(6))
-    bare = run_mechanism(_BareRows(pop.X, pop.y_true), params, np.random.default_rng(7))
-    data = run_mechanism(Dataset(pop.X, pop.y_true), params, np.random.default_rng(7))
-    for field in fields(data):
-        got, want = getattr(bare, field.name), getattr(data, field.name)
-        assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want, field
+    reported = Reports(pop.X, pop.y_true, pop.costs)
+    bare = SimpleNamespace(n=n, d=d, chunk=reported.chunk)
+    _assert_same_outcome(run_mechanism(bare, params, np.random.default_rng(7)),
+                         run_mechanism(reported, params, np.random.default_rng(7)))
 
 
 def test_run_mechanism_refuses_chunks_the_partition_does_not_have():
-    # the partition holds its labels per chunk of CHUNK_ROWS agents, so a row
-    # source whose chunks are smaller would be paired with the wrong labels
-    class HalfChunks(_BareRows):
-        def chunks(self):
-            for lo in range(0, self.n, 50):
-                yield self.X[lo : lo + 50].copy(), self.y[lo : lo + 50].copy(), None
-
+    # the partition holds its labels per chunk of chunk_slice, so a row source
+    # whose chunks are smaller would be paired with the wrong labels
     n, d = 100, 2
     model = ModelKind.linear(1.0)
     params = preset_schedule(model, "subgaussian", n, 0.3, d=d)
     pop = generate_population(PopulationSpec(n=n, d=d, model=model), np.random.default_rng(6))
+    half = SimpleNamespace(n=n, d=d, chunk=lambda c: (
+        pop.X[50 * c : 50 * c + 50].copy(), pop.y_true[50 * c : 50 * c + 50].copy(),
+        pop.costs[50 * c : 50 * c + 50]))
     with pytest.raises(ValueError, match="a chunk of 50 rows where the partition has 100"):
-        run_mechanism(HalfChunks(pop.X, pop.y_true), params, np.random.default_rng(7))
+        run_mechanism(half, params, np.random.default_rng(7))
 
 
 def test_run_mechanism_counts_the_costs_of_a_row_source():
@@ -307,8 +314,7 @@ def test_run_mechanism_counts_the_costs_of_a_row_source():
     tau = params.tau_threshold
     pop = generate_population(PopulationSpec(n=n, d=d, model=model), np.random.default_rng(8))
     reported = apply_strategy(pop, tau, model)
-    out = run_mechanism(_BareRows(reported.X, reported.y, pop.costs), params,
-                        np.random.default_rng(9))
+    out = run_mechanism(reported, params, np.random.default_rng(9))
     assert type(out.truthful_frac) is float and type(out.rationality_frac) is float
     assert out.truthful_frac == float(np.mean(pop.costs <= tau))
     assert out.rationality_frac == rationality_fraction(
@@ -368,7 +374,7 @@ def test_run_mechanism_checks_the_responses_of_every_chunk():
     params = preset_schedule(model, "subgaussian", n, 0.3, d=2)
     y = np.ones(n)
     y[-1] = 0.5  # the last agent of the partial second chunk
-    data = Dataset(np.random.default_rng(0).standard_normal((n, 2)), y)
+    data = Reports(np.random.default_rng(0).standard_normal((n, 2)), y, np.zeros(n))
     with pytest.raises(ConfigError, match="logistic responses must lie in"):
         run_mechanism(data, params, np.random.default_rng(1))
 
@@ -409,8 +415,9 @@ def test_cell_memory_grows_by_per_agent_vectors_only():
 
 
 def test_run_mechanism_leaves_the_dataset_untouched():
-    # pass 1 writes each chunk's l4-shrunk rows over its raw rows; a Dataset
-    # hands it copies, so the caller's arrays keep their raw rows
+    # pass 1 writes each chunk's l4-shrunk rows over its raw rows; the tests'
+    # row source hands it copies, so the arrays the payment oracle reads
+    # keep their raw rows
     n, d = 3000, 3
     model = ModelKind.linear(1.0)
     params = preset_schedule(model, "heavy", n, 0.12, d=d)
@@ -418,7 +425,7 @@ def test_run_mechanism_leaves_the_dataset_untouched():
     X = rng.standard_t(2.0, size=(n, d)) * 3.0
     y = X @ np.full(d, 0.3) + rng.standard_normal(n)
     assert not np.array_equal(l4_shrink_rows(X, params.settings.tau1), X)  # some rows shrink
-    data = Dataset(X, y)
+    data = Reports(X, y, np.zeros(n))
     X_before, y_before = data.X.copy(), data.y.copy()
     run_mechanism(data, params, np.random.default_rng(9))
     assert np.array_equal(data.X, X_before)
